@@ -7,10 +7,6 @@
 // a few hundred KB-equivalent of state; iOLAP-total carries a bounded
 // overhead over the baseline and per-batch traffic is 1–2 orders of
 // magnitude smaller.
-//
-// The iOLAP pass runs sharded (S = 4): shipped columns are *measured*
-// ExchangeLayer wire bytes, with the old virtual-worker cost model's
-// prediction alongside as modeled_KB.
 
 #include <cstdio>
 
@@ -28,7 +24,6 @@ int main() {
     uint64_t iolap_total = 0;
     uint64_t per_batch_avg = 0;
     uint64_t per_batch_max = 0;
-    uint64_t modeled_shipped = 0;
   };
   std::vector<Row> rows;
   // Shares BENCH_fig7.json with the latency benches; Flush() merges by
@@ -42,9 +37,8 @@ int main() {
   for (const BenchQuery& query : ConvivaQueries()) {
     auto baseline =
         RunBenchQuery(*catalog, query, BenchOptions(ExecutionMode::kBaseline));
-    EngineOptions iolap_options = BenchOptions(ExecutionMode::kIolap);
-    iolap_options.num_shards = 4;
-    auto iolap_run = RunBenchQuery(*catalog, query, iolap_options);
+    auto iolap_run =
+        RunBenchQuery(*catalog, query, BenchOptions(ExecutionMode::kIolap));
     if (!baseline.ok() || !iolap_run.ok()) {
       std::fprintf(stderr, "%s failed\n", query.id.c_str());
       return 1;
@@ -55,26 +49,23 @@ int main() {
     row.other_state_avg =
         static_cast<uint64_t>(iolap_run->metrics.AvgOtherStateBytes());
     row.other_state_peak = iolap_run->metrics.PeakOtherStateBytes();
-    // The baseline runs unsharded (no wire), so its shuffle volume is the
-    // cost model's charge — the number the paper's cluster baseline ships.
-    row.baseline_shipped = baseline->metrics.TotalModeledShippedBytes();
+    row.baseline_shipped = baseline->metrics.TotalShippedBytes();
     row.iolap_total = iolap_run->metrics.TotalShippedBytes();
     row.per_batch_avg =
         static_cast<uint64_t>(iolap_run->metrics.AvgShippedBytesPerBatch());
     row.per_batch_max = iolap_run->metrics.MaxShippedBytesPerBatch();
-    row.modeled_shipped = iolap_run->metrics.TotalModeledShippedBytes();
     rows.push_back(row);
 
     const double baseline_s = baseline->metrics.TotalLatencySec();
     const double iolap_s = iolap_run->metrics.TotalLatencySec();
-    json.AddWithExchange(
+    json.AddWithRecovery(
         "fig10_conviva_" + query.id + "_baseline", baseline_s,
         baseline->metrics.TotalCpuSec(),
         baseline_s > 0 ? bench::TotalInputRows(baseline->metrics) / baseline_s
                        : 0.0,
         BenchThreads(), baseline->metrics);
-    json.AddWithExchange(
-        "fig10_conviva_" + query.id + "_iolap_s4", iolap_s,
+    json.AddWithRecovery(
+        "fig10_conviva_" + query.id + "_iolap", iolap_s,
         iolap_run->metrics.TotalCpuSec(),
         iolap_s > 0 ? bench::TotalInputRows(iolap_run->metrics) / iolap_s
                     : 0.0,
@@ -90,13 +81,12 @@ int main() {
                 row.other_state_peak / 1e3);
   }
   std::printf("\n");
-  bench::Header("Figure 10(d)", "Conviva data shipped at query time (S=4)",
-                "query\tbaseline_modeled_KB\tiolap_measured_KB\tiolap_modeled_KB\t"
-                "per_batch_avg_KB\tper_batch_max_KB");
+  bench::Header("Figure 10(d)", "Conviva data shipped at query time",
+                "query\tbaseline_KB\tiolap_total_KB\tper_batch_avg_KB\t"
+                "per_batch_max_KB");
   for (const Row& row : rows) {
-    std::printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", row.id.c_str(),
+    std::printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\n", row.id.c_str(),
                 row.baseline_shipped / 1e3, row.iolap_total / 1e3,
-                row.modeled_shipped / 1e3,
                 row.per_batch_avg / 1e3, row.per_batch_max / 1e3);
   }
   return json.Flush() ? 0 : 1;

@@ -9,11 +9,6 @@
 // dominate for multi-join queries but stay below the baseline's total
 // shuffle volume; iOLAP's per-batch shipped data is 1–2 orders of
 // magnitude below the baseline total.
-//
-// The iOLAP pass runs sharded (S = 4): shipped columns are *measured*
-// ExchangeLayer wire bytes (delta routing + partial aggregates + lineage
-// broadcast, retransmissions included), with the old virtual-worker cost
-// model's prediction reported alongside as modeled_KB.
 
 #include <cstdio>
 
@@ -31,7 +26,6 @@ int main() {
     uint64_t iolap_total_shipped = 0;
     uint64_t iolap_per_batch_avg = 0;
     uint64_t iolap_per_batch_max = 0;
-    uint64_t iolap_modeled_shipped = 0;
   };
   std::vector<Row> rows;
   // Shares BENCH_fig7.json with the latency benches; Flush() merges by
@@ -46,9 +40,8 @@ int main() {
     }
     auto baseline =
         RunBenchQuery(*catalog, query, BenchOptions(ExecutionMode::kBaseline));
-    EngineOptions iolap_options = BenchOptions(ExecutionMode::kIolap);
-    iolap_options.num_shards = 4;
-    auto iolap_run = RunBenchQuery(*catalog, query, iolap_options);
+    auto iolap_run =
+        RunBenchQuery(*catalog, query, BenchOptions(ExecutionMode::kIolap));
     if (!baseline.ok() || !iolap_run.ok()) {
       std::fprintf(stderr, "%s failed\n", query.id.c_str());
       return 1;
@@ -59,26 +52,23 @@ int main() {
     row.other_state_avg =
         static_cast<uint64_t>(iolap_run->metrics.AvgOtherStateBytes());
     row.other_state_peak = iolap_run->metrics.PeakOtherStateBytes();
-    // The baseline runs unsharded (no wire), so its shuffle volume is the
-    // cost model's charge — the number the paper's cluster baseline ships.
-    row.baseline_shipped = baseline->metrics.TotalModeledShippedBytes();
+    row.baseline_shipped = baseline->metrics.TotalShippedBytes();
     row.iolap_total_shipped = iolap_run->metrics.TotalShippedBytes();
     row.iolap_per_batch_avg =
         static_cast<uint64_t>(iolap_run->metrics.AvgShippedBytesPerBatch());
     row.iolap_per_batch_max = iolap_run->metrics.MaxShippedBytesPerBatch();
-    row.iolap_modeled_shipped = iolap_run->metrics.TotalModeledShippedBytes();
     rows.push_back(row);
 
     const double baseline_s = baseline->metrics.TotalLatencySec();
     const double iolap_s = iolap_run->metrics.TotalLatencySec();
-    json.AddWithExchange(
+    json.AddWithRecovery(
         "fig9_tpch_" + query.id + "_baseline", baseline_s,
         baseline->metrics.TotalCpuSec(),
         baseline_s > 0 ? bench::TotalInputRows(baseline->metrics) / baseline_s
                        : 0.0,
         BenchThreads(), baseline->metrics);
-    json.AddWithExchange(
-        "fig9_tpch_" + query.id + "_iolap_s4", iolap_s,
+    json.AddWithRecovery(
+        "fig9_tpch_" + query.id + "_iolap", iolap_s,
         iolap_run->metrics.TotalCpuSec(),
         iolap_s > 0 ? bench::TotalInputRows(iolap_run->metrics) / iolap_s
                     : 0.0,
@@ -95,13 +85,12 @@ int main() {
   }
 
   std::printf("\n");
-  bench::Header("Figure 9(c)", "TPC-H data shipped at query time (S=4)",
-                "query\tbaseline_modeled_KB\tiolap_measured_KB\tiolap_modeled_KB\t"
-                "iolap_per_batch_avg_KB\tiolap_per_batch_max_KB");
+  bench::Header("Figure 9(c)", "TPC-H data shipped at query time",
+                "query\tbaseline_KB\tiolap_total_KB\tiolap_per_batch_avg_KB\t"
+                "iolap_per_batch_max_KB");
   for (const Row& row : rows) {
-    std::printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n", row.id.c_str(),
+    std::printf("%s\t%.1f\t%.1f\t%.1f\t%.1f\n", row.id.c_str(),
                 row.baseline_shipped / 1e3, row.iolap_total_shipped / 1e3,
-                row.iolap_modeled_shipped / 1e3,
                 row.iolap_per_batch_avg / 1e3, row.iolap_per_batch_max / 1e3);
   }
   return json.Flush() ? 0 : 1;

@@ -22,19 +22,16 @@
 // Machine-readable companion output: benches also emit a BENCH_<id>.json
 // in the working directory so dashboards and regression scripts don't have
 // to parse the human-oriented tab format. Several binaries share
-// BENCH_fig7.json (fig7 latency rows, fig9/fig10 exchange rows); Flush()
-// merges by row name so each binary replaces only its own series no matter
-// which ran last. Uniform row schema:
+// BENCH_fig7.json (fig7 latency rows, fig9/fig10 shipped-bytes rows);
+// Flush() merges by row name so each binary replaces only its own series no
+// matter which ran last. Uniform row schema:
 //   {"name": ..., "wall_sec": ..., "cpu_sec": ..., "rows_per_sec": ...,
 //    "threads": ...}
-// Rows added with recovery metrics carry additional keys:
+// Rows added with run metrics carry additional keys:
+//   "shipped_bytes" (the shuffle/broadcast cost model's total),
 //   "recoveries", "max_rollback_depth", "full_restarts",
 //   "corrupt_checkpoints", "injected_faults", "frozen_replay_batches",
 //   "recoveries_exhausted", "degraded"
-// Rows added with exchange metrics carry:
-//   "shipped_bytes" (measured ExchangeLayer wire traffic, retransmissions
-//   included) and "modeled_bytes" (the old virtual-worker cost model's
-//   prediction for the same run, kept so the model's error stays visible)
 
 namespace iolap {
 namespace bench {
@@ -58,14 +55,15 @@ class JsonWriter {
     rows_.push_back(Entry{name, wall_sec, cpu_sec, rows_per_sec, threads});
   }
 
-  /// Same row plus the failure-recovery counters of the run — used by
-  /// benches whose runs can recover (an unnoticed recovery storm would
-  /// otherwise masquerade as a latency regression).
+  /// Same row plus the shipped bytes and failure-recovery counters of the
+  /// run — used by benches whose runs can recover (an unnoticed recovery
+  /// storm would otherwise masquerade as a latency regression).
   void AddWithRecovery(const std::string& name, double wall_sec,
                        double cpu_sec, double rows_per_sec, size_t threads,
                        const QueryMetrics& metrics) {
     Entry e{name, wall_sec, cpu_sec, rows_per_sec, threads};
     e.has_recovery = true;
+    e.shipped_bytes = metrics.TotalShippedBytes();
     e.recoveries = metrics.TotalFailureRecoveries();
     e.max_rollback_depth = metrics.MaxRollbackDepth();
     e.full_restarts = metrics.TotalFullRestarts();
@@ -74,24 +72,6 @@ class JsonWriter {
     e.frozen_replay_batches = metrics.TotalFrozenReplayBatches();
     e.recoveries_exhausted = metrics.TotalRecoveriesExhausted();
     e.degraded = metrics.DegradedMode();
-    // Recovery rows come from full engine runs, so the measured-vs-modeled
-    // exchange pair is always available — carry it too.
-    e.has_exchange = true;
-    e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
-    rows_.push_back(std::move(e));
-  }
-
-  /// Same row plus the measured-vs-modeled exchange byte counts — used by
-  /// the shuffle/broadcast memory benches (fig9/fig10) so the cost model's
-  /// drift from the wire is a tracked series, not a footnote.
-  void AddWithExchange(const std::string& name, double wall_sec,
-                       double cpu_sec, double rows_per_sec, size_t threads,
-                       const QueryMetrics& metrics) {
-    Entry e{name, wall_sec, cpu_sec, rows_per_sec, threads};
-    e.has_exchange = true;
-    e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
     rows_.push_back(std::move(e));
   }
 
@@ -121,18 +101,14 @@ class JsonWriter {
                    "\"threads\": %zu",
                    Escaped(e.name).c_str(), e.wall_sec, e.cpu_sec,
                    e.rows_per_sec, e.threads);
-      if (e.has_exchange) {
-        std::fprintf(f,
-                     ", \"shipped_bytes\": %llu, \"modeled_bytes\": %llu",
-                     static_cast<unsigned long long>(e.shipped_bytes),
-                     static_cast<unsigned long long>(e.modeled_bytes));
-      }
       if (e.has_recovery) {
         std::fprintf(f,
-                     ", \"recoveries\": %d, \"max_rollback_depth\": %d, "
+                     ", \"shipped_bytes\": %llu, \"recoveries\": %d, "
+                     "\"max_rollback_depth\": %d, "
                      "\"full_restarts\": %d, \"corrupt_checkpoints\": %d, "
                      "\"injected_faults\": %d, \"frozen_replay_batches\": %d, "
                      "\"recoveries_exhausted\": %d, \"degraded\": %s",
+                     static_cast<unsigned long long>(e.shipped_bytes),
                      e.recoveries, e.max_rollback_depth, e.full_restarts,
                      e.corrupt_checkpoints, e.injected_faults,
                      e.frozen_replay_batches, e.recoveries_exhausted,
@@ -153,12 +129,9 @@ class JsonWriter {
     double cpu_sec;
     double rows_per_sec;
     size_t threads;
-    // Optional measured-vs-modeled exchange bytes (AddWithExchange).
-    bool has_exchange = false;
-    uint64_t shipped_bytes = 0;
-    uint64_t modeled_bytes = 0;
-    // Optional failure-recovery counters (AddWithRecovery).
+    // Optional run metrics (AddWithRecovery).
     bool has_recovery = false;
+    uint64_t shipped_bytes = 0;
     int recoveries = 0;
     int max_rollback_depth = 0;
     int full_restarts = 0;

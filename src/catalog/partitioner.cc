@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/hash.h"
 #include "common/random.h"
 
 namespace iolap {
@@ -118,14 +117,6 @@ Result<BatchLayout> PartitionIntoBatches(const Table& table,
     }
   }
   return Status::InvalidArgument("unknown partition scheme");
-}
-
-size_t ShardOfHash(uint64_t hash, size_t num_shards) {
-  if (num_shards <= 1) return 0;
-  // Remix before reducing: callers pass hashes whose low bits may already
-  // have been consumed (bucket indices, uid counters), and a plain modulo
-  // of those would correlate shard ownership with insertion order.
-  return static_cast<size_t>(Mix64(hash ^ 0x5aa4d0f3u) % num_shards);
 }
 
 }  // namespace iolap

@@ -48,19 +48,6 @@ Result<BatchLayout> PartitionIntoBatches(const Table& table,
                                          size_t num_batches,
                                          const PartitionOptions& options);
 
-/// Upper bound on horizontal shards: the failpoint detail encoding packs a
-/// shard endpoint into the low 6 bits of `batch * kMaxShards + shard`
-/// (common/failpoint_names.h), and EngineOptions validation rejects more.
-inline constexpr size_t kMaxShards = 64;
-
-/// Owner shard of a row hash under `num_shards` shards. Deterministic in
-/// the hash alone — independent of thread count, batch boundaries and
-/// recovery replays — so re-processing a tuple routes it to the same
-/// shard. Streamed rows hash their stable stream uid; derived rows hash
-/// their values (src/shard/shard.h routes both through here). The same
-/// slicing partitions AggregateRegistry group keys across shards.
-size_t ShardOfHash(uint64_t hash, size_t num_shards);
-
 }  // namespace iolap
 
 #endif  // IOLAP_CATALOG_PARTITIONER_H_

@@ -29,17 +29,6 @@ namespace iolap {
 ///    (idempotent phases only).
 ///  - csv-read-fault: a transient CSV/catalog ingest failure, absorbed by
 ///    ReadCsvFileWithRetry's bounded exponential backoff.
-///  - exchange-message-corrupt: flips the checksum of an ExchangeLayer
-///    message in flight; the receiver rejects it and the sender retries
-///    under bounded backoff (detail = batch*64 + shard endpoint).
-///  - exchange-message-drop: an ExchangeLayer message is lost in flight;
-///    the sender times out and retransmits (same detail encoding).
-///  - shard-eval-fault: shard k dies during the shard-parallel evaluate
-///    phase of a batch; the controller declares it dead and rebuilds from
-///    the last consistent checkpoint (detail = batch*64 + shard).
-///  - shard-checkpoint-corrupt: flips one shard's slice checksum while a
-///    per-shard checkpoint is captured, so the consistent-cut rule rejects
-///    the whole cut at restore time (detail = batch*64 + shard).
 #define IOLAP_FAILPOINT_NAMES(X)                             \
   X(kExecIntegrityVerdict, "exec-integrity-verdict")         \
   X(kRegistryPublishFault, "registry-publish-fault")         \
@@ -48,11 +37,7 @@ namespace iolap {
   X(kCheckpointRestoreFault, "checkpoint-restore-fault")     \
   X(kControllerBatchFault, "controller-batch-fault")         \
   X(kPoolTaskFault, "pool-task-fault")                       \
-  X(kCsvReadFault, "csv-read-fault")                         \
-  X(kExchangeMessageCorrupt, "exchange-message-corrupt")     \
-  X(kExchangeMessageDrop, "exchange-message-drop")           \
-  X(kShardEvalFault, "shard-eval-fault")                     \
-  X(kShardCheckpointCorrupt, "shard-checkpoint-corrupt")
+  X(kCsvReadFault, "csv-read-fault")
 
 enum class Failpoint {
 #define IOLAP_FAILPOINT_ENUM_ENTRY(symbol, name) symbol,

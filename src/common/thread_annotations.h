@@ -11,7 +11,7 @@
 // compile time: building with Clang and -Wthread-safety verifies, on every
 // build, that guarded state is only touched with its capability held.
 //
-// Conventions (see docs/INTERNALS.md §7 "Static analysis"):
+// Conventions (see docs/INTERNALS.md §8 "Static analysis"):
 //  * Mutex-protected members carry IOLAP_GUARDED_BY(mu) and are locked via
 //    the annotated iolap::Mutex / iolap::MutexLock wrappers (common/mutex.h)
 //    rather than raw std::mutex, which Clang cannot track.

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "catalog/partitioner.h"
 #include "common/failpoint.h"
 
 namespace iolap {
@@ -250,29 +249,6 @@ size_t AggregateRegistry::RelationBytes(int block) const {
   const Relation& rel = relations_[block];
   size_t total = 0;
   for (const auto& [key, entry] : rel.entries) {
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
-  }
-  return total;
-}
-
-size_t AggregateRegistry::ShardGroupCount(int block, size_t shard,
-                                          size_t num_shards) const {
-  size_t count = 0;
-  for (const auto& [key, entry] : relations_[block].entries) {
-    if (ShardOfHash(HashRow(key), num_shards) == shard) ++count;
-  }
-  return count;
-}
-
-size_t AggregateRegistry::ShardRelationBytes(int block, size_t shard,
-                                             size_t num_shards) const {
-  size_t total = 0;
-  for (const auto& [key, entry] : relations_[block].entries) {
-    if (ShardOfHash(HashRow(key), num_shards) != shard) continue;
     total += RowByteSize(key);
     for (const Value& v : entry.main) total += v.ByteSize();
     for (const auto& trials : entry.trials) {

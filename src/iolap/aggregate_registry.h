@@ -111,14 +111,6 @@ class AggregateRegistry final : public AggLookupResolver,
 
   size_t TotalBytes() const;
 
-  /// Shard slices of a block's published relation, partitioned by group-key
-  /// hash with catalog/partitioner's ShardOfHash — the same rule that
-  /// routes rows to shards, so a shard's registry slice is exactly the
-  /// groups its rows feed. Slices partition the whole: summing over
-  /// shard ∈ [0, num_shards) reproduces GroupCount / RelationBytes.
-  size_t ShardGroupCount(int block, size_t shard, size_t num_shards) const;
-  size_t ShardRelationBytes(int block, size_t shard, size_t num_shards) const;
-
   // --- RangeConstraintSink -----------------------------------------------
   // Routes the obligations of pruning decisions (ClassifyPredicate with a
   // constraint sink) to the per-group variation-range trackers. A value

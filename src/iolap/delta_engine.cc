@@ -8,8 +8,6 @@
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "plan/plan_verifier.h"
-#include "shard/exchange.h"
-#include "shard/shard.h"
 
 namespace iolap {
 
@@ -23,6 +21,10 @@ bool InputGrows(const QueryPlan& /*plan*/,
   if (input.kind == BlockInput::Kind::kBaseTable) return input.streamed;
   return annotations[input.source_block].dynamic;
 }
+
+// Cluster width of the shuffle/broadcast cost model behind
+// BlockBatchStats::shipped_bytes: the paper's 20-worker EC2 cluster.
+constexpr uint64_t kVirtualWorkers = 20;
 
 uint64_t DoubleBits(double x) {
   uint64_t bits;
@@ -38,16 +40,13 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
                              AggregateRegistry* registry,
                              BootstrapWeights bootstrap,
                              bool consumed_downstream, bool feeds_join,
-                             ThreadPool* pool, ShardSet* shards,
-                             ExchangeLayer* exchange)
+                             ThreadPool* pool)
     : plan_(plan),
       block_(&plan->blocks[block_id]),
       ann_(&(*annotations)[block_id]),
       options_(options),
       registry_(registry),
       pool_(pool),
-      shards_(shards),
-      exchange_(exchange),
       bootstrap_(bootstrap),
       consumed_downstream_(consumed_downstream),
       feeds_join_(feeds_join),
@@ -110,14 +109,6 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     prog_states_.resize(pool_ != nullptr ? pool_->num_lanes() : 1);
     for (ExprProgramState& state : prog_states_) {
       row_program_->InitState(&state);
-    }
-    if (shards_ != nullptr && shards_->size() > 1) {
-      // Sharded evaluate phase: one task per shard, each with its own
-      // compiled-program scratch.
-      shard_prog_states_.resize(shards_->size());
-      for (ExprProgramState& state : shard_prog_states_) {
-        row_program_->InitState(&state);
-      }
     }
   }
   if (proj_program_ != nullptr) proj_program_->InitState(&proj_state_);
@@ -479,13 +470,12 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   }
 
   RowBatch fresh = JoinDeltas(input_deltas);
-  // What the shuffle cost model charges for this batch's fresh rows (plus
-  // per-row bootstrap overhead for streamed rows). Measured exchange
-  // traffic accrues separately below, through ExchangeLayer::Ship.
-  stats->modeled_shipped_bytes += BatchByteSize(fresh);
+  // Shuffle cost model: this batch's fresh rows, plus the bootstrap
+  // multiplicities each streamed row carries.
+  stats->shipped_bytes += BatchByteSize(fresh);
   for (const ExecRow& row : fresh) {
     if (row.FromStream()) {
-      stats->modeled_shipped_bytes += bootstrap_.RowOverheadBytes();
+      stats->shipped_bytes += bootstrap_.RowOverheadBytes();
     }
   }
 
@@ -499,7 +489,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   stats->recomputed_rows += pending_.size();
   if (!lazy_enabled()) {
     // Without OPT2 the saved tuples are re-shipped / re-derived.
-    stats->modeled_shipped_bytes += BatchByteSize(pending_);
+    stats->shipped_bytes += BatchByteSize(pending_);
   }
 
   // Evaluation phase over fresh ∪ pending rows: refresh, classify (with
@@ -513,50 +503,6 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   row_scratch_.clear();
   row_scratch_.resize(total_rows);
 
-  // Sharded execution: route every row of the batch to its owner shard
-  // (stable hash — a recovery replay routes identically) and ship the
-  // kDeltaRoute messages through the exchange. The measured wire bytes,
-  // including retransmissions, are this batch's shuffle traffic; a
-  // message that exhausts its retries kills the destination shard, and
-  // the whole batch rolls back to the last consistent cut (injected
-  // recovery: the replay reproduces the fault-free bits exactly).
-  // S = 1 is the co-located degenerate: the only shard lives with the
-  // coordinator, so nothing crosses a wire and measured bytes stay 0.
-  const bool sharded =
-      shards_ != nullptr && exchange_ != nullptr && shards_->size() > 1;
-  if (sharded) {
-    shards_->BeginBlockBatch();
-    const size_t num_shards = shards_->size();
-    std::vector<uint64_t> route_bytes(num_shards, 0);
-    std::vector<uint64_t> route_hash(num_shards, 0);
-    for (size_t i = 0; i < total_rows; ++i) {
-      const ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-      const size_t s = shards_->ShardOf(row);
-      shards_->shard(s).OwnRow(static_cast<uint32_t>(i));
-      uint64_t bytes = 0;
-      if (i < num_fresh) {
-        bytes = row.ByteSize();
-        if (row.FromStream()) bytes += bootstrap_.RowOverheadBytes();
-      } else if (!lazy_enabled()) {
-        // Without OPT2 the saved tuples are re-shipped to their shards.
-        bytes = row.ByteSize();
-      }
-      route_bytes[s] += bytes;
-      route_hash[s] = HashCombine(route_hash[s], bytes ^ row.stream_uid);
-    }
-    for (size_t s = 0; s < num_shards; ++s) {
-      const auto shipped = exchange_->Ship(
-          ExchangeKind::kDeltaRoute, batch, ExchangeMessage::kCoordinator,
-          static_cast<int>(s), route_bytes[s], route_hash[s]);
-      if (!shipped.ok()) {
-        rollback_injected_ = true;
-        row_scratch_.clear();
-        return batch > 0 ? batch - 1 : -1;
-      }
-      stats->shipped_bytes += *shipped;
-    }
-  }
-
   const auto evaluate = [&](size_t begin, size_t end, size_t lane) {
     // Each ParallelRanges lane owns one compiled-program scratch state;
     // inline execution is lane 0.
@@ -568,70 +514,13 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
                   &row_scratch_[i], prog_state);
     }
   };
-  if (sharded && shards_->size() > 1) {
-    // One evaluate task per shard, each iterating the rows its shard owns
-    // with shard-private program scratch. Rows still write their global
-    // row_scratch_ slots and the serial apply phase below consumes them
-    // in global row order, so S = 4 reproduces S = 1 (and the unsharded
-    // engine) bit for bit — only the evaluation schedule changes.
-    const auto eval_shard = [&](size_t s) {
-      ExprProgramState* prog_state =
-          row_program_ != nullptr ? &shard_prog_states_[s] : nullptr;
-      for (const uint32_t i : shards_->shard(s).owned_rows()) {
-        ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-        EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                    &row_scratch_[i], prog_state);
-      }
-    };
-    if (pool_ != nullptr) {
-      // Idempotent for the same reason as the range split: re-running a
-      // shard's task after a simulated crash overwrites the same slots.
-      pool_->ParallelFor(shards_->size(), eval_shard, /*idempotent=*/true);
-    } else {
-      for (size_t s = 0; s < shards_->size(); ++s) eval_shard(s);
-    }
-  } else if (pool_ != nullptr) {
+  if (pool_ != nullptr) {
     // Pure evaluation into disjoint scratch slots: re-running a range after
     // a simulated worker crash overwrites the same slots, so the phase is
     // idempotent and participates in pool-task fault injection.
     pool_->ParallelRanges(total_rows, evaluate, /*idempotent=*/true);
   } else {
     evaluate(0, total_rows, 0);
-  }
-
-  // The shards return their evaluated rows (the partial-aggregate payload
-  // the serial apply phase folds) to the coordinator. This is also where
-  // a shard that died mid-evaluation surfaces: the shard-eval-fault
-  // failpoint (detail = batch * kMaxShards + shard) kills shard s here,
-  // deterministically on the driving thread, and the batch rolls back.
-  if (sharded) {
-    for (size_t s = 0; s < shards_->size(); ++s) {
-      const uint64_t detail = static_cast<uint64_t>(batch) * kMaxShards + s;
-      if (IOLAP_FAILPOINT(Failpoint::kShardEvalFault, detail)) {
-        exchange_->KillShard(s);
-        rollback_injected_ = true;
-        row_scratch_.clear();
-        return batch > 0 ? batch - 1 : -1;
-      }
-      uint64_t bytes = 0;
-      uint64_t hash = 0;
-      for (const uint32_t i : shards_->shard(s).owned_rows()) {
-        const RowEval& ev = row_scratch_[i];
-        bytes += 16 + RowByteSize(ev.key) + ev.main_vals.size() * 16 +
-                 ev.trial_w.size() * 8 + ev.trial_vals.size() * 16 +
-                 ev.constraints.size() * 32;
-        hash = HashCombine(hash, ev.key_hash ^ ev.trial_w.size());
-      }
-      const auto shipped = exchange_->Ship(
-          ExchangeKind::kPartialAggregate, batch, static_cast<int>(s),
-          ExchangeMessage::kCoordinator, bytes, hash);
-      if (!shipped.ok()) {
-        rollback_injected_ = true;
-        row_scratch_.clear();
-        return batch > 0 ? batch - 1 : -1;
-      }
-      stats->shipped_bytes += *shipped;
-    }
   }
 
   // Pre-size the group maps with this batch's routing counts (upper bounds
@@ -927,39 +816,10 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   rollback_injected_ = rollback != kNoRollback && injected_only;
 
   // Broadcast of the refreshed aggregate relation (the §6.2 broadcast
-  // join that lazy evaluation relies on). The virtual-worker model's
-  // charge is recorded as modeled bytes; the real kBroadcastLineage
-  // messages below are measured through the exchange.
-  if (consumed_downstream_ && options_->virtual_workers > 1) {
-    stats->modeled_shipped_bytes +=
-        registry_->RelationBytes(block_->id) *
-        static_cast<uint64_t>(options_->virtual_workers - 1);
-  }
-  if (shards_ != nullptr && exchange_ != nullptr && consumed_downstream_) {
-    // Each shard keeps a cached copy of the block's published relation for
-    // its lineage lookups. It already owns its own registry slice (its
-    // partial aggregates produced it), so the broadcast rebuilds only the
-    // other shards' slices: payload to shard s = relation minus s's slice.
-    // Unsharded (S = 1) this is 0 bytes — there is nobody to ship to.
-    const size_t num_shards = shards_->size();
-    const size_t relation_bytes = registry_->RelationBytes(block_->id);
-    for (size_t s = 0; s < num_shards && num_shards > 1; ++s) {
-      const size_t slice =
-          registry_->ShardRelationBytes(block_->id, s, num_shards);
-      const auto shipped = exchange_->Ship(
-          ExchangeKind::kBroadcastLineage, batch,
-          ExchangeMessage::kCoordinator, static_cast<int>(s),
-          static_cast<uint64_t>(relation_bytes - slice),
-          HashCombine(static_cast<uint64_t>(block_->id), relation_bytes));
-      if (!shipped.ok()) {
-        if (rollback == kNoRollback) {
-          rollback = batch > 0 ? batch - 1 : -1;
-          rollback_injected_ = true;
-        }
-        break;
-      }
-      stats->shipped_bytes += *shipped;
-    }
+  // join that lazy evaluation relies on) to every other virtual worker.
+  if (consumed_downstream_) {
+    stats->shipped_bytes +=
+        registry_->RelationBytes(block_->id) * (kVirtualWorkers - 1);
   }
   return rollback;
 }
@@ -1069,35 +929,7 @@ std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointCaptureCorrupt, batch)) {
     cp->checksum ^= 1;  // simulated bit-rot between capture and restore
   }
-  // Per-shard slice checksums (the consistent-cut rule: restore requires
-  // every slice to verify). The shard-checkpoint-corrupt failpoint rots
-  // one shard's slice, detail = batch * kMaxShards + shard.
-  const size_t num_shards =
-      shards_ != nullptr ? shards_->size()
-                         : std::max<size_t>(1, options_->num_shards);
-  cp->shard_checksums = ShardSliceChecksums(*cp, num_shards);
-  for (size_t s = 0; s < cp->shard_checksums.size(); ++s) {
-    if (IOLAP_FAILPOINT(Failpoint::kShardCheckpointCorrupt,
-                        static_cast<uint64_t>(batch) * kMaxShards + s)) {
-      cp->shard_checksums[s] ^= 1;
-    }
-  }
   return cp;
-}
-
-std::vector<uint64_t> BlockExecutor::ShardSliceChecksums(
-    const Checkpoint& checkpoint, size_t num_shards) {
-  std::vector<uint64_t> slices(std::max<size_t>(1, num_shards), 0);
-  for (const ExecRow& row : checkpoint.pending) {
-    // Same routing rule as ShardSet::ShardOf, so each slice hashes exactly
-    // the rows its shard owns, in the (deterministic) pending order.
-    const uint64_t h = row.FromStream() ? row.stream_uid : HashRow(row.values);
-    const size_t s = ShardOfHash(h, slices.size());
-    uint64_t g = HashCombine(HashRow(row.values), row.stream_uid);
-    g = HashCombine(g, DoubleBits(row.weight));
-    slices[s] = HashCombine(slices[s], g);
-  }
-  return slices;
 }
 
 size_t BlockExecutor::Checkpoint::ByteSize() const {
@@ -1105,7 +937,6 @@ size_t BlockExecutor::Checkpoint::ByteSize() const {
   total += join_marks.size() * sizeof(JoinStep::Watermark);
   total += BatchByteSize(pending);
   total += sketch.ByteSize();
-  total += shard_checksums.size() * sizeof(uint64_t);
   return total;
 }
 
@@ -1149,11 +980,7 @@ bool BlockExecutor::VerifyCheckpoint(const Checkpoint& checkpoint) {
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, checkpoint.batch)) {
     return false;  // simulated corruption detected at restore time
   }
-  if (ChecksumCheckpoint(checkpoint) != checkpoint.checksum) return false;
-  // Consistent cut: the checkpoint is durable only when every shard's
-  // slice checksum verifies — one rotten slice condemns the whole cut.
-  return ShardSliceChecksums(checkpoint, checkpoint.shard_checksums.size()) ==
-         checkpoint.shard_checksums;
+  return ChecksumCheckpoint(checkpoint) == checkpoint.checksum;
 }
 
 void BlockExecutor::Restore(const Checkpoint& checkpoint) {

@@ -21,9 +21,6 @@
 
 namespace iolap {
 
-class ShardSet;
-class ExchangeLayer;
-
 /// How a query is executed.
 enum class ExecutionMode {
   /// Traditional batch OLAP: one pass over all data, no bootstrap — the
@@ -85,22 +82,6 @@ struct EngineOptions {
   size_t num_batches = 40;
   PartitionOptions partition;
   uint64_t seed = 42;
-  /// Virtual cluster width for the *modeled* shuffle/broadcast bytes. The
-  /// model's prediction is recorded as BatchMetrics::modeled_shipped_bytes
-  /// next to the measured ExchangeLayer traffic, so its error stays
-  /// visible (bench fig9/fig10).
-  int virtual_workers = 20;
-  /// Horizontal shards S (src/shard): relations partition across S
-  /// in-process shards by stable row hash, the evaluate phase runs
-  /// shard-parallel, and all cross-shard bytes flow through the
-  /// ExchangeLayer. 1 = unsharded. Must be in [1, kMaxShards]: the
-  /// failpoint detail encoding for exchange/shard seams is
-  /// `batch * kMaxShards + shard`.
-  size_t num_shards = 1;
-  /// ExchangeLayer send attempts per message (bounded-backoff retry)
-  /// before the destination shard is declared dead and its state is
-  /// rebuilt from the last consistent batch.
-  int exchange_max_attempts = 4;
   /// Per-batch state checkpoints retained for failure recovery; rollbacks
   /// deeper than this degrade to a full restart.
   size_t checkpoint_history = 8;
@@ -145,14 +126,12 @@ struct EngineOptions {
 struct BlockBatchStats {
   uint64_t input_rows = 0;
   uint64_t recomputed_rows = 0;
-  /// Measured exchange traffic (ExchangeLayer wire bytes, including
-  /// retransmissions). Stays 0 when no exchange is attached (direct
-  /// BlockExecutor constructions without a ShardSet).
+  /// Bytes the shuffle/broadcast cost model charges this block this batch
+  /// (Figs. 9(c)/10(d)): fresh joined rows plus their bootstrap
+  /// multiplicities, the saved pending rows again when OPT2 is off, and the
+  /// published relation broadcast to the other 19 workers of the paper's
+  /// 20-node cluster when a downstream block consumes it.
   uint64_t shipped_bytes = 0;
-  /// What the virtual-worker shuffle/broadcast cost model would have
-  /// charged — kept alongside the measurement so the model's error is
-  /// visible.
-  uint64_t modeled_shipped_bytes = 0;
 };
 
 /// Executes one lineage block incrementally: join deltas through cached
@@ -166,16 +145,12 @@ class BlockExecutor {
   static constexpr int kNoRollback = -2;
 
   /// `pool` (nullable, not owned) provides intra-batch parallelism; null
-  /// runs every phase inline on the caller. `shards` and `exchange`
-  /// (nullable, not owned; the controller passes its ShardSet and
-  /// ExchangeLayer) enable sharded evaluation and measured exchange
-  /// traffic; null runs unsharded with measured bytes at 0.
+  /// runs every phase inline on the caller.
   BlockExecutor(const QueryPlan* plan, int block_id,
                 const std::vector<BlockAnnotations>* annotations,
                 const EngineOptions* options, AggregateRegistry* registry,
                 BootstrapWeights bootstrap, bool consumed_downstream,
-                bool feeds_join, ThreadPool* pool = nullptr,
-                ShardSet* shards = nullptr, ExchangeLayer* exchange = nullptr);
+                bool feeds_join, ThreadPool* pool = nullptr);
 
   /// Runs one mini-batch. `input_deltas[k]` holds the new rows of input k
   /// this batch; `scale` is m_i = |D| / |D_i|. Returns kNoRollback on
@@ -275,13 +250,6 @@ class BlockExecutor {
     /// controller escalates to an older checkpoint or a full restart
     /// instead of silently replaying bad state.
     uint64_t checksum = 0;
-    /// Per-shard slice checksums over the pending (non-deterministic) set,
-    /// partitioned by owner shard — kept separate from the global checksum
-    /// so one shard's corruption is attributable. The consistent-cut rule:
-    /// a checkpoint is usable only when the global checksum AND every
-    /// shard slice verify (the shard-checkpoint-corrupt failpoint flips
-    /// one slice at capture).
-    std::vector<uint64_t> shard_checksums;
 
     /// Approximate retained bytes (ring-size accounting in the
     /// controller).
@@ -294,15 +262,7 @@ class BlockExecutor {
   /// (batch, join watermarks, pending rows, sketch accumulator results).
   static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint);
 
-  /// The per-shard slice checksums of `checkpoint`'s pending set under
-  /// `num_shards` shards (rows route by the same stable hash the ShardSet
-  /// uses, so slices match shard ownership exactly).
-  static std::vector<uint64_t> ShardSliceChecksums(const Checkpoint& checkpoint,
-                                                   size_t num_shards);
-
-  /// True when `checkpoint`'s checksum matches its content AND every shard
-  /// slice checksum verifies (the consistent-cut rule — a batch is durable
-  /// only when all S shard slices are intact). The
+  /// True when `checkpoint`'s checksum matches its content. The
   /// checkpoint-restore-fault failpoint forces a mismatch here.
   static bool VerifyCheckpoint(const Checkpoint& checkpoint);
 
@@ -460,11 +420,6 @@ class BlockExecutor {
   const EngineOptions* options_;
   AggregateRegistry* registry_;
   ThreadPool* pool_;  // not owned; null = inline
-  /// Sharded execution (null = unsharded, no measured exchange traffic).
-  /// Both owned by the controller; see ProcessBatch's routing / evaluate /
-  /// partial-aggregate phases and PublishOutput's lineage broadcast.
-  ShardSet* shards_;
-  ExchangeLayer* exchange_;
   BootstrapWeights bootstrap_;
   bool consumed_downstream_;
   bool feeds_join_;
@@ -492,9 +447,6 @@ class BlockExecutor {
   /// Lane-private evaluation scratch, one per pool lane (index = the lane
   /// argument ParallelRanges hands each range; inline mode uses lane 0).
   std::vector<ExprProgramState> prog_states_;
-  /// Shard-private evaluation scratch, one per shard (sharded evaluate
-  /// phase: one pool task per shard, each owning its scratch).
-  std::vector<ExprProgramState> shard_prog_states_;
   /// Scratch for proj_program_ (CurrentSpjOutput is const and serial).
   mutable ExprProgramState proj_state_;
 

@@ -40,30 +40,6 @@ double QueryMetrics::AvgShippedBytesPerBatch() const {
   return static_cast<double>(TotalShippedBytes()) / batches.size();
 }
 
-uint64_t QueryMetrics::TotalModeledShippedBytes() const {
-  uint64_t total = 0;
-  for (const auto& b : batches) total += b.modeled_shipped_bytes;
-  return total;
-}
-
-uint64_t QueryMetrics::TotalExchangeMessages() const {
-  uint64_t total = 0;
-  for (const auto& b : batches) total += b.exchange_messages;
-  return total;
-}
-
-int QueryMetrics::TotalExchangeRetries() const {
-  int total = 0;
-  for (const auto& b : batches) total += b.exchange_retries;
-  return total;
-}
-
-int QueryMetrics::TotalShardDeaths() const {
-  int total = 0;
-  for (const auto& b : batches) total += b.shard_deaths;
-  return total;
-}
-
 int QueryMetrics::TotalFailureRecoveries() const {
   int total = 0;
   for (const auto& b : batches) total += b.failure_recoveries;
@@ -142,13 +118,12 @@ std::string QueryMetrics::Summary() const {
   char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "batches=%zu total=%.3fs cpu=%.3fs recomputed=%llu "
-                "shipped=%.1fMB modeled=%.1fMB failures=%d "
+                "shipped=%.1fMB failures=%d "
                 "peak_join_state=%.1fMB peak_other_state=%.1fKB",
                 batches.size(), TotalLatencySec(), TotalCpuSec(),
                 static_cast<unsigned long long>(TotalRecomputedRows()),
-                TotalShippedBytes() / 1e6, TotalModeledShippedBytes() / 1e6,
-                TotalFailureRecoveries(), PeakJoinStateBytes() / 1e6,
-                PeakOtherStateBytes() / 1e3);
+                TotalShippedBytes() / 1e6, TotalFailureRecoveries(),
+                PeakJoinStateBytes() / 1e6, PeakOtherStateBytes() / 1e3);
   std::string out = buf;
   // Program-verification detail only when expressions were compiled at
   // all; a rejection is a compiler bug and must be visible in the line.
@@ -172,12 +147,6 @@ std::string QueryMetrics::Summary() const {
                   TotalCorruptCheckpoints(), TotalInjectedFaults(),
                   TotalFrozenReplayBatches(), TotalRecoveriesExhausted(),
                   DegradedMode() ? 1 : 0);
-    out += buf;
-  }
-  // Exchange-fault detail only when the wire actually misbehaved.
-  if (TotalExchangeRetries() > 0 || TotalShardDeaths() > 0) {
-    std::snprintf(buf, sizeof(buf), " exchange_retries=%d shard_deaths=%d",
-                  TotalExchangeRetries(), TotalShardDeaths());
     out += buf;
   }
   return out;

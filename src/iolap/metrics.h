@@ -38,23 +38,10 @@ struct BatchMetrics {
   /// non-deterministic sets, sink, variation ranges).
   uint64_t join_state_bytes = 0;
   uint64_t other_state_bytes = 0;
-  /// Measured exchange bytes this batch (Fig. 9(c)): ExchangeLayer wire
-  /// traffic — delta routing, partial aggregates, lineage broadcast —
-  /// including every retransmission.
+  /// Bytes the shuffle/broadcast cost model charges this batch, recovery
+  /// replays included (Figs. 9(c)/10(d); see BlockBatchStats::shipped_bytes
+  /// and EXPERIMENTS.md).
   uint64_t shipped_bytes = 0;
-  /// Bytes the old virtual-worker shuffle/broadcast cost model would have
-  /// charged this batch, kept next to the measurement so the model's
-  /// error stays visible (bench fig9/fig10 report both).
-  uint64_t modeled_shipped_bytes = 0;
-  /// Exchange messages delivered this batch.
-  uint64_t exchange_messages = 0;
-  /// Exchange send retries this batch (a delivery was dropped or arrived
-  /// corrupt and was retransmitted under bounded backoff).
-  int exchange_retries = 0;
-  /// Shards declared dead this batch (retry deadline exhausted, or a
-  /// shard-eval-fault); each death forced a rollback to the last
-  /// consistent cut.
-  int shard_deaths = 0;
   /// Variation-range integrity failures that triggered recovery this batch
   /// (Fig. 9(d)).
   int failure_recoveries = 0;
@@ -107,11 +94,6 @@ struct QueryMetrics {
   uint64_t TotalShippedBytes() const;
   uint64_t MaxShippedBytesPerBatch() const;
   double AvgShippedBytesPerBatch() const;
-  /// The cost model's prediction for the same traffic (comparison column).
-  uint64_t TotalModeledShippedBytes() const;
-  uint64_t TotalExchangeMessages() const;
-  int TotalExchangeRetries() const;
-  int TotalShardDeaths() const;
   int TotalFailureRecoveries() const;
   int TotalFullRestarts() const;
   int TotalCorruptCheckpoints() const;

@@ -24,15 +24,6 @@ Status QueryController::Init() {
   if (options_.num_trials < 0) {
     return Status::InvalidArgument("num_trials must be >= 0");
   }
-  if (options_.num_shards < 1 || options_.num_shards > kMaxShards) {
-    // The exchange/shard failpoint details encode batch * kMaxShards +
-    // shard, so more shards would alias schedules across batches.
-    return Status::InvalidArgument("num_shards must be in [1, " +
-                                   std::to_string(kMaxShards) + "]");
-  }
-  if (options_.exchange_max_attempts < 1) {
-    return Status::InvalidArgument("exchange_max_attempts must be >= 1");
-  }
   if (options_.error_method == ErrorMethod::kAnalytic) {
     // Closed-form estimation replaces the trial replicas entirely.
     options_.num_trials = 0;
@@ -100,19 +91,11 @@ Status QueryController::Init() {
   if (options_.num_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
-  // The shard fleet and its exchange seam: every cross-shard byte (delta
-  // routing, partial aggregates, lineage broadcast) flows through
-  // exchange_, whose measured counters replace the shuffle cost model in
-  // QueryMetrics. S = 1 degenerates to the unsharded engine.
   executors_.clear();
-  shards_ = std::make_unique<ShardSet>(options_.num_shards);
-  exchange_ = std::make_unique<ExchangeLayer>(shards_.get(),
-                                              options_.exchange_max_attempts);
   for (size_t b = 0; b < plan_.blocks.size(); ++b) {
     executors_.push_back(std::make_unique<BlockExecutor>(
         &plan_, static_cast<int>(b), &annotations_, &options_, registry_.get(),
-        bootstrap, consumed[b], feeds_join[b], pool_.get(), shards_.get(),
-        exchange_.get()));
+        bootstrap, consumed[b], feeds_join[b], pool_.get()));
     if (feeds_snapshot[b]) {
       // Snapshot consumers need keys + main values only; trial replicas
       // flow through lineage lookups.
@@ -332,9 +315,6 @@ Status QueryController::Run(const ResultObserver& observer) {
 
     BlockBatchStats stats;
     bool injected = false;
-    // Exchange counters are cumulative; this batch's share (including any
-    // recovery replays below) is the delta against this snapshot.
-    const ExchangeCounters exchange_before = exchange_->counters();
     int rollback = ProcessOneBatch(b, &stats, &injected);
 
     // Scheduler-level fault: a spurious recovery request against an
@@ -359,9 +339,6 @@ Status QueryController::Run(const ResultObserver& observer) {
       if (injected) bm.injected_faults++;
       rollback = ApplyDegradation(attempts, rollback, &bm);
       const int restored = RollbackTo(rollback, b, injected, &bm);
-      // Whatever shard the exchange declared dead has just had its state
-      // rebuilt from the restored consistent cut: the fleet is live again.
-      exchange_->ReviveAll();
       // Drop checkpoints newer than the restore point.
       while (!checkpoints_.empty() &&
              checkpoints_.back()[0]->batch > restored) {
@@ -376,7 +353,6 @@ Status QueryController::Run(const ResultObserver& observer) {
         bm.recomputed_rows += replay_stats.input_rows;
         bm.recomputed_rows += replay_stats.recomputed_rows;
         bm.shipped_bytes += replay_stats.shipped_bytes;
-        bm.modeled_shipped_bytes += replay_stats.modeled_shipped_bytes;
         if (bb < b) {
           // Re-checkpoint replayed batches so a later failure can land on
           // them again.
@@ -418,13 +394,6 @@ Status QueryController::Run(const ResultObserver& observer) {
     bm.input_rows = stats.input_rows;
     bm.recomputed_rows += stats.recomputed_rows;
     bm.shipped_bytes += stats.shipped_bytes;
-    bm.modeled_shipped_bytes += stats.modeled_shipped_bytes;
-    const ExchangeCounters& exchange_after = exchange_->counters();
-    bm.exchange_messages = exchange_after.messages - exchange_before.messages;
-    bm.exchange_retries =
-        static_cast<int>(exchange_after.retries - exchange_before.retries);
-    bm.shard_deaths = static_cast<int>(exchange_after.shard_deaths -
-                                       exchange_before.shard_deaths);
     for (const auto& executor : executors_) {
       bm.join_state_bytes += executor->JoinStateBytes();
       bm.other_state_bytes += executor->OtherStateBytes();

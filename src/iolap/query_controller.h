@@ -11,8 +11,6 @@
 #include "common/thread_pool.h"
 #include "iolap/delta_engine.h"
 #include "iolap/metrics.h"
-#include "shard/exchange.h"
-#include "shard/shard.h"
 
 namespace iolap {
 
@@ -64,12 +62,6 @@ class QueryController {
 
   /// The §5 non-deterministic set size summed over blocks (Fig. 9(e)).
   size_t PendingCount() const;
-
-  /// Cumulative exchange traffic/fault counters (valid after Init; the
-  /// source of the measured shipped/retry/death columns in QueryMetrics).
-  const ExchangeCounters& exchange_counters() const {
-    return exchange_->counters();
-  }
 
   /// Checkpoint-ring introspection for tests: entries currently retained
   /// (bounded by EngineOptions::checkpoint_history — corrupt snapshots are
@@ -126,11 +118,6 @@ class QueryController {
   /// options_.num_threads == 0). Declared before executors_ so it outlives
   /// the BlockExecutors that borrow it.
   std::unique_ptr<ThreadPool> pool_;
-  /// The shard fleet and its exchange seam (always created, S =
-  /// options_.num_shards). Declared before executors_ so they outlive the
-  /// BlockExecutors that borrow them.
-  std::unique_ptr<ShardSet> shards_;
-  std::unique_ptr<ExchangeLayer> exchange_;
   std::vector<std::unique_ptr<BlockExecutor>> executors_;
 
   std::shared_ptr<const Table> streamed_table_;

@@ -90,8 +90,7 @@ struct ChaosOutcome {
 
 ChaosOutcome RunChaos(std::shared_ptr<Catalog> catalog, const std::string& sql,
                       const std::string& failpoints, size_t num_threads,
-                      int num_batches = 4, int num_trials = 24,
-                      size_t num_shards = 1) {
+                      int num_batches = 4, int num_trials = 24) {
   EngineOptions options;
   options.num_trials = num_trials;
   options.num_batches = num_batches;
@@ -99,7 +98,6 @@ ChaosOutcome RunChaos(std::shared_ptr<Catalog> catalog, const std::string& sql,
   options.seed = 99;
   options.num_threads = num_threads;
   options.failpoints = failpoints;
-  options.num_shards = num_shards;
   Session session(catalog.get(), options, ChaosFunctions());
   ChaosOutcome outcome;
   auto compiled = session.Sql(sql);
@@ -507,180 +505,6 @@ TEST(ChaosTest, IngestRetriesTransientFaultsWithBoundedBackoff) {
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(attempts, 1);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded execution: exchange faults, shard death, consistent-cut cuts
-// ---------------------------------------------------------------------------
-
-// Failpoint detail encoding for the exchange/shard seams: batch * 64 + shard
-// (see ExchangeDetail in src/shard/exchange.cc; 64 = catalog kMaxShards).
-int ShardDetail(int batch, int shard) { return batch * 64 + shard; }
-
-// The acceptance gate: every workload query, S=4 with a randomized
-// exchange/shard fault schedule, must be bit-identical to the clean S=1
-// unsharded run at 0 and 4 threads. Exchange faults are injected-only, so
-// every recovery replays unfrozen and Theorem 1 holds at shard granularity.
-TEST(ShardChaosTest, AllWorkloadQueriesShardedBitIdenticalUnderFaults) {
-  const uint64_t seed = ChaosSeed();
-  const int num_batches = 4;
-  size_t index = 0;
-  for (const ChaosCase& c : AllWorkloadCases()) {
-    Rng rng(Mix64(seed ^ 0x5aa4d0f3u) ^ index++);
-    const int fault_batch =
-        1 + static_cast<int>(rng.NextBounded(num_batches - 1));
-    const int shard = static_cast<int>(rng.NextBounded(4));
-    std::string spec;
-    switch (rng.NextBounded(3)) {
-      case 0:
-        // One corrupt delivery: checksum reject, retransmit succeeds.
-        spec = "exchange-message-corrupt=at:" +
-               std::to_string(ShardDetail(fault_batch, shard)) + ",times:1";
-        break;
-      case 1:
-        // Persistent drops to one endpoint: retries exhaust, shard dies,
-        // controller rolls back to the last consistent cut and replays.
-        spec = "exchange-message-drop=at:" +
-               std::to_string(ShardDetail(fault_batch, shard)) + ",times:8";
-        break;
-      default:
-        // Shard crashes mid-eval: declared dead, rebuilt via rollback.
-        spec = "shard-eval-fault=at:" +
-               std::to_string(ShardDetail(fault_batch, shard)) + ",times:1";
-        break;
-    }
-    if (rng.NextBounded(2) == 0) {
-      spec += ";exchange-message-corrupt=prob:0.05:" +
-              std::to_string((seed ^ index) & 0xffff);
-    }
-    SCOPED_TRACE(c.name + " seed=" + std::to_string(seed) + " spec=" + spec);
-
-    const ChaosOutcome clean =
-        RunChaos(c.catalog, c.sql, "", 0, num_batches, 24, /*num_shards=*/1);
-    const ChaosOutcome sharded0 =
-        RunChaos(c.catalog, c.sql, spec, 0, num_batches, 24, /*num_shards=*/4);
-    const ChaosOutcome sharded4 =
-        RunChaos(c.catalog, c.sql, spec, 4, num_batches, 24, /*num_shards=*/4);
-
-    ExpectBitIdentical(sharded0, clean, c.name + " S=4 threads=0");
-    ExpectBitIdentical(sharded4, clean, c.name + " S=4 threads=4");
-    // A clean sharded run must also match — sharding alone changes nothing.
-    const ChaosOutcome sharded_clean =
-        RunChaos(c.catalog, c.sql, "", 4, num_batches, 24, /*num_shards=*/4);
-    ExpectBitIdentical(sharded_clean, clean, c.name + " S=4 clean");
-  }
-}
-
-// Directed kill-shard-k-mid-batch: for every shard k, crash it during the
-// eval phase of an interior batch, and separately starve its exchange
-// endpoint until the retry deadline declares it dead. Both paths must
-// recover to bits identical to the unsharded run, and the death must be
-// visible in the shard/recovery metrics.
-TEST(ShardChaosTest, KillShardMidBatchRecoversBitIdentical) {
-  const ChaosCase c = NestedCases().front();
-  const int num_batches = 4;
-  const ChaosOutcome clean =
-      RunChaos(c.catalog, c.sql, "", 0, num_batches, 24, /*num_shards=*/1);
-  for (int k = 0; k < 4; ++k) {
-    const std::string crash =
-        "shard-eval-fault=at:" + std::to_string(ShardDetail(2, k)) + ",times:1";
-    SCOPED_TRACE("kill shard " + std::to_string(k) + " spec=" + crash);
-    for (size_t threads : {size_t{0}, size_t{4}}) {
-      const ChaosOutcome killed = RunChaos(c.catalog, c.sql, crash, threads,
-                                           num_batches, 24, /*num_shards=*/4);
-      ExpectBitIdentical(killed, clean,
-                         "crash k=" + std::to_string(k) + " t=" +
-                             std::to_string(threads));
-      EXPECT_GE(killed.metrics.TotalShardDeaths(), 1);
-      EXPECT_GE(killed.metrics.TotalFailureRecoveries(),
-                clean.metrics.TotalFailureRecoveries() + 1);
-      EXPECT_GE(killed.metrics.TotalInjectedFaults(), 1);
-    }
-    // Exhaust the retry budget on one endpoint: every attempt to shard k in
-    // batch 2 is dropped until the deadline fires and the shard is declared
-    // dead (exchange_max_attempts defaults to 4; 8 drops outlast it).
-    const std::string starve =
-        "exchange-message-drop=at:" + std::to_string(ShardDetail(2, k)) +
-        ",times:8";
-    const ChaosOutcome starved = RunChaos(c.catalog, c.sql, starve, 0,
-                                          num_batches, 24, /*num_shards=*/4);
-    ExpectBitIdentical(starved, clean, "starve k=" + std::to_string(k));
-    EXPECT_GE(starved.metrics.TotalShardDeaths(), 1);
-    EXPECT_GE(starved.metrics.TotalExchangeRetries(), 1);
-    EXPECT_GE(starved.metrics.TotalFailureRecoveries(), 1);
-  }
-}
-
-// A transiently corrupt delivery is absorbed by the checksum/retry loop
-// without any rollback: same bits, retries visible, no deaths.
-TEST(ShardChaosTest, TransientCorruptionRetriesWithoutRollback) {
-  const ChaosCase c = NestedCases().front();
-  const int num_batches = 4;
-  const ChaosOutcome clean =
-      RunChaos(c.catalog, c.sql, "", 0, num_batches, 24, /*num_shards=*/1);
-  const std::string spec =
-      "exchange-message-corrupt=at:" + std::to_string(ShardDetail(1, 2)) +
-      ",times:2";
-  const ChaosOutcome faulty = RunChaos(c.catalog, c.sql, spec, 0, num_batches,
-                                       24, /*num_shards=*/4);
-  ExpectBitIdentical(faulty, clean, "transient corruption");
-  EXPECT_GE(faulty.metrics.TotalExchangeRetries(), 2);
-  EXPECT_EQ(faulty.metrics.TotalShardDeaths(), 0);
-  EXPECT_EQ(faulty.metrics.TotalFailureRecoveries(),
-            clean.metrics.TotalFailureRecoveries());
-}
-
-// Measured exchange bytes replace the cost model in QueryMetrics: a sharded
-// run reports nonzero measured traffic that differs from the model's
-// prediction, both totals are exposed, and the measurement is exactly the
-// sum of the per-batch ExchangeLayer deltas.
-TEST(ShardChaosTest, MeasuredBytesReplaceModeledBytes) {
-  const ChaosCase c = NestedCases().front();
-  const ChaosOutcome sharded =
-      RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/4);
-  ASSERT_TRUE(sharded.ok);
-  EXPECT_GT(sharded.metrics.TotalShippedBytes(), 0u);
-  EXPECT_GT(sharded.metrics.TotalModeledShippedBytes(), 0u);
-  EXPECT_NE(sharded.metrics.TotalShippedBytes(),
-            sharded.metrics.TotalModeledShippedBytes());
-  EXPECT_GT(sharded.metrics.TotalExchangeMessages(), 0u);
-  // Retransmissions raise the measured wire bytes above the clean run; the
-  // model, blind to the wire, predicts the same traffic either way.
-  const std::string spec = "exchange-message-corrupt=at:" +
-                           std::to_string(ShardDetail(1, 1)) + ",times:1";
-  const ChaosOutcome retried =
-      RunChaos(c.catalog, c.sql, spec, 0, 4, 24, /*num_shards=*/4);
-  ASSERT_TRUE(retried.ok);
-  EXPECT_GT(retried.metrics.TotalShippedBytes(),
-            sharded.metrics.TotalShippedBytes());
-  EXPECT_EQ(retried.metrics.TotalModeledShippedBytes(),
-            sharded.metrics.TotalModeledShippedBytes());
-  // An unsharded run has no wire: measured 0, model still predicting.
-  const ChaosOutcome unsharded =
-      RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/1);
-  ASSERT_TRUE(unsharded.ok);
-  EXPECT_EQ(unsharded.metrics.TotalShippedBytes(), 0u);
-  EXPECT_GT(unsharded.metrics.TotalModeledShippedBytes(), 0u);
-}
-
-// Consistent-cut rule: a batch whose checkpoint carries one corrupt shard
-// slice is not durable — recovery refuses the whole cut and escalates to an
-// older snapshot, pruning the partial checkpoint from the ring.
-TEST(ShardChaosTest, ConsistentCutRejectsPartialShardCheckpoint) {
-  const ChaosCase c = NestedCases().front();
-  const int num_batches = 4;
-  const ChaosOutcome clean =
-      RunChaos(c.catalog, c.sql, "", 0, num_batches, 24, /*num_shards=*/1);
-  // Corrupt shard 1's slice of the batch-2 checkpoint, then force a
-  // rollback at batch 3 that would land on it.
-  const std::string spec =
-      "shard-checkpoint-corrupt=at:" + std::to_string(ShardDetail(2, 1)) +
-      ",times:1;controller-batch-fault=at:3,times:1,arg:1";
-  const ChaosOutcome faulty = RunChaos(c.catalog, c.sql, spec, 0, num_batches,
-                                       24, /*num_shards=*/4);
-  ExpectBitIdentical(faulty, clean, "partial-cut rejection");
-  EXPECT_GE(faulty.metrics.TotalCorruptCheckpoints(), 1);
-  EXPECT_GE(faulty.metrics.TotalFailureRecoveries(), 1);
 }
 
 }  // namespace

@@ -809,75 +809,5 @@ TEST(RecoveryInjectionTest, InjectedVerdictRollsBackAndReplaysBitIdentical) {
   EXPECT_GE(natural.MaxRollbackDepth(), 1);
 }
 
-// Shard-granularity rollback isolation. Killing one shard mid-batch rolls
-// the whole query back to the last consistent cut; if any other shard's
-// in-flight epilogue state survived the rewind — a partial aggregate
-// applied early, a scratch slot leaking across the shard boundary — the
-// replay would diverge from the unsharded run. Bit-identity across
-// {S=1, S=4} × {0, 4 threads} × {each victim shard} is therefore exactly
-// the no-cross-shard-leak property, checked through the engine's real
-// recovery path (the serial apply phase guards every registry mutation
-// with engine_serial_phase).
-TEST(ShardIsolationTest, KilledShardRollbackCannotLeakAcrossSlices) {
-  Catalog catalog;
-  FillCatalog(&catalog, 1500, /*seed=*/31);
-  auto functions = FunctionRegistry::Default();
-  auto plan = BuildQuery(QueryShape::kSbi, catalog, functions);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  auto run = [&](size_t num_shards, size_t num_threads,
-                 const std::string& failpoints, QueryMetrics* metrics) {
-    EngineOptions options;
-    options.num_trials = 50;
-    options.num_batches = 6;
-    options.slack = 2.0;
-    options.seed = 13;
-    options.num_threads = num_threads;
-    options.num_shards = num_shards;
-    options.failpoints = failpoints;
-    QueryController controller(&catalog, *plan, options);
-    EXPECT_TRUE(controller.Init().ok());
-    RunFingerprint fp;
-    Status run_status = controller.Run([&](const PartialResult& partial) {
-      fp.partial_rows.push_back(partial.rows);
-      fp.estimates.push_back(partial.estimates);
-      return BatchAction::kContinue;
-    });
-    EXPECT_TRUE(run_status.ok()) << run_status;
-    if (metrics != nullptr) *metrics = controller.metrics();
-    return fp;
-  };
-
-  QueryMetrics baseline;
-  const RunFingerprint clean = run(1, 0, "", &baseline);
-  ASSERT_EQ(baseline.TotalFailureRecoveries(), 0);
-
-  // Sharding alone changes nothing: clean S=4 matches clean S=1 bit for
-  // bit at both thread counts.
-  ExpectBitIdentical(run(4, 0, "", nullptr), clean, "clean S=4 t=0");
-  ExpectBitIdentical(run(4, 4, "", nullptr), clean, "clean S=4 t=4");
-
-  // Kill each shard in turn during batch 4's eval phase (failpoint detail
-  // = batch * 64 + shard). The victim is declared dead, the batch rolls
-  // back one consistent cut, and the replay must land on the clean bits.
-  for (int victim = 0; victim < 4; ++victim) {
-    const std::string spec = "shard-eval-fault=at:" +
-                             std::to_string(4 * 64 + victim) + ",times:1";
-    for (size_t num_threads : {size_t{0}, size_t{4}}) {
-      QueryMetrics killed;
-      RunFingerprint faulty = run(4, num_threads, spec, &killed);
-      EXPECT_EQ(killed.TotalShardDeaths(), 1)
-          << "victim=" << victim << " t=" << num_threads;
-      EXPECT_GE(killed.TotalFailureRecoveries(), 1);
-      EXPECT_GE(killed.TotalInjectedFaults(), 1);
-      faulty.recomputed_rows = clean.recomputed_rows;
-      faulty.failure_recoveries = clean.failure_recoveries;
-      ExpectBitIdentical(faulty, clean,
-                         "victim=" + std::to_string(victim) + " t=" +
-                             std::to_string(num_threads));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace iolap

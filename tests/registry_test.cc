@@ -181,69 +181,5 @@ TEST_F(RegistryTest, ConstraintOnMissingOrKeyColumnIsIgnored) {
   EXPECT_EQ(registry_->GroupCount(0), 0u);
 }
 
-TEST_F(RegistryTest, ShardSlicesPartitionTheRelation) {
-  ScopedThreadRole serial(engine_serial_phase);
-  registry_->SetBlockScale(0, 1.0);
-  for (int64_t k = 0; k < 32; ++k) {
-    ASSERT_TRUE(registry_
-                    ->Publish(0, Key(k), 0,
-                              {Value::Double(double(k)), Value::Double(1)},
-                              {{1.0}, {1.0}}, true)
-                    .ok);
-  }
-  for (size_t num_shards : {size_t{1}, size_t{3}, size_t{4}}) {
-    size_t groups = 0, bytes = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      groups += registry_->ShardGroupCount(0, s, num_shards);
-      bytes += registry_->ShardRelationBytes(0, s, num_shards);
-    }
-    // The slices are a partition: every group and every byte lands in
-    // exactly one shard, no overlap, no leftovers.
-    EXPECT_EQ(groups, registry_->GroupCount(0)) << "S=" << num_shards;
-    EXPECT_EQ(bytes, registry_->RelationBytes(0)) << "S=" << num_shards;
-  }
-  // With 32 keys over 4 shards the hash cannot be degenerate: at least two
-  // shards own a nonempty slice (broadcast payloads differ per shard).
-  size_t nonempty = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    nonempty += registry_->ShardGroupCount(0, s, 4) > 0 ? 1 : 0;
-  }
-  EXPECT_GE(nonempty, 2u);
-}
-
-TEST_F(RegistryTest, ShardSliceRollbackIsIsolated) {
-  ScopedThreadRole serial(engine_serial_phase);
-  registry_->SetBlockScale(0, 1.0);
-  constexpr size_t kShards = 4;
-  // Two epochs of publishes across every shard slice.
-  for (int64_t k = 0; k < 16; ++k) {
-    ASSERT_TRUE(registry_
-                    ->Publish(0, Key(k), k < 8 ? 0 : 3,
-                              {Value::Double(double(k)), Value::Double(1)},
-                              {{1.0}, {1.0}}, true)
-                    .ok);
-  }
-  std::vector<size_t> before(kShards);
-  for (size_t s = 0; s < kShards; ++s) {
-    before[s] = registry_->ShardGroupCount(0, s, kShards);
-  }
-  // Roll back the young epoch (batch 3). Rollback routes by the same group
-  // key hash the shards do, so each slice loses exactly its own young
-  // groups — one shard's in-flight epilogue state is never visible to (or
-  // erased through) another shard's slice.
-  registry_->RollbackTo(1, 0);
-  size_t surviving = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    const size_t after = registry_->ShardGroupCount(0, s, kShards);
-    EXPECT_LE(after, before[s]) << "shard " << s;
-    surviving += after;
-  }
-  EXPECT_EQ(surviving, registry_->GroupCount(0));
-  // Old-epoch groups survive in their home slices, young ones are gone.
-  for (int64_t k = 0; k < 16; ++k) {
-    EXPECT_EQ(registry_->Lookup(0, 1, Key(k)).is_null(), k >= 8) << k;
-  }
-}
-
 }  // namespace
 }  // namespace iolap

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
@@ -162,10 +163,7 @@ TEST(SessionTest, MetricsArepopulated) {
   const QueryMetrics& metrics = (*query)->metrics();
   ASSERT_EQ(metrics.batches.size(), 8u);
   EXPECT_GT(metrics.TotalLatencySec(), 0.0);
-  // Unsharded runs never cross a wire: measured exchange bytes stay zero
-  // while the cost model still predicts the would-be shuffle volume.
-  EXPECT_EQ(metrics.TotalShippedBytes(), 0u);
-  EXPECT_GT(metrics.TotalModeledShippedBytes(), 0u);
+  EXPECT_GT(metrics.TotalShippedBytes(), 0u);
   EXPECT_GT(metrics.batches.back().other_state_bytes, 0u);
   uint64_t input_total = 0;
   for (const BatchMetrics& b : metrics.batches) input_total += b.input_rows;
@@ -176,6 +174,63 @@ TEST(SessionTest, MetricsArepopulated) {
   EXPECT_GE(metrics.LatencyToFraction(0.5), 0.0);
   EXPECT_LE(metrics.LatencyToFraction(0.5), metrics.TotalLatencySec());
   EXPECT_FALSE(metrics.Summary().empty());
+}
+
+// Shipped bytes come from one shuffle/broadcast cost model (Figs. 9(c) and
+// 10(d)). Pin the terms that tell the modes apart: iOLAP pays bootstrap
+// multiplicities and a per-batch broadcast of the inner aggregate that the
+// one-pass baseline does not, OPT2 off re-ships the saved pending rows, and
+// the model is a function of the data alone, never of the thread count.
+TEST(SessionTest, ShippedBytesFollowTheCostModel) {
+  auto catalog = MakeCatalog(500, 9);
+  struct Shipped {
+    std::vector<uint64_t> per_batch;
+    uint64_t total = 0;
+    size_t pending_before_last = 0;  // largest pending set a batch re-reads
+  };
+  auto run = [&](ExecutionMode mode, bool lazy_lineage, size_t num_threads) {
+    EngineOptions options;
+    options.mode = mode;
+    options.lazy_lineage = lazy_lineage;
+    options.num_batches = 8;
+    options.num_trials = 6;
+    options.num_threads = num_threads;
+    Session session(catalog.get(), options);
+    auto query = session.Sql(
+        "SELECT avg(v) FROM t WHERE v > (SELECT avg(v) FROM t)");
+    Shipped shipped;
+    EXPECT_TRUE(query.ok()) << query.status();
+    if (!query.ok()) return shipped;
+    QueryController& controller = (*query)->controller();
+    const size_t last = (*query)->num_batches() - 1;
+    EXPECT_TRUE((*query)
+                    ->Run([&](const PartialResult& partial) {
+                      if (static_cast<size_t>(partial.batch) < last) {
+                        shipped.pending_before_last =
+                            std::max(shipped.pending_before_last,
+                                     controller.PendingCount());
+                      }
+                      return BatchAction::kContinue;
+                    })
+                    .ok());
+    for (const BatchMetrics& b : (*query)->metrics().batches) {
+      shipped.per_batch.push_back(b.shipped_bytes);
+    }
+    shipped.total = (*query)->metrics().TotalShippedBytes();
+    return shipped;
+  };
+
+  const Shipped baseline = run(ExecutionMode::kBaseline, true, 0);
+  const Shipped iolap = run(ExecutionMode::kIolap, true, 0);
+  EXPECT_GT(baseline.total, 0u);
+  EXPECT_GT(iolap.total, baseline.total);
+
+  const Shipped eager = run(ExecutionMode::kIolap, false, 0);
+  ASSERT_GT(iolap.pending_before_last, 0u);
+  EXPECT_GT(eager.total, iolap.total);
+
+  const Shipped threaded = run(ExecutionMode::kIolap, true, 4);
+  EXPECT_EQ(threaded.per_batch, iolap.per_batch);
 }
 
 // A tiny checkpoint ring forces deep rollbacks to degrade to full

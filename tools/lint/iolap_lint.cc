@@ -5,7 +5,7 @@
 // generic bug classes; the rules here encode invariants specific to iOLAP's
 // exactness guarantee under intra-batch parallelism (Theorem 1: delta
 // updates + uncertainty tags reproduce Q(D_i, m_i) bit-identically at any
-// thread count — see docs/INTERNALS.md §7 "Static analysis"):
+// thread count — see docs/INTERNALS.md §8 "Static analysis"):
 //
 //   pool-capture      No default-capture ([&] / [=]) lambdas handed to
 //                     ThreadPool::Submit / SubmitToGroup. A plain-submitted
@@ -36,13 +36,6 @@
 //                     CompileVerified so every compiled program is
 //                     statically proven sound before it executes
 //                     (docs/INTERNALS.md §10).
-//   exchange-bypass   No direct ShardState::AbsorbExchangePayload outside
-//                     the exchange layer's own files and tests/benchmarks.
-//                     Shard state is mutated only by delivered (checksummed,
-//                     retried) exchange messages; a direct call is
-//                     shard-to-shard state access around the wire, invisible
-//                     to the byte counters and the fault schedules
-//                     (docs/INTERNALS.md §11).
 //
 // Escape hatch: a finding on line L is suppressed by `// NOLINT` or
 // `// NOLINT(rule-name)` on line L, or `// NOLINTNEXTLINE(rule-name)` on
@@ -566,42 +559,6 @@ void CheckVerifierBypass(const FileContent& file,
   }
 }
 
-// --- rule: exchange-bypass -----------------------------------------------
-
-// Shard state changes only through delivered exchange messages:
-// ExchangeLayer::Ship verifies the checksum, pays the retry/backoff
-// schedule, accounts the wire bytes, and only then calls
-// ShardState::AbsorbExchangePayload. Any other caller is cross-shard state
-// access that bypasses the wire — unmeasured, unchecksummed, and invisible
-// to chaos schedules. The seam's own files define and deliver it;
-// tests/benchmarks may poke it deliberately.
-bool ExchangeBypassAllowed(const std::string& path) {
-  const std::string base = fs::path(path).filename().string();
-  if (base == "shard.h" || base == "shard.cc" || base == "exchange.cc") {
-    return true;
-  }
-  for (const auto& part : fs::path(path)) {
-    if (part == "tests" || part == "bench" || part == "examples") return true;
-  }
-  return false;
-}
-
-void CheckExchangeBypass(const FileContent& file,
-                         std::vector<Finding>* findings) {
-  if (ExchangeBypassAllowed(file.path)) return;
-  const auto& t = file.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].text == "AbsorbExchangePayload") {
-      Emit(file, t[i].line, "exchange-bypass",
-           "direct ShardState::AbsorbExchangePayload outside the exchange "
-           "seam; shard state mutates only via ExchangeLayer::Ship "
-           "(shard/exchange.h) so every delivery is checksummed, retried "
-           "and measured",
-           findings);
-    }
-  }
-}
-
 // --- input gathering -----------------------------------------------------
 
 bool HasSourceExtension(const fs::path& p) {
@@ -792,7 +749,6 @@ int main(int argc, char** argv) {
     CheckGuardedMutable(file, &findings);
     CheckFailpointNames(file, &findings);
     CheckVerifierBypass(file, &findings);
-    CheckExchangeBypass(file, &findings);
   }
 
   std::sort(findings.begin(), findings.end(),
