@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 
 namespace iolap {
@@ -28,15 +29,20 @@ ErrorEstimate EstimateError(double value, const std::vector<double>& trials) {
   est.stddev = std::sqrt(ss / (trials.size() - 1));
   est.rel_stddev = value != 0.0 ? est.stddev / std::fabs(value) : est.stddev;
 
-  // Percentile CI.
-  std::vector<double> sorted = trials;
-  std::sort(sorted.begin(), sorted.end());
-  auto percentile = [&sorted](double p) {
-    const double pos = p * (sorted.size() - 1);
+  // Percentile CI, interpolated between order statistics lo and lo + 1: a
+  // selection puts the lo-th in place with everything larger after it, so
+  // the next one is the minimum of that tail. No full sort is needed.
+  std::vector<double> order = trials;
+  auto percentile = [&order](double p) {
+    const double pos = p * (order.size() - 1);
     const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - lo;
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    const auto at = order.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(order.begin(), at, order.end());
+    const double next = lo + 1 < order.size()
+                            ? *std::min_element(at + 1, order.end())
+                            : *at;
+    return *at * (1.0 - frac) + next * frac;
   };
   est.ci_lo = percentile(0.025);
   est.ci_hi = percentile(0.975);

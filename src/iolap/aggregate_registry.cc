@@ -24,6 +24,23 @@ uint64_t NextMemoEpoch() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+// An entry's share of RelationBytes, without its key.
+size_t ValueBytes(const std::vector<Value>& main,
+                  const std::vector<std::vector<double>>& trials) {
+  size_t total = 0;
+  for (const Value& v : main) total += v.ByteSize();
+  for (const auto& replicas : trials) total += replicas.size() * sizeof(double);
+  return total;
+}
+
+size_t TrackerBytes(const std::vector<VariationRangeTracker>& ranges) {
+  size_t total = 0;
+  for (const VariationRangeTracker& tracker : ranges) {
+    total += tracker.ByteSize();
+  }
+  return total;
+}
+
 }  // namespace
 
 AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack)
@@ -105,7 +122,11 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     if (fc != rel.failure_counts.end() && fc->second >= 3) {
       entry.range_disabled = true;
     }
+    rel.bytes += RowByteSize(key);
+  } else {
+    rel.bytes -= ValueBytes(entry.main, entry.trials);
   }
+  rel.bytes += ValueBytes(main, trials);
   entry.main = std::move(main);
   entry.trials = std::move(trials);
   // Unscaled replica envelopes for later Refresh()es.
@@ -145,9 +166,12 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     entry.env_sd[a] = sd;
   }
   PublishResult result;
+  // The trackers created above, plus the snapshot CheckRanges folds.
+  const size_t trackers_before = inserted ? 0 : TrackerBytes(entry.ranges);
   if (track_ranges && !entry.range_disabled) {
     CheckRanges(rel, key, entry, batch, &result);
   }
+  rel.tracker_bytes += TrackerBytes(entry.ranges) - trackers_before;
   // Fault injection: a spurious failed verdict for a group that actually
   // passed its checks. Marked `injected`: nothing is wrong with the
   // registered constraints, so the controller replays with unfrozen ranges
@@ -174,7 +198,9 @@ AggregateRegistry::PublishResult AggregateRegistry::Refresh(
   }
   Entry& entry = it->second;
   if (track_ranges && !entry.range_disabled) {
+    const size_t trackers_before = TrackerBytes(entry.ranges);
     CheckRanges(rel, key, entry, batch, &result);
+    rel.tracker_bytes += TrackerBytes(entry.ranges) - trackers_before;
   }
   return result;
 }
@@ -218,13 +244,17 @@ void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
     rel.memo_epoch = NextMemoEpoch();  // erase invalidates memoized pointers
     for (auto it = rel.entries.begin(); it != rel.entries.end();) {
       Entry& entry = it->second;
+      rel.tracker_bytes -= TrackerBytes(entry.ranges);
       if (entry.first_batch > batch) {
+        rel.bytes -= RowByteSize(it->first);
+        rel.bytes -= ValueBytes(entry.main, entry.trials);
         it = rel.entries.erase(it);
         continue;
       }
       for (VariationRangeTracker& tracker : entry.ranges) {
         tracker.RecoverTo(batch - entry.first_batch, freeze_updates);
       }
+      rel.tracker_bytes += TrackerBytes(entry.ranges);
       ++it;
     }
   }
@@ -245,27 +275,9 @@ size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
 }
 
-size_t AggregateRegistry::RelationBytes(int block) const {
-  const Relation& rel = relations_[block];
-  size_t total = 0;
-  for (const auto& [key, entry] : rel.entries) {
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
-  }
-  return total;
-}
-
 size_t AggregateRegistry::TotalBytes() const {
   size_t total = 0;
-  for (size_t b = 0; b < relations_.size(); ++b) {
-    total += RelationBytes(static_cast<int>(b));
-    for (const auto& [key, entry] : relations_[b].entries) {
-      for (const auto& tracker : entry.ranges) total += tracker.ByteSize();
-    }
-  }
+  for (const Relation& rel : relations_) total += rel.bytes + rel.tracker_bytes;
   return total;
 }
 

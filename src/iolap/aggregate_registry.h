@@ -107,8 +107,10 @@ class AggregateRegistry final : public AggLookupResolver,
 
   /// Approximate bytes of `block`'s published relation (key + replicated
   /// values): the per-batch broadcast payload of the lazy-evaluation join.
-  size_t RelationBytes(int block) const;
+  /// O(1): a running total.
+  size_t RelationBytes(int block) const { return relations_[block].bytes; }
 
+  /// Every relation's bytes plus its variation-range trackers; O(blocks).
   size_t TotalBytes() const;
 
   // --- RangeConstraintSink -----------------------------------------------
@@ -166,6 +168,11 @@ class AggregateRegistry final : public AggLookupResolver,
     double scale = 1.0;
     std::vector<bool> linear;  // per aggregate column
     std::unordered_map<Row, Entry, RowHash, RowEq> entries;
+    // Running byte totals over `entries`: keys, main values and replicas
+    // (RelationBytes), and variation-range trackers. Every write path
+    // (Publish, Refresh, RollbackTo) adjusts them for what it changed.
+    size_t bytes = 0;
+    size_t tracker_bytes = 0;
     // Validates the thread_local lookup memo in FindEntry. Assigned a
     // globally unique value at construction and re-assigned on every
     // erase (RollbackTo), so a memoized entry pointer can never alias a

@@ -1,9 +1,9 @@
 #include "iolap/delta_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -25,12 +25,6 @@ bool InputGrows(const QueryPlan& /*plan*/,
 // Cluster width of the shuffle/broadcast cost model behind
 // BlockBatchStats::shipped_bytes: the paper's 20-worker EC2 cluster.
 constexpr uint64_t kVirtualWorkers = 20;
-
-uint64_t DoubleBits(double x) {
-  uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -440,6 +434,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
     if (block_->has_aggregate()) {
       AccumulateCertain(row, batch, &sketch_);
     } else {
+      sink_bytes_ += row.ByteSize();
       sink_rows_.push_back(std::move(row));
     }
     return;
@@ -459,9 +454,11 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     // results) and keep no cross-batch state.
     sketch_.Clear();
     sink_rows_.clear();
+    sink_bytes_ = 0;
     pending_.clear();
     emitted_order_.clear();
     emitted_set_.clear();
+    emitted_bytes_ = 0;
     stats->recomputed_rows += input_deltas[0].size();
   } else {
     for (const RowBatch& delta : input_deltas) {
@@ -651,10 +648,10 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     work.push_back({&key, sketch_cells, temp_cells, dirty, {}, {}, {}, {}});
   };
   for (const auto& [key, cells] : sketch_.groups()) {
-    add_work(key, &cells, temp.Find(key));
+    add_work(key, cells.get(), temp.Find(key));
   }
   for (const auto& [key, cells] : temp.groups()) {
-    if (sketch_.Find(key) == nullptr) add_work(key, nullptr, &cells);
+    if (sketch_.Find(key) == nullptr) add_work(key, nullptr, cells.get());
   }
 
   // Materializes a dirty group's unscaled results (and, when collecting,
@@ -787,6 +784,7 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     if (feeds_join_ && emitted_set_.find(*w.key) == emitted_set_.end()) {
       emitted_set_.insert(*w.key);
       emitted_order_.push_back(*w.key);
+      emitted_bytes_ += RowByteSize(*w.key);
       ExecRow out;
       out.values = *w.key;
       for (size_t a = 0; a < w.main.size(); ++a) {
@@ -904,11 +902,8 @@ size_t BlockExecutor::JoinStateBytes() const {
 }
 
 size_t BlockExecutor::OtherStateBytes() const {
-  size_t total = sketch_.ByteSize();
-  total += BatchByteSize(pending_);
-  total += BatchByteSize(sink_rows_);
-  for (const Row& key : emitted_order_) total += RowByteSize(key);
-  return total;
+  return sketch_.ByteSize() + BatchByteSize(pending_) + sink_bytes_ +
+         emitted_bytes_;
 }
 
 std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
@@ -919,28 +914,36 @@ std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
   for (const JoinStep& step : join_steps_) {
     cp->join_marks.push_back(step.watermark());
   }
-  cp->pending = pending_;
-  cp->sketch = sketch_.Clone();
+  // A stateless consumer clears its sketch and pending set before reading
+  // them (ProcessBatch), so only the batch and the watermarks matter.
+  if (!stateless_) {
+    cp->pending = pending_;
+    cp->sketch = sketch_;  // shares the group nodes (copy-on-write)
+  }
   cp->sink_watermark = sink_rows_.size();
   cp->emitted_watermark = emitted_order_.size();
-  // Checksum the clone, not the live state: restore verifies exactly the
-  // object it is about to replay.
-  cp->checksum = ChecksumCheckpoint(*cp);
+  // Checksum the snapshot, not the live state: restore verifies exactly the
+  // object it is about to replay. Groups not written since they were last
+  // hashed contribute their cached hashes.
+  cp->checksum = ChecksumCheckpoint(*cp, /*use_cache=*/true);
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointCaptureCorrupt, batch)) {
     cp->checksum ^= 1;  // simulated bit-rot between capture and restore
   }
   return cp;
 }
 
-size_t BlockExecutor::Checkpoint::ByteSize() const {
+size_t BlockExecutor::Checkpoint::ByteSize(
+    std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
+    const {
   size_t total = sizeof(Checkpoint);
   total += join_marks.size() * sizeof(JoinStep::Watermark);
   total += BatchByteSize(pending);
-  total += sketch.ByteSize();
+  total += sketch.ByteSize(counted);
   return total;
 }
 
-uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint) {
+uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint,
+                                           bool use_cache) {
   // Scalars and ordered containers fold order-sensitively.
   uint64_t h = HashCombine(0, static_cast<uint64_t>(checkpoint.batch));
   for (const JoinStep::Watermark& mark : checkpoint.join_marks) {
@@ -950,49 +953,41 @@ uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint) {
   for (const ExecRow& row : checkpoint.pending) {
     h = HashCombine(h, HashRow(row.values));
     h = HashCombine(h, row.stream_uid);
-    h = HashCombine(h, DoubleBits(row.weight));
+    h = HashCombine(h, std::bit_cast<uint64_t>(row.weight));
   }
   h = HashCombine(h, checkpoint.sink_watermark);
   h = HashCombine(h, checkpoint.emitted_watermark);
-  // The sketch map iterates in unspecified order, so group hashes combine
-  // through a commutative wrapping sum. Hashing accumulator *results* (the
-  // bits a restore replays into publication) rather than raw internals
-  // keeps the checksum independent of accumulator representation.
-  uint64_t group_sum = 0;
-  for (const auto& [key, cells] : checkpoint.sketch.groups()) {
-    uint64_t g = HashCombine(HashRow(key),
-                             static_cast<uint64_t>(cells.first_batch));
-    for (const TrialAccumulatorSet& acc : cells.aggs) {
-      const Value main = acc.MainResult(1.0);
-      g = HashCombine(g, main.is_null() ? 0x9e3779b97f4a7c15ULL : main.Hash());
-      for (double trial : acc.TrialResults(1.0)) {
-        g = HashCombine(g, DoubleBits(trial));
-      }
-      g = HashCombine(g, DoubleBits(acc.moment_count()));
-      g = HashCombine(g, DoubleBits(acc.moment_variance()));
-    }
-    group_sum += Mix64(g);
-  }
-  return HashCombine(h, group_sum);
+  return HashCombine(h, checkpoint.sketch.ContentHash(use_cache));
 }
 
 bool BlockExecutor::VerifyCheckpoint(const Checkpoint& checkpoint) {
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, checkpoint.batch)) {
     return false;  // simulated corruption detected at restore time
   }
-  return ChecksumCheckpoint(checkpoint) == checkpoint.checksum;
+  return ChecksumCheckpoint(checkpoint, /*use_cache=*/false) ==
+         checkpoint.checksum;
 }
 
 void BlockExecutor::Restore(const Checkpoint& checkpoint) {
   for (size_t k = 0; k < join_steps_.size(); ++k) {
     join_steps_[k].TruncateTo(checkpoint.join_marks[k]);
   }
-  pending_ = checkpoint.pending;
-  sketch_ = checkpoint.sketch.Clone();
+  if (stateless_) {
+    pending_.clear();
+    sketch_.Clear();
+  } else {
+    pending_ = checkpoint.pending;
+    sketch_ = checkpoint.sketch;  // shares the group nodes (copy-on-write)
+  }
   sink_rows_.resize(checkpoint.sink_watermark);
+  sink_bytes_ = BatchByteSize(sink_rows_);
   emitted_order_.resize(checkpoint.emitted_watermark);
   emitted_set_.clear();
-  for (const Row& key : emitted_order_) emitted_set_.insert(key);
+  emitted_bytes_ = 0;
+  for (const Row& key : emitted_order_) {
+    emitted_set_.insert(key);
+    emitted_bytes_ += RowByteSize(key);
+  }
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();
@@ -1007,8 +1002,10 @@ void BlockExecutor::Reset() {
   pending_.clear();
   sketch_.Clear();
   sink_rows_.clear();
+  sink_bytes_ = 0;
   emitted_order_.clear();
   emitted_set_.clear();
+  emitted_bytes_ = 0;
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();

@@ -238,6 +238,10 @@ class BlockExecutor {
 
   // --- checkpointing for failure recovery (§5.1) -------------------------
 
+  /// A self-contained snapshot of the block's state after one batch. Its
+  /// sketch shares unchanged group nodes with the live sketch and with the
+  /// other snapshots in the ring (copy-on-write, see GroupedAggregateState);
+  /// a stateless block captures only the batch and the watermarks.
   struct Checkpoint {
     int batch = 0;
     std::vector<JoinStep::Watermark> join_marks;
@@ -251,16 +255,23 @@ class BlockExecutor {
     /// instead of silently replaying bad state.
     uint64_t checksum = 0;
 
-    /// Approximate retained bytes (ring-size accounting in the
-    /// controller).
-    size_t ByteSize() const;
+    /// Approximate retained bytes, for ring-size accounting in the
+    /// controller: sketch nodes already in `counted` are skipped (see
+    /// GroupedAggregateState::ByteSize).
+    size_t ByteSize(
+        std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
+        const;
   };
 
   std::shared_ptr<const Checkpoint> MakeCheckpoint(int batch) const;
 
   /// Order-insensitive content hash over everything a restore would replay
   /// (batch, join watermarks, pending rows, sketch accumulator results).
-  static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint);
+  /// Capture passes `use_cache` to reuse the per-group hashes of nodes not
+  /// written since they were last hashed; verification recomputes
+  /// everything from content.
+  static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint,
+                                     bool use_cache);
 
   /// True when `checkpoint`'s checksum matches its content. The
   /// checkpoint-restore-fault failpoint forces a mismatch here.
@@ -455,10 +466,12 @@ class BlockExecutor {
   std::vector<ExecRow> pending_;  // the non-deterministic set U
   GroupedAggregateState sketch_;
   std::vector<ExecRow> sink_rows_;  // non-aggregate top block only
+  size_t sink_bytes_ = 0;           // BatchByteSize(sink_rows_)
 
   // Join-feed bookkeeping: groups already emitted downstream.
   std::vector<Row> emitted_order_;
   std::unordered_set<Row, RowHash, RowEq> emitted_set_;
+  size_t emitted_bytes_ = 0;  // sum of RowByteSize over emitted_order_
   RowBatch new_output_rows_;
   RowBatch pending_passing_;  // non-agg block: pending rows passing now
   std::vector<OutputGroup> latest_output_;
@@ -469,8 +482,10 @@ class BlockExecutor {
 
   // Per-batch scratch (cleared at the end of ProcessBatch; members only to
   // reuse capacity across batches). Deferred records hold accumulator
-  // pointers, which are stable: GroupCells live in a node-based map and
-  // their `aggs` vectors are sized once at creation.
+  // pointers, which are stable: GroupCells are heap nodes whose `aggs`
+  // vectors are sized once at creation, and no checkpoint is taken within
+  // a batch, so GetOrCreate clones a shared node at most once per batch,
+  // before any record points into it.
   std::vector<RowEval> row_scratch_;
   std::vector<CertainTrialAdd> deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;

@@ -1,6 +1,7 @@
 #include "iolap/query_controller.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/timer.h"
@@ -536,9 +537,14 @@ size_t QueryController::PendingCount() const {
 }
 
 size_t QueryController::CheckpointRingBytes() const {
+  // Snapshots share the sketch nodes no batch rewrote between them; each
+  // node is retained, and counted, once.
+  std::unordered_set<const GroupedAggregateState::GroupCells*> counted;
   size_t total = 0;
   for (const auto& snapshot : checkpoints_) {
-    for (const auto& checkpoint : snapshot) total += checkpoint->ByteSize();
+    for (const auto& checkpoint : snapshot) {
+      total += checkpoint->ByteSize(&counted);
+    }
   }
   return total;
 }

@@ -63,10 +63,16 @@ class QueryController {
   /// The §5 non-deterministic set size summed over blocks (Fig. 9(e)).
   size_t PendingCount() const;
 
-  /// Checkpoint-ring introspection for tests: entries currently retained
+  /// Checkpoint ring: per retained batch, one snapshot per block.
+  using CheckpointRing = std::deque<
+      std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>>>;
+
+  /// Checkpoint-ring introspection for tests: the retained entries
   /// (bounded by EngineOptions::checkpoint_history — corrupt snapshots are
-  /// pruned during recovery, so the ring never accretes dead payloads)
-  /// and their approximate retained bytes.
+  /// pruned during recovery, so the ring never accretes dead payloads),
+  /// their count, and their approximate retained bytes, counting sketch
+  /// nodes shared between snapshots once.
+  const CheckpointRing& checkpoint_ring() const { return checkpoints_; }
   size_t checkpoint_ring_size() const { return checkpoints_.size(); }
   size_t CheckpointRingBytes() const;
 
@@ -125,8 +131,7 @@ class QueryController {
   std::vector<size_t> seen_rows_;  // cumulative rows through batch i
 
   // Checkpoint ring: state snapshots after each of the last K batches.
-  std::deque<std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>>>
-      checkpoints_;
+  CheckpointRing checkpoints_;
 
   QueryMetrics metrics_;
   PartialResult last_result_;

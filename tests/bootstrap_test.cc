@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "bootstrap/error_estimate.h"
 #include "bootstrap/poisson_multiplicities.h"
 #include "bootstrap/trial_accumulator.h"
 #include "bootstrap/variation_range.h"
+#include "common/random.h"
 #include "core/aggregate.h"
 
 namespace iolap {
@@ -137,6 +141,47 @@ TEST(ErrorEstimateTest, RelStddevOfZeroValue) {
   const ErrorEstimate est = EstimateError(0.0, {-1.0, 1.0});
   EXPECT_GT(est.stddev, 0.0);
   EXPECT_DOUBLE_EQ(est.rel_stddev, est.stddev);
+}
+
+// The CI percentiles come from a selection, not a sort, and must equal the
+// sorted-vector interpolation bit for bit. The one exception is a tie
+// between -0.0 and +0.0, which either algorithm may resolve to either sign
+// (neither orders equal values), so zero results compare with ==.
+TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
+  auto reference = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double pos = p * (v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = pos - lo;
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  auto expect_same = [](double got, double want, const std::string& context) {
+    if (want == 0.0) {
+      EXPECT_EQ(got, 0.0) << context;
+    } else {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << context << ": " << got << " vs " << want;
+    }
+  };
+  const double tied[] = {-2.5, -0.0, 0.0, 1.0, 3.75};
+  Rng rng(17);
+  for (size_t n : {2, 3, 20, 60, 100, 101}) {
+    for (int round = 0; round < 200; ++round) {
+      // Odd rounds draw from five values, so most entries are tied.
+      const bool ties = round % 2 == 1;
+      std::vector<double> trials;
+      for (size_t i = 0; i < n; ++i) {
+        trials.push_back(ties ? tied[rng.NextBounded(5)]
+                              : rng.NextDouble() * 200.0 - 100.0);
+      }
+      const ErrorEstimate est = EstimateError(1.0, trials);
+      const std::string context =
+          "n=" + std::to_string(n) + " round=" + std::to_string(round);
+      expect_same(est.ci_lo, reference(trials, 0.025), context);
+      expect_same(est.ci_hi, reference(trials, 0.975), context);
+    }
+  }
 }
 
 TEST(ErrorEstimateTest, AnalyticEstimate) {

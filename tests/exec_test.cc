@@ -181,28 +181,45 @@ TEST(GroupedAggregateTest, GetOrCreateTracksFirstBatch) {
   EXPECT_EQ(state.num_groups(), 1u);
 }
 
+// A copy shares its group nodes; the first write through GetOrCreate
+// clones the written node only, and later writes in the same batch reach
+// the same cells (deferred trial adds hold pointers into them).
 TEST(GroupedAggregateTest, CloneIsDeep) {
   auto specs = SumSpec();
   GroupedAggregateState state(&specs, 0);
   state.GetOrCreate({Value::Int64(1)}, 0).aggs[0].AddMainOnly(
       Value::Double(5), 1.0);
-  GroupedAggregateState copy = state.Clone();
-  copy.GetOrCreate({Value::Int64(1)}, 0).aggs[0].AddMainOnly(
-      Value::Double(7), 1.0);
+  state.GetOrCreate({Value::Int64(2)}, 0).aggs[0].AddMainOnly(
+      Value::Double(3), 1.0);
+  GroupedAggregateState copy = state;
+  EXPECT_EQ(copy.Find({Value::Int64(1)}), state.Find({Value::Int64(1)}));
+
+  GroupedAggregateState::GroupCells& written =
+      copy.GetOrCreate({Value::Int64(1)}, 0);
+  written.aggs[0].AddMainOnly(Value::Double(7), 1.0);
   EXPECT_DOUBLE_EQ(
       state.Find({Value::Int64(1)})->aggs[0].MainResult(1.0).AsDouble(), 5.0);
   EXPECT_DOUBLE_EQ(
       copy.Find({Value::Int64(1)})->aggs[0].MainResult(1.0).AsDouble(), 12.0);
+  // The unwritten group is still shared.
+  EXPECT_EQ(copy.Find({Value::Int64(2)}), state.Find({Value::Int64(2)}));
+
+  // A second write to the same group returns the same cells, by either
+  // overload of the write gate.
+  const Row key = {Value::Int64(1)};
+  EXPECT_EQ(&copy.GetOrCreate(key, 0), &written);
+  EXPECT_EQ(&copy.GetOrCreate(key, HashRow(key), 0), &written);
+  EXPECT_EQ(copy.Find(key), &written);
 }
 
-TEST(GroupedAggregateTest, DropGroupsAfter) {
-  auto specs = SumSpec();
-  GroupedAggregateState state(&specs, 0);
-  state.GetOrCreate({Value::Int64(1)}, 0);
-  state.GetOrCreate({Value::Int64(2)}, 5);
-  state.DropGroupsAfter(2);
-  EXPECT_NE(state.Find({Value::Int64(1)}), nullptr);
-  EXPECT_EQ(state.Find({Value::Int64(2)}), nullptr);
+// Recount of ByteSize's model from groups(), ignoring every cache.
+size_t RecountBytes(const GroupedAggregateState& state) {
+  size_t total = 0;
+  for (const auto& [key, cells] : state.groups()) {
+    total += RowByteSize(key) + sizeof(int);
+    for (const TrialAccumulatorSet& acc : cells->aggs) total += acc.ByteSize();
+  }
+  return total;
 }
 
 TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
@@ -211,6 +228,52 @@ TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
   const size_t empty = state.ByteSize();
   for (int g = 0; g < 10; ++g) state.GetOrCreate({Value::Int64(g)}, 0);
   EXPECT_GT(state.ByteSize(), empty);
+}
+
+// The cached per-node sizes and hashes stay exact across writes and copies:
+// MAX over strings changes a node's size when a longer value wins.
+TEST(GroupedAggregateTest, CachedByteSizeMatchesRecount) {
+  std::vector<AggSpec> specs;
+  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kMax),
+                          Col(0, "s", ValueType::kString), "m"});
+  GroupedAggregateState state(&specs, 2);
+  for (int g = 0; g < 4; ++g) {
+    state.GetOrCreate({Value::Int64(g)}, 0).aggs[0].AddMainOnly(
+        Value::String("a"), 1.0);
+  }
+  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+  const uint64_t hash = state.ContentHash(/*use_cache=*/true);
+  EXPECT_EQ(hash, state.ContentHash(/*use_cache=*/false));
+
+  // An unshared node is written in place; the write drops both caches.
+  state.GetOrCreate({Value::Int64(0)}, 1).aggs[0].AddMainOnly(
+      Value::String("abcdef"), 1.0);
+  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+  EXPECT_EQ(state.ContentHash(/*use_cache=*/true),
+            state.ContentHash(/*use_cache=*/false));
+  EXPECT_NE(state.ContentHash(/*use_cache=*/true), hash);
+
+  GroupedAggregateState copy = state;
+  copy.GetOrCreate({Value::Int64(1)}, 1).aggs[0].AddMainOnly(
+      Value::String("a much longer string"), 1.0);
+  copy.GetOrCreate({Value::Int64(9)}, 1).aggs[0].AddTrialOnly(
+      1, Value::String("bb"), 1.0);
+  EXPECT_EQ(copy.ByteSize(), RecountBytes(copy));
+  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+  EXPECT_GT(copy.ByteSize(), state.ByteSize());
+  EXPECT_EQ(copy.ContentHash(/*use_cache=*/true),
+            copy.ContentHash(/*use_cache=*/false));
+
+  // Writing the original after its sizes were cached re-measures it too.
+  state.GetOrCreate({Value::Int64(2)}, 2).aggs[0].AddMainOnly(
+      Value::String("zzzzzzzz"), 1.0);
+  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+
+  // Counting across both states visits each shared node once.
+  std::unordered_set<const GroupedAggregateState::GroupCells*> counted;
+  const size_t both = state.ByteSize(&counted) + copy.ByteSize(&counted);
+  EXPECT_EQ(counted.size(), 7u);  // 4 originals, 2 clones, 1 new group
+  EXPECT_LT(both, state.ByteSize() + copy.ByteSize());
 }
 
 }  // namespace

@@ -219,5 +219,31 @@ TEST_F(FailpointTest, CorruptCheckpointsArePrunedFromRing) {
   EXPECT_GT(ring_bytes, 0u);
 }
 
+// Snapshots share every sketch group no batch rewrote between them. When
+// each group is written in a single batch (GROUP BY a unique id), the ring
+// retains each group once, so its bytes stay near the newest snapshot's own
+// size instead of growing with the number of snapshots retained.
+TEST_F(FailpointTest, CheckpointRingCountsSharedGroupsOnce) {
+  auto catalog = RingCatalog(240, 13);
+  auto ring_bytes = [&](size_t history) {
+    EngineOptions options;
+    options.num_batches = 6;
+    options.num_trials = 8;
+    options.seed = 7;
+    options.checkpoint_history = history;
+    Session session(catalog.get(), options);
+    auto query = session.Sql("SELECT id, sum(v) FROM t GROUP BY id");
+    EXPECT_TRUE(query.ok()) << query.status();
+    EXPECT_TRUE((*query)->Run().ok());
+    EXPECT_EQ((*query)->controller().checkpoint_ring_size(), history);
+    return (*query)->controller().CheckpointRingBytes();
+  };
+  // A ring of one holds exactly the newest snapshot.
+  const size_t newest = ring_bytes(1);
+  const size_t ring = ring_bytes(4);
+  EXPECT_GT(ring, newest);
+  EXPECT_LT(ring, 2 * newest);
+}
+
 }  // namespace
 }  // namespace iolap

@@ -161,6 +161,10 @@ TEST_F(RegistryTest, RollbackErasesYoungGroups) {
   EXPECT_FALSE(registry_->Lookup(0, 1, Key(1)).is_null());
 }
 
+// RelationBytes and TotalBytes are running totals; each write path must
+// leave them equal to a recount of the byte model by hand: per group, the
+// key, the main values and 8 bytes per replica, plus one tracker per
+// tracked aggregate and one snapshot per batch it folded.
 TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
@@ -170,6 +174,50 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
                   .ok);
   EXPECT_GT(registry_->RelationBytes(0), 0u);
   EXPECT_GE(registry_->TotalBytes(), registry_->RelationBytes(0));
+
+  VariationRangeTracker probe(2.0);
+  const size_t tracker = probe.ByteSize();
+  ASSERT_TRUE(probe.Update(0.0, {}).ok);
+  const size_t snapshot = probe.ByteSize() - tracker;
+  // Two aggregates per group, all values doubles.
+  auto group = [&](int64_t k, size_t replicas) {
+    return RowByteSize(Key(k)) + 2 * Value::Double(0).ByteSize() +
+           2 * replicas * sizeof(double);
+  };
+  auto trackers = [&](size_t snapshots) {
+    return 2 * (tracker + snapshots * snapshot);
+  };
+  auto expect_bytes = [&](size_t relation, size_t total, const char* step) {
+    EXPECT_EQ(registry_->RelationBytes(0), relation) << step;
+    EXPECT_EQ(registry_->TotalBytes(), total) << step;
+  };
+  expect_bytes(group(1, 2), group(1, 2) + trackers(1), "first publish");
+
+  ASSERT_TRUE(registry_->Publish(0, Key(2), 1, {Value::Double(2), Value::Double(2)},
+                                 {{2, 2, 2}, {2, 2, 2}}, true)
+                  .ok);
+  // Overwrite with more replicas: the old values leave the total.
+  ASSERT_TRUE(registry_->Publish(0, Key(1), 1, {Value::Double(3), Value::Double(3)},
+                                 {{3, 3, 3}, {3, 3, 3}}, true)
+                  .ok);
+  expect_bytes(group(1, 3) + group(2, 3),
+               group(1, 3) + group(2, 3) + trackers(2) + trackers(1),
+               "publish overwrite");
+
+  // Refreshes fold one more snapshot into each tracker of the group.
+  ASSERT_TRUE(registry_->Refresh(0, Key(2), 2, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, Key(2), 3, true).ok);
+  expect_bytes(group(1, 3) + group(2, 3),
+               group(1, 3) + group(2, 3) + trackers(2) + trackers(3),
+               "refresh");
+
+  // Rollback to batch 0 erases key 2 (first published at batch 1) and
+  // truncates key 1's tracker history to its batch-0 snapshot.
+  registry_->RollbackTo(0, 0);
+  expect_bytes(group(1, 3), group(1, 3) + trackers(1), "rollback");
+
+  registry_->RollbackTo(-1, 0);
+  expect_bytes(0, 0, "full restart");
 }
 
 TEST_F(RegistryTest, ConstraintOnMissingOrKeyColumnIsIgnored) {
