@@ -8,7 +8,6 @@
 #include "bootstrap/poisson_multiplicities.h"
 #include "bootstrap/trial_accumulator.h"
 #include "core/expr.h"
-#include "core/function_registry.h"
 #include "exec/expr_program.h"
 #include "exec/hash_aggregate.h"
 #include "exec/operators.h"
@@ -19,9 +18,7 @@ namespace {
 
 // Arithmetic + comparison expression evaluation over a row.
 void BM_ExprEval(benchmark::State& state) {
-  auto functions = FunctionRegistry::Default();
   EvalContext ctx;
-  ctx.functions = functions.get();
   // (price * (1 - discount)) > 1000 AND quantity < 24
   auto expr = And(Gt(Mul(Col(0, "price", ValueType::kDouble),
                          Sub(Lit(1.0), Col(1, "discount", ValueType::kDouble))),
@@ -76,10 +73,8 @@ const Row kHotLoopRow = {Value::Double(1500), Value::Double(0.05),
 
 void BM_ExprProgramInterpreter(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
-  auto functions = FunctionRegistry::Default();
   TrialResolver resolver;
   EvalContext ctx;
-  ctx.functions = functions.get();
   ctx.resolver = &resolver;
   const std::vector<ExprPtr> roots = HotLoopRoots();
   for (auto _ : state) {
@@ -97,10 +92,9 @@ BENCHMARK(BM_ExprProgramInterpreter)->Arg(20)->Arg(100);
 
 void BM_ExprProgramCompiled(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
-  auto functions = FunctionRegistry::Default();
   TrialResolver resolver;
   const std::vector<ExprPtr> roots = HotLoopRoots();
-  auto program = ExprProgram::Compile(roots, functions.get(), nullptr);
+  auto program = ExprProgram::Compile(roots, nullptr);
   if (program == nullptr) {
     state.SkipWithError("hot-loop roots did not compile");
     return;
@@ -136,9 +130,7 @@ void BM_ClassifyPredicate(benchmark::State& state) {
     }
   };
   static FixedResolver resolver;
-  auto functions = FunctionRegistry::Default();
   EvalContext ctx;
-  ctx.functions = functions.get();
   ctx.resolver = &resolver;
   auto lookup = std::make_shared<AggLookupExpr>(0, 0, std::vector<ExprPtr>{},
                                                 ValueType::kDouble, "avg");

@@ -46,9 +46,7 @@ Value EvalArith(Expr::BinaryOp op, const Value& l, const Value& r,
                 ValueType out_type) {
   if (l.is_null() || r.is_null()) return Value::Null();
   if (op == Expr::BinaryOp::kMod) {
-    const int64_t denom = static_cast<int64_t>(r.AsDouble());
-    if (denom == 0) return Value::Null();
-    return Value::Int64(static_cast<int64_t>(l.AsDouble()) % denom);
+    return NumericMod(NumericValue::Of(l), NumericValue::Of(r)).ToValue();
   }
   const double a = l.AsDouble();
   const double b = r.AsDouble();
@@ -287,14 +285,17 @@ std::string BinaryExpr::ToString() const {
 
 // ------------------------------------------------------------------- Call
 
+CallExpr::CallExpr(const ScalarFunction* fn, std::vector<ExprPtr> args,
+                   ValueType type)
+    : Expr(Kind::kCall, type), fn_(fn), args_(std::move(args)) {
+  assert(fn_ != nullptr && fn_->signature.AcceptsArity(args_.size()));
+}
+
 Value CallExpr::Eval(const Row& row, const EvalContext& ctx) const {
-  assert(ctx.functions != nullptr);
-  auto fn = ctx.functions->FindScalar(name_);
-  assert(fn.ok());
   std::vector<Value> args;
   args.reserve(args_.size());
   for (const auto& arg : args_) args.push_back(arg->Eval(row, ctx));
-  return (*fn)->eval(args);
+  return fn_->boxed(args.data(), args.size());
 }
 
 Interval CallExpr::EvalInterval(const Row& row, const EvalContext& ctx) const {
@@ -304,15 +305,13 @@ Interval CallExpr::EvalInterval(const Row& row, const EvalContext& ctx) const {
     if (v.is_numeric()) return Interval::Point(v.AsDouble());
     return Interval::Unbounded();
   }
-  // Monotone functions map interval endpoints through the function.
-  auto fn = ctx.functions != nullptr ? ctx.functions->FindScalar(name_)
-                                     : Result<const ScalarFunction*>(
-                                           Status::NotFound(name_));
-  if (fn.ok() && (*fn)->monotone && args_.size() == 1) {
+  // Monotone (non-decreasing) functions map interval endpoints through.
+  if (fn_->monotone && args_.size() == 1) {
     const Interval in = args_[0]->EvalInterval(row, ctx);
     if (!in.IsUnbounded()) {
-      const Value lo = (*fn)->eval({Value::Double(in.lo)});
-      const Value hi = (*fn)->eval({Value::Double(in.hi)});
+      const Value ends[2] = {Value::Double(in.lo), Value::Double(in.hi)};
+      const Value lo = fn_->boxed(&ends[0], 1);
+      const Value hi = fn_->boxed(&ends[1], 1);
       if (lo.is_numeric() && hi.is_numeric()) {
         return Interval(lo.AsDouble(), hi.AsDouble());
       }
@@ -334,7 +333,7 @@ void CallExpr::CollectAggLookups(std::vector<const AggLookupExpr*>* out) const {
 }
 
 std::string CallExpr::ToString() const {
-  std::string out = name_ + "(";
+  std::string out = fn_->name + "(";
   for (size_t i = 0; i < args_.size(); ++i) {
     if (i > 0) out += ", ";
     out += args_[i]->ToString();
@@ -766,7 +765,7 @@ ExprPtr RemapColumns(const ExprPtr& expr, const std::vector<int>& mapping) {
       for (const auto& arg : call.args()) {
         args.push_back(RemapColumns(arg, mapping));
       }
-      return std::make_shared<CallExpr>(call.name(), std::move(args),
+      return std::make_shared<CallExpr>(&call.function(), std::move(args),
                                         call.output_type());
     }
     case Expr::Kind::kAggLookup: {

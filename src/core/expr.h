@@ -14,7 +14,7 @@ namespace iolap {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-class FunctionRegistry;
+struct ScalarFunction;
 
 /// Resolves references to the (current) output of upstream aggregate
 /// lineage blocks. Implemented by iolap::AggregateRegistry; declared here so
@@ -72,7 +72,6 @@ class RangeConstraintSink {
 /// evaluation of a column reference re-derives the column through its
 /// lineage instead of trusting the possibly stale stored value.
 struct EvalContext {
-  const FunctionRegistry* functions = nullptr;
   const AggLookupResolver* resolver = nullptr;
   const std::vector<ExprPtr>* column_lineage = nullptr;
   /// Bootstrap trial index for Eval(); -1 selects the main (non-bootstrap)
@@ -248,13 +247,14 @@ class BinaryExpr final : public Expr {
   ExprPtr right_;
 };
 
-/// A call to a registered scalar function (built-in or UDF).
+/// A call to a registered scalar function (built-in or UDF), resolved by
+/// the binder. `fn` is owned by the FunctionRegistry the plan holds
+/// (QueryPlan::functions), and `args` fit its signature.
 class CallExpr final : public Expr {
  public:
-  CallExpr(std::string name, std::vector<ExprPtr> args, ValueType type)
-      : Expr(Kind::kCall, type), name_(std::move(name)), args_(std::move(args)) {}
+  CallExpr(const ScalarFunction* fn, std::vector<ExprPtr> args, ValueType type);
 
-  const std::string& name() const { return name_; }
+  const ScalarFunction& function() const { return *fn_; }
   const std::vector<ExprPtr>& args() const { return args_; }
 
   Value Eval(const Row& row, const EvalContext& ctx) const override;
@@ -264,7 +264,7 @@ class CallExpr final : public Expr {
   std::string ToString() const override;
 
  private:
-  std::string name_;
+  const ScalarFunction* fn_;
   std::vector<ExprPtr> args_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/function_registry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/aggregate.h"
@@ -9,37 +10,48 @@ namespace iolap {
 
 namespace {
 
-ValueType DoubleType(const std::vector<ValueType>&) {
-  return ValueType::kDouble;
-}
-ValueType Int64Type(const std::vector<ValueType>&) { return ValueType::kInt64; }
-ValueType StringType(const std::vector<ValueType>&) {
-  return ValueType::kString;
-}
-ValueType FirstArgType(const std::vector<ValueType>& args) {
-  return args.empty() ? ValueType::kNull : args[0];
+// The boxed call of a numeric function: unbox the arguments, run the one
+// numeric body, box its result. Few-argument calls unbox on the stack, so
+// the interpreter pays no allocation beyond its own argument vector.
+ScalarFunction::BoxedBody BoxedFromNumeric(ScalarFunction::NumericBody body) {
+  return [body = std::move(body)](const Value* args, size_t n) -> Value {
+    constexpr size_t kInline = 4;
+    NumericValue inline_args[kInline];
+    std::vector<NumericValue> heap_args;
+    NumericValue* unboxed = inline_args;
+    if (n > kInline) {
+      heap_args.resize(n);
+      unboxed = heap_args.data();
+    }
+    for (size_t i = 0; i < n; ++i) unboxed[i] = NumericValue::Of(args[i]);
+    return body(unboxed, n).ToValue();
+  };
 }
 
-bool AnyNull(const std::vector<Value>& args) {
-  return std::any_of(args.begin(), args.end(),
-                     [](const Value& v) { return v.is_null(); });
-}
-
-bool AnyNullNum(const NumericValue* args, size_t n) {
+// The polymorphic built-ins: one body each, instantiated for Value (the
+// boxed call) and NumericValue (the numeric call).
+template <bool kGreatest, typename V>
+V Extreme(const V* args, size_t n) {
+  V best = V::Null();
   for (size_t i = 0; i < n; ++i) {
-    if (args[i].is_null()) return true;
+    if (args[i].is_null()) continue;
+    const int cmp = best.is_null() ? 0 : args[i].Compare(best);
+    if (best.is_null() || (kGreatest ? cmp > 0 : cmp < 0)) best = args[i];
   }
-  return false;
+  return best;
 }
 
-// Value::Compare restricted to numerics (both operands numeric or NULL-free
-// here): compares through AsDouble, exactly like the boxed path.
-int CompareNum(const NumericValue& a, const NumericValue& b) {
-  const double x = a.AsDouble();
-  const double y = b.AsDouble();
-  if (x < y) return -1;
-  if (x > y) return 1;
-  return 0;
+template <typename V>
+V If(const V* args, size_t) {
+  return args[0].IsTruthy() ? args[1] : args[2];
+}
+
+template <typename V>
+V Coalesce(const V* args, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!args[i].is_null()) return args[i];
+  }
+  return V::Null();
 }
 
 // ------------------------------- built-in smooth UDAF implementations
@@ -144,7 +156,43 @@ class SmoothUdaf final : public AggFunction {
 
 }  // namespace
 
+NumericValue NumericMod(const NumericValue& a, const NumericValue& b) {
+  // Both operands go through AsDouble, as in all other arithmetic; the
+  // range test also rejects NaN and ±inf. [-2^63, 2^63) is exactly the
+  // doubles whose truncation fits int64.
+  const double x = a.AsDouble();
+  const double y = b.AsDouble();
+  auto fits = [](double d) { return d >= -0x1p63 && d < 0x1p63; };
+  if (a.is_null() || b.is_null() || !fits(x) || !fits(y)) {
+    return NumericValue::Null();
+  }
+  const int64_t divisor = static_cast<int64_t>(y);
+  if (divisor == 0) return NumericValue::Null();
+  if (divisor == -1) return NumericValue::Int(0);
+  return NumericValue::Int(static_cast<int64_t>(x) % divisor);
+}
+
+bool Signature::Accepts(size_t i, ValueType type) const {
+  switch (i < params.size() ? params[i] : *variadic) {
+    case ParamKind::kNumeric:
+      return type != ValueType::kString;
+    case ParamKind::kString:
+      return type == ValueType::kString || type == ValueType::kNull;
+    default:
+      return true;
+  }
+}
+
+ValueType Signature::ResultType(const std::vector<ValueType>& arg_types) const {
+  if (result_arg < 0) return result;
+  return static_cast<size_t>(result_arg) < arg_types.size()
+             ? arg_types[result_arg]
+             : ValueType::kNull;
+}
+
 void FunctionRegistry::RegisterScalar(ScalarFunction fn) {
+  assert(fn.numeric != nullptr || fn.boxed != nullptr);
+  if (fn.boxed == nullptr) fn.boxed = BoxedFromNumeric(fn.numeric);
   scalars_[fn.name] = std::move(fn);
 }
 
@@ -171,194 +219,128 @@ Result<std::shared_ptr<const AggFunction>> FunctionRegistry::FindAggregate(
   return it->second;
 }
 
-bool FunctionRegistry::HasScalar(const std::string& name) const {
-  return scalars_.count(name) > 0;
-}
-
 bool FunctionRegistry::HasAggregate(const std::string& name) const {
   return aggregates_.count(name) > 0;
 }
 
 std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
   auto registry = std::make_shared<FunctionRegistry>();
+  const ParamKind kNum = ParamKind::kNumeric;
+  const ParamKind kStr = ParamKind::kString;
+  const ParamKind kAny = ParamKind::kAny;
 
   auto unary_math = [&](const std::string& name, double (*fn)(double),
                         bool monotone) {
     registry->RegisterScalar(
-        {name, 1, DoubleType,
-         [fn](const std::vector<Value>& args) -> Value {
-           if (AnyNull(args)) return Value::Null();
-           return Value::Double(fn(args[0].AsDouble()));
-         },
-         monotone,
-         [fn](const NumericValue* args, size_t n) -> NumericValue {
-           if (AnyNullNum(args, n)) return NumericValue::Null();
+        {.name = name,
+         .signature = {.params = {kNum}, .result = ValueType::kDouble},
+         .monotone = monotone,
+         .numeric = [fn](const NumericValue* args, size_t) {
+           if (args[0].is_null()) return NumericValue::Null();
            return NumericValue::Dbl(fn(args[0].AsDouble()));
          }});
   };
   unary_math("abs", [](double x) { return std::fabs(x); }, false);
   unary_math("sqrt", [](double x) { return x < 0 ? 0.0 : std::sqrt(x); }, true);
-  unary_math("log", [](double x) { return x <= 0 ? 0.0 : std::log(x); }, true);
+  // Not monotone: x <= 0 reads as 0.0, above log(x) for x in (0, 1).
+  unary_math("log", [](double x) { return x <= 0 ? 0.0 : std::log(x); }, false);
   unary_math("exp", [](double x) { return std::exp(x); }, true);
   unary_math("floor", [](double x) { return std::floor(x); }, true);
   unary_math("ceil", [](double x) { return std::ceil(x); }, true);
   unary_math("round", [](double x) { return std::round(x); }, true);
 
   registry->RegisterScalar(
-      {"pow", 2, DoubleType,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args)) return Value::Null();
-         return Value::Double(std::pow(args[0].AsDouble(), args[1].AsDouble()));
-       },
-       false,
-       [](const NumericValue* args, size_t n) -> NumericValue {
-         if (AnyNullNum(args, n)) return NumericValue::Null();
-         return NumericValue::Dbl(std::pow(args[0].AsDouble(),
-                                           args[1].AsDouble()));
+      {.name = "pow",
+       .signature = {.params = {kNum, kNum}, .result = ValueType::kDouble},
+       .numeric = [](const NumericValue* args, size_t) {
+         if (args[0].is_null() || args[1].is_null()) {
+           return NumericValue::Null();
+         }
+         return NumericValue::Dbl(
+             std::pow(args[0].AsDouble(), args[1].AsDouble()));
        }});
   registry->RegisterScalar(
-      {"mod", 2, Int64Type,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args)) return Value::Null();
-         const int64_t d = static_cast<int64_t>(args[1].AsDouble());
-         if (d == 0) return Value::Null();
-         return Value::Int64(static_cast<int64_t>(args[0].AsDouble()) % d);
-       },
-       false,
-       [](const NumericValue* args, size_t n) -> NumericValue {
-         if (AnyNullNum(args, n)) return NumericValue::Null();
-         const int64_t d = static_cast<int64_t>(args[1].AsDouble());
-         if (d == 0) return NumericValue::Null();
-         return NumericValue::Int(static_cast<int64_t>(args[0].AsDouble()) % d);
+      {.name = "mod",
+       .signature = {.params = {kNum, kNum}, .result = ValueType::kInt64},
+       .numeric = [](const NumericValue* args, size_t) {
+         return NumericMod(args[0], args[1]);
        }});
+
+  // Result type: that of the first argument (if: of the THEN branch).
+  const Signature any_variadic = {.variadic = kAny, .result_arg = 0};
+  registry->RegisterScalar({.name = "least",
+                            .signature = any_variadic,
+                            .numeric = Extreme<false, NumericValue>,
+                            .boxed = Extreme<false, Value>});
+  registry->RegisterScalar({.name = "greatest",
+                            .signature = any_variadic,
+                            .numeric = Extreme<true, NumericValue>,
+                            .boxed = Extreme<true, Value>});
+  registry->RegisterScalar({.name = "coalesce",
+                            .signature = any_variadic,
+                            .numeric = Coalesce<NumericValue>,
+                            .boxed = Coalesce<Value>});
   registry->RegisterScalar(
-      {"least", -1, FirstArgType,
-       [](const std::vector<Value>& args) -> Value {
-         Value best;
-         for (const Value& v : args) {
-           if (v.is_null()) continue;
-           if (best.is_null() || v.Compare(best) < 0) best = v;
-         }
-         return best;
-       },
-       false,
-       [](const NumericValue* args, size_t n) -> NumericValue {
-         NumericValue best;
-         for (size_t i = 0; i < n; ++i) {
-           if (args[i].is_null()) continue;
-           if (best.is_null() || CompareNum(args[i], best) < 0) best = args[i];
-         }
-         return best;
-       }});
+      {.name = "if",
+       .signature = {.params = {kAny, kAny, kAny}, .result_arg = 1},
+       .numeric = If<NumericValue>,
+       .boxed = If<Value>});
+
+  // String functions. A NULL-typed argument can still carry a number at run
+  // time (coalesce(NULL, 5)); the bodies read it as NULL.
   registry->RegisterScalar(
-      {"greatest", -1, FirstArgType,
-       [](const std::vector<Value>& args) -> Value {
-         Value best;
-         for (const Value& v : args) {
-           if (v.is_null()) continue;
-           if (best.is_null() || v.Compare(best) > 0) best = v;
-         }
-         return best;
-       },
-       false,
-       [](const NumericValue* args, size_t n) -> NumericValue {
-         NumericValue best;
-         for (size_t i = 0; i < n; ++i) {
-           if (args[i].is_null()) continue;
-           if (best.is_null() || CompareNum(args[i], best) > 0) best = args[i];
-         }
-         return best;
-       }});
-  registry->RegisterScalar(
-      {"if", 3,
-       [](const std::vector<ValueType>& args) {
-         return args.size() == 3 ? args[1] : ValueType::kNull;
-       },
-       [](const std::vector<Value>& args) -> Value {
-         return args[0].IsTruthy() ? args[1] : args[2];
-       },
-       false,
-       [](const NumericValue* args, size_t) -> NumericValue {
-         return args[0].IsTruthy() ? args[1] : args[2];
-       }});
-  registry->RegisterScalar(
-      {"coalesce", -1, FirstArgType,
-       [](const std::vector<Value>& args) -> Value {
-         for (const Value& v : args) {
-           if (!v.is_null()) return v;
-         }
-         return Value::Null();
-       },
-       false,
-       [](const NumericValue* args, size_t n) -> NumericValue {
-         for (size_t i = 0; i < n; ++i) {
-           if (!args[i].is_null()) return args[i];
-         }
-         return NumericValue::Null();
-       }});
-  registry->RegisterScalar(
-      {"length", 1, Int64Type,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args)) return Value::Null();
+      {.name = "length",
+       .signature = {.params = {kStr}, .result = ValueType::kInt64},
+       .boxed = [](const Value* args, size_t) {
          if (args[0].type() != ValueType::kString) return Value::Null();
          return Value::Int64(static_cast<int64_t>(args[0].str().size()));
-       },
-       false,
-       {}});
+       }});
+  auto map_chars = [&](const std::string& name, int (*fn)(int)) {
+    registry->RegisterScalar(
+        {.name = name,
+         .signature = {.params = {kStr}, .result = ValueType::kString},
+         .boxed = [fn](const Value* args, size_t) {
+           if (args[0].type() != ValueType::kString) return Value::Null();
+           std::string s = args[0].str();
+           std::transform(s.begin(), s.end(), s.begin(), fn);
+           return Value::String(std::move(s));
+         }});
+  };
+  map_chars("lower", ::tolower);
+  map_chars("upper", ::toupper);
   registry->RegisterScalar(
-      {"lower", 1, StringType,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args) || args[0].type() != ValueType::kString) {
+      {.name = "substr",
+       .signature = {.params = {kStr, kNum, kNum},
+                     .result = ValueType::kString},
+       .boxed = [](const Value* args, size_t) {
+         if (args[0].type() != ValueType::kString || args[1].is_null() ||
+             args[2].is_null()) {
            return Value::Null();
          }
-         std::string s = args[0].str();
-         std::transform(s.begin(), s.end(), s.begin(), ::tolower);
-         return Value::String(std::move(s));
-       },
-       false,
-       {}});
-  registry->RegisterScalar(
-      {"upper", 1, StringType,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args) || args[0].type() != ValueType::kString) {
-           return Value::Null();
-         }
-         std::string s = args[0].str();
-         std::transform(s.begin(), s.end(), s.begin(), ::toupper);
-         return Value::String(std::move(s));
-       },
-       false,
-       {}});
-  registry->RegisterScalar(
-      {"substr", 3, StringType,
-       [](const std::vector<Value>& args) -> Value {
-         if (AnyNull(args) || args[0].type() != ValueType::kString) {
-           return Value::Null();
-         }
+         // SQL-style 1-based start; a start before the string reads from its
+         // beginning. Positions stay doubles until clamped to the string, so
+         // extreme ones cannot overflow.
          const std::string& s = args[0].str();
-         // SQL-style 1-based start.
-         int64_t start = static_cast<int64_t>(args[1].AsDouble()) - 1;
-         int64_t len = static_cast<int64_t>(args[2].AsDouble());
-         if (start < 0) start = 0;
-         if (start >= static_cast<int64_t>(s.size()) || len <= 0) {
-           return Value::String("");
-         }
-         return Value::String(s.substr(static_cast<size_t>(start),
-                                       static_cast<size_t>(len)));
-       },
-       false,
-       {}});
+         const double size = static_cast<double>(s.size());
+         const double start =
+             std::clamp(std::trunc(args[1].AsDouble()), 1.0, size + 1) - 1;
+         const double len = std::trunc(args[2].AsDouble());
+         if (std::isnan(start) || std::isnan(len)) return Value::Null();
+         if (start >= size || len <= 0) return Value::String("");
+         return Value::String(
+             s.substr(static_cast<size_t>(start),
+                      static_cast<size_t>(std::min(len, size))));
+       }});
   registry->RegisterScalar(
-      {"concat", -1, StringType,
-       [](const std::vector<Value>& args) -> Value {
+      {.name = "concat",
+       .signature = {.variadic = kAny, .result = ValueType::kString},
+       .boxed = [](const Value* args, size_t n) {
          std::string out;
-         for (const Value& v : args) {
-           if (!v.is_null()) out += v.ToString();
+         for (size_t i = 0; i < n; ++i) {
+           if (!args[i].is_null()) out += args[i].ToString();
          }
          return Value::String(std::move(out));
-       },
-       false,
-       {}});
+       }});
 
   registry->RegisterAggregate(
       "geomean", std::make_shared<SmoothUdaf<GeomeanAccumulator>>("geomean"));

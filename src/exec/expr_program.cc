@@ -10,7 +10,6 @@
 namespace iolap {
 
 using expr_prog::AggSlot;
-using expr_prog::NumReg;
 using expr_prog::StrReg;
 
 namespace {
@@ -36,43 +35,16 @@ bool IsLogicalOp(Expr::BinaryOp op) {
   return op == Expr::BinaryOp::kAnd || op == Expr::BinaryOp::kOr;
 }
 
-// Mirrors Value::IsTruthy over an unboxed register.
-inline bool Truthy(const NumReg& r) {
-  return r.tag == ValueType::kInt64
-             ? r.i != 0
-             : r.tag == ValueType::kDouble && r.f != 0.0;
-}
-
-inline NumReg NumRegOfInt(int64_t v) {
-  return {static_cast<double>(v), v, ValueType::kInt64};
-}
-
-inline NumReg NumRegOfBool(bool v) { return NumRegOfInt(v ? 1 : 0); }
-
-// Loads a Value into a numeric register. Returns false (register set to
-// NULL) when the value is a string, i.e. outside the numeric universe.
-inline bool NumRegFromValue(NumReg* d, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      *d = NumReg{};
-      return true;
-    case ValueType::kInt64:
-      *d = NumRegOfInt(v.int64());
-      return true;
-    case ValueType::kDouble:
-      d->f = v.dbl();
-      d->i = 0;
-      d->tag = ValueType::kDouble;
-      return true;
-    default:
-      *d = NumReg{};
-      return false;
-  }
+// Loads a Value into a numeric register. Returns false (bail) when the
+// value is a string, i.e. outside the numeric register file.
+inline bool LoadNum(NumericValue* d, const Value& v) {
+  *d = NumericValue::Of(v);
+  return v.type() != ValueType::kString;
 }
 
 // Comparison outcome -> 0/1 register, mirroring EvalComparison's mapping of
 // Value::Compare's sign.
-inline NumReg CmpResult(Expr::BinaryOp op, int cmp) {
+inline NumericValue CmpResult(Expr::BinaryOp op, int cmp) {
   bool result = false;
   switch (op) {
     case Expr::BinaryOp::kEq:
@@ -96,7 +68,7 @@ inline NumReg CmpResult(Expr::BinaryOp op, int cmp) {
     default:
       break;
   }
-  return NumRegOfBool(result);
+  return NumericValue::Bool(result);
 }
 
 }  // namespace
@@ -107,11 +79,8 @@ inline NumReg CmpResult(Expr::BinaryOp op, int cmp) {
 /// compiled once per block at plan time).
 class ExprProgramCompiler {
  public:
-  ExprProgramCompiler(const FunctionRegistry* functions,
-                      const std::vector<ExprPtr>* lineage)
-      : functions_(functions),
-        lineage_(lineage),
-        prog_(new ExprProgram()) {}
+  explicit ExprProgramCompiler(const std::vector<ExprPtr>* lineage)
+      : lineage_(lineage), prog_(new ExprProgram()) {}
 
   bool AddRoot(const ExprPtr& root) {
     if (root == nullptr) {
@@ -173,8 +142,8 @@ class ExprProgramCompiler {
   }
 
   // True if `e` is a compile-time constant: no row or aggregate dependence,
-  // and every call resolves (so a one-shot interpreter evaluation is safe).
-  bool Foldable(const Expr& e) const {
+  // so a one-shot interpreter evaluation is its value.
+  static bool Foldable(const Expr& e) {
     switch (e.kind()) {
       case Expr::Kind::kLiteral:
         return true;
@@ -189,13 +158,6 @@ class ExprProgramCompiler {
       }
       case Expr::Kind::kCall: {
         const auto& call = static_cast<const CallExpr&>(e);
-        if (functions_ == nullptr) return false;
-        auto fn = functions_->FindScalar(call.name());
-        if (!fn.ok()) return false;
-        if ((*fn)->arity >= 0 &&
-            static_cast<size_t>((*fn)->arity) != call.args().size()) {
-          return false;
-        }
         for (const auto& arg : call.args()) {
           if (!Foldable(*arg)) return false;
         }
@@ -228,12 +190,11 @@ class ExprProgramCompiler {
       str_literals_.emplace(v.str(), static_cast<uint16_t>(reg));
       return Slot{Operand{static_cast<uint16_t>(reg), true}, true};
     }
-    NumReg r;
-    NumRegFromValue(&r, v);
+    const NumericValue r = NumericValue::Of(v);
     const auto key = std::make_pair(static_cast<int>(r.tag),
                                     r.tag == ValueType::kDouble
-                                        ? BitsOf(r.f)
-                                        : static_cast<uint64_t>(r.i));
+                                        ? BitsOf(r.f64)
+                                        : static_cast<uint64_t>(r.i64));
     auto it = num_literals_.find(key);
     if (it != num_literals_.end()) {
       return Slot{Operand{it->second, false}, true};
@@ -265,9 +226,7 @@ class ExprProgramCompiler {
     // Constant folding: row- and trial-independent subtrees evaluate once
     // at compile time through the interpreter (the oracle by definition).
     if (e.kind() != Expr::Kind::kLiteral && Foldable(e)) {
-      EvalContext ctx;
-      ctx.functions = functions_;
-      return EmitLiteral(e.Eval(Row{}, ctx));
+      return EmitLiteral(e.Eval(Row{}, EvalContext{}));
     }
     switch (e.kind()) {
       case Expr::Kind::kLiteral:
@@ -390,14 +349,10 @@ class ExprProgramCompiler {
     return Slot{Operand{static_cast<uint16_t>(dst), false}, invariant};
   }
 
+  // The binder checked the call against the function's signature; the
+  // numeric form runs whenever every argument lands in a numeric register.
   MaybeSlot CompileCall(const CallExpr& call, int depth) {
-    if (functions_ == nullptr) return Fail();
-    auto fn = functions_->FindScalar(call.name());
-    if (!fn.ok()) return Fail();
-    if ((*fn)->arity >= 0 &&
-        static_cast<size_t>((*fn)->arity) != call.args().size()) {
-      return Fail();
-    }
+    const ScalarFunction* fn = &call.function();
     std::vector<Operand> args;
     args.reserve(call.args().size());
     bool invariant = true;
@@ -413,16 +368,16 @@ class ExprProgramCompiler {
       prog_->max_call_args_ = args.size();
     }
     const uint16_t site = static_cast<uint16_t>(prog_->call_sites_.size());
-    if (all_numeric && (*fn)->numeric_kernel != nullptr) {
+    if (all_numeric && fn->numeric != nullptr) {
       const int dst = NewNum();
       if (failed_) return std::nullopt;
-      prog_->call_sites_.push_back({*fn, std::move(args), 0});
+      prog_->call_sites_.push_back({fn, std::move(args), 0});
       Emit(invariant,
            {Op::kCallNum, 0, static_cast<uint16_t>(dst), 0, 0, site});
       return Slot{Operand{static_cast<uint16_t>(dst), false}, invariant};
     }
-    // Generic call site: box the arguments, call `eval`, unbox the result
-    // into the register kind the static type promises (bail otherwise).
+    // Generic call site: box the arguments, call the boxed form, unbox the
+    // result into the register kind the static type promises (or bail).
     const bool dst_str = StaticallyString(call);
     uint16_t owned = 0;
     if (dst_str) {
@@ -430,7 +385,7 @@ class ExprProgramCompiler {
     }
     const int dst = dst_str ? NewStr() : NewNum();
     if (failed_) return std::nullopt;
-    prog_->call_sites_.push_back({*fn, std::move(args), owned});
+    prog_->call_sites_.push_back({fn, std::move(args), owned});
     Emit(invariant, {Op::kCallGeneric, static_cast<uint8_t>(dst_str),
                      static_cast<uint16_t>(dst), 0, 0, site});
     return Slot{Operand{static_cast<uint16_t>(dst), dst_str}, invariant};
@@ -461,7 +416,6 @@ class ExprProgramCompiler {
     return Slot{Operand{static_cast<uint16_t>(dst), dst_str}, false};
   }
 
-  const FunctionRegistry* functions_;
   const std::vector<ExprPtr>* lineage_;
   std::unique_ptr<ExprProgram> prog_;
   bool failed_ = false;
@@ -478,9 +432,9 @@ class ExprProgramCompiler {
 };
 
 std::unique_ptr<const ExprProgram> ExprProgram::Compile(
-    const std::vector<ExprPtr>& roots, const FunctionRegistry* functions,
+    const std::vector<ExprPtr>& roots,
     const std::vector<ExprPtr>* column_lineage) {
-  ExprProgramCompiler compiler(functions, column_lineage);
+  ExprProgramCompiler compiler(column_lineage);
   for (const ExprPtr& root : roots) {
     if (!compiler.AddRoot(root)) return nullptr;
   }
@@ -492,7 +446,7 @@ ExprProgram::~ExprProgram() = default;
 // ------------------------------------------------------------------ runtime
 
 void ExprProgram::InitState(ExprProgramState* st) const {
-  st->num_.assign(num_regs_, NumReg{});
+  st->num_.assign(num_regs_, NumericValue{});
   st->str_.assign(str_regs_, StrReg{});
   st->keys_.assign(agg_sites_.size(), Row{});
   for (size_t i = 0; i < agg_sites_.size(); ++i) {
@@ -521,19 +475,6 @@ void ExprProgram::InitState(ExprProgramState* st) const {
 
 namespace {
 
-// Boxes a register back into a Value (root results, call arguments, agg
-// keys). The inverse of the load path, so round-trips are bit-identical.
-inline Value BoxNum(const NumReg& r) {
-  switch (r.tag) {
-    case ValueType::kInt64:
-      return Value::Int64(r.i);
-    case ValueType::kDouble:
-      return Value::Double(r.f);
-    default:
-      return Value::Null();
-  }
-}
-
 inline Value BoxStr(const StrReg& r) {
   if (r.null) return Value::Null();
   return Value::String(std::string(r.s));
@@ -550,7 +491,7 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
   for (const Insn& insn : seg) {
     switch (insn.op) {
       case Op::kLoadNum: {
-        if (!NumRegFromValue(&num[insn.dst], row[insn.aux])) st->bail_ = true;
+        if (!LoadNum(&num[insn.dst], row[insn.aux])) st->bail_ = true;
         break;
       }
       case Op::kLoadStr: {
@@ -569,109 +510,86 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
       }
       case Op::kColLineage: {
         if (trial < 0) {
-          if (!NumRegFromValue(&num[insn.dst], row[insn.aux])) {
-            st->bail_ = true;
-          }
+          if (!LoadNum(&num[insn.dst], row[insn.aux])) st->bail_ = true;
         } else {
           num[insn.dst] = num[insn.a];
         }
         break;
       }
       case Op::kNeg: {
-        const NumReg s = num[insn.a];
-        NumReg& d = num[insn.dst];
-        if (s.tag == ValueType::kNull) {
-          d = NumReg{};
+        const NumericValue s = num[insn.a];
+        NumericValue& d = num[insn.dst];
+        if (s.is_null()) {
+          d = NumericValue::Null();
         } else if (s.tag == ValueType::kInt64) {
-          d = NumRegOfInt(-s.i);
+          d = NumericValue::Int(-s.i64);
         } else {
-          d.f = -s.f;
-          d.i = 0;
-          d.tag = ValueType::kDouble;
+          d = NumericValue::Dbl(-s.f64);
         }
         break;
       }
       case Op::kNot: {
-        const NumReg s = num[insn.a];
-        num[insn.dst] =
-            s.tag == ValueType::kNull ? NumReg{} : NumRegOfBool(!Truthy(s));
+        const NumericValue s = num[insn.a];
+        num[insn.dst] = s.is_null() ? NumericValue::Null()
+                                    : NumericValue::Bool(!s.IsTruthy());
         break;
       }
       case Op::kArith: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
+        const NumericValue& l = num[insn.a];
+        const NumericValue& r = num[insn.b];
+        NumericValue& d = num[insn.dst];
+        if (l.is_null() || r.is_null()) {
+          d = NumericValue::Null();
           break;
         }
-        // Like EvalArith: all arithmetic runs in double (AsDouble == .f),
+        // Like EvalArith: all arithmetic runs in double (AsDouble == .f64),
         // with the statically-int result truncated back.
         double result = 0.0;
         switch (static_cast<Expr::BinaryOp>(insn.sub)) {
           case Expr::BinaryOp::kAdd:
-            result = l.f + r.f;
+            result = l.f64 + r.f64;
             break;
           case Expr::BinaryOp::kSub:
-            result = l.f - r.f;
+            result = l.f64 - r.f64;
             break;
           case Expr::BinaryOp::kMul:
-            result = l.f * r.f;
+            result = l.f64 * r.f64;
             break;
           case Expr::BinaryOp::kDiv:
-            if (r.f == 0.0) {
-              d = NumReg{};
+            if (r.f64 == 0.0) {
+              d = NumericValue::Null();
               continue;
             }
-            result = l.f / r.f;
+            result = l.f64 / r.f64;
             break;
           default:
-            d = NumReg{};
+            d = NumericValue::Null();
             continue;
         }
-        if (insn.aux != 0) {
-          d = NumRegOfInt(static_cast<int64_t>(result));
-        } else {
-          d.f = result;
-          d.i = 0;
-          d.tag = ValueType::kDouble;
-        }
+        d = insn.aux != 0 ? NumericValue::Int(static_cast<int64_t>(result))
+                          : NumericValue::Dbl(result);
         break;
       }
-      case Op::kMod: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
-          break;
-        }
-        const int64_t denom = static_cast<int64_t>(r.f);
-        if (denom == 0) {
-          d = NumReg{};
-          break;
-        }
-        d = NumRegOfInt(static_cast<int64_t>(l.f) % denom);
+      case Op::kMod:
+        num[insn.dst] = NumericMod(num[insn.a], num[insn.b]);
         break;
-      }
       case Op::kCmpNum: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        if (l.tag == ValueType::kNull || r.tag == ValueType::kNull) {
-          d = NumReg{};
+        const NumericValue& l = num[insn.a];
+        const NumericValue& r = num[insn.b];
+        NumericValue& d = num[insn.dst];
+        if (l.is_null() || r.is_null()) {
+          d = NumericValue::Null();
           break;
         }
-        const int cmp = l.f < r.f ? -1 : l.f > r.f ? 1 : 0;
-        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), cmp);
+        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), l.Compare(r));
         break;
       }
       case Op::kCmpStr: {
         const StrReg& l = str[insn.a];
         const StrReg& r = str[insn.b];
-        NumReg& d = num[insn.dst];
+        NumericValue& d = num[insn.dst];
         if (l.null || r.null) {
-          d = NumReg{};
+          d = NumericValue::Null();
           break;
         }
         const int cmp = l.s.compare(r.s);
@@ -679,32 +597,32 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
         break;
       }
       case Op::kLogic: {
-        const NumReg& l = num[insn.a];
-        const NumReg& r = num[insn.b];
-        NumReg& d = num[insn.dst];
-        const bool ln = l.tag == ValueType::kNull;
-        const bool rn = r.tag == ValueType::kNull;
-        const bool lt = Truthy(l);
-        const bool rt = Truthy(r);
+        const NumericValue& l = num[insn.a];
+        const NumericValue& r = num[insn.b];
+        NumericValue& d = num[insn.dst];
+        const bool ln = l.is_null();
+        const bool rn = r.is_null();
+        const bool lt = l.IsTruthy();
+        const bool rt = r.IsTruthy();
         if (static_cast<Expr::BinaryOp>(insn.sub) == Expr::BinaryOp::kAnd) {
           if (!ln && !lt) {
-            d = NumRegOfBool(false);
+            d = NumericValue::Bool(false);
           } else if (!rn && !rt) {
-            d = NumRegOfBool(false);
+            d = NumericValue::Bool(false);
           } else if (ln || rn) {
-            d = NumReg{};
+            d = NumericValue::Null();
           } else {
-            d = NumRegOfBool(true);
+            d = NumericValue::Bool(true);
           }
         } else {
           if (!ln && lt) {
-            d = NumRegOfBool(true);
+            d = NumericValue::Bool(true);
           } else if (!rn && rt) {
-            d = NumRegOfBool(true);
+            d = NumericValue::Bool(true);
           } else if (ln || rn) {
-            d = NumReg{};
+            d = NumericValue::Null();
           } else {
-            d = NumRegOfBool(false);
+            d = NumericValue::Bool(false);
           }
         }
         break;
@@ -712,12 +630,10 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
       case Op::kCallNum: {
         const CallSite& site = call_sites_[insn.aux];
         for (size_t i = 0; i < site.args.size(); ++i) {
-          const NumReg& r = num[site.args[i].reg];
-          st->num_args_[i] = NumericValue{r.f, r.i, r.tag};
+          st->num_args_[i] = num[site.args[i].reg];
         }
-        const NumericValue res =
-            site.fn->numeric_kernel(st->num_args_.data(), site.args.size());
-        num[insn.dst] = NumReg{res.f64, res.i64, res.tag};
+        num[insn.dst] =
+            site.fn->numeric(st->num_args_.data(), site.args.size());
         break;
       }
       case Op::kCallGeneric: {
@@ -725,9 +641,9 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
         st->val_args_.clear();
         for (const Operand& arg : site.args) {
           st->val_args_.push_back(arg.is_str ? BoxStr(str[arg.reg])
-                                             : BoxNum(num[arg.reg]));
+                                             : num[arg.reg].ToValue());
         }
-        Value res = site.fn->eval(st->val_args_);
+        Value res = site.fn->boxed(st->val_args_.data(), st->val_args_.size());
         if (insn.sub != 0) {
           StrReg& d = str[insn.dst];
           if (res.is_null()) {
@@ -741,7 +657,7 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
             d = StrReg{};
             st->bail_ = true;
           }
-        } else if (!NumRegFromValue(&num[insn.dst], res)) {
+        } else if (!LoadNum(&num[insn.dst], res)) {
           st->bail_ = true;
         }
         break;
@@ -752,7 +668,7 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
         Row& key = st->keys_[insn.aux];
         key.clear();
         for (const Operand& k : site.key_regs) {
-          key.push_back(k.is_str ? BoxStr(str[k.reg]) : BoxNum(num[k.reg]));
+          key.push_back(k.is_str ? BoxStr(str[k.reg]) : num[k.reg].ToValue());
         }
         AggSlot& slot = st->aggs_[insn.aux];
         slot.main = resolver->Lookup(site.block_id, site.col, key);
@@ -766,7 +682,7 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
       case Op::kReadAggNum: {
         const AggSlot& slot = st->aggs_[insn.aux];
         const Value& v = trial < 0 ? slot.main : slot.trials[trial];
-        if (!NumRegFromValue(&num[insn.dst], v)) st->bail_ = true;
+        if (!LoadNum(&num[insn.dst], v)) st->bail_ = true;
         break;
       }
       case Op::kReadAggStr: {
@@ -831,13 +747,13 @@ bool ExprProgram::RootTruthy(const ExprProgramState& st, size_t r) const {
   const Root& root = roots_[r];
   // Strings (and NULL) are never truthy — mirrors Value::IsTruthy.
   if (root.out.is_str) return false;
-  return Truthy(st.num_[root.out.reg]);
+  return st.num_[root.out.reg].IsTruthy();
 }
 
 Value ExprProgram::RootValue(const ExprProgramState& st, size_t r) const {
   const Root& root = roots_[r];
   return root.out.is_str ? BoxStr(st.str_[root.out.reg])
-                         : BoxNum(st.num_[root.out.reg]);
+                         : st.num_[root.out.reg].ToValue();
 }
 
 bool ExprProgram::root_trial_invariant(size_t r) const {
@@ -909,10 +825,10 @@ std::string ExprProgram::ToString() const {
       out += " n" + std::to_string(reg) + "=";
       switch (value.tag) {
         case ValueType::kInt64:
-          out += "i:" + std::to_string(value.i);
+          out += "i:" + std::to_string(value.i64);
           break;
         case ValueType::kDouble:
-          out += "d:" + std::to_string(value.f);
+          out += "d:" + std::to_string(value.f64);
           break;
         default:
           out += "null";

@@ -30,8 +30,8 @@ namespace iolap {
 //
 // Compilation is conservative: trees the compiler cannot prove it evaluates
 // bit-identically to Expr::Eval (statically mixed string/numeric operands,
-// trial-variant aggregate keys, unknown functions, ...) refuse to compile
-// and Compile() returns nullptr — callers keep the interpreter. Runtime
+// trial-variant aggregate keys, ...) refuse to compile and Compile()
+// returns nullptr — callers keep the interpreter. Runtime
 // surprises (a statically-numeric column holding a string, a generic call
 // returning a type its static kind does not cover) set a sticky bail flag;
 // the caller re-evaluates the whole row with the interpreter, so the
@@ -42,15 +42,6 @@ namespace iolap {
 // ExprProgramState.
 
 namespace expr_prog {
-
-/// A numeric register: int64/double payload plus runtime tag. Invariant:
-/// when tag == kInt64, `f == double(i)` (so Value::AsDouble() is the plain
-/// load of `f` regardless of tag).
-struct NumReg {
-  double f = 0.0;
-  int64_t i = 0;
-  ValueType tag = ValueType::kNull;
-};
 
 /// A string register: a view into the source row, the program's literal
 /// pool, or a state-owned result slot — plus a null bit.
@@ -85,7 +76,7 @@ class ExprProgramState {
  private:
   friend class ExprProgram;
 
-  std::vector<expr_prog::NumReg> num_;
+  std::vector<NumericValue> num_;
   std::vector<expr_prog::StrReg> str_;
   /// Reused key rows, one per AggLookup site.
   std::vector<Row> keys_;
@@ -111,7 +102,7 @@ class ExprProgram {
   /// Returns nullptr if any root contains a construct the compiler does not
   /// cover bit-identically — the caller keeps the interpreter.
   static std::unique_ptr<const ExprProgram> Compile(
-      const std::vector<ExprPtr>& roots, const FunctionRegistry* functions,
+      const std::vector<ExprPtr>& roots,
       const std::vector<ExprPtr>* column_lineage);
 
   ~ExprProgram();
@@ -196,12 +187,12 @@ class ExprProgram {
     kNeg,         // dst.num = -num[a] (runtime-typed, like UnaryExpr)
     kNot,         // dst.num = 3VL NOT num[a]
     kArith,       // dst.num = num[a] <sub> num[b]; aux = int64-output flag
-    kMod,         // dst.num = int64 modulo (EvalArith kMod semantics)
+    kMod,         // dst.num = NumericMod(num[a], num[b])
     kCmpNum,      // dst.num = num[a] <sub> num[b] as 0/1/NULL
     kCmpStr,      // dst.num = str[a] <sub> str[b] as 0/1/NULL
     kLogic,       // dst.num = 3VL AND/OR of num[a], num[b]
-    kCallNum,     // dst.num = typed kernel of call_sites_[aux]
-    kCallGeneric, // dst = boxed eval of call_sites_[aux]; bail on kind clash
+    kCallNum,     // dst.num = numeric form of call_sites_[aux]
+    kCallGeneric, // dst = boxed form of call_sites_[aux]; bail on kind clash
     kProbeAgg,    // gather keys, Lookup + LookupTrials into aggs_[aux]
     kReadAggNum,  // dst.num = agg slot value for this trial; bail on string
     kReadAggStr,  // dst.str = agg slot value for this trial; bail on numeric
@@ -253,7 +244,7 @@ class ExprProgram {
   std::vector<AggSite> agg_sites_;
   std::vector<Root> roots_;
   /// Literal constants, materialized into fresh states by InitState.
-  std::vector<std::pair<uint16_t, expr_prog::NumReg>> const_num_;
+  std::vector<std::pair<uint16_t, NumericValue>> const_num_;
   /// String literals: (register, index into const_str_pool_).
   std::vector<std::pair<uint16_t, uint32_t>> const_str_;
   std::vector<std::string> const_str_pool_;

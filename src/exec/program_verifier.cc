@@ -106,10 +106,10 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
              res;
     }
     if (value.tag == ValueType::kInt64 &&
-        value.f != static_cast<double>(value.i)) {
+        value.f64 != static_cast<double>(value.i64)) {
       return fail(kNullTag,
                   "int constant n" + std::to_string(reg) +
-                      " violates the NumReg invariant f == double(i)"),
+                      " violates the invariant f64 == double(i64)"),
              res;
     }
     num_def[reg] = Def::kConst;
@@ -293,37 +293,7 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
           if (!def_num(insn.dst, level)) return false;
           break;
         }
-        case Op::kCallNum: {
-          if (insn.aux >= p.call_sites_.size()) {
-            return fail(kAuxBounds, at + ": call site " +
-                                        std::to_string(insn.aux) +
-                                        " out of bounds");
-          }
-          const auto& site = p.call_sites_[insn.aux];
-          if (site.fn == nullptr || !site.fn->numeric_kernel) {
-            return fail(kRegisterKind,
-                        at + ": call site " + std::to_string(insn.aux) +
-                            " has no numeric kernel");
-          }
-          if (site.args.size() > p.max_call_args_) {
-            return fail(kAuxBounds,
-                        at + ": " + std::to_string(site.args.size()) +
-                            " args overflow the num_args_ scratch (" +
-                            std::to_string(p.max_call_args_) + ")");
-          }
-          for (const Operand& arg : site.args) {
-            if (arg.is_str) {
-              return fail(kRegisterKind,
-                          at + ": string argument s" +
-                              std::to_string(arg.reg) +
-                              " into a numeric kernel");
-            }
-            if (!use_num(arg.reg)) return false;
-          }
-          max_args_seen = std::max(max_args_seen, site.args.size());
-          if (!def_num(insn.dst, level)) return false;
-          break;
-        }
+        case Op::kCallNum:
         case Op::kCallGeneric: {
           if (insn.aux >= p.call_sites_.size()) {
             return fail(kAuxBounds, at + ": call site " +
@@ -331,15 +301,29 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
                                         " out of bounds");
           }
           const auto& site = p.call_sites_[insn.aux];
-          if (site.fn == nullptr || !site.fn->eval) {
-            return fail(kRegisterKind, at + ": call site " +
-                                           std::to_string(insn.aux) +
-                                           " has no implementation");
-          }
-          if (insn.sub > 1) {
+          const bool numeric_form = insn.op == Op::kCallNum;
+          if (!numeric_form && insn.sub > 1) {
             return fail(kRegisterKind, at + ": static-kind discriminant " +
                                            std::to_string(insn.sub) +
                                            " is not 0/1");
+          }
+          // The function's signature decides what the call may pass: an
+          // arity it admits, and no string register into the numeric form
+          // or into a numeric parameter of the boxed form.
+          if (site.fn == nullptr ||
+              (numeric_form ? site.fn->numeric == nullptr
+                            : site.fn->boxed == nullptr)) {
+            return fail(kRegisterKind,
+                        at + ": call site " + std::to_string(insn.aux) +
+                            " has no " + (numeric_form ? "numeric" : "boxed") +
+                            " form");
+          }
+          const Signature& sig = site.fn->signature;
+          if (!sig.AcceptsArity(site.args.size())) {
+            return fail(kRegisterKind,
+                        at + ": " + std::to_string(site.args.size()) +
+                            " args do not fit the signature of " +
+                            site.fn->name);
           }
           if (site.args.size() > p.max_call_args_) {
             return fail(kAuxBounds,
@@ -347,34 +331,41 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
                             " args exceed max_call_args_ (" +
                             std::to_string(p.max_call_args_) + ")");
           }
-          for (const Operand& arg : site.args) {
+          for (size_t a = 0; a < site.args.size(); ++a) {
+            const Operand& arg = site.args[a];
+            if (arg.is_str &&
+                (numeric_form || !sig.Accepts(a, ValueType::kString))) {
+              return fail(kRegisterKind,
+                          at + ": string argument s" +
+                              std::to_string(arg.reg) + " into a numeric " +
+                              (numeric_form ? "form" : "parameter"));
+            }
             if (arg.is_str ? !use_str(arg.reg) : !use_num(arg.reg)) {
               return false;
             }
           }
           max_args_seen = std::max(max_args_seen, site.args.size());
-          if (insn.sub != 0) {
-            if (site.owned_slot >= p.owned_slots_) {
-              return fail(kAuxBounds, at + ": owned_slot " +
-                                          std::to_string(site.owned_slot) +
-                                          " >= owned_slots_ " +
-                                          std::to_string(p.owned_slots_));
-            }
-            int& owner = owned_owner[site.owned_slot];
-            if (owner >= 0 && owner != static_cast<int>(insn.aux)) {
-              return fail(kRegisterFile,
-                          at + ": owned slot " +
-                              std::to_string(site.owned_slot) +
-                              " shared by call sites " +
-                              std::to_string(owner) + " and " +
-                              std::to_string(insn.aux) +
-                              " (aliased string storage)");
-            }
-            owner = static_cast<int>(insn.aux);
-            if (!def_str(insn.dst, level)) return false;
-          } else {
+          if (numeric_form || insn.sub == 0) {
             if (!def_num(insn.dst, level)) return false;
+            break;
           }
+          if (site.owned_slot >= p.owned_slots_) {
+            return fail(kAuxBounds, at + ": owned_slot " +
+                                        std::to_string(site.owned_slot) +
+                                        " >= owned_slots_ " +
+                                        std::to_string(p.owned_slots_));
+          }
+          int& owner = owned_owner[site.owned_slot];
+          if (owner >= 0 && owner != static_cast<int>(insn.aux)) {
+            return fail(kRegisterFile,
+                        at + ": owned slot " +
+                            std::to_string(site.owned_slot) +
+                            " shared by call sites " + std::to_string(owner) +
+                            " and " + std::to_string(insn.aux) +
+                            " (aliased string storage)");
+          }
+          owner = static_cast<int>(insn.aux);
+          if (!def_str(insn.dst, level)) return false;
           break;
         }
         case Op::kProbeAgg: {
@@ -517,9 +508,9 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
 }
 
 std::unique_ptr<const ExprProgram> CompileVerified(
-    const std::vector<ExprPtr>& roots, const FunctionRegistry* functions,
+    const std::vector<ExprPtr>& roots,
     const std::vector<ExprPtr>* column_lineage, ProgramVerifierStats* stats) {
-  auto program = ExprProgram::Compile(roots, functions, column_lineage);
+  auto program = ExprProgram::Compile(roots, column_lineage);
   if (program == nullptr) {
     // The compiler kept the interpreter on its own — not a verifier event.
     if (stats != nullptr) ++stats->refused;

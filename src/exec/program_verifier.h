@@ -42,16 +42,19 @@ namespace iolap {
 //                    rejected, because states are reused across rows and
 //                    trials and a clobber leaks values between runs.
 //   register-kind    operands live in the file (num/str) their opcode
-//                    reads; call arguments match the kernel's typing
-//                    (kCallNum takes numeric registers only and requires a
-//                    numeric_kernel); generic calls write the file their
-//                    static-kind discriminant claims.
+//                    reads. Call sites read the function's Signature: the
+//                    call passes an arity it admits; kCallNum needs a
+//                    numeric form and takes numeric registers only;
+//                    kCallGeneric never passes a string register to a
+//                    numeric parameter and writes the file its static-kind
+//                    discriminant claims.
 //   null-tag         the 3VL lattice is respected: kLogic's sub is AND/OR,
 //                    kCmpNum/kCmpStr's sub is one of the six comparisons,
 //                    kArith's sub is +,-,*,/ and its int-output flag is
 //                    0/1; numeric constants carry a numeric tag (never
-//                    kString) and int-tagged constants satisfy the NumReg
-//                    invariant f == double(i) that AsDouble() relies on.
+//                    kString) and int-tagged constants satisfy the
+//                    NumericValue invariant f64 == double(i64) that
+//                    AsDouble() relies on.
 //   aux-bounds       every aux index lands inside call_sites_ / agg_sites_
 //                    / the const pools; every register index is below the
 //                    claimed file size; owned_slot is below owned_slots_;
@@ -121,7 +124,7 @@ struct ProgramVerifierStats {
 /// (may be null). The verifier-bypass lint rule flags direct
 /// ExprProgram::Compile calls outside this seam.
 std::unique_ptr<const ExprProgram> CompileVerified(
-    const std::vector<ExprPtr>& roots, const FunctionRegistry* functions,
+    const std::vector<ExprPtr>& roots,
     const std::vector<ExprPtr>* column_lineage, ProgramVerifierStats* stats);
 
 }  // namespace iolap

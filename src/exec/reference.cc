@@ -63,7 +63,6 @@ Result<Table> EvaluateReference(const QueryPlan& plan, const Catalog& catalog,
                                 double scale) {
   ExactResolver resolver;
   EvalContext ctx;
-  ctx.functions = plan.functions.get();
   ctx.resolver = &resolver;
 
   std::vector<Table> block_outputs(plan.blocks.size());

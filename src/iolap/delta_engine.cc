@@ -88,14 +88,13 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     arg_root_base_ = static_cast<int>(roots.size());
     for (const AggSpec& agg : block_->aggs) roots.push_back(agg.arg);
     if (!roots.empty()) {
-      row_program_ = CompileVerified(roots, plan->functions.get(),
-                                     &ann_->spj_lineage, &verifier_stats_);
+      row_program_ =
+          CompileVerified(roots, &ann_->spj_lineage, &verifier_stats_);
       drop_if_plan_mismatch(&row_program_, ProgramRole::kRowProgram);
     }
     if (!block_->has_aggregate() && !block_->projections.empty()) {
-      proj_program_ =
-          CompileVerified(block_->projections, plan->functions.get(),
-                          &ann_->spj_lineage, &verifier_stats_);
+      proj_program_ = CompileVerified(block_->projections,
+                                      &ann_->spj_lineage, &verifier_stats_);
       drop_if_plan_mismatch(&proj_program_, ProgramRole::kProjection);
     }
   }
@@ -110,7 +109,6 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
 
 EvalContext BlockExecutor::MainContext() const {
   EvalContext ctx;
-  ctx.functions = plan_->functions.get();
   ctx.resolver = registry_;
   ctx.column_lineage = &ann_->spj_lineage;
   ctx.trial = -1;

@@ -85,6 +85,17 @@ class Session {
   Result<std::unique_ptr<IncrementalQuery>> FromPlan(QueryPlan plan);
 
   /// The registry new queries compile against; register UDFs/UDAFs here.
+  /// A numeric UDF needs only its signature and a body over NumericValue;
+  /// the boxed call is derived from it:
+  ///
+  ///   session.functions()->RegisterScalar(
+  ///       {.name = "double_it",
+  ///        .signature = {.params = {ParamKind::kNumeric},
+  ///                      .result = ValueType::kDouble},
+  ///        .numeric = [](const NumericValue* args, size_t) {
+  ///          if (args[0].is_null()) return NumericValue::Null();
+  ///          return NumericValue::Dbl(2.0 * args[0].AsDouble());
+  ///        }});
   const std::shared_ptr<FunctionRegistry>& functions() { return functions_; }
 
   EngineOptions* mutable_options() { return &options_; }

@@ -107,6 +107,7 @@ struct Presentation {
 /// sink delivers to the user.
 struct QueryPlan {
   std::vector<Block> blocks;
+  /// Owns the scalar functions the plan's CallExprs point to.
   std::shared_ptr<const FunctionRegistry> functions;
   /// Name of the (single) streamed relation; empty if none (fully static
   /// query, executed in one batch).

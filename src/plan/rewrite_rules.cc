@@ -377,7 +377,7 @@ ExprPtr RemapLookupBlocks(const ExprPtr& expr,
       for (const auto& arg : call.args()) {
         args.push_back(RemapLookupBlocks(arg, id_map));
       }
-      return std::make_shared<CallExpr>(call.name(), std::move(args),
+      return std::make_shared<CallExpr>(&call.function(), std::move(args),
                                         call.output_type());
     }
     case Expr::Kind::kAggLookup: {

@@ -271,23 +271,32 @@ class Binder::Impl {
         if (IsAggregateName(ast->name)) {
           return BindAggregateCall(ast, scope, options);
         }
+        // The one place a scalar function name resolves: the call is
+        // checked against the function's signature and keeps the function.
         IOLAP_ASSIGN_OR_RETURN(const ScalarFunction* fn,
                                functions_->FindScalar(ast->name));
-        if (fn->arity >= 0 &&
-            fn->arity != static_cast<int>(ast->args.size())) {
-          return Status::BindError("function " + ast->name + " expects " +
-                                   std::to_string(fn->arity) + " arguments");
+        const Signature& sig = fn->signature;
+        if (!sig.AcceptsArity(ast->args.size())) {
+          return Status::BindError("function " + ast->name + " cannot take " +
+                                   std::to_string(ast->args.size()) +
+                                   " arguments");
         }
         std::vector<ExprPtr> args;
         std::vector<ValueType> arg_types;
         for (const AstExprPtr& arg : ast->args) {
           IOLAP_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(arg, scope, options));
-          arg_types.push_back(bound->output_type());
+          const ValueType type = bound->output_type();
+          if (!sig.Accepts(args.size(), type)) {
+            return Status::BindError(
+                "function " + ast->name + " cannot take a " +
+                ValueTypeToString(type) + " as argument " +
+                std::to_string(args.size() + 1));
+          }
+          arg_types.push_back(type);
           args.push_back(std::move(bound));
         }
-        return std::static_pointer_cast<const Expr>(
-            std::make_shared<CallExpr>(ast->name, std::move(args),
-                                       fn->result_type(arg_types)));
+        return std::static_pointer_cast<const Expr>(std::make_shared<CallExpr>(
+            fn, std::move(args), sig.ResultType(arg_types)));
       }
       case AstExpr::Kind::kSubquery:
         if (options.skip_subqueries) return Lit(Value::Null());
@@ -338,7 +347,7 @@ class Binder::Impl {
     } else {
       IOLAP_ASSIGN_OR_RETURN(fn, functions_->FindAggregate(ast->name));
     }
-    const ValueType result_type = fn->ResultType(arg->output_type());
+    const ValueType agg_type = fn->ResultType(arg->output_type());
 
     if (options.lookup_block >= 0) {
       // Scalar-subquery context: the aggregate becomes a lineage lookup.
@@ -359,7 +368,7 @@ class Binder::Impl {
           std::make_shared<AggLookupExpr>(
               options.lookup_block,
               static_cast<int>(target.group_by.size()) + spec_index,
-              *options.lookup_keys, result_type, rendered));
+              *options.lookup_keys, agg_type, rendered));
     }
 
     // Aggregate-block context: accumulate a spec; the call site receives a

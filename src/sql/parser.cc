@@ -364,6 +364,10 @@ class Parser {
       node->literal = Value::String(Advance().text);
       return AstExprPtr(node);
     }
+    if (AcceptKeyword("null")) {
+      node->kind = AstExpr::Kind::kLiteral;  // literal defaults to NULL
+      return AstExprPtr(node);
+    }
     if (Check(TokenKind::kStar)) {
       Advance();
       node->kind = AstExpr::Kind::kStar;

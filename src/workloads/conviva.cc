@@ -86,26 +86,25 @@ Result<std::shared_ptr<Catalog>> MakeConvivaCatalog(
 }
 
 void RegisterConvivaUdfs(FunctionRegistry* registry) {
+  const ParamKind kNum = ParamKind::kNumeric;
   registry->RegisterScalar(
-      {"engagement_score", 2,
-       [](const std::vector<ValueType>&) { return ValueType::kDouble; },
-       [](const std::vector<Value>& args) -> Value {
-         if (args[0].is_null() || args[1].is_null()) return Value::Null();
+      {.name = "engagement_score",
+       .signature = {.params = {kNum, kNum}, .result = ValueType::kDouble},
+       .numeric = [](const NumericValue* args, size_t) {
+         if (args[0].is_null() || args[1].is_null()) {
+           return NumericValue::Null();
+         }
          // Minutes watched discounted by buffering pain.
-         return Value::Double(args[0].AsDouble() /
-                              (60.0 * (1.0 + args[1].AsDouble() / 30.0)));
-       },
-       /*monotone=*/false,
-       {}});
+         return NumericValue::Dbl(args[0].AsDouble() /
+                                  (60.0 * (1.0 + args[1].AsDouble() / 30.0)));
+       }});
   registry->RegisterScalar(
-      {"is_hd", 1,
-       [](const std::vector<ValueType>&) { return ValueType::kInt64; },
-       [](const std::vector<Value>& args) -> Value {
-         if (args[0].is_null()) return Value::Null();
-         return Value::Bool(args[0].AsDouble() >= 2500.0);
-       },
-       /*monotone=*/false,
-       {}});
+      {.name = "is_hd",
+       .signature = {.params = {kNum}, .result = ValueType::kInt64},
+       .numeric = [](const NumericValue* args, size_t) {
+         if (args[0].is_null()) return NumericValue::Null();
+         return NumericValue::Bool(args[0].AsDouble() >= 2500.0);
+       }});
 }
 
 }  // namespace iolap

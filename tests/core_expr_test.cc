@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
 
 #include "core/expr.h"
 #include "core/function_registry.h"
+#include "workloads/conviva.h"
 
 namespace iolap {
 namespace {
@@ -61,8 +66,14 @@ class FakeResolver : public AggLookupResolver {
 class ExprTest : public ::testing::Test {
  protected:
   ExprTest() : functions_(FunctionRegistry::Default()) {
-    ctx_.functions = functions_.get();
     ctx_.resolver = &resolver_;
+  }
+
+  // A call resolved against the built-ins, as the binder would bind it.
+  ExprPtr Call(const std::string& name, std::vector<ExprPtr> args,
+               ValueType type) const {
+    return std::make_shared<CallExpr>(*functions_->FindScalar(name),
+                                      std::move(args), type);
   }
 
   std::shared_ptr<FunctionRegistry> functions_;
@@ -135,14 +146,11 @@ TEST_F(ExprTest, UnaryOps) {
 }
 
 TEST_F(ExprTest, CallBuiltins) {
-  auto sqrt_e = std::make_shared<CallExpr>(
-      "sqrt", std::vector<ExprPtr>{Lit(9.0)}, ValueType::kDouble);
+  auto sqrt_e = Call("sqrt", {Lit(9.0)}, ValueType::kDouble);
   EXPECT_DOUBLE_EQ(sqrt_e->Eval({}, ctx_).dbl(), 3.0);
 
-  auto if_e = std::make_shared<CallExpr>(
-      "if",
-      std::vector<ExprPtr>{Lit(int64_t{1}), Lit("yes"), Lit("no")},
-      ValueType::kString);
+  auto if_e =
+      Call("if", {Lit(int64_t{1}), Lit("yes"), Lit("no")}, ValueType::kString);
   EXPECT_EQ(if_e->Eval({}, ctx_).str(), "yes");
 }
 
@@ -197,8 +205,7 @@ TEST_F(ExprTest, MonotoneFunctionIntervalPropagation) {
   resolver_.Set(0, 0, {}, 9.0, Interval(4, 16));
   auto lookup = std::make_shared<AggLookupExpr>(0, 0, std::vector<ExprPtr>{},
                                                 ValueType::kDouble, "a");
-  auto expr = std::make_shared<CallExpr>(
-      "sqrt", std::vector<ExprPtr>{ExprPtr(lookup)}, ValueType::kDouble);
+  auto expr = Call("sqrt", {ExprPtr(lookup)}, ValueType::kDouble);
   const Interval r = expr->EvalInterval({}, ctx_);
   EXPECT_DOUBLE_EQ(r.lo, 2.0);
   EXPECT_DOUBLE_EQ(r.hi, 4.0);
@@ -208,9 +215,111 @@ TEST_F(ExprTest, NonMonotoneUdfOverUncertainIsUnbounded) {
   resolver_.Set(0, 0, {}, 1.0, Interval(0, 2));
   auto lookup = std::make_shared<AggLookupExpr>(0, 0, std::vector<ExprPtr>{},
                                                 ValueType::kDouble, "a");
-  auto expr = std::make_shared<CallExpr>(
-      "abs", std::vector<ExprPtr>{ExprPtr(lookup)}, ValueType::kDouble);
+  auto expr = Call("abs", {ExprPtr(lookup)}, ValueType::kDouble);
   EXPECT_TRUE(expr->EvalInterval({}, ctx_).IsUnbounded());
+}
+
+// Interval endpoints map through a function declared monotone, which is
+// only sound for a non-decreasing body: check every registered one over a
+// grid spanning negatives, (0, 1) and large magnitudes.
+TEST_F(ExprTest, MonotoneFunctionsAreNonDecreasing) {
+  RegisterConvivaUdfs(functions_.get());
+  const double grid[] = {-1e300, -1e6, -10.0, -1.0, -0.5, -1e-9, 0.0,
+                         1e-9,   0.25, 0.5,   0.75, 1.0,  2.0,  10.0,
+                         1e6,    1e300};
+  int monotone = 0;
+  for (const auto& [name, fn] : functions_->scalars()) {
+    if (!fn.monotone) continue;
+    ++monotone;
+    ASSERT_TRUE(fn.signature.AcceptsArity(1)) << name;
+    double prev = -std::numeric_limits<double>::infinity();
+    for (double x : grid) {
+      const Value in = Value::Double(x);
+      const Value out = fn.boxed(&in, 1);
+      ASSERT_TRUE(out.is_numeric()) << name << "(" << x << ")";
+      EXPECT_LE(prev, out.AsDouble()) << name << " decreases at " << x;
+      prev = out.AsDouble();
+    }
+  }
+  EXPECT_GT(monotone, 0);
+}
+
+// log maps x <= 0 to 0.0, so R(a) = [-1, 0.5] must not map to the inverted
+// [log(-1), log(0.5)] = [0, -0.693], which would decide log(a) < -0.5 as
+// always true although a = -0.5 makes it false.
+TEST_F(ExprTest, LogRangeIsNotMappedThroughEndpoints) {
+  resolver_.Set(0, 0, {}, 0.1, Interval(-1.0, 0.5));
+  auto lookup = std::make_shared<AggLookupExpr>(0, 0, std::vector<ExprPtr>{},
+                                                ValueType::kDouble, "a");
+  auto log_a = Call("log", {ExprPtr(lookup)}, ValueType::kDouble);
+  EXPECT_TRUE(log_a->EvalInterval({}, ctx_).IsUnbounded());
+  EXPECT_EQ(ClassifyPredicate(*Lt(log_a, Lit(-0.5)), {}, ctx_),
+            IntervalTruth::kUndecided);
+}
+
+// `%` and mod() share one definition: NULL for NULL, NaN, ±inf, out-of-range
+// or zero divisors, and 0 for a divisor of -1 (INT64_MIN % -1 overflows).
+TEST_F(ExprTest, ModIsDefinedOnHostileOperands) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto percent = [&](Value a, Value b) {
+    return MakeBinary(Expr::BinaryOp::kMod, Lit(std::move(a)),
+                      Lit(std::move(b)))
+        ->Eval({}, ctx_);
+  };
+  auto mod = [&](Value a, Value b) {
+    return Call("mod", {Lit(std::move(a)), Lit(std::move(b))},
+                ValueType::kInt64)
+        ->Eval({}, ctx_);
+  };
+  for (const auto& eval : {std::function<Value(Value, Value)>(percent),
+                           std::function<Value(Value, Value)>(mod)}) {
+    EXPECT_EQ(eval(Value::Int64(kMin), Value::Int64(-1)).int64(), 0);
+    EXPECT_EQ(eval(Value::Int64(kMin), Value::Double(-1.5)).int64(), 0);
+    EXPECT_EQ(eval(Value::Int64(kMin), Value::Int64(3)).int64(), kMin % 3);
+    EXPECT_EQ(eval(Value::Int64(-7), Value::Int64(3)).int64(), -1);
+    EXPECT_EQ(eval(Value::Double(9.7), Value::Int64(-4)).int64(), 1);
+    EXPECT_TRUE(eval(Value::Int64(7), Value::Double(0.5)).is_null());
+    EXPECT_TRUE(eval(Value::Double(1e300), Value::Int64(7)).is_null());
+    EXPECT_TRUE(eval(Value::Int64(7), Value::Double(-1e300)).is_null());
+    EXPECT_TRUE(eval(Value::Double(kInf), Value::Int64(7)).is_null());
+    EXPECT_TRUE(eval(Value::Int64(7), Value::Double(-kInf)).is_null());
+    EXPECT_TRUE(eval(Value::Double(kNaN), Value::Int64(7)).is_null());
+    EXPECT_TRUE(eval(Value::Int64(7), Value::Double(kNaN)).is_null());
+    // 2^63 is one past INT64_MAX.
+    EXPECT_TRUE(eval(Value::Double(0x1p63), Value::Int64(7)).is_null());
+    EXPECT_TRUE(eval(Value::Null(), Value::Int64(7)).is_null());
+  }
+}
+
+// substr clamps its 1-based start and its length before any arithmetic.
+TEST_F(ExprTest, SubstrClampsExtremePositions) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double kInf = std::numeric_limits<double>::infinity();
+  auto substr = [&](Value start, Value len) {
+    return Call("substr",
+                {Lit("abc"), Lit(std::move(start)), Lit(std::move(len))},
+                ValueType::kString)
+        ->Eval({}, ctx_);
+  };
+  EXPECT_EQ(substr(Value::Int64(kMin), Value::Int64(2)).str(), "ab");
+  EXPECT_EQ(substr(Value::Int64(kMax), Value::Int64(2)).str(), "");
+  EXPECT_EQ(substr(Value::Int64(2), Value::Int64(kMax)).str(), "bc");
+  EXPECT_EQ(substr(Value::Int64(2), Value::Int64(kMin)).str(), "");
+  EXPECT_EQ(substr(Value::Double(-1e300), Value::Int64(2)).str(), "ab");
+  EXPECT_EQ(substr(Value::Double(1e300), Value::Int64(2)).str(), "");
+  EXPECT_EQ(substr(Value::Int64(3), Value::Double(kInf)).str(), "c");
+  EXPECT_EQ(substr(Value::Int64(1), Value::Double(-kInf)).str(), "");
+  EXPECT_TRUE(
+      substr(Value::Double(std::nan("")), Value::Int64(1)).is_null());
+  EXPECT_TRUE(
+      substr(Value::Int64(1), Value::Double(std::nan(""))).is_null());
+  // In-range positions keep their meaning.
+  EXPECT_EQ(substr(Value::Int64(2), Value::Int64(1)).str(), "b");
+  EXPECT_EQ(substr(Value::Int64(0), Value::Int64(2)).str(), "ab");
+  EXPECT_EQ(substr(Value::Int64(4), Value::Int64(1)).str(), "");
 }
 
 TEST_F(ExprTest, ClassifyPredicateSbiExample) {
@@ -307,7 +416,7 @@ TEST_F(ExprTest, ToStringRendersTree) {
 TEST_F(ExprTest, RegistryLookupErrors) {
   EXPECT_FALSE(functions_->FindScalar("no_such_fn").ok());
   EXPECT_FALSE(functions_->FindAggregate("no_such_agg").ok());
-  EXPECT_TRUE(functions_->HasScalar("sqrt"));
+  EXPECT_TRUE(functions_->FindScalar("sqrt").ok());
   EXPECT_TRUE(functions_->HasAggregate("geomean"));
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "exec/expr_program.h"
 #include "exec/program_verifier.h"
 #include "iolap/session.h"
+#include "sql/binder.h"
 #include "workloads/conviva.h"
 #include "workloads/conviva_queries.h"
 #include "workloads/tpch.h"
@@ -42,9 +44,17 @@ ExprPtr Bin(Expr::BinaryOp op, ExprPtr l, ExprPtr r,
 ExprPtr Un(Expr::UnaryOp op, ExprPtr e, ValueType type = ValueType::kDouble) {
   return std::make_shared<UnaryExpr>(op, std::move(e), type);
 }
-ExprPtr Call(std::string name, std::vector<ExprPtr> args,
+// Calls resolve against the built-ins plus the Conviva UDFs, as the binder
+// would bind them.
+ExprPtr Call(const std::string& name, std::vector<ExprPtr> args,
              ValueType type = ValueType::kDouble) {
-  return std::make_shared<CallExpr>(std::move(name), std::move(args), type);
+  static const std::shared_ptr<FunctionRegistry> functions = [] {
+    auto registry = FunctionRegistry::Default();
+    RegisterConvivaUdfs(registry.get());
+    return registry;
+  }();
+  return std::make_shared<CallExpr>(*functions->FindScalar(name),
+                                    std::move(args), type);
 }
 ExprPtr AggRef(int block, int col, std::vector<ExprPtr> keys) {
   return std::make_shared<AggLookupExpr>(block, col, std::move(keys),
@@ -153,13 +163,11 @@ class FakeResolver final : public AggLookupResolver {
 };
 
 struct Harness {
-  std::shared_ptr<FunctionRegistry> functions = FunctionRegistry::Default();
   FakeResolver resolver{8};
   const std::vector<ExprPtr>* lineage = nullptr;
 
   EvalContext Ctx(int trial) const {
     EvalContext ctx;
-    ctx.functions = functions.get();
     ctx.resolver = &resolver;
     ctx.column_lineage = lineage;
     ctx.trial = trial;
@@ -171,7 +179,7 @@ struct Harness {
   // Returns false if the program could not compile (callers assert on it).
   bool CheckRow(const std::vector<ExprPtr>& roots, const Row& row, int trials,
                 const std::string& context) {
-    auto program = ExprProgram::Compile(roots, functions.get(), lineage);
+    auto program = ExprProgram::Compile(roots, lineage);
     if (program == nullptr) return false;
     // Everything the compiler accepts must pass the static verifier.
     const VerifyResult vr = ProgramVerifier::Verify(*program);
@@ -367,8 +375,7 @@ TEST(ExprProgramTest, HoistsTrialInvariantWorkIntoPrologue) {
   const ExprPtr pure = Bin(Expr::BinaryOp::kAdd, Col(0, ValueType::kDouble),
                            Col(1, ValueType::kDouble));
 
-  auto program =
-      ExprProgram::Compile({filter, pure}, h.functions.get(), nullptr);
+  auto program = ExprProgram::Compile({filter, pure}, nullptr);
   ASSERT_NE(program, nullptr);
   EXPECT_EQ(program->num_agg_sites(), 1u);
   EXPECT_GT(program->prologue_size(), 0u);
@@ -409,7 +416,7 @@ TEST(ExprProgramTest, FoldsConstantSubtrees) {
       Bin(Expr::BinaryOp::kEq, Call("sqrt", {LitV(Value::Double(16.0))}),
           LitV(Value::Double(4.0)), ValueType::kInt64),
       ValueType::kInt64);
-  auto program = ExprProgram::Compile({folded}, h.functions.get(), nullptr);
+  auto program = ExprProgram::Compile({folded}, nullptr);
   ASSERT_NE(program, nullptr);
   EXPECT_EQ(program->prologue_size(), 0u) << program->ToString();
   EXPECT_EQ(program->epilogue_size(), 0u);
@@ -425,7 +432,7 @@ TEST(ExprProgramTest, FoldsConstantSubtrees) {
   const ExprPtr null_cmp =
       Bin(Expr::BinaryOp::kEq, Col(0, ValueType::kString), LitV(Value::Null()),
           ValueType::kInt64);
-  auto program2 = ExprProgram::Compile({null_cmp}, h.functions.get(), nullptr);
+  auto program2 = ExprProgram::Compile({null_cmp}, nullptr);
   ASSERT_NE(program2, nullptr);
   ExprProgramState state2;
   program2->InitState(&state2);
@@ -435,33 +442,118 @@ TEST(ExprProgramTest, FoldsConstantSubtrees) {
   EXPECT_TRUE(program2->RootValue(state2, 0).is_null());
 }
 
+// Unknown functions and wrong arities never reach the compiler: the binder
+// rejects them (sql_test's SqlBindTest.ScalarCallsCheckedAgainstSignature).
 TEST(ExprProgramTest, RefusesWhatItCannotProve) {
-  Harness h;
   // Statically mixed string/numeric comparison.
   EXPECT_EQ(ExprProgram::Compile(
                 {Bin(Expr::BinaryOp::kLt, Col(0, ValueType::kString),
                      Col(1, ValueType::kDouble), ValueType::kInt64)},
-                h.functions.get(), nullptr),
+                nullptr),
             nullptr);
   // Arithmetic over a statically-string operand.
   EXPECT_EQ(ExprProgram::Compile({Bin(Expr::BinaryOp::kAdd,
                                       Col(0, ValueType::kString),
                                       Col(1, ValueType::kDouble))},
-                                 h.functions.get(), nullptr),
-            nullptr);
-  // Unknown function; wrong arity.
-  EXPECT_EQ(ExprProgram::Compile({Call("no_such_fn", {LitV(Value::Int64(1))})},
-                                 h.functions.get(), nullptr),
-            nullptr);
-  EXPECT_EQ(ExprProgram::Compile({Call("sqrt", {LitV(Value::Int64(1)),
-                                                LitV(Value::Int64(2))})},
-                                 h.functions.get(), nullptr),
+                                 nullptr),
             nullptr);
   // Trial-variant aggregate key: the batched prologue probe cannot cover it.
   EXPECT_EQ(ExprProgram::Compile(
                 {AggRef(0, 1, {AggRef(1, 1, {Col(0, ValueType::kInt64)})})},
-                h.functions.get(), nullptr),
+                nullptr),
             nullptr);
+}
+
+TEST(ExprProgramTest, ModAndSubstrDefinedOnHostileOperands) {
+  Harness h;
+  const Row row = {Value::Int64(std::numeric_limits<int64_t>::min()),
+                   Value::Double(1e300),
+                   Value::Double(std::numeric_limits<double>::infinity()),
+                   Value::Double(std::nan("")), Value::String("abc")};
+  const ExprPtr min = Col(0, ValueType::kInt64);
+  const ExprPtr huge = Col(1, ValueType::kDouble);
+  const ExprPtr inf = Col(2, ValueType::kDouble);
+  const ExprPtr nan = Col(3, ValueType::kDouble);
+  const ExprPtr minus_one = LitV(Value::Int64(-1));
+  const ExprPtr seven = LitV(Value::Int64(7));
+  const std::vector<ExprPtr> roots = {
+      Bin(Expr::BinaryOp::kMod, min, minus_one, ValueType::kInt64),
+      Call("mod", {min, minus_one}, ValueType::kInt64),
+      Call("mod", {huge, seven}, ValueType::kInt64),
+      Bin(Expr::BinaryOp::kMod, seven, inf, ValueType::kInt64),
+      Call("mod", {nan, seven}, ValueType::kInt64),
+      Call("substr", {Col(4, ValueType::kString), min, LitV(Value::Int64(2))},
+           ValueType::kString),
+      Call("substr", {Col(4, ValueType::kString), seven, huge},
+           ValueType::kString),
+  };
+  const std::vector<Value> expected = {
+      Value::Int64(0), Value::Int64(0),      Value::Null(),     Value::Null(),
+      Value::Null(),   Value::String("ab"), Value::String("")};
+  auto program = ExprProgram::Compile(roots, nullptr);
+  ASSERT_NE(program, nullptr);
+  EXPECT_NE(program->ToString().find("  mod "), std::string::npos);
+  ExprProgramState state;
+  program->InitState(&state);
+  ASSERT_TRUE(program->Bind(&state, row, nullptr, 0));
+  ASSERT_TRUE(program->EvalTrial(&state, row, -1));
+  for (size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_TRUE(BitEqual(program->RootValue(state, r), expected[r]))
+        << roots[r]->ToString() << " = "
+        << Describe(program->RootValue(state, r));
+  }
+  EXPECT_TRUE(h.CheckRow(roots, row, 0, "hostile"));
+}
+
+// The disassembly's call table names each site ("call[k]: fn(args)"); this
+// returns the opcode of the instruction that runs fn's site.
+std::string CallOpcode(const std::string& disasm, const std::string& fn) {
+  const size_t at = disasm.find("]: " + fn + "(");
+  if (at == std::string::npos) return "";
+  const size_t open = disasm.rfind("call[", at) + 5;
+  const std::string aux = " aux=" + disasm.substr(open, at - open) + "\n";
+  for (const char* op : {"call_num", "call_generic"}) {
+    for (size_t pos = disasm.find(std::string("  ") + op + " ");
+         pos != std::string::npos;
+         pos = disasm.find(std::string("  ") + op + " ", pos + 1)) {
+      if (disasm.compare(disasm.find('\n', pos) - aux.size() + 1, aux.size(),
+                         aux) == 0) {
+        return op;
+      }
+    }
+  }
+  return "";
+}
+
+// c6 and c7 call their UDFs over numeric columns, so the compiled programs
+// take the numeric form instead of boxing every argument.
+TEST(ExprProgramTest, ConvivaUdfsRunThroughCallNum) {
+  auto functions = FunctionRegistry::Default();
+  RegisterConvivaUdfs(functions.get());
+  ConvivaConfig config;
+  auto catalog = MakeConvivaCatalog(config.Scaled(0.01));
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const std::pair<const char*, const char*> cases[] = {
+      {"c6", "engagement_score"}, {"c7", "is_hd"}};
+  for (const auto& [id, udf] : cases) {
+    auto plan = BindSql(FindConvivaQuery(id).sql, **catalog, functions);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    int sites = 0;
+    for (const Block& block : plan->blocks) {
+      std::vector<ExprPtr> roots;
+      if (block.filter != nullptr) roots.push_back(block.filter);
+      for (const AggSpec& agg : block.aggs) roots.push_back(agg.arg);
+      if (roots.empty()) continue;
+      auto program = ExprProgram::Compile(roots, nullptr);
+      ASSERT_NE(program, nullptr) << id;
+      const std::string disasm = program->ToString();
+      const std::string op = CallOpcode(disasm, udf);
+      if (op.empty()) continue;
+      ++sites;
+      EXPECT_EQ(op, "call_num") << id << "\n" << disasm;
+    }
+    EXPECT_EQ(sites, 1) << id;
+  }
 }
 
 TEST(ExprProgramTest, BailsOnRuntimeStringInNumericColumn) {
@@ -471,7 +563,7 @@ TEST(ExprProgramTest, BailsOnRuntimeStringInNumericColumn) {
   const std::vector<ExprPtr> roots = {Bin(Expr::BinaryOp::kAdd,
                                           Col(0, ValueType::kDouble),
                                           LitV(Value::Double(1.0)))};
-  auto program = ExprProgram::Compile(roots, h.functions.get(), nullptr);
+  auto program = ExprProgram::Compile(roots, nullptr);
   ASSERT_NE(program, nullptr);
   ExprProgramState state;
   program->InitState(&state);
@@ -494,7 +586,7 @@ TEST(ExprProgramTest, EvalTrialsMatchesPerTrialLoop) {
                            AggRef(0, 2, {Col(0, ValueType::kInt64)}));
   const ExprPtr arg1 = Col(1, ValueType::kDouble);
   const std::vector<ExprPtr> roots = {filter, arg0, arg1};
-  auto program = ExprProgram::Compile(roots, h.functions.get(), nullptr);
+  auto program = ExprProgram::Compile(roots, nullptr);
   ASSERT_NE(program, nullptr);
 
   const int trials = 10;
@@ -529,9 +621,9 @@ TEST(ExprProgramTest, EvalTrialsMatchesPerTrialLoop) {
 
 // ---------------------------------------------------------------------------
 // Differential fuzzing: random well-typed trees, compiled vs interpreter.
-// Numeric magnitudes stay moderate by construction so int64 truncation sites
-// (static-Int64 arithmetic, kMod) never hit the float-cast-overflow UB —
-// the same invariant the binder's type assignment provides in real plans.
+// Magnitudes stay moderate by construction where static-Int64 arithmetic
+// truncates (SmallInt), so the truncation never hits the float-cast-overflow
+// UB; `%` and mod() are defined on any operand.
 
 class FuzzGen {
  public:
@@ -704,20 +796,26 @@ class FuzzGen {
     return AggRef(block, col, std::move(keys));
   }
 
-  // `length` is excluded: over a NULL-typed literal its static type would be
-  // honest, but over the pool it is covered by the directed call test.
-
+  // Every function with a numeric form.
   ExprPtr NumCall(int depth) {
-    switch (rng_->NextBounded(6)) {
+    static const char* kUnary[] = {"sqrt",  "abs",  "exp",  "log",
+                                   "floor", "ceil", "round"};
+    switch (rng_->NextBounded(9)) {
       case 0:
-        return Call("sqrt", {Num(depth)});
+        return Call(kUnary[rng_->NextBounded(7)], {Num(depth)});
       case 1:
-        return Call("abs", {Num(depth)});
+        return Call("pow", {Num(depth), Num(depth)});
       case 2:
-        return Call("least", {Num(depth), Num(depth), Num(depth)});
+        return Call("mod", {Num(depth), Num(depth)}, ValueType::kInt64);
       case 3:
-        return Call("greatest", {Num(depth), Num(depth)});
+        return Call("engagement_score", {Num(depth), Num(depth)});
       case 4:
+        return Call("is_hd", {Num(depth)}, ValueType::kInt64);
+      case 5:
+        return Call("least", {Num(depth), Num(depth), Num(depth)});
+      case 6:
+        return Call("greatest", {Num(depth), Num(depth)});
+      case 7:
         return Call("coalesce", {Num(depth), Num(depth)});
       default:
         return Call("if", {Bool(depth), Num(depth), Num(depth)});
@@ -749,7 +847,7 @@ TEST(ExprProgramFuzzTest, CompiledBitIdenticalToInterpreter) {
     const size_t extra = 1 + rng.NextBounded(2);
     for (size_t r = 0; r < extra; ++r) roots.push_back(gen.Num(5));
 
-    auto program = ExprProgram::Compile(roots, h.functions.get(), nullptr);
+    auto program = ExprProgram::Compile(roots, nullptr);
     // The generator only produces constructs the compiler covers.
     ASSERT_NE(program, nullptr) << "iter " << iter;
     // Third oracle (besides the interpreter and the bail flag): the static

@@ -67,7 +67,7 @@ class ExprProgramTestPeer {
   static std::vector<Root>& Roots(const ExprProgram& p) {
     return Mut(p).roots_;
   }
-  static std::vector<std::pair<uint16_t, expr_prog::NumReg>>& ConstNum(
+  static std::vector<std::pair<uint16_t, NumericValue>>& ConstNum(
       const ExprProgram& p) {
     return Mut(p).const_num_;
   }
@@ -113,9 +113,12 @@ ExprPtr Bin(Expr::BinaryOp op, ExprPtr l, ExprPtr r,
 ExprPtr Un(Expr::UnaryOp op, ExprPtr e, ValueType type = ValueType::kDouble) {
   return std::make_shared<UnaryExpr>(op, std::move(e), type);
 }
-ExprPtr Call(std::string name, std::vector<ExprPtr> args,
+ExprPtr Call(const std::string& name, std::vector<ExprPtr> args,
              ValueType type = ValueType::kDouble) {
-  return std::make_shared<CallExpr>(std::move(name), std::move(args), type);
+  static const std::shared_ptr<FunctionRegistry> functions =
+      FunctionRegistry::Default();
+  return std::make_shared<CallExpr>(*functions->FindScalar(name),
+                                    std::move(args), type);
 }
 ExprPtr AggRef(int block, int col, std::vector<ExprPtr> keys,
                ValueType type = ValueType::kDouble) {
@@ -151,16 +154,14 @@ class SimpleResolver final : public AggLookupResolver {
   }
 };
 
-/// A program plus everything it borrows (registry, lineage), so mutation
-/// tests can recompile a pristine copy per mutation.
+/// A program plus the lineage it borrows, so mutation tests can recompile a
+/// pristine copy per mutation.
 struct Built {
-  std::shared_ptr<FunctionRegistry> functions = FunctionRegistry::Default();
   std::vector<ExprPtr> lineage;
   std::vector<ExprPtr> roots;
 
   std::unique_ptr<const ExprProgram> Compile() const {
-    auto p = ExprProgram::Compile(roots, functions.get(),
-                                  lineage.empty() ? nullptr : &lineage);
+    auto p = ExprProgram::Compile(roots, lineage.empty() ? nullptr : &lineage);
     EXPECT_NE(p, nullptr);
     return p;
   }
@@ -359,15 +360,16 @@ TEST(ProgramVerifierTest, AcceptsCompiledPrograms) {
 TEST(ProgramVerifierTest, CompileVerifiedCountsRefusalsAndVerifications) {
   const Built b = NumericProgram();
   ProgramVerifierStats stats;
-  // A call to a function the registry does not know refuses to compile —
-  // a compiler decision, not a verifier rejection.
-  const std::vector<ExprPtr> unknown = {Call("no_such_function", {})};
-  EXPECT_EQ(CompileVerified(unknown, b.functions.get(), nullptr, &stats),
-            nullptr);
+  // A statically mixed string/numeric comparison refuses to compile — a
+  // compiler decision, not a verifier rejection.
+  const std::vector<ExprPtr> mixed = {
+      Bin(Expr::BinaryOp::kLt, Col(0, ValueType::kString),
+          Col(1, ValueType::kDouble), ValueType::kInt64)};
+  EXPECT_EQ(CompileVerified(mixed, nullptr, &stats), nullptr);
   EXPECT_EQ(stats.refused, 1);
   EXPECT_EQ(stats.compiled, 0);
 
-  const auto p = CompileVerified(b.roots, b.functions.get(), nullptr, &stats);
+  const auto p = CompileVerified(b.roots, nullptr, &stats);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(stats.compiled, 1);
   EXPECT_EQ(stats.verified, 1);
@@ -453,16 +455,39 @@ TEST(ProgramVerifierMutationTest, IntConstBreakingNumRegInvariantIsRejected) {
   auto& consts = Peer::ConstNum(*p);
   ASSERT_FALSE(consts.empty());
   ASSERT_EQ(consts[0].second.tag, ValueType::kInt64);
-  consts[0].second.f = 4.0;
+  consts[0].second.f64 = 4.0;
   ExpectRejected(*p, "null-tag");
 }
 
 TEST(ProgramVerifierMutationTest, StringArgIntoNumericKernelIsRejected) {
   const Built b = CallProgram();
   const auto p = b.Compile();
-  // sqrt's call site now claims a string argument: the typed kernel would
+  // sqrt's call site now claims a string argument: the numeric form would
   // read a NumericValue that was never written.
   Peer::CallSites(*p)[0].args[0].is_str = true;
+  ExpectRejected(*p, "register-kind");
+}
+
+TEST(ProgramVerifierMutationTest, CallArityOutsideSignatureIsRejected) {
+  const Built b = CallProgram();
+  const auto p = b.Compile();
+  // sqrt's call site loses its argument: the numeric form reads args[0]
+  // regardless, past the end of what the call passed.
+  Peer::CallSites(*p)[0].args.clear();
+  ExpectRejected(*p, "register-kind");
+}
+
+TEST(ProgramVerifierMutationTest, StringArgIntoNumericParameterIsRejected) {
+  Built b;
+  b.roots = {Call("substr",
+                  {Col(0, ValueType::kString), Col(1, ValueType::kInt64),
+                   LitV(Value::Int64(2))},
+                  ValueType::kString)};
+  const auto p = b.Compile();
+  ExpectAccepted(*p);
+  // substr's start position now reads the string register: its signature
+  // takes a number there.
+  Peer::CallSites(*p)[0].args[1] = Peer::CallSites(*p)[0].args[0];
   ExpectRejected(*p, "register-kind");
 }
 
@@ -769,7 +794,6 @@ Block MakeConsumer(ExprPtr filter) {
 }
 
 struct PlanFixture {
-  std::shared_ptr<FunctionRegistry> functions = FunctionRegistry::Default();
   QueryPlan plan;
   std::vector<ExprPtr> roots;
 
@@ -783,7 +807,7 @@ struct PlanFixture {
   }
 
   std::unique_ptr<const ExprProgram> Compile() const {
-    auto p = ExprProgram::Compile(roots, functions.get(), nullptr);
+    auto p = ExprProgram::Compile(roots, nullptr);
     EXPECT_NE(p, nullptr);
     return p;
   }
@@ -810,7 +834,7 @@ TEST(PlanVerifierTest, RootCountMismatchIsRejected) {
   const PlanFixture f(WellFormedAggRef());
   // Compile only the filter: the plan expects filter + one aggregate arg.
   const std::vector<ExprPtr> partial = {f.roots[0]};
-  const auto p = ExprProgram::Compile(partial, f.functions.get(), nullptr);
+  const auto p = ExprProgram::Compile(partial, nullptr);
   ASSERT_NE(p, nullptr);
   const PlanVerifyResult res = f.Check(*p);
   ASSERT_FALSE(res.ok);
@@ -830,10 +854,9 @@ TEST(PlanVerifierTest, RootKindMismatchIsRejected) {
   plan.blocks.push_back(MakeAggSource());
   plan.blocks.push_back(top);
 
-  auto functions = FunctionRegistry::Default();
   // Same column index, but compiled under a numeric static type.
   const std::vector<ExprPtr> roots = {Col(0, ValueType::kInt64)};
-  const auto p = ExprProgram::Compile(roots, functions.get(), nullptr);
+  const auto p = ExprProgram::Compile(roots, nullptr);
   ASSERT_NE(p, nullptr);
   const PlanVerifyResult res =
       VerifyBlockProgram(plan, plan.blocks[1], *p, ProgramRole::kProjection);
@@ -852,9 +875,7 @@ TEST(PlanVerifierTest, LoadBeyondSpjSchemaIsRejected) {
   plan.blocks.push_back(MakeAggSource());
   plan.blocks.push_back(top);
 
-  auto functions = FunctionRegistry::Default();
-  const auto p = ExprProgram::Compile(top.projections, functions.get(),
-                                      nullptr);
+  const auto p = ExprProgram::Compile(top.projections, nullptr);
   ASSERT_NE(p, nullptr);
   const PlanVerifyResult res =
       VerifyBlockProgram(plan, plan.blocks[1], *p, ProgramRole::kProjection);

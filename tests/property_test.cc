@@ -15,7 +15,6 @@
 
 #include "common/random.h"
 #include "core/expr.h"
-#include "core/function_registry.h"
 
 namespace iolap {
 namespace {
@@ -111,7 +110,6 @@ class ExprPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExprPropertyTest, IntervalContainsEveryRealization) {
   Rng rng(1000 + GetParam() * 97);
-  auto functions = FunctionRegistry::Default();
 
   for (int iteration = 0; iteration < 60; ++iteration) {
     ScenarioResolver resolver;
@@ -124,7 +122,6 @@ TEST_P(ExprPropertyTest, IntervalContainsEveryRealization) {
                    Interval(centers[b] - radius, centers[b] + radius));
     }
     EvalContext ctx;
-    ctx.functions = functions.get();
     ctx.resolver = &resolver;
 
     int lookups_used = 0;
@@ -155,7 +152,6 @@ TEST_P(ExprPropertyTest, IntervalContainsEveryRealization) {
 
 TEST_P(ExprPropertyTest, DecidedPredicatesHoldUnderRealizations) {
   Rng rng(5000 + GetParam() * 31);
-  auto functions = FunctionRegistry::Default();
   int decided_seen = 0;
 
   for (int iteration = 0; iteration < 120; ++iteration) {
@@ -166,7 +162,6 @@ TEST_P(ExprPropertyTest, DecidedPredicatesHoldUnderRealizations) {
       resolver.Set(b, center, Interval(center - radius, center + radius));
     }
     EvalContext ctx;
-    ctx.functions = functions.get();
     ctx.resolver = &resolver;
 
     int lookups_used = 0;
@@ -198,7 +193,6 @@ TEST_P(ExprPropertyTest, DecidedPredicatesHoldUnderRealizations) {
 
 TEST_P(ExprPropertyTest, PushedConstraintsHoldAtDecisionPoint) {
   Rng rng(9000 + GetParam() * 13);
-  auto functions = FunctionRegistry::Default();
   int bounds_seen = 0;
 
   for (int iteration = 0; iteration < 150; ++iteration) {
@@ -209,7 +203,6 @@ TEST_P(ExprPropertyTest, PushedConstraintsHoldAtDecisionPoint) {
 
     RecordingSink sink;
     EvalContext ctx;
-    ctx.functions = functions.get();
     ctx.resolver = &resolver;
     ctx.constraint_sink = &sink;
 

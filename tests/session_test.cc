@@ -59,14 +59,14 @@ TEST(SessionTest, CustomUdfThroughSession) {
   options.num_trials = 4;
   Session session(catalog.get(), options);
   session.functions()->RegisterScalar(
-      {"double_it", 1,
-       [](const std::vector<ValueType>&) { return ValueType::kDouble; },
-       [](const std::vector<Value>& args) -> Value {
-         if (args[0].is_null()) return Value::Null();
-         return Value::Double(2.0 * args[0].AsDouble());
-       },
-       /*monotone=*/true,
-       {}});
+      {.name = "double_it",
+       .signature = {.params = {ParamKind::kNumeric},
+                     .result = ValueType::kDouble},
+       .monotone = true,
+       .numeric = [](const NumericValue* args, size_t) {
+         if (args[0].is_null()) return NumericValue::Null();
+         return NumericValue::Dbl(2.0 * args[0].AsDouble());
+       }});
   auto query = session.Sql("SELECT avg(double_it(v)) FROM t");
   ASSERT_TRUE(query.ok()) << query.status();
   ASSERT_TRUE((*query)->Run().ok());

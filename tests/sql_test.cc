@@ -352,6 +352,46 @@ TEST_F(SqlBindTest, BindErrors) {
       Bind("SELECT count(*) FROM sessions WHERE sum(play_time) > 1").ok());
 }
 
+// The binder is the one place a scalar call resolves: arity and argument
+// kinds are checked against the function's signature there, so neither the
+// interpreter nor the compiler ever sees an unknown function or a bad call.
+TEST_F(SqlBindTest, ScalarCallsCheckedAgainstSignature) {
+  auto bind_error = [&](const std::string& item) {
+    auto plan = Bind("SELECT avg(" + item + ") FROM sessions");
+    EXPECT_FALSE(plan.ok()) << item;
+    return plan.ok() ? StatusCode::kOk : plan.status().code();
+  };
+  EXPECT_EQ(bind_error("sqrt(play_time, 2)"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("pow(play_time)"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("substr('abc', 1)"), StatusCode::kBindError);
+  // A string argument to a numeric parameter, and the reverse.
+  EXPECT_EQ(bind_error("sqrt('abc')"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("mod(play_time, 'x')"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("length(play_time)"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("length(upper(site))"), StatusCode::kBindError);
+  EXPECT_EQ(bind_error("length(substr(site, 1, 2))"), StatusCode::kBindError);
+  // Unknown functions stay errors.
+  EXPECT_FALSE(Bind("SELECT avg(no_such_fn(play_time)) FROM sessions").ok());
+  // NULL-typed arguments fit every parameter kind.
+  EXPECT_TRUE(Bind("SELECT avg(sqrt(NULL)), avg(length(NULL)) FROM sessions")
+                  .ok());
+
+  // if/coalesce/least/greatest take their result type from an argument.
+  auto plan = Bind(
+      "SELECT if(play_time > 1, site, 2), if(site > 1, 'a', 'b'), "
+      "coalesce(play_time, site), least(site, 1.5), greatest(play_time, 2), "
+      "coalesce(NULL, site) FROM sessions");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::vector<ExprPtr>& items = plan->top().projections;
+  ASSERT_EQ(items.size(), 6u);
+  EXPECT_EQ(items[0]->output_type(), ValueType::kInt64);
+  EXPECT_EQ(items[1]->output_type(), ValueType::kString);
+  EXPECT_EQ(items[2]->output_type(), ValueType::kDouble);
+  EXPECT_EQ(items[3]->output_type(), ValueType::kInt64);
+  EXPECT_EQ(items[4]->output_type(), ValueType::kDouble);
+  EXPECT_EQ(items[5]->output_type(), ValueType::kNull);
+}
+
 // --------------------------------------------- end-to-end SQL execution
 
 class SqlExecTest : public SqlBindTest {

@@ -222,12 +222,13 @@ TEST(GeneratorTest, ConvivaShapes) {
 TEST(GeneratorTest, ConvivaUdfsRegistered) {
   auto functions = FunctionRegistry::Default();
   RegisterConvivaUdfs(functions.get());
-  EXPECT_TRUE(functions->HasScalar("engagement_score"));
-  EXPECT_TRUE(functions->HasScalar("is_hd"));
+  EXPECT_TRUE(functions->FindScalar("engagement_score").ok());
   auto is_hd = functions->FindScalar("is_hd");
   ASSERT_TRUE(is_hd.ok());
-  EXPECT_EQ((*is_hd)->eval({Value::Double(3000)}).int64(), 1);
-  EXPECT_EQ((*is_hd)->eval({Value::Double(1000)}).int64(), 0);
+  const Value hd = Value::Double(3000);
+  const Value sd = Value::Double(1000);
+  EXPECT_EQ((*is_hd)->boxed(&hd, 1).int64(), 1);
+  EXPECT_EQ((*is_hd)->boxed(&sd, 1).int64(), 0);
 }
 
 }  // namespace

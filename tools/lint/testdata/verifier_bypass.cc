@@ -5,24 +5,20 @@
 // compiled.
 namespace fixture {
 
-inline void BypassesVerifier(const std::vector<ExprPtr>& roots,
-                             const FunctionRegistry* functions) {
-  auto program =
-      ExprProgram::Compile(roots, functions, nullptr);  // finding
+inline void BypassesVerifier(const std::vector<ExprPtr>& roots) {
+  auto program = ExprProgram::Compile(roots, nullptr);  // finding
   (void)program;
 }
 
-inline void SanctionedSeam(const std::vector<ExprPtr>& roots,
-                           const FunctionRegistry* functions) {
+inline void SanctionedSeam(const std::vector<ExprPtr>& roots) {
   // The sanctioned path: the verifier seam.
-  auto program = CompileVerified(roots, functions, nullptr, nullptr);
+  auto program = CompileVerified(roots, nullptr, nullptr);
   (void)program;
 }
 
-inline void SuppressedBypass(const std::vector<ExprPtr>& roots,
-                             const FunctionRegistry* functions) {
+inline void SuppressedBypass(const std::vector<ExprPtr>& roots) {
   // NOLINTNEXTLINE(verifier-bypass): fixture demonstrates the escape hatch.
-  auto program = ExprProgram::Compile(roots, functions, nullptr);
+  auto program = ExprProgram::Compile(roots, nullptr);
   (void)program;
 }
 
