@@ -157,16 +157,17 @@ void BM_PoissonWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonWeights)->Arg(20)->Arg(100);
 
-// Folding one tuple into a sketch across all bootstrap trials: the
-// dominant per-tuple cost of an online AGGREGATE.
+// Folding one tuple into a sketch across all bootstrap trials, as the
+// engine does (AddMainOnly in the apply phase, AddTrialOnly per trial in the
+// deferred flush): the dominant per-tuple cost of an online AGGREGATE.
 void BM_TrialAccumulate(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
-  auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
-  TrialAccumulatorSet acc(*fn, trials);
-  std::vector<int> weights(trials, 1);
+  const auto functions = FunctionRegistry::Default();
+  TrialAccumulatorSet acc(**functions->FindAggregate("avg"), trials);
   const Value v = Value::Double(3.25);
   for (auto _ : state) {
-    acc.Add(v, 1.0, weights.data());
+    acc.AddMainOnly(v, 1.0);
+    for (int t = 0; t < trials; ++t) acc.AddTrialOnly(t, v, 1.0);
   }
   state.SetItemsProcessed(state.iterations() * (trials + 1));
 }
@@ -191,17 +192,20 @@ void BM_JoinProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinProbe);
 
-// Group lookup + accumulate in the grouped sketch.
+// Group lookup + accumulate in the grouped sketch (main and all trials).
 void BM_GroupedAggregate(benchmark::State& state) {
+  constexpr int kTrials = 20;
+  const auto functions = FunctionRegistry::Default();
   std::vector<AggSpec> specs;
-  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
+  specs.push_back(AggSpec{*functions->FindAggregate("sum"),
                           Col(0, "x", ValueType::kDouble), "s"});
-  GroupedAggregateState groups(&specs, /*num_trials=*/20);
-  std::vector<int> weights(20, 1);
+  GroupedAggregateState groups(&specs, kTrials);
+  const Value v = Value::Double(1.5);
   int64_t g = 0;
   for (auto _ : state) {
     auto& cells = groups.GetOrCreate({Value::Int64(g % 64)}, 0);
-    cells.aggs[0].Add(Value::Double(1.5), 1.0, weights.data());
+    cells.aggs[0].AddMainOnly(v, 1.0);
+    for (int t = 0; t < kTrials; ++t) cells.aggs[0].AddTrialOnly(t, v, 1.0);
     ++g;
   }
 }

@@ -49,33 +49,10 @@ ErrorEstimate EstimateError(double value, const std::vector<double>& trials) {
   return est;
 }
 
-double AnalyticUnscaledStddev(const std::string& agg_name, double n,
-                              double variance) {
-  if (n <= 0.0) return 0.0;
-  if (agg_name == "sum") return std::sqrt(n * variance);
-  if (agg_name == "count") return std::sqrt(n);
-  if (agg_name == "avg") return n > 1.0 ? std::sqrt(variance / n) : 0.0;
-  return -1.0;
-}
-
 ErrorEstimate EstimateFromStddev(double value, double stddev) {
   ErrorEstimate est;
   est.value = value;
   est.stddev = stddev < 0.0 ? 0.0 : stddev;
-  est.rel_stddev = value != 0.0 ? est.stddev / std::fabs(value) : est.stddev;
-  est.ci_lo = value - 1.96 * est.stddev;
-  est.ci_hi = value + 1.96 * est.stddev;
-  return est;
-}
-
-ErrorEstimate AnalyticEstimate(double value, double sample_variance,
-                               double sample_count) {
-  ErrorEstimate est;
-  est.value = value;
-  est.ci_lo = value;
-  est.ci_hi = value;
-  if (sample_count <= 1.0 || sample_variance < 0.0) return est;
-  est.stddev = std::sqrt(sample_variance / sample_count);
   est.rel_stddev = value != 0.0 ? est.stddev / std::fabs(value) : est.stddev;
   est.ci_lo = value - 1.96 * est.stddev;
   est.ci_hi = value + 1.96 * est.stddev;

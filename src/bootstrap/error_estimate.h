@@ -25,25 +25,9 @@ struct ErrorEstimate {
 /// replicas the estimate degenerates to a zero-width band around `value`.
 ErrorEstimate EstimateError(double value, const std::vector<double>& trials);
 
-/// Closed-form alternative for linear aggregates (extension; the paper
-/// notes analytical bootstrap [39] is orthogonal and pluggable): normal
-/// approximation from a sample variance. Used by the ablation bench to
-/// compare against simulation bootstrap.
-ErrorEstimate AnalyticEstimate(double value, double sample_variance,
-                               double sample_count);
-
-/// Closed-form *unscaled* standard deviation of an aggregate estimate,
-/// from the input moments of its group: for `agg_name` in
-/// {sum, count, avg}, the sampling stddev of the estimator before
-/// multiplicity scaling (the engine scales it exactly like the aggregate
-/// itself; the finite-population correction is applied at display time).
-/// Returns a negative value for aggregates without a closed form (UDAFs,
-/// variance, ...), which then fall back to bootstrap or report no
-/// estimate.
-double AnalyticUnscaledStddev(const std::string& agg_name, double n,
-                              double variance);
-
-/// Builds a presentation estimate from a scaled stddev (normal CI).
+/// Builds a presentation estimate from a scaled stddev (normal CI). A
+/// negative stddev (an aggregate without a closed form) gives a zero-width
+/// band around `value`.
 ErrorEstimate EstimateFromStddev(double value, double stddev);
 
 }  // namespace iolap

@@ -2,11 +2,11 @@
 
 namespace iolap {
 
-TrialAccumulatorSet::TrialAccumulatorSet(const AggFunction& fn,
+TrialAccumulatorSet::TrialAccumulatorSet(const AggregateFunction& fn,
                                          int num_trials) {
-  main_ = fn.NewAccumulator();
+  main_ = fn.new_accumulator();
   trials_.reserve(num_trials);
-  for (int t = 0; t < num_trials; ++t) trials_.push_back(fn.NewAccumulator());
+  for (int t = 0; t < num_trials; ++t) trials_.push_back(fn.new_accumulator());
 }
 
 void TrialAccumulatorSet::AddMoments(const Value& v, double weight) {
@@ -22,29 +22,6 @@ double TrialAccumulatorSet::moment_variance() const {
   const double mean = m_sum_ / m_n_;
   const double var = m_sumsq_ / m_n_ - mean * mean;
   return var < 0.0 ? 0.0 : var;
-}
-
-void TrialAccumulatorSet::Add(const Value& v, double weight,
-                              const int* trial_weights) {
-  main_->Add(v, weight);
-  AddMoments(v, weight);
-  for (size_t t = 0; t < trials_.size(); ++t) {
-    const double w = trial_weights != nullptr ? weight * trial_weights[t]
-                                              : weight;
-    if (w != 0.0) trials_[t]->Add(v, w);
-  }
-}
-
-void TrialAccumulatorSet::AddPerTrial(const std::vector<Value>& values,
-                                      double weight,
-                                      const int* trial_weights) {
-  main_->Add(values[0], weight);
-  AddMoments(values[0], weight);
-  for (size_t t = 0; t < trials_.size(); ++t) {
-    const double w = trial_weights != nullptr ? weight * trial_weights[t]
-                                              : weight;
-    if (w != 0.0) trials_[t]->Add(values[1 + t], w);
-  }
 }
 
 void TrialAccumulatorSet::AddMainOnly(const Value& v, double weight) {

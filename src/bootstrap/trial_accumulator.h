@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/aggregate.h"
+#include "core/function_registry.h"
 #include "core/value.h"
 
 namespace iolap {
@@ -17,24 +17,17 @@ namespace iolap {
 /// into sub-linear sketches per §4.2.
 class TrialAccumulatorSet {
  public:
-  TrialAccumulatorSet(const AggFunction& fn, int num_trials);
+  TrialAccumulatorSet(const AggregateFunction& fn, int num_trials);
 
   int num_trials() const { return static_cast<int>(trials_.size()); }
 
-  /// Folds a value whose main multiplicity is `weight` and whose trial-t
-  /// multiplicity is weight * trial_weights[t]. `trial_weights` may be null
-  /// when every trial weight equals the main weight (non-streamed rows).
-  void Add(const Value& v, double weight, const int* trial_weights);
-
-  /// Folds a value that differs per trial (uncertain aggregate inputs):
-  /// values[0] is the main value, values[1 + t] the trial-t value.
-  void AddPerTrial(const std::vector<Value>& values, double weight,
-                   const int* trial_weights);
-
-  /// Folds into the main accumulator only / one trial accumulator only.
-  /// Used for non-deterministic rows whose filter decision differs per
-  /// bootstrap trial (§5): the delta engine evaluates the predicate per
-  /// trial and routes each surviving (value, weight) individually.
+  /// The per-tuple fold, in two halves: the main accumulator takes the
+  /// value with its plain multiplicity `weight`, and trial t takes its
+  /// trial-t value with the trial-t multiplicity (a zero weight is
+  /// skipped). The delta engine folds main values in the serial apply
+  /// phase and trial values in the deferred trial flush; a row whose filter
+  /// decision differs per bootstrap trial (§5) reaches only the trials that
+  /// keep it.
   void AddMainOnly(const Value& v, double weight);
   void AddTrialOnly(int trial, const Value& v, double weight);
 

@@ -1,6 +1,5 @@
 #include "core/aggregate.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace iolap {
@@ -12,7 +11,9 @@ namespace {
 // One (sum, count) pair serves all three linear aggregates.
 class SumCountAccumulator final : public AggAccumulator {
  public:
-  explicit SumCountAccumulator(AggKind kind) : kind_(kind) {}
+  enum class Output : uint8_t { kCount, kSum, kAvg };
+
+  explicit SumCountAccumulator(Output output) : output_(output) {}
 
   void Add(const Value& v, double weight) override {
     if (v.is_null()) return;
@@ -27,10 +28,10 @@ class SumCountAccumulator final : public AggAccumulator {
   }
 
   Value Result(double scale) const override {
-    switch (kind_) {
-      case AggKind::kCount:
+    switch (output_) {
+      case Output::kCount:
         return Value::Double(scale * count_);
-      case AggKind::kSum:
+      case Output::kSum:
         return count_ == 0.0 ? Value::Null() : Value::Double(scale * sum_);
       default:  // kAvg
         return count_ == 0.0 ? Value::Null() : Value::Double(sum_ / count_);
@@ -44,7 +45,7 @@ class SumCountAccumulator final : public AggAccumulator {
   size_t ByteSize() const override { return 2 * sizeof(double); }
 
  private:
-  AggKind kind_;
+  Output output_;
   double sum_ = 0.0;
   double count_ = 0.0;
 };
@@ -125,87 +126,37 @@ class MomentsAccumulator final : public AggAccumulator {
   double wxx_ = 0.0;
 };
 
-// --------------------------------------------------- built-in factory
-
-class BuiltinAggFunction final : public AggFunction {
- public:
-  explicit BuiltinAggFunction(AggKind kind) : kind_(kind) {}
-
-  std::string name() const override {
-    switch (kind_) {
-      case AggKind::kCount:
-        return "count";
-      case AggKind::kSum:
-        return "sum";
-      case AggKind::kAvg:
-        return "avg";
-      case AggKind::kMin:
-        return "min";
-      case AggKind::kMax:
-        return "max";
-      case AggKind::kVar:
-        return "var";
-      case AggKind::kStddev:
-        return "stddev";
-      default:
-        return "?";
-    }
-  }
-
-  ValueType ResultType(ValueType input) const override {
-    if (kind_ == AggKind::kMin || kind_ == AggKind::kMax) return input;
-    return ValueType::kDouble;
-  }
-
-  bool ScalesLinearly() const override {
-    return kind_ == AggKind::kCount || kind_ == AggKind::kSum;
-  }
-
-  bool SupportsSampling() const override {
-    // MIN/MAX are not Hadamard differentiable (§3.3).
-    return kind_ != AggKind::kMin && kind_ != AggKind::kMax;
-  }
-
-  std::unique_ptr<AggAccumulator> NewAccumulator() const override {
-    switch (kind_) {
-      case AggKind::kCount:
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        return std::make_unique<SumCountAccumulator>(kind_);
-      case AggKind::kMin:
-        return std::make_unique<MinMaxAccumulator>(/*is_min=*/true);
-      case AggKind::kMax:
-        return std::make_unique<MinMaxAccumulator>(/*is_min=*/false);
-      case AggKind::kVar:
-        return std::make_unique<MomentsAccumulator>(/*stddev=*/false);
-      case AggKind::kStddev:
-        return std::make_unique<MomentsAccumulator>(/*stddev=*/true);
-      default:
-        assert(false && "kUdaf has no built-in accumulator");
-        return nullptr;
-    }
-  }
-
- private:
-  AggKind kind_;
-};
-
 }  // namespace
 
-std::shared_ptr<const AggFunction> MakeBuiltinAggFunction(AggKind kind) {
-  assert(kind != AggKind::kUdaf);
-  return std::make_shared<BuiltinAggFunction>(kind);
+std::unique_ptr<AggAccumulator> NewCountAccumulator() {
+  return std::make_unique<SumCountAccumulator>(
+      SumCountAccumulator::Output::kCount);
 }
 
-AggKind AggKindFromName(const std::string& name) {
-  if (name == "count") return AggKind::kCount;
-  if (name == "sum") return AggKind::kSum;
-  if (name == "avg") return AggKind::kAvg;
-  if (name == "min") return AggKind::kMin;
-  if (name == "max") return AggKind::kMax;
-  if (name == "var" || name == "variance") return AggKind::kVar;
-  if (name == "stddev" || name == "std") return AggKind::kStddev;
-  return AggKind::kUdaf;
+std::unique_ptr<AggAccumulator> NewSumAccumulator() {
+  return std::make_unique<SumCountAccumulator>(
+      SumCountAccumulator::Output::kSum);
+}
+
+std::unique_ptr<AggAccumulator> NewAvgAccumulator() {
+  return std::make_unique<SumCountAccumulator>(
+      SumCountAccumulator::Output::kAvg);
+}
+
+std::unique_ptr<AggAccumulator> NewMinAccumulator() {
+  return std::make_unique<MinMaxAccumulator>(/*is_min=*/true);
+}
+
+std::unique_ptr<AggAccumulator> NewMaxAccumulator() {
+  return std::make_unique<MinMaxAccumulator>(/*is_min=*/false);
+}
+
+std::unique_ptr<AggAccumulator> NewVarAccumulator() {
+  return std::make_unique<MomentsAccumulator>(/*stddev=*/false);
+}
+
+std::unique_ptr<AggAccumulator> NewStddevAccumulator() {
+  return std::make_unique<MomentsAccumulator>(/*stddev=*/true);
 }
 
 }  // namespace iolap

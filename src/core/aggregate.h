@@ -2,25 +2,10 @@
 #define IOLAP_CORE_AGGREGATE_H_
 
 #include <memory>
-#include <string>
 
-#include "common/status.h"
 #include "core/value.h"
 
 namespace iolap {
-
-/// Built-in aggregate kinds. kUdaf marks user-defined aggregates resolved
-/// through the FunctionRegistry.
-enum class AggKind {
-  kCount,
-  kSum,
-  kAvg,
-  kMin,
-  kMax,
-  kVar,
-  kStddev,
-  kUdaf,
-};
 
 /// Incremental state of one aggregate over one group. Accumulators are the
 /// "sketch states" of the paper (§4.2): an AGGREGATE operator keeps one
@@ -53,41 +38,16 @@ class AggAccumulator {
   virtual size_t ByteSize() const = 0;
 };
 
-/// Immutable descriptor + factory for an aggregate function. Shared between
-/// the plan (type checking) and the executor (accumulator creation).
-class AggFunction {
- public:
-  virtual ~AggFunction() = default;
-
-  /// Lower-case SQL name ("sum", "geomean", ...).
-  virtual std::string name() const = 0;
-
-  /// Result type for a given input type.
-  virtual ValueType ResultType(ValueType input) const = 0;
-
-  /// How the result depends on the multiplicity scale m_i = |D|/|D_i|:
-  /// linear (SUM, COUNT: result ∝ scale) or invariant (ratio aggregates —
-  /// AVG, VAR, UDAF means: scale cancels). Every supported aggregate is
-  /// one of the two, which lets the engine store unscaled sketch results
-  /// and re-scale lazily instead of re-publishing untouched groups each
-  /// batch.
-  virtual bool ScalesLinearly() const { return false; }
-
-  /// Whether the aggregate is smooth (Hadamard differentiable) under
-  /// sampling, i.e., whether running results converge and bootstrap error
-  /// estimation applies (§3.3). MIN/MAX are not; the binder rejects them
-  /// over streamed relations.
-  virtual bool SupportsSampling() const = 0;
-
-  virtual std::unique_ptr<AggAccumulator> NewAccumulator() const = 0;
-};
-
-/// Built-in aggregate for `kind` (anything but kUdaf).
-std::shared_ptr<const AggFunction> MakeBuiltinAggFunction(AggKind kind);
-
-/// Maps a lower-case SQL aggregate name to a built-in kind; kUdaf if the
-/// name is not a built-in (the binder then consults the FunctionRegistry).
-AggKind AggKindFromName(const std::string& name);
+/// Accumulator factories of the built-in aggregates, which
+/// FunctionRegistry::Default() registers as their AggregateFunction
+/// definitions.
+std::unique_ptr<AggAccumulator> NewCountAccumulator();
+std::unique_ptr<AggAccumulator> NewSumAccumulator();
+std::unique_ptr<AggAccumulator> NewAvgAccumulator();
+std::unique_ptr<AggAccumulator> NewMinAccumulator();
+std::unique_ptr<AggAccumulator> NewMaxAccumulator();
+std::unique_ptr<AggAccumulator> NewVarAccumulator();
+std::unique_ptr<AggAccumulator> NewStddevAccumulator();
 
 }  // namespace iolap
 

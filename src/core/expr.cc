@@ -68,9 +68,7 @@ Value EvalArith(Expr::BinaryOp op, const Value& l, const Value& r,
     default:
       return Value::Null();
   }
-  if (out_type == ValueType::kInt64) {
-    return Value::Int64(static_cast<int64_t>(result));
-  }
+  if (out_type == ValueType::kInt64) return TruncateToInt64(result).ToValue();
   return Value::Double(result);
 }
 
@@ -182,9 +180,7 @@ Value UnaryExpr::Eval(const Row& row, const EvalContext& ctx) const {
   const Value v = operand_->Eval(row, ctx);
   if (v.is_null()) return Value::Null();
   if (op_ == UnaryOp::kNot) return Value::Bool(!v.IsTruthy());
-  // kNeg
-  if (v.type() == ValueType::kInt64) return Value::Int64(-v.int64());
-  return Value::Double(-v.AsDouble());
+  return NumericNeg(NumericValue::Of(v)).ToValue();
 }
 
 Interval UnaryExpr::EvalInterval(const Row& row, const EvalContext& ctx) const {

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/aggregate.h"
-
 namespace iolap {
 
 namespace {
@@ -54,7 +52,7 @@ V Coalesce(const V* args, size_t n) {
   return V::Null();
 }
 
-// ------------------------------- built-in smooth UDAF implementations
+// ----------------------------------- smooth UDAFs of the Conviva workload
 
 // GEOMEAN(x) = exp(weighted mean of log x); non-positive inputs skipped.
 class GeomeanAccumulator final : public AggAccumulator {
@@ -140,39 +138,26 @@ class RmsAccumulator final : public AggAccumulator {
 };
 
 template <typename Accumulator>
-class SmoothUdaf final : public AggFunction {
- public:
-  explicit SmoothUdaf(std::string name) : name_(std::move(name)) {}
-  std::string name() const override { return name_; }
-  ValueType ResultType(ValueType) const override { return ValueType::kDouble; }
-  bool SupportsSampling() const override { return true; }
-  std::unique_ptr<AggAccumulator> NewAccumulator() const override {
-    return std::make_unique<Accumulator>();
-  }
-
- private:
-  std::string name_;
-};
+std::unique_ptr<AggAccumulator> NewAccumulator() {
+  return std::make_unique<Accumulator>();
+}
 
 }  // namespace
 
 NumericValue NumericMod(const NumericValue& a, const NumericValue& b) {
-  // Both operands go through AsDouble, as in all other arithmetic; the
-  // range test also rejects NaN and ±inf. [-2^63, 2^63) is exactly the
-  // doubles whose truncation fits int64.
-  const double x = a.AsDouble();
-  const double y = b.AsDouble();
-  auto fits = [](double d) { return d >= -0x1p63 && d < 0x1p63; };
-  if (a.is_null() || b.is_null() || !fits(x) || !fits(y)) {
+  if (a.is_null() || b.is_null()) return NumericValue::Null();
+  // Both operands go through AsDouble, as in all other arithmetic.
+  const NumericValue x = TruncateToInt64(a.AsDouble());
+  const NumericValue divisor = TruncateToInt64(b.AsDouble());
+  if (x.is_null() || divisor.is_null() || divisor.i64 == 0) {
     return NumericValue::Null();
   }
-  const int64_t divisor = static_cast<int64_t>(y);
-  if (divisor == 0) return NumericValue::Null();
-  if (divisor == -1) return NumericValue::Int(0);
-  return NumericValue::Int(static_cast<int64_t>(x) % divisor);
+  if (divisor.i64 == -1) return NumericValue::Int(0);
+  return NumericValue::Int(x.i64 % divisor.i64);
 }
 
 bool Signature::Accepts(size_t i, ValueType type) const {
+  if (i >= params.size() && !variadic.has_value()) return false;
   switch (i < params.size() ? params[i] : *variadic) {
     case ParamKind::kNumeric:
       return type != ValueType::kString;
@@ -196,9 +181,9 @@ void FunctionRegistry::RegisterScalar(ScalarFunction fn) {
   scalars_[fn.name] = std::move(fn);
 }
 
-void FunctionRegistry::RegisterAggregate(
-    const std::string& name, std::shared_ptr<const AggFunction> agg) {
-  aggregates_[name] = std::move(agg);
+void FunctionRegistry::RegisterAggregate(AggregateFunction fn) {
+  assert(fn.new_accumulator != nullptr);
+  aggregates_[fn.name] = std::move(fn);
 }
 
 Result<const ScalarFunction*> FunctionRegistry::FindScalar(
@@ -210,17 +195,19 @@ Result<const ScalarFunction*> FunctionRegistry::FindScalar(
   return &it->second;
 }
 
-Result<std::shared_ptr<const AggFunction>> FunctionRegistry::FindAggregate(
+Result<const AggregateFunction*> FunctionRegistry::FindAggregate(
     const std::string& name) const {
+  static const std::map<std::string, std::string> kSpellings = {
+      {"variance", "var"}, {"std", "stddev"}};
   auto it = aggregates_.find(name);
+  if (it == aggregates_.end()) {
+    const auto spelling = kSpellings.find(name);
+    if (spelling != kSpellings.end()) it = aggregates_.find(spelling->second);
+  }
   if (it == aggregates_.end()) {
     return Status::NotFound("unknown aggregate function: " + name);
   }
-  return it->second;
-}
-
-bool FunctionRegistry::HasAggregate(const std::string& name) const {
-  return aggregates_.count(name) > 0;
+  return &it->second;
 }
 
 std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
@@ -342,13 +329,61 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
          return Value::String(std::move(out));
        }});
 
+  // Aggregates. Only SUM, COUNT and AVG have a closed-form stddev.
+  const Signature numeric_to_double = {.params = {kNum},
+                                       .result = ValueType::kDouble};
   registry->RegisterAggregate(
-      "geomean", std::make_shared<SmoothUdaf<GeomeanAccumulator>>("geomean"));
+      {.name = "count",
+       .signature = {.params = {kAny}, .result = ValueType::kDouble},
+       .scales_linearly = true,
+       .new_accumulator = NewCountAccumulator,
+       .analytic_stddev = [](double n, double) {
+         return n <= 0.0 ? 0.0 : std::sqrt(n);
+       }});
   registry->RegisterAggregate(
-      "harmonic_mean",
-      std::make_shared<SmoothUdaf<HarmonicAccumulator>>("harmonic_mean"));
-  registry->RegisterAggregate("rms",
-                              std::make_shared<SmoothUdaf<RmsAccumulator>>("rms"));
+      {.name = "sum",
+       .signature = numeric_to_double,
+       .scales_linearly = true,
+       .new_accumulator = NewSumAccumulator,
+       .analytic_stddev = [](double n, double variance) {
+         return n <= 0.0 ? 0.0 : std::sqrt(n * variance);
+       }});
+  registry->RegisterAggregate(
+      {.name = "avg",
+       .signature = numeric_to_double,
+       .new_accumulator = NewAvgAccumulator,
+       .analytic_stddev = [](double n, double variance) {
+         return n > 1.0 ? std::sqrt(variance / n) : 0.0;
+       }});
+  // MIN/MAX are not smooth under sampling (§3.3), and keep their
+  // argument's type.
+  const Signature same_type = {.params = {kAny}, .result_arg = 0};
+  registry->RegisterAggregate({.name = "min",
+                               .signature = same_type,
+                               .smooth = false,
+                               .new_accumulator = NewMinAccumulator});
+  registry->RegisterAggregate({.name = "max",
+                               .signature = same_type,
+                               .smooth = false,
+                               .new_accumulator = NewMaxAccumulator});
+  registry->RegisterAggregate({.name = "var",
+                               .signature = numeric_to_double,
+                               .new_accumulator = NewVarAccumulator});
+  registry->RegisterAggregate({.name = "stddev",
+                               .signature = numeric_to_double,
+                               .new_accumulator = NewStddevAccumulator});
+  registry->RegisterAggregate(
+      {.name = "geomean",
+       .signature = numeric_to_double,
+       .new_accumulator = NewAccumulator<GeomeanAccumulator>});
+  registry->RegisterAggregate(
+      {.name = "harmonic_mean",
+       .signature = numeric_to_double,
+       .new_accumulator = NewAccumulator<HarmonicAccumulator>});
+  registry->RegisterAggregate(
+      {.name = "rms",
+       .signature = numeric_to_double,
+       .new_accumulator = NewAccumulator<RmsAccumulator>});
   return registry;
 }
 

@@ -2,6 +2,7 @@
 #define IOLAP_CORE_FUNCTION_REGISTRY_H_
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -9,11 +10,10 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/aggregate.h"
 #include "core/value.h"
 
 namespace iolap {
-
-class AggFunction;
 
 /// An unboxed numeric value (NULL / int64 / double): the numeric register
 /// of compiled expression programs (exec/expr_program) and the argument and
@@ -73,7 +73,28 @@ struct NumericValue {
 /// the compiled `mod` opcode and the mod() built-in all call this.
 NumericValue NumericMod(const NumericValue& a, const NumericValue& b);
 
-/// What a scalar function parameter accepts. A NULL-typed argument (the
+/// `d` truncated toward zero to int64, or NULL when it is NaN, ±inf or
+/// outside the int64 range: [-2^63, 2^63) is exactly the doubles whose
+/// truncation fits. Statically-int64 `+`, `-` and `*` run in double and
+/// narrow through this, in the interpreter and the compiled `arith` opcode
+/// alike; NumericMod narrows its operands through it.
+inline NumericValue TruncateToInt64(double d) {
+  return d >= -0x1p63 && d < 0x1p63 ? NumericValue::Int(static_cast<int64_t>(d))
+                                    : NumericValue::Null();
+}
+
+/// Unary minus: NULL for NULL and for INT64_MIN, whose negation is not an
+/// int64. The interpreter and the compiled `neg` opcode call this.
+inline NumericValue NumericNeg(const NumericValue& v) {
+  if (v.tag == ValueType::kInt64) {
+    return v.i64 == std::numeric_limits<int64_t>::min()
+               ? NumericValue::Null()
+               : NumericValue::Int(-v.i64);
+  }
+  return v.is_null() ? v : NumericValue::Dbl(-v.f64);
+}
+
+/// What a function parameter accepts. A NULL-typed argument (the
 /// literal NULL, or a call whose result type follows one) fits every kind.
 enum class ParamKind : uint8_t {
   kNumeric,  // int64 or double
@@ -81,10 +102,10 @@ enum class ParamKind : uint8_t {
   kAny,
 };
 
-/// The typed signature of a scalar function: the one rule table that the
-/// binder (arity, argument kinds, result type), the expression compiler
-/// (which call form to emit) and the program verifier (register kinds at
-/// call sites) all read.
+/// The typed signature of a scalar or aggregate function: the one rule table
+/// that the binder (arity, argument kinds, result type), the expression
+/// compiler (which call form to emit) and the program verifier (register
+/// kinds at call sites) all read.
 struct Signature {
   /// The fixed leading parameters.
   std::vector<ParamKind> params = {};
@@ -98,8 +119,8 @@ struct Signature {
   bool AcceptsArity(size_t n) const {
     return variadic.has_value() ? n >= params.size() : n == params.size();
   }
-  /// Whether argument `i` (requires AcceptsArity(i + 1)) may have static
-  /// type `type`: no string for kNumeric, only a string for kString.
+  /// Whether argument `i` may have static type `type`: no string for
+  /// kNumeric, only a string for kString, nothing past the admitted arity.
   bool Accepts(size_t i, ValueType type) const;
   ValueType ResultType(const std::vector<ValueType>& arg_types) const;
 };
@@ -147,15 +168,58 @@ struct ScalarFunction {
   BoxedBody boxed = nullptr;
 };
 
-/// Registry of scalar functions and aggregate (UDAF) factories. A process
-/// typically uses one registry with the built-ins plus workload UDFs; the
-/// registry is immutable during query execution.
+/// An aggregate function (built-in or user-defined): the one definition that
+/// the binder, the plan, the rewrite rules, the uncertainty analysis and the
+/// delta engine read. For example:
+///
+///   registry->RegisterAggregate(
+///       {.name = "mean_square",
+///        .signature = {.params = {ParamKind::kNumeric},
+///                      .result = ValueType::kDouble},
+///        .new_accumulator = []() -> std::unique_ptr<AggAccumulator> {
+///          return std::make_unique<MeanSquareAccumulator>();
+///        }});
+///
+/// An aggregate takes one argument, checked by the binder against
+/// `signature`.
+struct AggregateFunction {
+  using Factory = std::unique_ptr<AggAccumulator> (*)();
+  using ClosedFormStddev = double (*)(double n, double variance);
+
+  /// Lower-case SQL name ("sum", "geomean", ...).
+  std::string name;
+  Signature signature = {};
+  /// How the result depends on the multiplicity scale m_i = |D|/|D_i|:
+  /// linear (SUM, COUNT: result ∝ scale) or invariant (ratio aggregates —
+  /// AVG, VAR, UDAF means: scale cancels). Every supported aggregate is one
+  /// of the two, which lets the engine store unscaled sketch results and
+  /// re-scale lazily instead of re-publishing untouched groups each batch.
+  bool scales_linearly = false;
+  /// Whether the aggregate is smooth (Hadamard differentiable) under
+  /// sampling, i.e., whether running results converge and bootstrap error
+  /// estimation applies (§3.3). MIN/MAX are not; the uncertainty analysis
+  /// rejects them over streamed relations.
+  bool smooth = true;
+  /// Makes one group's accumulator. A plain function, so the rewrite rules
+  /// can recognise the built-in SUM and COUNT by theirs.
+  Factory new_accumulator = nullptr;
+  /// The closed-form stddev of the estimate before multiplicity scaling,
+  /// from the input moments of its group (weighted count and variance); the
+  /// analytic error mode (§9, analytical bootstrap [39]) reads it. Null when
+  /// there is none: the group then reports no analytic estimate.
+  ClosedFormStddev analytic_stddev = nullptr;
+};
+
+/// Registry of scalar and aggregate functions. A process typically uses one
+/// registry with the built-ins plus workload UDFs and UDAFs; the registry is
+/// immutable during query execution.
 class FunctionRegistry {
  public:
   /// Creates a registry pre-populated with the built-in scalar functions
   /// (abs, sqrt, log, exp, floor, ceil, round, pow, mod, least, greatest,
-  /// if, coalesce, length, lower, upper, substr, concat) and built-in UDAF
-  /// factories (geomean, harmonic_mean, rms).
+  /// if, coalesce, length, lower, upper, substr, concat), the built-in
+  /// aggregates (count, sum, avg, min, max, var, stddev) and the smooth
+  /// UDAFs of the Conviva workload (geomean, harmonic_mean, rms).
   static std::shared_ptr<FunctionRegistry> Default();
 
   /// Registers (or replaces) a scalar function. An empty `boxed` form is
@@ -163,9 +227,8 @@ class FunctionRegistry {
   /// the result boxes back.
   void RegisterScalar(ScalarFunction fn);
 
-  /// Registers (or replaces) a user-defined aggregate.
-  void RegisterAggregate(const std::string& name,
-                         std::shared_ptr<const AggFunction> agg);
+  /// Registers (or replaces, built-ins included) an aggregate function.
+  void RegisterAggregate(AggregateFunction fn);
 
   /// Looks up a scalar function by (lower-case) name. The pointer stays
   /// valid for the registry's lifetime.
@@ -176,15 +239,14 @@ class FunctionRegistry {
     return scalars_;
   }
 
-  /// Looks up a UDAF by (lower-case) name.
-  Result<std::shared_ptr<const AggFunction>> FindAggregate(
-      const std::string& name) const;
-
-  bool HasAggregate(const std::string& name) const;
+  /// Looks up an aggregate function by (lower-case) name; `variance` and
+  /// `std` spell var and stddev unless registered themselves. The pointer
+  /// stays valid for the registry's lifetime.
+  Result<const AggregateFunction*> FindAggregate(const std::string& name) const;
 
  private:
   std::map<std::string, ScalarFunction> scalars_;
-  std::map<std::string, std::shared_ptr<const AggFunction>> aggregates_;
+  std::map<std::string, AggregateFunction> aggregates_;
 };
 
 }  // namespace iolap

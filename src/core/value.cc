@@ -62,24 +62,39 @@ int Value::Compare(const Value& other) const {
   return 0;  // both NULL
 }
 
+namespace {
+
+// Hashes a double through its int64 value when integral, so that Int64(2)
+// and Double(2.0) (which compare equal) hash equal. The range test keeps the
+// cast defined: NaN, ±inf and doubles outside [-2^63, 2^63) hash by their
+// bits.
+uint64_t HashDouble(double d) {
+  if (d >= -0x1p63 && d < 0x1p63 &&
+      d == static_cast<double>(static_cast<int64_t>(d))) {
+    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
+}
+
+}  // namespace
+
 uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9ae16a3b2f90404full;
-    case ValueType::kInt64:
-      return Mix64(static_cast<uint64_t>(int64()));
-    case ValueType::kDouble: {
-      // Hash doubles through their int64 value when integral so that
-      // Int64(2) and Double(2.0) (which compare equal) hash equal.
-      const double d = dbl();
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
-        return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return Mix64(bits);
+    case ValueType::kInt64: {
+      // Compare reads numbers as doubles, and beyond ±2^53 several int64s
+      // round to one double; hash those like that double.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      const int64_t i = int64();
+      if (i > kExact || i < -kExact) return HashDouble(static_cast<double>(i));
+      return Mix64(static_cast<uint64_t>(i));
     }
+    case ValueType::kDouble:
+      return HashDouble(dbl());
     case ValueType::kString:
       return HashBytes(str());
   }

@@ -516,18 +516,9 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
         }
         break;
       }
-      case Op::kNeg: {
-        const NumericValue s = num[insn.a];
-        NumericValue& d = num[insn.dst];
-        if (s.is_null()) {
-          d = NumericValue::Null();
-        } else if (s.tag == ValueType::kInt64) {
-          d = NumericValue::Int(-s.i64);
-        } else {
-          d = NumericValue::Dbl(-s.f64);
-        }
+      case Op::kNeg:
+        num[insn.dst] = NumericNeg(num[insn.a]);
         break;
-      }
       case Op::kNot: {
         const NumericValue s = num[insn.a];
         num[insn.dst] = s.is_null() ? NumericValue::Null()
@@ -566,8 +557,7 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
             d = NumericValue::Null();
             continue;
         }
-        d = insn.aux != 0 ? NumericValue::Int(static_cast<int64_t>(result))
-                          : NumericValue::Dbl(result);
+        d = insn.aux != 0 ? TruncateToInt64(result) : NumericValue::Dbl(result);
         break;
       }
       case Op::kMod:

@@ -147,7 +147,7 @@ Result<Table> EvaluateReference(const QueryPlan& plan, const Catalog& catalog,
         auto [it, inserted] = groups.try_emplace(std::move(key));
         if (inserted) {
           for (const AggSpec& spec : block.aggs) {
-            it->second.push_back(spec.fn->NewAccumulator());
+            it->second.push_back(spec.fn->new_accumulator());
           }
         }
         for (size_t a = 0; a < block.aggs.size(); ++a) {

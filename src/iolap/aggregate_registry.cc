@@ -52,7 +52,7 @@ AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack)
     relations_[b].num_keys = static_cast<int>(block.group_by.size());
     relations_[b].linear.reserve(block.aggs.size());
     for (const AggSpec& agg : block.aggs) {
-      relations_[b].linear.push_back(agg.fn->ScalesLinearly());
+      relations_[b].linear.push_back(agg.fn->scales_linearly);
     }
   }
 }

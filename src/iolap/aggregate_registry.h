@@ -35,8 +35,8 @@ extern ThreadRole engine_serial_phase;
 /// Values are stored *unscaled* (multiplicity scale 1) together with the
 /// block's current scale m_i; lookups re-scale lazily (SUM/COUNT results
 /// are linear in the scale, everything else invariant — see
-/// AggFunction::ScalesLinearly). This lets the delta engine publish only
-/// the groups an incoming batch actually touched: untouched groups are
+/// AggregateFunction::scales_linearly). This lets the delta engine publish
+/// only the groups an incoming batch actually touched: untouched groups are
 /// merely Refresh()ed, which re-runs the integrity check on the stored
 /// replica envelope under the new scale without re-materializing replicas.
 ///

@@ -26,6 +26,14 @@ bool InputGrows(const QueryPlan& /*plan*/,
 // BlockBatchStats::shipped_bytes: the paper's 20-worker EC2 cluster.
 constexpr uint64_t kVirtualWorkers = 20;
 
+// The closed-form stddev of `fn` over `acc`'s main inputs, before
+// multiplicity scaling; -1 when `fn` has no closed form.
+double UnscaledAnalyticSd(const AggregateFunction& fn,
+                          const TrialAccumulatorSet& acc) {
+  if (fn.analytic_stddev == nullptr) return -1.0;
+  return fn.analytic_stddev(acc.moment_count(), acc.moment_variance());
+}
+
 }  // namespace
 
 BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
@@ -203,7 +211,7 @@ std::vector<double> BlockExecutor::DisplayAnalyticSd(
       continue;
     }
     const double s =
-        block_->aggs[a].fn->ScalesLinearly() ? effective_scale : 1.0;
+        block_->aggs[a].fn->scales_linearly ? effective_scale : 1.0;
     out.push_back(unscaled[a] * s * fpc);
   }
   return out;
@@ -610,7 +618,7 @@ int BlockExecutor::PublishOutput(int batch, double scale,
 
   // Re-scales an unscaled result for presentation / downstream join rows.
   auto scale_value = [&](size_t a, const Value& unscaled) -> Value {
-    if (unscaled.is_null() || !block_->aggs[a].fn->ScalesLinearly() ||
+    if (unscaled.is_null() || !block_->aggs[a].fn->scales_linearly ||
         effective_scale == 1.0) {
       return unscaled;
     }
@@ -668,9 +676,8 @@ int BlockExecutor::PublishOutput(int batch, double scale,
         w.main.push_back(merged.MainResult(1.0));
         w.trials.push_back(merged.TrialResults(1.0));
         if (analytic) {
-          w.analytic_sd.push_back(AnalyticUnscaledStddev(
-              block_->aggs[a].fn->name(), merged.moment_count(),
-              merged.moment_variance()));
+          w.analytic_sd.push_back(
+              UnscaledAnalyticSd(*block_->aggs[a].fn, merged));
         }
       } else {
         const TrialAccumulatorSet& only = w.sketch_cells != nullptr
@@ -679,9 +686,8 @@ int BlockExecutor::PublishOutput(int batch, double scale,
         w.main.push_back(only.MainResult(1.0));
         w.trials.push_back(only.TrialResults(1.0));
         if (analytic) {
-          w.analytic_sd.push_back(AnalyticUnscaledStddev(
-              block_->aggs[a].fn->name(), only.moment_count(),
-              only.moment_variance()));
+          w.analytic_sd.push_back(
+              UnscaledAnalyticSd(*block_->aggs[a].fn, only));
         }
       }
     }
@@ -695,7 +701,7 @@ int BlockExecutor::PublishOutput(int batch, double scale,
       if (collect_trials_) {
         group.trials = w.trials;
         for (size_t a = 0; a < group.trials.size(); ++a) {
-          if (block_->aggs[a].fn->ScalesLinearly() && effective_scale != 1.0) {
+          if (block_->aggs[a].fn->scales_linearly && effective_scale != 1.0) {
             for (double& x : group.trials[a]) x *= effective_scale;
           }
         }
@@ -734,9 +740,8 @@ int BlockExecutor::PublishOutput(int batch, double scale,
         std::vector<double> sd;
         sd.reserve(block_->aggs.size());
         for (size_t a = 0; a < block_->aggs.size(); ++a) {
-          sd.push_back(AnalyticUnscaledStddev(
-              block_->aggs[a].fn->name(), w.sketch_cells->aggs[a].moment_count(),
-              w.sketch_cells->aggs[a].moment_variance()));
+          sd.push_back(UnscaledAnalyticSd(*block_->aggs[a].fn,
+                                          w.sketch_cells->aggs[a]));
         }
         group.analytic_sd = DisplayAnalyticSd(sd, effective_scale);
       }

@@ -96,6 +96,18 @@ class Session {
   ///          if (args[0].is_null()) return NumericValue::Null();
   ///          return NumericValue::Dbl(2.0 * args[0].AsDouble());
   ///        }});
+  ///
+  /// A UDAF is a definition with its argument's signature and an
+  /// accumulator factory; it is smooth and scale-invariant unless it says
+  /// otherwise, and has no closed-form error unless it supplies one:
+  ///
+  ///   session.functions()->RegisterAggregate(
+  ///       {.name = "mean_square",
+  ///        .signature = {.params = {ParamKind::kNumeric},
+  ///                      .result = ValueType::kDouble},
+  ///        .new_accumulator = []() -> std::unique_ptr<AggAccumulator> {
+  ///          return std::make_unique<MeanSquareAccumulator>();
+  ///        }});
   const std::shared_ptr<FunctionRegistry>& functions() { return functions_; }
 
   EngineOptions* mutable_options() { return &options_; }

@@ -77,6 +77,26 @@ Status ValidateAggLookupTargets(const ExprPtr& expr, const QueryPlan& plan,
 
 }  // namespace
 
+Schema OutputSchema(const Block& block) {
+  Schema out;
+  if (!block.has_aggregate()) {
+    for (size_t i = 0; i < block.projections.size(); ++i) {
+      out.AddColumn(Column(block.projection_names[i],
+                           block.projections[i]->output_type()));
+    }
+    return out;
+  }
+  for (size_t i = 0; i < block.group_by.size(); ++i) {
+    out.AddColumn(
+        Column(block.group_by_names[i], block.group_by[i]->output_type()));
+  }
+  for (const AggSpec& agg : block.aggs) {
+    out.AddColumn(Column(agg.output_name, agg.fn->signature.ResultType(
+                                              {agg.arg->output_type()})));
+  }
+  return out;
+}
+
 std::string QueryPlan::ToString() const {
   std::string out;
   for (const Block& block : blocks) {
@@ -105,7 +125,7 @@ std::string QueryPlan::ToString() const {
       for (const auto& g : block.group_by) out += " " + g->ToString();
       out += "\n  aggs:";
       for (const auto& agg : block.aggs) {
-        out += " " + agg.fn->name() + "(" + agg.arg->ToString() + ") as " +
+        out += " " + agg.fn->name + "(" + agg.arg->ToString() + ") as " +
                agg.output_name;
       }
       out += "\n";

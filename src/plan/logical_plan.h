@@ -6,16 +6,17 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/aggregate.h"
 #include "core/expr.h"
 #include "core/function_registry.h"
 #include "core/schema.h"
 
 namespace iolap {
 
-/// One aggregate output of a block: `fn(arg)` named `output_name`.
+/// One aggregate output of a block: `fn(arg)` named `output_name`. `fn` is
+/// the definition registered in the plan's function registry, which keeps
+/// it alive.
 struct AggSpec {
-  std::shared_ptr<const AggFunction> fn;
+  const AggregateFunction* fn = nullptr;
   ExprPtr arg;  // over the block's SPJ row layout
   std::string output_name;
 };
@@ -81,11 +82,16 @@ struct Block {
   std::vector<std::string> projection_names;
 
   /// Output schema: group_by + aggs for aggregate blocks, projections
-  /// otherwise (computed by the builder).
+  /// otherwise (OutputSchema, set by the builder).
   Schema output_schema;
 
   bool has_aggregate() const { return !aggs.empty() || !group_by.empty(); }
 };
+
+/// Derives a block's output schema: the group keys then one column per
+/// aggregate, typed by its definition's signature, for an aggregate block;
+/// the projections otherwise.
+Schema OutputSchema(const Block& block);
 
 /// Presentation of the final result (ORDER BY / LIMIT): applied by the
 /// controller to every delivered partial result, after the incremental
@@ -107,7 +113,7 @@ struct Presentation {
 /// sink delivers to the user.
 struct QueryPlan {
   std::vector<Block> blocks;
-  /// Owns the scalar functions the plan's CallExprs point to.
+  /// Owns the functions the plan's CallExprs and AggSpecs point to.
   std::shared_ptr<const FunctionRegistry> functions;
   /// Name of the (single) streamed relation; empty if none (fully static
   /// query, executed in one batch).

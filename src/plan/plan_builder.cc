@@ -122,20 +122,18 @@ BlockBuilder& BlockBuilder::GroupBy(const std::string& column) {
 
 BlockBuilder& BlockBuilder::Agg(const std::string& fn_name, ExprPtr arg,
                                 std::string output_name) {
-  std::shared_ptr<const AggFunction> fn;
-  const AggKind kind = AggKindFromName(fn_name);
-  if (kind != AggKind::kUdaf) {
-    fn = MakeBuiltinAggFunction(kind);
-  } else {
-    auto udaf = parent_->functions_->FindAggregate(fn_name);
-    if (!udaf.ok()) {
-      RecordError(udaf.status());
-      return *this;
-    }
-    fn = *udaf;
+  auto fn = parent_->functions_->FindAggregate(fn_name);
+  if (!fn.ok()) {
+    RecordError(fn.status());
+    return *this;
   }
-  block_.aggs.push_back(AggSpec{std::move(fn), std::move(arg),
-                                std::move(output_name)});
+  if (!(*fn)->signature.Accepts(0, arg->output_type())) {
+    RecordError(Status::BindError(
+        "aggregate " + fn_name + " cannot take a " +
+        ValueTypeToString(arg->output_type()) + " argument"));
+    return *this;
+  }
+  block_.aggs.push_back(AggSpec{*fn, std::move(arg), std::move(output_name)});
   return *this;
 }
 
@@ -191,18 +189,7 @@ BlockBuilder& PlanBuilder::NewBlock(std::string debug_name) {
   // reference it via ScanBlock/JoinBlock/SubqueryRef.
   if (!builders_.empty()) {
     Block& prev = builders_.back()->block_;
-    if (prev.output_schema.num_columns() == 0 && prev.has_aggregate()) {
-      Schema out;
-      for (size_t i = 0; i < prev.group_by.size(); ++i) {
-        out.AddColumn(
-            Column(prev.group_by_names[i], prev.group_by[i]->output_type()));
-      }
-      for (const AggSpec& agg : prev.aggs) {
-        out.AddColumn(Column(agg.output_name,
-                             agg.fn->ResultType(agg.arg->output_type())));
-      }
-      prev.output_schema = std::move(out);
-    }
+    prev.output_schema = OutputSchema(prev);
   }
   auto builder =
       std::unique_ptr<BlockBuilder>(new BlockBuilder(this, builders_.size()));
@@ -220,28 +207,7 @@ Result<QueryPlan> PlanBuilder::Build() {
   plan.functions = functions_;
   for (auto& builder : builders_) {
     Block& block = builder->block_;
-    // Compute output schema.
-    if (block.has_aggregate()) {
-      if (block.output_schema.num_columns() == 0) {
-        Schema out;
-        for (size_t i = 0; i < block.group_by.size(); ++i) {
-          out.AddColumn(Column(block.group_by_names[i],
-                               block.group_by[i]->output_type()));
-        }
-        for (const AggSpec& agg : block.aggs) {
-          out.AddColumn(Column(agg.output_name,
-                               agg.fn->ResultType(agg.arg->output_type())));
-        }
-        block.output_schema = std::move(out);
-      }
-    } else {
-      Schema out;
-      for (size_t i = 0; i < block.projections.size(); ++i) {
-        out.AddColumn(Column(block.projection_names[i],
-                             block.projections[i]->output_type()));
-      }
-      block.output_schema = std::move(out);
-    }
+    block.output_schema = OutputSchema(block);
     // Track the streamed relation.
     for (const BlockInput& input : block.inputs) {
       if (input.kind == BlockInput::Kind::kBaseTable && input.streamed) {

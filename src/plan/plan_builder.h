@@ -42,8 +42,9 @@ class BlockBuilder {
   /// Adds a group-by key column (by name).
   BlockBuilder& GroupBy(const std::string& column);
 
-  /// Adds an aggregate `fn_name(arg)` named `output_name`. fn_name is a
-  /// built-in (count/sum/avg/min/max/var/stddev) or a registered UDAF.
+  /// Adds an aggregate `fn_name(arg)` named `output_name`. fn_name names a
+  /// definition in the builder's function registry, and `arg` must fit its
+  /// signature.
   BlockBuilder& Agg(const std::string& fn_name, ExprPtr arg,
                     std::string output_name);
 

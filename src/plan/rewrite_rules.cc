@@ -108,15 +108,20 @@ class SideOutputs {
 
 // Attempts to decompose one block; returns the replacement blocks (left
 // partial, right partial, recombining top) or nothing if the rule does not
-// apply. `next_id` is the id of the first emitted block.
+// apply. `next_id` is the id of the first emitted block; `sum` is the
+// built-in SUM the partial and recombining aggregates use (null: the rule
+// does not apply).
 struct Decomposition {
   Block left;
   Block right;
   Block top;
 };
 
-std::optional<Decomposition> TryDecompose(const Block& block, int next_id) {
-  if (!block.has_aggregate() || block.inputs.size() != 2) return std::nullopt;
+std::optional<Decomposition> TryDecompose(const Block& block, int next_id,
+                                          const AggregateFunction* sum) {
+  if (sum == nullptr || !block.has_aggregate() || block.inputs.size() != 2) {
+    return std::nullopt;
+  }
   const BlockInput& in_left = block.inputs[0];
   const BlockInput& in_right = block.inputs[1];
   if (in_left.kind != BlockInput::Kind::kBaseTable ||
@@ -159,14 +164,16 @@ std::optional<Decomposition> TryDecompose(const Block& block, int next_id) {
     }
   }
 
-  // Aggregates: SUM / COUNT with per-side factors.
+  // Aggregates: the built-in SUM / COUNT with per-side factors.
   std::vector<DecomposedAgg> decomposed;
   for (const AggSpec& agg : block.aggs) {
     if (HasAggLookups(agg.arg)) return std::nullopt;
-    const std::string fn = agg.fn->name();
-    if (fn != "sum" && fn != "count") return std::nullopt;
+    const AggregateFunction::Factory factory = agg.fn->new_accumulator;
+    if (factory != NewSumAccumulator && factory != NewCountAccumulator) {
+      return std::nullopt;
+    }
     DecomposedAgg d;
-    if (fn == "count") {
+    if (factory == NewCountAccumulator) {
       // COUNT(expr): only count(*) (a never-null literal) decomposes
       // safely into C1·C2.
       if (agg.arg->kind() != Expr::Kind::kLiteral) return std::nullopt;
@@ -262,22 +269,12 @@ std::optional<Decomposition> TryDecompose(const Block& block, int next_id) {
     top_aggs.push_back(top);
   }
 
-  auto finish_side = [](Block* side, const SideOutputs& outputs) {
+  auto finish_side = [sum](Block* side, const SideOutputs& outputs) {
     for (size_t i = 0; i < outputs.exprs().size(); ++i) {
-      side->aggs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
-                                   outputs.exprs()[i],
-                                   "s" + std::to_string(i)});
+      side->aggs.push_back(
+          AggSpec{sum, outputs.exprs()[i], "s" + std::to_string(i)});
     }
-    Schema out;
-    for (size_t k = 0; k < side->group_by.size(); ++k) {
-      out.AddColumn(
-          Column(side->group_by_names[k], side->group_by[k]->output_type()));
-    }
-    for (const AggSpec& agg : side->aggs) {
-      out.AddColumn(Column(agg.output_name,
-                           agg.fn->ResultType(agg.arg->output_type())));
-    }
-    side->output_schema = std::move(out);
+    side->output_schema = OutputSchema(*side);
   };
   finish_side(&left_block, left_outputs);
   finish_side(&right_block, right_outputs);
@@ -338,8 +335,8 @@ std::optional<Decomposition> TryDecompose(const Block& block, int next_id) {
                               top.spj_schema.column(lc).type),
                           Col(rc, top.spj_schema.column(rc).name,
                               top.spj_schema.column(rc).type));
-    top.aggs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
-                               std::move(product), block.aggs[a].output_name});
+    top.aggs.push_back(
+        AggSpec{sum, std::move(product), block.aggs[a].output_name});
   }
   // The rewritten block's output schema must match the original exactly
   // (downstream consumers address it by column index).
@@ -414,6 +411,14 @@ Result<QueryPlan> ApplyRewriteRules(QueryPlan plan, RewriteStats* stats) {
   QueryPlan rewritten;
   rewritten.functions = plan.functions;
   rewritten.streamed_table = plan.streamed_table;
+  // The rule re-aggregates with the registry's SUM, so it applies only
+  // while that is the built-in one.
+  auto registered_sum = plan.functions->FindAggregate("sum");
+  const AggregateFunction* sum =
+      registered_sum.ok() &&
+              (*registered_sum)->new_accumulator == NewSumAccumulator
+          ? *registered_sum
+          : nullptr;
 
   std::vector<int> id_map(plan.blocks.size(), -1);
   for (size_t b = 0; b < plan.blocks.size(); ++b) {
@@ -421,7 +426,7 @@ Result<QueryPlan> ApplyRewriteRules(QueryPlan plan, RewriteStats* stats) {
     // Earlier blocks may have moved: fix references first.
     RemapBlockReferences(&block, id_map);
     const int next_id = static_cast<int>(rewritten.blocks.size());
-    auto decomposition = TryDecompose(block, next_id);
+    auto decomposition = TryDecompose(block, next_id, sum);
     if (decomposition.has_value()) {
       if (stats != nullptr) ++stats->decompositions;
       id_map[b] = decomposition->top.id;

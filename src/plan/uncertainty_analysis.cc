@@ -83,9 +83,9 @@ Result<std::vector<BlockAnnotations>> AnalyzeUncertainty(
           block.aggs[a].arg->DependsOnUncertain(&ann.spj_lineage);
       ann.depends_on_uncertain =
           ann.depends_on_uncertain || ann.agg_arg_uncertain[a];
-      if (ann.dynamic && !block.aggs[a].fn->SupportsSampling()) {
+      if (ann.dynamic && !block.aggs[a].fn->smooth) {
         return Status::InvalidArgument(
-            "aggregate '" + block.aggs[a].fn->name() +
+            "aggregate '" + block.aggs[a].fn->name +
             "' is not smooth under sampling and cannot run over the "
             "streamed relation (§3.3); drop it or un-stream the input");
       }

@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "core/aggregate.h"
-
 namespace iolap {
 
 namespace {
@@ -84,11 +82,6 @@ class Binder::Impl {
     Block* block = nullptr;
     const Scope* outer = nullptr;
   };
-
-  bool IsAggregateName(const std::string& name) const {
-    return AggKindFromName(name) != AggKind::kUdaf ||
-           functions_->HasAggregate(name);
-  }
 
   // Resolves "[qualifier.]name" against a block's SPJ schema.
   Result<int> ResolveColumn(const Block& block, const std::string& qualifier,
@@ -268,11 +261,12 @@ class Binder::Impl {
                           std::move(right));
       }
       case AstExpr::Kind::kCall: {
-        if (IsAggregateName(ast->name)) {
-          return BindAggregateCall(ast, scope, options);
+        // The one place a function name resolves: the call is checked
+        // against the function's signature and keeps the function.
+        auto aggregate = functions_->FindAggregate(ast->name);
+        if (aggregate.ok()) {
+          return BindAggregateCall(ast, **aggregate, scope, options);
         }
-        // The one place a scalar function name resolves: the call is
-        // checked against the function's signature and keeps the function.
         IOLAP_ASSIGN_OR_RETURN(const ScalarFunction* fn,
                                functions_->FindScalar(ast->name));
         const Signature& sig = fn->signature;
@@ -310,7 +304,9 @@ class Binder::Impl {
     return Status::BindError("unsupported expression");
   }
 
-  Result<ExprPtr> BindAggregateCall(const AstExprPtr& ast, const Scope& scope,
+  Result<ExprPtr> BindAggregateCall(const AstExprPtr& ast,
+                                    const AggregateFunction& fn,
+                                    const Scope& scope,
                                     const BindOptions& options) {
     if (options.precomputed != nullptr) {
       auto it = options.precomputed->find(ast->ToString());
@@ -331,7 +327,8 @@ class Binder::Impl {
         options.agg_scope != nullptr ? *options.agg_scope : scope;
     ExprPtr arg;
     if (ast->args[0]->kind == AstExpr::Kind::kStar) {
-      if (ast->name != "count") {
+      // count(*) counts rows: the built-in COUNT over a never-NULL literal.
+      if (fn.new_accumulator != NewCountAccumulator) {
         return Status::BindError("'*' is only valid inside count(*)");
       }
       arg = Lit(int64_t{1});
@@ -340,14 +337,12 @@ class Binder::Impl {
       IOLAP_ASSIGN_OR_RETURN(arg,
                              BindExpr(ast->args[0], arg_scope, arg_options));
     }
-    std::shared_ptr<const AggFunction> fn;
-    const AggKind kind = AggKindFromName(ast->name);
-    if (kind != AggKind::kUdaf) {
-      fn = MakeBuiltinAggFunction(kind);
-    } else {
-      IOLAP_ASSIGN_OR_RETURN(fn, functions_->FindAggregate(ast->name));
+    const ValueType arg_type = arg->output_type();
+    if (!fn.signature.Accepts(0, arg_type)) {
+      return Status::BindError("aggregate " + ast->name + " cannot take a " +
+                               ValueTypeToString(arg_type) + " argument");
     }
-    const ValueType agg_type = fn->ResultType(arg->output_type());
+    const ValueType agg_type = fn.signature.ResultType({arg_type});
 
     if (options.lookup_block >= 0) {
       // Scalar-subquery context: the aggregate becomes a lineage lookup.
@@ -361,7 +356,7 @@ class Binder::Impl {
       } else {
         spec_index = static_cast<int>(options.agg_sink->size());
         options.agg_sink->push_back(
-            AggSpec{fn, arg, "agg" + std::to_string(spec_index)});
+            AggSpec{&fn, arg, "agg" + std::to_string(spec_index)});
         (*options.agg_index)[rendered] = spec_index;
       }
       return std::static_pointer_cast<const Expr>(
@@ -379,7 +374,7 @@ class Binder::Impl {
     auto it = options.agg_index->find(rendered);
     if (it == options.agg_index->end()) {
       const int spec_index = static_cast<int>(options.agg_sink->size());
-      options.agg_sink->push_back(AggSpec{fn, arg, rendered});
+      options.agg_sink->push_back(AggSpec{&fn, arg, rendered});
       (*options.agg_index)[rendered] = spec_index;
     }
     // Placeholder; rewritten by the caller via `precomputed`.
@@ -484,7 +479,7 @@ class Binder::Impl {
           "scalar subqueries must compute at least one aggregate");
     }
     blocks_[sub_id].aggs = std::move(aggs);
-    FinalizeAggregateSchema(&blocks_[sub_id]);
+    blocks_[sub_id].output_schema = OutputSchema(blocks_[sub_id]);
     return item;
   }
 
@@ -568,7 +563,7 @@ class Binder::Impl {
       (void)ignored;
       blocks_[sub_id].aggs = std::move(aggs);
     }
-    FinalizeAggregateSchema(&blocks_[sub_id]);
+    blocks_[sub_id].output_schema = OutputSchema(blocks_[sub_id]);
 
     // Join the consumer with the grouped block on the key.
     AddBlockInput(consumer, sub_id, {*lhs_col}, {0});
@@ -608,24 +603,11 @@ class Binder::Impl {
 
   // ------------------------------------------------------- SELECT
 
-  void FinalizeAggregateSchema(Block* block) {
-    Schema out;
-    for (size_t i = 0; i < block->group_by.size(); ++i) {
-      out.AddColumn(Column(block->group_by_names[i],
-                           block->group_by[i]->output_type()));
-    }
-    for (const AggSpec& agg : block->aggs) {
-      out.AddColumn(
-          Column(agg.output_name, agg.fn->ResultType(agg.arg->output_type())));
-    }
-    block->output_schema = std::move(out);
-  }
-
   static bool ContainsAggregate(const AstExprPtr& ast,
                                 const Impl& binder) {
     if (ast == nullptr) return false;
     if (ast->kind == AstExpr::Kind::kCall &&
-        binder.IsAggregateName(ast->name)) {
+        binder.functions_->FindAggregate(ast->name).ok()) {
       return true;
     }
     for (const AstExprPtr& arg : ast->args) {
@@ -695,12 +677,7 @@ class Binder::Impl {
                                             : stmt.items[i].alias);
         main.projections.push_back(std::move(bound));
       }
-      Schema out;
-      for (size_t i = 0; i < main.projections.size(); ++i) {
-        out.AddColumn(Column(main.projection_names[i],
-                             main.projections[i]->output_type()));
-      }
-      main.output_schema = std::move(out);
+      main.output_schema = OutputSchema(main);
       PushBlock(std::move(main));
       return Status::OK();
     }
@@ -775,13 +752,13 @@ class Binder::Impl {
               stmt.items[i].alias;
         }
       }
-      FinalizeAggregateSchema(&main);
+      main.output_schema = OutputSchema(main);
       PushBlock(std::move(main));
       return Status::OK();
     }
 
     // Two-layer form: aggregate block + post block (projections / HAVING).
-    FinalizeAggregateSchema(&main);
+    main.output_schema = OutputSchema(main);
     main.debug_name += "_agg";
     const int agg_block_id = PushBlock(std::move(main));
 
@@ -826,12 +803,7 @@ class Binder::Impl {
       return Status::BindError("inconsistent aggregate usage between the "
                                "collect and rebind passes");
     }
-    Schema out;
-    for (size_t i = 0; i < post.projections.size(); ++i) {
-      out.AddColumn(
-          Column(post.projection_names[i], post.projections[i]->output_type()));
-    }
-    post.output_schema = std::move(out);
+    post.output_schema = OutputSchema(post);
     PushBlock(std::move(post));
     return Status::OK();
   }

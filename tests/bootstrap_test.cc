@@ -14,7 +14,7 @@
 #include "bootstrap/trial_accumulator.h"
 #include "bootstrap/variation_range.h"
 #include "common/random.h"
-#include "core/aggregate.h"
+#include "core/function_registry.h"
 
 namespace iolap {
 namespace {
@@ -59,11 +59,24 @@ TEST(BootstrapWeightsTest, RowOverheadMatchesTrials) {
 
 // ------------------------------------------------- TrialAccumulatorSet
 
+const AggregateFunction& Aggregate(const std::string& name) {
+  static const auto functions = FunctionRegistry::Default();
+  return **functions->FindAggregate(name);
+}
+
+// Folds `v` as the engine does: the main value with `weight`, trial t with
+// weight × trial_weights[t].
+void Fold(TrialAccumulatorSet* acc, const Value& v, double weight,
+          const std::vector<int>& trial_weights) {
+  acc->AddMainOnly(v, weight);
+  for (size_t t = 0; t < trial_weights.size(); ++t) {
+    acc->AddTrialOnly(static_cast<int>(t), v, weight * trial_weights[t]);
+  }
+}
+
 TEST(TrialAccumulatorTest, MainAndTrialsIndependent) {
-  auto fn = MakeBuiltinAggFunction(AggKind::kSum);
-  TrialAccumulatorSet acc(*fn, 3);
-  const int weights[3] = {0, 1, 2};
-  acc.Add(Value::Double(10), 1.0, weights);
+  TrialAccumulatorSet acc(Aggregate("sum"), 3);
+  Fold(&acc, Value::Double(10), 1.0, {0, 1, 2});
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   ASSERT_EQ(trials.size(), 3u);
@@ -73,18 +86,20 @@ TEST(TrialAccumulatorTest, MainAndTrialsIndependent) {
 }
 
 TEST(TrialAccumulatorTest, NullTrialWeightsMeanUniform) {
-  auto fn = MakeBuiltinAggFunction(AggKind::kCount);
-  TrialAccumulatorSet acc(*fn, 2);
-  acc.Add(Value::Int64(1), 2.0, nullptr);
+  TrialAccumulatorSet acc(Aggregate("count"), 2);
+  Fold(&acc, Value::Int64(1), 2.0, {1, 1});
   for (double t : acc.TrialResults(1.0)) EXPECT_DOUBLE_EQ(t, 2.0);
 }
 
+// A row whose value differs per trial (an uncertain aggregate input) folds
+// its main value and each trial's replica separately.
 TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
-  auto fn = MakeBuiltinAggFunction(AggKind::kAvg);
-  TrialAccumulatorSet acc(*fn, 2);
+  TrialAccumulatorSet acc(Aggregate("avg"), 2);
   // main value 10; trial replicas 8 and 12.
-  acc.AddPerTrial({Value::Double(10), Value::Double(8), Value::Double(12)},
-                  1.0, nullptr);
+  acc.AddMainOnly(Value::Double(10), 1.0);
+  acc.AddTrialOnly(0, Value::Double(8), 1.0);
+  acc.AddTrialOnly(1, Value::Double(12), 1.0);
+  acc.AddTrialOnly(1, Value::Double(99), 0.0);  // a zero weight is skipped
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 8.0);
@@ -92,8 +107,7 @@ TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
 }
 
 TEST(TrialAccumulatorTest, AddMainOnlyAndTrialOnly) {
-  auto fn = MakeBuiltinAggFunction(AggKind::kSum);
-  TrialAccumulatorSet acc(*fn, 2);
+  TrialAccumulatorSet acc(Aggregate("sum"), 2);
   acc.AddMainOnly(Value::Double(5), 1.0);
   acc.AddTrialOnly(1, Value::Double(7), 1.0);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 5.0);
@@ -103,12 +117,10 @@ TEST(TrialAccumulatorTest, AddMainOnlyAndTrialOnly) {
 }
 
 TEST(TrialAccumulatorTest, CloneAndMerge) {
-  auto fn = MakeBuiltinAggFunction(AggKind::kSum);
-  TrialAccumulatorSet a(*fn, 2);
-  const int w[2] = {1, 1};
-  a.Add(Value::Double(1), 1.0, w);
+  TrialAccumulatorSet a(Aggregate("sum"), 2);
+  Fold(&a, Value::Double(1), 1.0, {1, 1});
   TrialAccumulatorSet b = a.Clone();
-  b.Add(Value::Double(2), 1.0, w);
+  Fold(&b, Value::Double(2), 1.0, {1, 1});
   EXPECT_DOUBLE_EQ(a.MainResult(1.0).AsDouble(), 1.0);
   EXPECT_DOUBLE_EQ(b.MainResult(1.0).AsDouble(), 3.0);
   a.Merge(b);
@@ -184,14 +196,22 @@ TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
   }
 }
 
+// The analytic mode's estimate of an AVG: the avg definition's closed form
+// sqrt(var / n), presented as a normal interval.
 TEST(ErrorEstimateTest, AnalyticEstimate) {
-  const ErrorEstimate est = AnalyticEstimate(100.0, 400.0, 100.0);
+  const auto closed_form = Aggregate("avg").analytic_stddev;
+  ASSERT_NE(closed_form, nullptr);
+  const ErrorEstimate est =
+      EstimateFromStddev(100.0, closed_form(100.0, 400.0));
   EXPECT_NEAR(est.stddev, 2.0, 1e-9);
   EXPECT_NEAR(est.ci_lo, 100 - 3.92, 0.01);
   EXPECT_NEAR(est.ci_hi, 100 + 3.92, 0.01);
-  // Degenerate inputs.
-  EXPECT_DOUBLE_EQ(AnalyticEstimate(5, -1, 10).stddev, 0.0);
-  EXPECT_DOUBLE_EQ(AnalyticEstimate(5, 4, 1).stddev, 0.0);
+  // Degenerate inputs: a single tuple, and no closed form at all.
+  EXPECT_DOUBLE_EQ(EstimateFromStddev(5, closed_form(1, 4)).stddev, 0.0);
+  const ErrorEstimate none = EstimateFromStddev(5, -1.0);
+  EXPECT_DOUBLE_EQ(none.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(none.ci_lo, 5.0);
+  EXPECT_DOUBLE_EQ(none.ci_hi, 5.0);
 }
 
 // -------------------------------------------------- VariationRangeTracker

@@ -10,12 +10,23 @@
 namespace iolap {
 namespace {
 
-std::unique_ptr<AggAccumulator> NewAcc(AggKind kind) {
-  return MakeBuiltinAggFunction(kind)->NewAccumulator();
+const FunctionRegistry& Functions() {
+  static const auto functions = FunctionRegistry::Default();
+  return *functions;
+}
+
+const AggregateFunction& Find(const std::string& name) {
+  auto fn = Functions().FindAggregate(name);
+  EXPECT_TRUE(fn.ok()) << name;
+  return **fn;
+}
+
+std::unique_ptr<AggAccumulator> NewAcc(const std::string& name) {
+  return Find(name).new_accumulator();
 }
 
 TEST(AggregateTest, CountScalesWithMultiplicity) {
-  auto acc = NewAcc(AggKind::kCount);
+  auto acc = NewAcc("count");
   acc->Add(Value::Int64(1), 1.0);
   acc->Add(Value::Int64(2), 2.0);  // weight 2 = seen "twice"
   EXPECT_DOUBLE_EQ(acc->Result(1.0).AsDouble(), 3.0);
@@ -23,15 +34,15 @@ TEST(AggregateTest, CountScalesWithMultiplicity) {
 }
 
 TEST(AggregateTest, CountIgnoresNull) {
-  auto acc = NewAcc(AggKind::kCount);
+  auto acc = NewAcc("count");
   acc->Add(Value::Null(), 1.0);
   acc->Add(Value::Int64(5), 1.0);
   EXPECT_DOUBLE_EQ(acc->Result(1.0).AsDouble(), 1.0);
 }
 
 TEST(AggregateTest, SumScalesAvgDoesNot) {
-  auto sum = NewAcc(AggKind::kSum);
-  auto avg = NewAcc(AggKind::kAvg);
+  auto sum = NewAcc("sum");
+  auto avg = NewAcc("avg");
   for (int x : {10, 20, 30}) {
     sum->Add(Value::Int64(x), 1.0);
     avg->Add(Value::Int64(x), 1.0);
@@ -41,14 +52,14 @@ TEST(AggregateTest, SumScalesAvgDoesNot) {
 }
 
 TEST(AggregateTest, EmptySumAndAvgAreNull) {
-  EXPECT_TRUE(NewAcc(AggKind::kSum)->Result(1.0).is_null());
-  EXPECT_TRUE(NewAcc(AggKind::kAvg)->Result(1.0).is_null());
-  EXPECT_DOUBLE_EQ(NewAcc(AggKind::kCount)->Result(1.0).AsDouble(), 0.0);
+  EXPECT_TRUE(NewAcc("sum")->Result(1.0).is_null());
+  EXPECT_TRUE(NewAcc("avg")->Result(1.0).is_null());
+  EXPECT_DOUBLE_EQ(NewAcc("count")->Result(1.0).AsDouble(), 0.0);
 }
 
 TEST(AggregateTest, MinMax) {
-  auto mn = NewAcc(AggKind::kMin);
-  auto mx = NewAcc(AggKind::kMax);
+  auto mn = NewAcc("min");
+  auto mx = NewAcc("max");
   for (int x : {5, -3, 9}) {
     mn->Add(Value::Int64(x), 1.0);
     mx->Add(Value::Int64(x), 1.0);
@@ -58,14 +69,14 @@ TEST(AggregateTest, MinMax) {
 }
 
 TEST(AggregateTest, MinMaxNotSampleable) {
-  EXPECT_FALSE(MakeBuiltinAggFunction(AggKind::kMin)->SupportsSampling());
-  EXPECT_FALSE(MakeBuiltinAggFunction(AggKind::kMax)->SupportsSampling());
-  EXPECT_TRUE(MakeBuiltinAggFunction(AggKind::kAvg)->SupportsSampling());
+  EXPECT_FALSE(Find("min").smooth);
+  EXPECT_FALSE(Find("max").smooth);
+  EXPECT_TRUE(Find("avg").smooth);
 }
 
 TEST(AggregateTest, VarianceAndStddev) {
-  auto var = NewAcc(AggKind::kVar);
-  auto sd = NewAcc(AggKind::kStddev);
+  auto var = NewAcc("var");
+  auto sd = NewAcc("stddev");
   for (int x : {2, 4, 4, 4, 5, 5, 7, 9}) {
     var->Add(Value::Int64(x), 1.0);
     sd->Add(Value::Int64(x), 1.0);
@@ -75,9 +86,9 @@ TEST(AggregateTest, VarianceAndStddev) {
 }
 
 TEST(AggregateTest, MergeEqualsSequential) {
-  auto a = NewAcc(AggKind::kAvg);
-  auto b = NewAcc(AggKind::kAvg);
-  auto whole = NewAcc(AggKind::kAvg);
+  auto a = NewAcc("avg");
+  auto b = NewAcc("avg");
+  auto whole = NewAcc("avg");
   for (int x = 0; x < 10; ++x) {
     (x % 2 == 0 ? a : b)->Add(Value::Int64(x), 1.0);
     whole->Add(Value::Int64(x), 1.0);
@@ -87,7 +98,7 @@ TEST(AggregateTest, MergeEqualsSequential) {
 }
 
 TEST(AggregateTest, CloneIsIndependent) {
-  auto acc = NewAcc(AggKind::kSum);
+  auto acc = NewAcc("sum");
   acc->Add(Value::Int64(10), 1.0);
   auto copy = acc->Clone();
   copy->Add(Value::Int64(5), 1.0);
@@ -97,14 +108,48 @@ TEST(AggregateTest, CloneIsIndependent) {
 
 TEST(AggregateTest, ByteSizeIsSmall) {
   // Sketch states must be sub-linear: a handful of doubles.
-  EXPECT_LE(NewAcc(AggKind::kAvg)->ByteSize(), 64u);
-  EXPECT_LE(NewAcc(AggKind::kVar)->ByteSize(), 64u);
+  EXPECT_LE(NewAcc("avg")->ByteSize(), 64u);
+  EXPECT_LE(NewAcc("var")->ByteSize(), 64u);
 }
 
-TEST(AggregateTest, KindFromName) {
-  EXPECT_EQ(AggKindFromName("sum"), AggKind::kSum);
-  EXPECT_EQ(AggKindFromName("stddev"), AggKind::kStddev);
-  EXPECT_EQ(AggKindFromName("geomean"), AggKind::kUdaf);
+// Built-ins and UDAFs are all registered definitions, found by one lookup
+// under the name they carry.
+TEST(AggregateTest, FindAggregateResolvesEveryName) {
+  for (const char* name : {"count", "sum", "avg", "min", "max", "var",
+                           "stddev", "geomean", "harmonic_mean", "rms"}) {
+    const auto fn = Functions().FindAggregate(name);
+    ASSERT_TRUE(fn.ok()) << name;
+    EXPECT_EQ((*fn)->name, name);
+    EXPECT_NE((*fn)->new_accumulator, nullptr) << name;
+  }
+  EXPECT_EQ(&Find("variance"), &Find("var"));
+  EXPECT_EQ(&Find("std"), &Find("stddev"));
+  const auto unknown = Functions().FindAggregate("median");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+}
+
+// Only SUM and COUNT scale with m_i, and only SUM, COUNT and AVG have a
+// closed-form stddev: sqrt(n·var), sqrt(n) and sqrt(var/n).
+TEST(AggregateTest, ScalingAndClosedForms) {
+  for (const char* name : {"count", "sum"}) {
+    EXPECT_TRUE(Find(name).scales_linearly) << name;
+  }
+  for (const char* name : {"avg", "min", "max", "var", "stddev", "geomean",
+                           "harmonic_mean", "rms"}) {
+    EXPECT_FALSE(Find(name).scales_linearly) << name;
+  }
+  EXPECT_DOUBLE_EQ(Find("sum").analytic_stddev(100.0, 4.0), 20.0);
+  EXPECT_DOUBLE_EQ(Find("count").analytic_stddev(100.0, 4.0), 10.0);
+  EXPECT_DOUBLE_EQ(Find("avg").analytic_stddev(100.0, 4.0), 0.2);
+  for (const char* name : {"sum", "count", "avg"}) {
+    EXPECT_DOUBLE_EQ(Find(name).analytic_stddev(0.0, 0.0), 0.0) << name;
+  }
+  EXPECT_DOUBLE_EQ(Find("avg").analytic_stddev(1.0, 4.0), 0.0);
+  for (const char* name : {"min", "max", "var", "stddev", "geomean",
+                           "harmonic_mean", "rms"}) {
+    EXPECT_EQ(Find(name).analytic_stddev, nullptr) << name;
+  }
 }
 
 class UdafTest : public ::testing::Test {
@@ -114,7 +159,7 @@ class UdafTest : public ::testing::Test {
   std::unique_ptr<AggAccumulator> NewUdaf(const std::string& name) {
     auto fn = registry_->FindAggregate(name);
     EXPECT_TRUE(fn.ok()) << name;
-    return (*fn)->NewAccumulator();
+    return (*fn)->new_accumulator();
   }
 
   std::shared_ptr<FunctionRegistry> registry_;
@@ -148,7 +193,7 @@ TEST_F(UdafTest, UdafsAreSmooth) {
   for (const char* name : {"geomean", "harmonic_mean", "rms"}) {
     auto fn = registry_->FindAggregate(name);
     ASSERT_TRUE(fn.ok());
-    EXPECT_TRUE((*fn)->SupportsSampling()) << name;
+    EXPECT_TRUE((*fn)->smooth) << name;
   }
 }
 

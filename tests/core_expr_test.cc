@@ -259,6 +259,25 @@ TEST_F(ExprTest, LogRangeIsNotMappedThroughEndpoints) {
 
 // `%` and mod() share one definition: NULL for NULL, NaN, ±inf, out-of-range
 // or zero divisors, and 0 for a divisor of -1 (INT64_MIN % -1 overflows).
+// Statically-int64 + - * run in double; a result outside the int64 range is
+// NULL, and so is negating INT64_MIN.
+TEST_F(ExprTest, IntArithmeticIsDefinedOnHostileOperands) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const ExprPtr big = Lit(int64_t{5'000'000'000'000'000'000});
+  ASSERT_EQ(Mul(big, Lit(int64_t{10}))->output_type(), ValueType::kInt64);
+  EXPECT_TRUE(Mul(big, Lit(int64_t{10}))->Eval({}, ctx_).is_null());
+  EXPECT_TRUE(Add(big, big)->Eval({}, ctx_).is_null());
+  EXPECT_TRUE(Sub(Lit(kMin), big)->Eval({}, ctx_).is_null());
+  EXPECT_EQ(Add(Lit(kMin), Lit(int64_t{1}))->Eval({}, ctx_).int64(), kMin);
+  EXPECT_EQ(Mul(Lit(int64_t{-3}), Lit(int64_t{7}))->Eval({}, ctx_).int64(),
+            -21);
+  EXPECT_TRUE(Neg(Lit(kMin))->Eval({}, ctx_).is_null());
+  EXPECT_EQ(Neg(Lit(kMin + 1))->Eval({}, ctx_).int64(), -(kMin + 1));
+  EXPECT_TRUE(Neg(Lit(Value::Null()))->Eval({}, ctx_).is_null());
+  const Value neg_zero = Neg(Lit(0.0))->Eval({}, ctx_);
+  EXPECT_TRUE(std::signbit(neg_zero.dbl()));
+}
+
 TEST_F(ExprTest, ModIsDefinedOnHostileOperands) {
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   const double kInf = std::numeric_limits<double>::infinity();
@@ -417,7 +436,7 @@ TEST_F(ExprTest, RegistryLookupErrors) {
   EXPECT_FALSE(functions_->FindScalar("no_such_fn").ok());
   EXPECT_FALSE(functions_->FindAggregate("no_such_agg").ok());
   EXPECT_TRUE(functions_->FindScalar("sqrt").ok());
-  EXPECT_TRUE(functions_->HasAggregate("geomean"));
+  EXPECT_TRUE(functions_->FindAggregate("geomean").ok());
 }
 
 }  // namespace

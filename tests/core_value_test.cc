@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
+#include "common/hash.h"
 #include "core/interval.h"
 #include "core/schema.h"
 #include "core/table.h"
@@ -30,6 +35,34 @@ TEST(ValueTest, NumericCrossTypeEquality) {
   EXPECT_TRUE(Value::Int64(2).Equals(Value::Double(2.0)));
   EXPECT_FALSE(Value::Int64(2).Equals(Value::Double(2.5)));
   EXPECT_EQ(Value::Int64(2).Hash(), Value::Double(2.0).Hash());
+}
+
+// Hashing is defined on every double, and numbers that compare equal hash
+// equal, also beyond ±2^53 where several int64s round to one double.
+TEST(ValueTest, HashIsDefinedAndAgreesWithEquals) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double d : {1e19, -1e19, kInf, -kInf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(Value::Double(d).Hash(), Value::Double(d).Hash()) << d;
+  }
+  const int64_t k53 = int64_t{1} << 53;
+  const std::pair<Value, Value> equal[] = {
+      {Value::Int64(k53 + 1), Value::Double(0x1p53)},
+      {Value::Int64(k53 + 1), Value::Int64(k53)},
+      {Value::Int64(-k53 - 1), Value::Double(-0x1p53)},
+      {Value::Int64(std::numeric_limits<int64_t>::max()),
+       Value::Double(0x1p63)},
+      {Value::Int64(std::numeric_limits<int64_t>::min()),
+       Value::Double(-0x1p63)},
+      {Value::Int64(-7), Value::Double(-7.0)},
+  };
+  for (const auto& [a, b] : equal) {
+    ASSERT_TRUE(a.Equals(b)) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+  }
+  // Within ±2^53 an int64 hashes as before.
+  EXPECT_EQ(Value::Int64(k53).Hash(), Mix64(static_cast<uint64_t>(k53)));
+  EXPECT_EQ(Value::Int64(-k53).Hash(), Mix64(static_cast<uint64_t>(-k53)));
 }
 
 TEST(ValueTest, CompareOrdersNullFirst) {

@@ -627,9 +627,9 @@ void ExpectBitIdentical(const RunFingerprint& a, const RunFingerprint& b,
 
 // The tentpole invariant: results are bit-identical regardless of thread
 // count. The parallel phases only evaluate; all accumulation and constraint
-// registration replays in serial row/trial order, and per-lane RNGs are
-// split deterministically (Rng::ForLane), so num_threads is purely a
-// performance knob.
+// registration replays in serial row/trial order, and bootstrap weights are
+// a stateless function of (seed, row uid, trial) (PoissonOneAt), so
+// num_threads is purely a performance knob.
 TEST(ParallelDeterminismTest, ThreadCountDoesNotChangeResults) {
   Catalog catalog;
   FillCatalog(&catalog, 1200, /*seed=*/23);

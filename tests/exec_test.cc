@@ -161,9 +161,15 @@ TEST(JoinStepTest, ProbeCount) {
 
 // ----------------------------------------------- GroupedAggregateState
 
+// The registry the specs below point into; it outlives every test.
+const FunctionRegistry& Functions() {
+  static const auto functions = FunctionRegistry::Default();
+  return *functions;
+}
+
 std::vector<AggSpec> SumSpec() {
   std::vector<AggSpec> specs;
-  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kSum),
+  specs.push_back(AggSpec{*Functions().FindAggregate("sum"),
                           Col(0, "x", ValueType::kDouble), "s"});
   return specs;
 }
@@ -234,7 +240,7 @@ TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
 // MAX over strings changes a node's size when a longer value wins.
 TEST(GroupedAggregateTest, CachedByteSizeMatchesRecount) {
   std::vector<AggSpec> specs;
-  specs.push_back(AggSpec{MakeBuiltinAggFunction(AggKind::kMax),
+  specs.push_back(AggSpec{*Functions().FindAggregate("max"),
                           Col(0, "s", ValueType::kString), "m"});
   GroupedAggregateState state(&specs, 2);
   for (int g = 0; g < 4; ++g) {

@@ -464,6 +464,45 @@ TEST(ExprProgramTest, RefusesWhatItCannotProve) {
             nullptr);
 }
 
+// Statically-int64 + - * whose double result leaves the int64 range, and
+// negating INT64_MIN, give NULL, from registers and folded constants alike.
+TEST(ExprProgramTest, IntArithmeticAndNegationDefinedOnHostileOperands) {
+  Harness h;
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const Row row = {Value::Int64(5'000'000'000'000'000'000), Value::Int64(kMin),
+                   Value::Int64(-5)};
+  const ExprPtr big = Col(0, ValueType::kInt64);
+  const ExprPtr min = Col(1, ValueType::kInt64);
+  const ExprPtr ten = LitV(Value::Int64(10));
+  const std::vector<ExprPtr> roots = {
+      Bin(Expr::BinaryOp::kMul, big, ten, ValueType::kInt64),
+      Bin(Expr::BinaryOp::kAdd, big, big, ValueType::kInt64),
+      Bin(Expr::BinaryOp::kSub, min, big, ValueType::kInt64),
+      Neg(min),
+      Neg(Col(2, ValueType::kInt64)),
+      Bin(Expr::BinaryOp::kMul, LitV(row[0]), ten, ValueType::kInt64),
+      Neg(LitV(row[1])),
+      Bin(Expr::BinaryOp::kAdd, min, LitV(Value::Int64(1)),
+          ValueType::kInt64),
+  };
+  const std::vector<Value> expected = {
+      Value::Null(), Value::Null(),    Value::Null(), Value::Null(),
+      Value::Int64(5), Value::Null(), Value::Null(), Value::Int64(kMin)};
+  auto program = ExprProgram::Compile(roots, nullptr);
+  ASSERT_NE(program, nullptr);
+  EXPECT_NE(program->ToString().find("  neg "), std::string::npos);
+  ExprProgramState state;
+  program->InitState(&state);
+  ASSERT_TRUE(program->Bind(&state, row, nullptr, 0));
+  ASSERT_TRUE(program->EvalTrial(&state, row, -1));
+  for (size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_TRUE(BitEqual(program->RootValue(state, r), expected[r]))
+        << roots[r]->ToString() << " = "
+        << Describe(program->RootValue(state, r));
+  }
+  EXPECT_TRUE(h.CheckRow(roots, row, 0, "hostile int64"));
+}
+
 TEST(ExprProgramTest, ModAndSubstrDefinedOnHostileOperands) {
   Harness h;
   const Row row = {Value::Int64(std::numeric_limits<int64_t>::min()),

@@ -79,6 +79,20 @@ TEST_F(PlanTest, UnknownAggregateFailsAtBuild) {
   EXPECT_EQ(pb.Build().status().code(), StatusCode::kNotFound);
 }
 
+TEST_F(PlanTest, AggregateArgumentCheckedAtBuild) {
+  PlanBuilder pb(&catalog_, functions_);
+  auto& b = pb.NewBlock("bad");
+  b.Scan("sites").Agg("avg", b.ColRef("region"), "x");
+  EXPECT_EQ(pb.Build().status().code(), StatusCode::kBindError);
+
+  PlanBuilder ok(&catalog_, functions_);
+  auto& m = ok.NewBlock("min_region");
+  m.Scan("sites").Agg("min", m.ColRef("region"), "first");
+  auto plan = ok.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->top().output_schema.column(0).type, ValueType::kString);
+}
+
 TEST_F(PlanTest, JoinWithDimension) {
   PlanBuilder pb(&catalog_, functions_);
   auto& b = pb.NewBlock("joined");

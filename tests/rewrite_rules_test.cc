@@ -179,6 +179,59 @@ TEST_F(RewriteTest, DoesNotFireOnUnsupportedShapes) {
   EXPECT_EQ(stats.decompositions, 0);
 }
 
+// The rule knows the built-in SUM and COUNT by their definitions, not their
+// names: with a user aggregate registered as "sum" nothing decomposes (the
+// recombination would re-aggregate with it), and the query still matches
+// the reference evaluator every batch.
+TEST_F(RewriteTest, UserAggregateNamedSumIsNotDecomposed) {
+  AggregateFunction rms = **functions_->FindAggregate("rms");
+  rms.name = "sum";
+  functions_->RegisterAggregate(rms);
+  for (const char* sql :
+       {"SELECT grp, sum(x * y) FROM r, s WHERE r.k = s.k GROUP BY grp",
+        "SELECT grp, count(*) FROM r, s WHERE r.k = s.k GROUP BY grp"}) {
+    SCOPED_TRACE(sql);
+    auto plan = Bind(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    RewriteStats stats;
+    auto rewritten = ApplyRewriteRules(*plan, &stats);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+    EXPECT_EQ(stats.decompositions, 0);
+    ASSERT_EQ(rewritten->blocks.size(), plan->blocks.size());
+
+    EngineOptions options;
+    options.num_trials = 8;
+    options.num_batches = 6;
+    QueryController controller(&catalog_, *rewritten, options);
+    ASSERT_TRUE(controller.Init().ok());
+    const Table& fact = *(*catalog_.Find("r"))->table;
+    std::vector<Row> accumulated;
+    ASSERT_TRUE(
+        controller
+            .Run([&](const PartialResult& partial) {
+              for (uint64_t id : controller.layout().batches[partial.batch]) {
+                accumulated.push_back(fact.row(id));
+              }
+              const double scale =
+                  static_cast<double>(fact.num_rows()) / accumulated.size();
+              auto expected =
+                  EvaluateReference(*rewritten, catalog_, accumulated, scale);
+              EXPECT_TRUE(expected.ok()) << expected.status();
+              EXPECT_EQ(partial.rows.num_rows(), expected->num_rows());
+              for (size_t r = 0; r < partial.rows.num_rows(); ++r) {
+                for (size_t c = 0; c < partial.rows.row(r).size(); ++c) {
+                  const double e = expected->row(r)[c].AsDouble();
+                  EXPECT_NEAR(partial.rows.row(r)[c].AsDouble(), e,
+                              1e-7 * std::max(1.0, std::fabs(e)))
+                      << "batch " << partial.batch << " row " << r;
+                }
+              }
+              return BatchAction::kContinue;
+            })
+            .ok());
+  }
+}
+
 TEST_F(RewriteTest, PreservesDownstreamLookups) {
   // The decomposed block is referenced by a scalar subquery downstream;
   // the lookup's block id must be remapped to the recombining block.

@@ -329,7 +329,7 @@ TEST_F(SqlBindTest, ComplexItemsCreatePostBlock) {
 TEST_F(SqlBindTest, UdafInSql) {
   auto plan = Bind("SELECT geomean(play_time) FROM sessions");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->top().aggs[0].fn->name(), "geomean");
+  EXPECT_EQ(plan->top().aggs[0].fn->name, "geomean");
 }
 
 TEST_F(SqlBindTest, ScalarUdfInSql) {
@@ -390,6 +390,69 @@ TEST_F(SqlBindTest, ScalarCallsCheckedAgainstSignature) {
   EXPECT_EQ(items[3]->output_type(), ValueType::kInt64);
   EXPECT_EQ(items[4]->output_type(), ValueType::kDouble);
   EXPECT_EQ(items[5]->output_type(), ValueType::kNull);
+}
+
+// Aggregate calls are checked against their definitions' signatures, like
+// scalar calls.
+TEST_F(SqlBindTest, AggregateCallsCheckedAgainstSignature) {
+  for (const char* fn : {"sum", "avg", "var", "stddev", "geomean",
+                         "harmonic_mean", "rms"}) {
+    auto plan = Bind(std::string("SELECT ") + fn + "(region) FROM sites");
+    ASSERT_FALSE(plan.ok()) << fn;
+    EXPECT_EQ(plan.status().code(), StatusCode::kBindError) << fn;
+  }
+  EXPECT_FALSE(Bind("SELECT sum(*) FROM sites").ok());
+  for (const char* item : {"count(region)", "min(region)", "max(region)",
+                           "count(*)", "sum(NULL)"}) {
+    EXPECT_TRUE(Bind(std::string("SELECT ") + item + " FROM sites").ok())
+        << item;
+  }
+  auto plan = Bind("SELECT min(region), max(site), count(region) FROM sites");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const Schema& out = plan->top().output_schema;
+  EXPECT_EQ(out.column(0).type, ValueType::kString);
+  EXPECT_EQ(out.column(1).type, ValueType::kInt64);
+  EXPECT_EQ(out.column(2).type, ValueType::kDouble);
+
+  // variance and std spell var and stddev.
+  plan = Bind("SELECT variance(buffer_time), std(buffer_time) FROM sessions");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->top().aggs[0].fn->name, "var");
+  EXPECT_EQ(plan->top().aggs[1].fn->name, "stddev");
+
+  // A definition whose signature admits no argument binds no call.
+  AggregateFunction nullary = **functions_->FindAggregate("sum");
+  nullary.name = "nullary";
+  nullary.signature = {};
+  functions_->RegisterAggregate(nullary);
+  EXPECT_EQ(Bind("SELECT nullary(site) FROM sites").status().code(),
+            StatusCode::kBindError);
+}
+
+// A definition registered under a built-in's name replaces the built-in.
+TEST_F(SqlBindTest, RegisteredAggregateReplacesBuiltin) {
+  Table t(Schema({{"x", ValueType::kInt64}}));
+  double log_sum = 0.0;
+  for (int i = 1; i <= 100; ++i) {
+    t.AddRow({Value::Int64(i)});
+    log_sum += std::log(i);
+  }
+  ASSERT_TRUE(catalog_.RegisterTable("t", std::move(t)).ok());
+  AggregateFunction geomean = **functions_->FindAggregate("geomean");
+  geomean.name = "avg";
+  functions_->RegisterAggregate(geomean);
+
+  Session session(&catalog_, EngineOptions{}, functions_);
+  auto query = session.Sql("SELECT avg(x) FROM t");
+  ASSERT_TRUE(query.ok()) << query.status();
+  double result = 0.0;
+  ASSERT_TRUE((*query)
+                  ->Run([&](const PartialResult& partial) {
+                    result = partial.rows.row(0)[0].AsDouble();
+                    return BatchAction::kContinue;
+                  })
+                  .ok());
+  EXPECT_NEAR(result, std::exp(log_sum / 100), 1e-9);  // not 50.5
 }
 
 // --------------------------------------------- end-to-end SQL execution
@@ -493,6 +556,41 @@ TEST_F(SqlExecTest, UdfAndUdaf) {
   CheckSql(
       "SELECT geomean(play_time), rms(buffer_time), avg(sqrt(bytes)) "
       "FROM sessions");
+}
+
+// The analytic error mode asks each definition for its closed form; a user
+// definition without one reports a zero-width band.
+TEST_F(SqlExecTest, AnalyticEstimateNeedsClosedForm) {
+  AggregateFunction plain_avg = **functions_->FindAggregate("avg");
+  plain_avg.name = "plain_avg";
+  plain_avg.analytic_stddev = nullptr;
+  functions_->RegisterAggregate(plain_avg);
+
+  EngineOptions options;
+  options.num_batches = 4;
+  options.error_method = ErrorMethod::kAnalytic;
+  Session session(&catalog_, options, functions_);
+  auto query =
+      session.Sql("SELECT avg(play_time), plain_avg(play_time) FROM sessions");
+  ASSERT_TRUE(query.ok()) << query.status();
+  int batches = 0;
+  ASSERT_TRUE((*query)
+                  ->Run([&](const PartialResult& partial) {
+                    ++batches;
+                    const ErrorEstimate& with = partial.estimates.at(0).at(0);
+                    const ErrorEstimate& without =
+                        partial.estimates.at(0).at(1);
+                    EXPECT_EQ(with.value, without.value);
+                    if (partial.batch < 3) {
+                      EXPECT_GT(with.stddev, 0.0);
+                    }
+                    EXPECT_EQ(without.stddev, 0.0);
+                    EXPECT_EQ(without.ci_lo, without.value);
+                    EXPECT_EQ(without.ci_hi, without.value);
+                    return BatchAction::kContinue;
+                  })
+                  .ok());
+  EXPECT_EQ(batches, 4);
 }
 
 TEST_F(SqlExecTest, ArithmeticInAggArgs) {
