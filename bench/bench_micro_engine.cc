@@ -157,21 +157,58 @@ void BM_PoissonWeights(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonWeights)->Arg(20)->Arg(100);
 
-// Folding one tuple into a sketch across all bootstrap trials, as the
-// engine does (AddMainOnly in the apply phase, AddTrialOnly per trial in the
-// deferred flush): the dominant per-tuple cost of an online AGGREGATE.
+// The aggregates of a row with `n` of them: avg alone, or q1's mix of
+// sums, averages and a count.
+std::vector<const AggregateFunction*> RowAggregates(
+    const FunctionRegistry& functions, int n) {
+  static const char* const kQ1[] = {"sum", "sum", "sum", "sum",
+                                    "avg", "avg", "count"};
+  std::vector<const AggregateFunction*> out;
+  for (int a = 0; a < n; ++a) {
+    out.push_back(*functions.FindAggregate(n == 1 ? "avg" : kQ1[a % 7]));
+  }
+  return out;
+}
+
+constexpr int kRowsPerFlush = 256;
+
+// Folding tuples into a sketch across all bootstrap trials, as the engine
+// does: AddMainOnly per aggregate in the apply phase, then the deferred
+// trial flush (DeferredTrialFolds) with real Poisson weights over a batch of
+// rows. Args: trials, aggregates per row. Items are rows.
 void BM_TrialAccumulate(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
+  const int num_aggs = static_cast<int>(state.range(1));
   const auto functions = FunctionRegistry::Default();
-  TrialAccumulatorSet acc(**functions->FindAggregate("avg"), trials);
-  const Value v = Value::Double(3.25);
-  for (auto _ : state) {
-    acc.AddMainOnly(v, 1.0);
-    for (int t = 0; t < trials; ++t) acc.AddTrialOnly(t, v, 1.0);
+  std::vector<TrialAccumulatorSet> accs;
+  for (const AggregateFunction* fn : RowAggregates(*functions, num_aggs)) {
+    accs.emplace_back(*fn, trials);
   }
-  state.SetItemsProcessed(state.iterations() * (trials + 1));
+  const BootstrapWeights bootstrap(42, trials);
+  DeferredTrialFolds folds;
+  const Value v = Value::Double(3.25);
+  uint64_t uid = 0;
+  for (auto _ : state) {
+    for (int r = 0; r < kRowsPerFlush; ++r) {
+      folds.AddRow(accs.data(), uid++, 1.0, /*from_stream=*/true);
+      for (int a = 0; a < num_aggs; ++a) {
+        accs[a].AddMainOnly(v, 1.0);
+        folds.AddArg(static_cast<uint32_t>(a), v);
+      }
+    }
+    folds.FoldTrials(bootstrap, 0, trials);
+    folds.Clear();
+    benchmark::DoNotOptimize(accs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRowsPerFlush);
 }
-BENCHMARK(BM_TrialAccumulate)->Arg(0)->Arg(20)->Arg(100);
+BENCHMARK(BM_TrialAccumulate)
+    ->Args({0, 1})
+    ->Args({20, 1})
+    ->Args({100, 1})
+    ->Args({20, 7})
+    ->Args({100, 7});
 
 // Incremental hash-join probe (dimension-cache lookup).
 void BM_JoinProbe(benchmark::State& state) {
@@ -192,24 +229,40 @@ void BM_JoinProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinProbe);
 
-// Group lookup + accumulate in the grouped sketch (main and all trials).
+// Group lookup + accumulate in the grouped sketch over 64 groups: the main
+// values in the apply phase, then the deferred trial flush with real
+// Poisson weights over 20 trials. Arg: aggregates per row. Items are rows.
 void BM_GroupedAggregate(benchmark::State& state) {
   constexpr int kTrials = 20;
+  const int num_aggs = static_cast<int>(state.range(0));
   const auto functions = FunctionRegistry::Default();
   std::vector<AggSpec> specs;
-  specs.push_back(AggSpec{*functions->FindAggregate("sum"),
-                          Col(0, "x", ValueType::kDouble), "s"});
-  GroupedAggregateState groups(&specs, kTrials);
-  const Value v = Value::Double(1.5);
-  int64_t g = 0;
-  for (auto _ : state) {
-    auto& cells = groups.GetOrCreate({Value::Int64(g % 64)}, 0);
-    cells.aggs[0].AddMainOnly(v, 1.0);
-    for (int t = 0; t < kTrials; ++t) cells.aggs[0].AddTrialOnly(t, v, 1.0);
-    ++g;
+  for (const AggregateFunction* fn : RowAggregates(*functions, num_aggs)) {
+    specs.push_back(AggSpec{fn, Col(0, "x", ValueType::kDouble), "a"});
   }
+  GroupedAggregateState groups(&specs, kTrials);
+  const BootstrapWeights bootstrap(42, kTrials);
+  DeferredTrialFolds folds;
+  const Value v = Value::Double(1.5);
+  uint64_t uid = 0;
+  for (auto _ : state) {
+    for (int r = 0; r < kRowsPerFlush; ++r) {
+      auto& cells =
+          groups.GetOrCreate({Value::Int64(static_cast<int64_t>(uid % 64))}, 0);
+      folds.AddRow(cells.aggs.data(), uid++, 1.0, /*from_stream=*/true);
+      for (int a = 0; a < num_aggs; ++a) {
+        cells.aggs[a].AddMainOnly(v, 1.0);
+        folds.AddArg(static_cast<uint32_t>(a), v);
+      }
+    }
+    folds.FoldTrials(bootstrap, 0, kTrials);
+    folds.Clear();
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(groups.num_groups());
+  state.SetItemsProcessed(state.iterations() * kRowsPerFlush);
 }
-BENCHMARK(BM_GroupedAggregate);
+BENCHMARK(BM_GroupedAggregate)->Arg(1)->Arg(7);
 
 // End-to-end per-batch engine cost under intra-batch parallelism: each
 // iteration runs a full incremental TPC-H query (a nested one, so the

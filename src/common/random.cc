@@ -114,12 +114,14 @@ int PoissonOneAt(uint64_t stream, uint64_t index) {
       0.9810118431238462,  0.9963401531726563, 0.9994058151824183,
       0.9999167588507119,  0.9999897508033253, 0.9999988747974020,
   };
+  // k is the number of CDF entries u has reached: kCdf is increasing, so
+  // this is the first k with u < kCdf[k] (9 past the last), without a
+  // data-dependent branch.
   const uint64_t h = Mix64(HashCombine(stream, index));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  for (int k = 0; k < 9; ++k) {
-    if (u < kCdf[k]) return k;
-  }
-  return 9;
+  int k = 0;
+  for (double c : kCdf) k += u >= c;
+  return k;
 }
 
 }  // namespace iolap

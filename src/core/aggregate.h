@@ -9,12 +9,13 @@ namespace iolap {
 
 /// Incremental state of one aggregate over one group. Accumulators are the
 /// "sketch states" of the paper (§4.2): an AGGREGATE operator keeps one
-/// accumulator per group (plus one per bootstrap trial) instead of the
-/// input tuples, so its state is sub-linear in the data.
+/// accumulator per group (its bootstrap trials keep flat states, see
+/// AggregateState) instead of the input tuples, so its state is sub-linear
+/// in the data.
 ///
-/// `weight` carries tuple multiplicity: 1 for a plainly seen tuple, the
-/// Poisson trial multiplicity in bootstrap trials, fractional values after
-/// multiplicity-scaling joins. NULL inputs are ignored (SQL semantics).
+/// `weight` carries tuple multiplicity: 1 for a plainly seen tuple,
+/// fractional values after multiplicity-scaling joins. NULL inputs are
+/// ignored (SQL semantics).
 class AggAccumulator {
  public:
   virtual ~AggAccumulator() = default;
@@ -38,16 +39,11 @@ class AggAccumulator {
   virtual size_t ByteSize() const = 0;
 };
 
-/// Accumulator factories of the built-in aggregates, which
-/// FunctionRegistry::Default() registers as their AggregateFunction
-/// definitions.
-std::unique_ptr<AggAccumulator> NewCountAccumulator();
-std::unique_ptr<AggAccumulator> NewSumAccumulator();
-std::unique_ptr<AggAccumulator> NewAvgAccumulator();
+/// The typed accumulators of the built-in MIN and MAX, whose result keeps
+/// the argument's type. Every other aggregate's accumulator is derived from
+/// its flat state (see AggregateFunction).
 std::unique_ptr<AggAccumulator> NewMinAccumulator();
 std::unique_ptr<AggAccumulator> NewMaxAccumulator();
-std::unique_ptr<AggAccumulator> NewVarAccumulator();
-std::unique_ptr<AggAccumulator> NewStddevAccumulator();
 
 }  // namespace iolap
 

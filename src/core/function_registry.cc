@@ -52,94 +52,124 @@ V Coalesce(const V* args, size_t n) {
   return V::Null();
 }
 
-// ----------------------------------- smooth UDAFs of the Conviva workload
+// ------------------------------------------------ aggregate flat states
 
-// GEOMEAN(x) = exp(weighted mean of log x); non-positive inputs skipped.
-class GeomeanAccumulator final : public AggAccumulator {
+// The typed accumulator RegisterAggregate derives from a flat state: the
+// main replica folds through the same functions as the trial replicas.
+class StateAccumulator final : public AggAccumulator {
  public:
+  explicit StateAccumulator(const AggregateState& state) : state_(state) {}
+
   void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    if (x <= 0.0) return;
-    w_ += weight;
-    wlog_ += weight * std::log(x);
+    if (!v.is_null()) state_.fold(cells_, v.AsDouble(), v.type(), weight);
   }
   void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const GeomeanAccumulator&>(other);
-    w_ += o.w_;
-    wlog_ += o.wlog_;
+    state_.merge(cells_, static_cast<const StateAccumulator&>(other).cells_);
   }
-  Value Result(double) const override {
-    return w_ <= 0.0 ? Value::Null() : Value::Double(std::exp(wlog_ / w_));
-  }
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<GeomeanAccumulator>(*this);
-  }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
-
- private:
-  double w_ = 0.0;
-  double wlog_ = 0.0;
-};
-
-// HARMONIC_MEAN(x) = W / sum(w/x); non-positive inputs skipped.
-class HarmonicAccumulator final : public AggAccumulator {
- public:
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    if (x <= 0.0) return;
-    w_ += weight;
-    winv_ += weight / x;
-  }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const HarmonicAccumulator&>(other);
-    w_ += o.w_;
-    winv_ += o.winv_;
-  }
-  Value Result(double) const override {
-    return winv_ <= 0.0 ? Value::Null() : Value::Double(w_ / winv_);
+  Value Result(double scale) const override {
+    const std::optional<double> result = state_.result(cells_, scale);
+    return result.has_value() ? Value::Double(*result) : Value::Null();
   }
   std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<HarmonicAccumulator>(*this);
+    return std::make_unique<StateAccumulator>(*this);
   }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
+  size_t ByteSize() const override { return state_.width * sizeof(double); }
 
  private:
-  double w_ = 0.0;
-  double winv_ = 0.0;
+  AggregateState state_;
+  double cells_[AggregateState::kMaxWidth] = {};
 };
 
-// RMS(x) = sqrt(weighted mean of x^2).
-class RmsAccumulator final : public AggAccumulator {
- public:
-  void Add(const Value& v, double weight) override {
-    if (v.is_null()) return;
-    const double x = v.AsDouble();
-    w_ += weight;
-    wxx_ += weight * x * x;
-  }
-  void Merge(const AggAccumulator& other) override {
-    const auto& o = static_cast<const RmsAccumulator&>(other);
-    w_ += o.w_;
-    wxx_ += o.wxx_;
-  }
-  Value Result(double) const override {
-    return w_ <= 0.0 ? Value::Null() : Value::Double(std::sqrt(wxx_ / w_));
-  }
-  std::unique_ptr<AggAccumulator> Clone() const override {
-    return std::make_unique<RmsAccumulator>(*this);
-  }
-  size_t ByteSize() const override { return 2 * sizeof(double); }
+// COUNT, SUM and AVG: {Σw·x, Σw}.
+void SumCountFold(double* s, double x, ValueType, double w) {
+  s[0] += w * x;
+  s[1] += w;
+}
+std::optional<double> CountResult(const double* s, double scale) {
+  return scale * s[1];
+}
+std::optional<double> SumResult(const double* s, double scale) {
+  if (s[1] == 0.0) return std::nullopt;
+  return scale * s[0];
+}
+std::optional<double> AvgResult(const double* s, double) {
+  if (s[1] == 0.0) return std::nullopt;
+  return s[0] / s[1];
+}
 
- private:
-  double w_ = 0.0;
-  double wxx_ = 0.0;
-};
+// VAR and STDDEV: {Σw, Σw·x, Σw·x²}.
+void MomentsFold(double* s, double x, ValueType, double w) {
+  s[0] += w;
+  s[1] += w * x;
+  s[2] += w * x * x;
+}
+template <bool kStddev>
+std::optional<double> MomentsResult(const double* s, double) {
+  if (s[0] <= 0.0) return std::nullopt;
+  const double mean = s[1] / s[0];
+  double var = s[2] / s[0] - mean * mean;
+  if (var < 0.0) var = 0.0;  // numerical noise
+  return kStddev ? std::sqrt(var) : var;
+}
 
-template <typename Accumulator>
-std::unique_ptr<AggAccumulator> NewAccumulator() {
-  return std::make_unique<Accumulator>();
+// MIN and MAX: {kind, value}, kind 0 empty, 1 a number, 2 a string, so the
+// order is Value::Compare's (NULL < numbers < strings). A string reads as
+// 0.0 (its AsDouble) and is never replaced by another string's value.
+// Non-positive weights do not count, as in the typed accumulator.
+template <bool kMin>
+void ExtremeFold(double* s, double x, ValueType type, double w) {
+  if (w <= 0.0) return;
+  const double kind = type == ValueType::kString ? 2.0 : 1.0;
+  const bool better = kMin ? kind < s[0] || (kind == s[0] && x < s[1])
+                           : kind > s[0] || (kind == s[0] && x > s[1]);
+  if (s[0] == 0.0 || better) {
+    s[0] = kind;
+    s[1] = x;
+  }
+}
+template <bool kMin>
+void ExtremeMerge(double* s, const double* other) {
+  if (other[0] == 0.0) return;
+  ExtremeFold<kMin>(s, other[1],
+                    other[0] == 2.0 ? ValueType::kString : ValueType::kDouble,
+                    1.0);
+}
+std::optional<double> ExtremeResult(const double* s, double) {
+  if (s[0] == 0.0) return std::nullopt;
+  return s[1];
+}
+
+// Smooth UDAFs of the Conviva workload.
+// GEOMEAN(x) = exp(weighted mean of log x): {Σw, Σw·log x}, x <= 0 skipped.
+void GeomeanFold(double* s, double x, ValueType, double w) {
+  if (x <= 0.0) return;
+  s[0] += w;
+  s[1] += w * std::log(x);
+}
+std::optional<double> GeomeanResult(const double* s, double) {
+  if (s[0] <= 0.0) return std::nullopt;
+  return std::exp(s[1] / s[0]);
+}
+
+// HARMONIC_MEAN(x) = W / Σ(w/x): {Σw, Σw/x}, x <= 0 skipped.
+void HarmonicFold(double* s, double x, ValueType, double w) {
+  if (x <= 0.0) return;
+  s[0] += w;
+  s[1] += w / x;
+}
+std::optional<double> HarmonicResult(const double* s, double) {
+  if (s[1] <= 0.0) return std::nullopt;
+  return s[0] / s[1];
+}
+
+// RMS(x) = sqrt(weighted mean of x²): {Σw, Σw·x²}.
+void RmsFold(double* s, double x, ValueType, double w) {
+  s[0] += w;
+  s[1] += w * x * x;
+}
+std::optional<double> RmsResult(const double* s, double) {
+  if (s[0] <= 0.0) return std::nullopt;
+  return std::sqrt(s[1] / s[0]);
 }
 
 }  // namespace
@@ -175,15 +205,41 @@ ValueType Signature::ResultType(const std::vector<ValueType>& arg_types) const {
              : ValueType::kNull;
 }
 
-void FunctionRegistry::RegisterScalar(ScalarFunction fn) {
-  assert(fn.numeric != nullptr || fn.boxed != nullptr);
-  if (fn.boxed == nullptr) fn.boxed = BoxedFromNumeric(fn.numeric);
-  scalars_[fn.name] = std::move(fn);
+bool IsBuiltinSum(const AggregateFunction& fn) {
+  return fn.state.fold == SumCountFold && fn.state.result == SumResult;
 }
 
-void FunctionRegistry::RegisterAggregate(AggregateFunction fn) {
-  assert(fn.new_accumulator != nullptr);
+bool IsBuiltinCount(const AggregateFunction& fn) {
+  return fn.state.fold == SumCountFold && fn.state.result == CountResult;
+}
+
+Status FunctionRegistry::RegisterScalar(ScalarFunction fn) {
+  if (fn.numeric == nullptr && fn.boxed == nullptr) {
+    return Status::InvalidArgument("scalar function " + fn.name +
+                                   " has no body");
+  }
+  if (fn.boxed == nullptr) fn.boxed = BoxedFromNumeric(fn.numeric);
+  scalars_[fn.name] = std::move(fn);
+  return Status::OK();
+}
+
+Status FunctionRegistry::RegisterAggregate(AggregateFunction fn) {
+  const AggregateState& state = fn.state;
+  if (state.width < 1 || state.width > AggregateState::kMaxWidth ||
+      state.fold == nullptr || state.fold_trials == nullptr ||
+      state.merge == nullptr || state.result == nullptr) {
+    return Status::InvalidArgument(
+        "aggregate " + fn.name +
+        " needs a flat state: fold, fold_trials, merge, result and a width "
+        "in [1, " + std::to_string(AggregateState::kMaxWidth) + "]");
+  }
+  if (fn.new_accumulator == nullptr) {
+    fn.new_accumulator = [state]() -> std::unique_ptr<AggAccumulator> {
+      return std::make_unique<StateAccumulator>(state);
+    };
+  }
   aggregates_[fn.name] = std::move(fn);
+  return Status::OK();
 }
 
 Result<const ScalarFunction*> FunctionRegistry::FindScalar(
@@ -215,10 +271,22 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
   const ParamKind kNum = ParamKind::kNumeric;
   const ParamKind kStr = ParamKind::kString;
   const ParamKind kAny = ParamKind::kAny;
+  // The built-ins are complete definitions, which registration never
+  // refuses.
+  const auto scalar = [&](ScalarFunction fn) {
+    const Status status = registry->RegisterScalar(std::move(fn));
+    assert(status.ok());
+    (void)status;
+  };
+  const auto aggregate = [&](AggregateFunction fn) {
+    const Status status = registry->RegisterAggregate(std::move(fn));
+    assert(status.ok());
+    (void)status;
+  };
 
   auto unary_math = [&](const std::string& name, double (*fn)(double),
                         bool monotone) {
-    registry->RegisterScalar(
+    scalar(
         {.name = name,
          .signature = {.params = {kNum}, .result = ValueType::kDouble},
          .monotone = monotone,
@@ -236,7 +304,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
   unary_math("ceil", [](double x) { return std::ceil(x); }, true);
   unary_math("round", [](double x) { return std::round(x); }, true);
 
-  registry->RegisterScalar(
+  scalar(
       {.name = "pow",
        .signature = {.params = {kNum, kNum}, .result = ValueType::kDouble},
        .numeric = [](const NumericValue* args, size_t) {
@@ -246,7 +314,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
          return NumericValue::Dbl(
              std::pow(args[0].AsDouble(), args[1].AsDouble()));
        }});
-  registry->RegisterScalar(
+  scalar(
       {.name = "mod",
        .signature = {.params = {kNum, kNum}, .result = ValueType::kInt64},
        .numeric = [](const NumericValue* args, size_t) {
@@ -255,27 +323,26 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
 
   // Result type: that of the first argument (if: of the THEN branch).
   const Signature any_variadic = {.variadic = kAny, .result_arg = 0};
-  registry->RegisterScalar({.name = "least",
-                            .signature = any_variadic,
-                            .numeric = Extreme<false, NumericValue>,
-                            .boxed = Extreme<false, Value>});
-  registry->RegisterScalar({.name = "greatest",
-                            .signature = any_variadic,
-                            .numeric = Extreme<true, NumericValue>,
-                            .boxed = Extreme<true, Value>});
-  registry->RegisterScalar({.name = "coalesce",
-                            .signature = any_variadic,
-                            .numeric = Coalesce<NumericValue>,
-                            .boxed = Coalesce<Value>});
-  registry->RegisterScalar(
-      {.name = "if",
-       .signature = {.params = {kAny, kAny, kAny}, .result_arg = 1},
-       .numeric = If<NumericValue>,
-       .boxed = If<Value>});
+  scalar({.name = "least",
+          .signature = any_variadic,
+          .numeric = Extreme<false, NumericValue>,
+          .boxed = Extreme<false, Value>});
+  scalar({.name = "greatest",
+          .signature = any_variadic,
+          .numeric = Extreme<true, NumericValue>,
+          .boxed = Extreme<true, Value>});
+  scalar({.name = "coalesce",
+          .signature = any_variadic,
+          .numeric = Coalesce<NumericValue>,
+          .boxed = Coalesce<Value>});
+  scalar({.name = "if",
+          .signature = {.params = {kAny, kAny, kAny}, .result_arg = 1},
+          .numeric = If<NumericValue>,
+          .boxed = If<Value>});
 
   // String functions. A NULL-typed argument can still carry a number at run
   // time (coalesce(NULL, 5)); the bodies read it as NULL.
-  registry->RegisterScalar(
+  scalar(
       {.name = "length",
        .signature = {.params = {kStr}, .result = ValueType::kInt64},
        .boxed = [](const Value* args, size_t) {
@@ -283,7 +350,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
          return Value::Int64(static_cast<int64_t>(args[0].str().size()));
        }});
   auto map_chars = [&](const std::string& name, int (*fn)(int)) {
-    registry->RegisterScalar(
+    scalar(
         {.name = name,
          .signature = {.params = {kStr}, .result = ValueType::kString},
          .boxed = [fn](const Value* args, size_t) {
@@ -295,7 +362,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
   };
   map_chars("lower", ::tolower);
   map_chars("upper", ::toupper);
-  registry->RegisterScalar(
+  scalar(
       {.name = "substr",
        .signature = {.params = {kStr, kNum, kNum},
                      .result = ValueType::kString},
@@ -318,7 +385,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
              s.substr(static_cast<size_t>(start),
                       static_cast<size_t>(std::min(len, size))));
        }});
-  registry->RegisterScalar(
+  scalar(
       {.name = "concat",
        .signature = {.variadic = kAny, .result = ValueType::kString},
        .boxed = [](const Value* args, size_t n) {
@@ -332,58 +399,56 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
   // Aggregates. Only SUM, COUNT and AVG have a closed-form stddev.
   const Signature numeric_to_double = {.params = {kNum},
                                        .result = ValueType::kDouble};
-  registry->RegisterAggregate(
-      {.name = "count",
-       .signature = {.params = {kAny}, .result = ValueType::kDouble},
-       .scales_linearly = true,
-       .new_accumulator = NewCountAccumulator,
-       .analytic_stddev = [](double n, double) {
-         return n <= 0.0 ? 0.0 : std::sqrt(n);
-       }});
-  registry->RegisterAggregate(
-      {.name = "sum",
-       .signature = numeric_to_double,
-       .scales_linearly = true,
-       .new_accumulator = NewSumAccumulator,
-       .analytic_stddev = [](double n, double variance) {
-         return n <= 0.0 ? 0.0 : std::sqrt(n * variance);
-       }});
-  registry->RegisterAggregate(
-      {.name = "avg",
-       .signature = numeric_to_double,
-       .new_accumulator = NewAvgAccumulator,
-       .analytic_stddev = [](double n, double variance) {
-         return n > 1.0 ? std::sqrt(variance / n) : 0.0;
-       }});
+  aggregate({.name = "count",
+             .signature = {.params = {kAny}, .result = ValueType::kDouble},
+             .scales_linearly = true,
+             .state = AggregateState::Of<SumCountFold, 2>(CountResult),
+             .analytic_stddev = [](double n, double) {
+               return n <= 0.0 ? 0.0 : std::sqrt(n);
+             }});
+  aggregate({.name = "sum",
+             .signature = numeric_to_double,
+             .scales_linearly = true,
+             .state = AggregateState::Of<SumCountFold, 2>(SumResult),
+             .analytic_stddev = [](double n, double variance) {
+               return n <= 0.0 ? 0.0 : std::sqrt(n * variance);
+             }});
+  aggregate({.name = "avg",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<SumCountFold, 2>(AvgResult),
+             .analytic_stddev = [](double n, double variance) {
+               return n > 1.0 ? std::sqrt(variance / n) : 0.0;
+             }});
   // MIN/MAX are not smooth under sampling (§3.3), and keep their
-  // argument's type.
+  // argument's type: their typed accumulator holds the Value itself.
   const Signature same_type = {.params = {kAny}, .result_arg = 0};
-  registry->RegisterAggregate({.name = "min",
-                               .signature = same_type,
-                               .smooth = false,
-                               .new_accumulator = NewMinAccumulator});
-  registry->RegisterAggregate({.name = "max",
-                               .signature = same_type,
-                               .smooth = false,
-                               .new_accumulator = NewMaxAccumulator});
-  registry->RegisterAggregate({.name = "var",
-                               .signature = numeric_to_double,
-                               .new_accumulator = NewVarAccumulator});
-  registry->RegisterAggregate({.name = "stddev",
-                               .signature = numeric_to_double,
-                               .new_accumulator = NewStddevAccumulator});
-  registry->RegisterAggregate(
-      {.name = "geomean",
-       .signature = numeric_to_double,
-       .new_accumulator = NewAccumulator<GeomeanAccumulator>});
-  registry->RegisterAggregate(
-      {.name = "harmonic_mean",
-       .signature = numeric_to_double,
-       .new_accumulator = NewAccumulator<HarmonicAccumulator>});
-  registry->RegisterAggregate(
-      {.name = "rms",
-       .signature = numeric_to_double,
-       .new_accumulator = NewAccumulator<RmsAccumulator>});
+  aggregate({.name = "min",
+             .signature = same_type,
+             .smooth = false,
+             .state = AggregateState::Of<ExtremeFold<true>, 2>(
+                 ExtremeResult, ExtremeMerge<true>),
+             .new_accumulator = NewMinAccumulator});
+  aggregate({.name = "max",
+             .signature = same_type,
+             .smooth = false,
+             .state = AggregateState::Of<ExtremeFold<false>, 2>(
+                 ExtremeResult, ExtremeMerge<false>),
+             .new_accumulator = NewMaxAccumulator});
+  aggregate({.name = "var",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<MomentsFold, 3>(MomentsResult<false>)});
+  aggregate({.name = "stddev",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<MomentsFold, 3>(MomentsResult<true>)});
+  aggregate({.name = "geomean",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<GeomeanFold, 2>(GeomeanResult)});
+  aggregate({.name = "harmonic_mean",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<HarmonicFold, 2>(HarmonicResult)});
+  aggregate({.name = "rms",
+             .signature = numeric_to_double,
+             .state = AggregateState::Of<RmsFold, 2>(RmsResult)});
   return registry;
 }
 

@@ -135,7 +135,7 @@ struct Signature {
 /// NumericValue and leaves `boxed` empty; RegisterScalar derives the boxed
 /// call from it. For example:
 ///
-///   registry->RegisterScalar(
+///   Status status = registry->RegisterScalar(
 ///       {.name = "double_it",
 ///        .signature = {.params = {ParamKind::kNumeric},
 ///                      .result = ValueType::kDouble},
@@ -168,22 +168,103 @@ struct ScalarFunction {
   BoxedBody boxed = nullptr;
 };
 
+/// One nonzero multiplicity of a row in one bootstrap trial: the deferred
+/// trial flush computes a row's weights once and folds each of its
+/// aggregates over them.
+struct TrialWeight {
+  int trial;
+  double weight;
+};
+
+/// Adds `other` into `state` slot by slot: the merge of every aggregate
+/// whose state is a vector of sums.
+template <int kWidth>
+void AddStates(double* state, const double* other) {
+  for (int i = 0; i < kWidth; ++i) state[i] += other[i];
+}
+
+/// The state of an aggregate over one group as a fixed number of doubles.
+/// The all-zero state is the empty aggregate. The delta engine keeps one
+/// such state per bootstrap trial, in one contiguous array per (group,
+/// aggregate), and folds rows into it directly; RegisterAggregate derives
+/// the definition's typed accumulator from it.
+struct AggregateState {
+  static constexpr int kMaxWidth = 3;
+
+  /// Folds one argument with multiplicity `weight`. `x` is the argument's
+  /// Value::AsDouble() and `type` its type: kInt64, kDouble or kString,
+  /// never kNull (NULL arguments are skipped before the fold). Trial
+  /// replicas never receive a zero weight; the main replica receives the
+  /// row's weight as is.
+  using Fold = void (*)(double* state, double x, ValueType type,
+                        double weight);
+  /// Folds one argument into the trials listed in `weights`: trial t's
+  /// state starts at `trials + t * width`.
+  using FoldTrials = void (*)(double* trials, const TrialWeight* weights,
+                              size_t n, double x, ValueType type);
+  using Merge = void (*)(double* state, const double* other);
+  /// The result under multiplicity scale `scale` (see
+  /// AggregateFunction::scales_linearly); nullopt is NULL.
+  using Finish = std::optional<double> (*)(const double* state, double scale);
+
+  /// Doubles per state, in [1, kMaxWidth].
+  int width = 0;
+  Fold fold = nullptr;
+  /// `fold` in a loop over trials, with the fold inlined (see Of).
+  FoldTrials fold_trials = nullptr;
+  Merge merge = nullptr;
+  Finish result = nullptr;
+
+  /// The state of `kWidth` doubles folded by `kFold`: its `fold_trials`
+  /// is FoldEachTrial<kFold, kWidth>, so a definition names its fold once.
+  template <Fold kFold, int kWidth>
+  static constexpr AggregateState Of(Finish result,
+                                     Merge merge = AddStates<kWidth>);
+};
+
+/// AggregateState::FoldTrials of a fold known at compile time.
+template <AggregateState::Fold kFold, int kWidth>
+void FoldEachTrial(double* trials, const TrialWeight* weights, size_t n,
+                   double x, ValueType type) {
+  for (size_t i = 0; i < n; ++i) {
+    kFold(trials + static_cast<size_t>(weights[i].trial) * kWidth, x, type,
+          weights[i].weight);
+  }
+}
+
+template <AggregateState::Fold kFold, int kWidth>
+constexpr AggregateState AggregateState::Of(Finish result, Merge merge) {
+  static_assert(kWidth >= 1 && kWidth <= kMaxWidth);
+  return {.width = kWidth,
+          .fold = kFold,
+          .fold_trials = FoldEachTrial<kFold, kWidth>,
+          .merge = merge,
+          .result = result};
+}
+
 /// An aggregate function (built-in or user-defined): the one definition that
 /// the binder, the plan, the rewrite rules, the uncertainty analysis and the
 /// delta engine read. For example:
 ///
-///   registry->RegisterAggregate(
+///   void MeanSquareFold(double* s, double x, ValueType, double w) {
+///     s[0] += w * x * x;
+///     s[1] += w;
+///   }
+///   std::optional<double> MeanSquare(const double* s, double) {
+///     if (s[1] <= 0.0) return std::nullopt;
+///     return s[0] / s[1];
+///   }
+///
+///   Status status = registry->RegisterAggregate(
 ///       {.name = "mean_square",
 ///        .signature = {.params = {ParamKind::kNumeric},
 ///                      .result = ValueType::kDouble},
-///        .new_accumulator = []() -> std::unique_ptr<AggAccumulator> {
-///          return std::make_unique<MeanSquareAccumulator>();
-///        }});
+///        .state = AggregateState::Of<MeanSquareFold, 2>(MeanSquare)});
 ///
 /// An aggregate takes one argument, checked by the binder against
 /// `signature`.
 struct AggregateFunction {
-  using Factory = std::unique_ptr<AggAccumulator> (*)();
+  using Factory = std::function<std::unique_ptr<AggAccumulator>()>;
   using ClosedFormStddev = double (*)(double n, double variance);
 
   /// Lower-case SQL name ("sum", "geomean", ...).
@@ -200,8 +281,14 @@ struct AggregateFunction {
   /// estimation applies (§3.3). MIN/MAX are not; the uncertainty analysis
   /// rejects them over streamed relations.
   bool smooth = true;
-  /// Makes one group's accumulator. A plain function, so the rewrite rules
-  /// can recognise the built-in SUM and COUNT by theirs.
+  /// The flat state: the bootstrap trial replicas of every group hold one
+  /// each. The built-in SUM and COUNT are recognised by theirs (see
+  /// IsBuiltinSum).
+  AggregateState state = {};
+  /// Makes one group's typed accumulator (the main replica, and the
+  /// reference evaluator's). RegisterAggregate derives it from `state`
+  /// when empty; MIN and MAX set it, because their result has the type of
+  /// their argument.
   Factory new_accumulator = nullptr;
   /// The closed-form stddev of the estimate before multiplicity scaling,
   /// from the input moments of its group (weighted count and variance); the
@@ -209,6 +296,13 @@ struct AggregateFunction {
   /// there is none: the group then reports no analytic estimate.
   ClosedFormStddev analytic_stddev = nullptr;
 };
+
+/// Whether `fn` is the built-in SUM or COUNT, by its state functions rather
+/// than its name: the rewrite rules decompose only these, and only the
+/// built-in COUNT takes `*`. A copy of the definition under another name
+/// still is one.
+bool IsBuiltinSum(const AggregateFunction& fn);
+bool IsBuiltinCount(const AggregateFunction& fn);
 
 /// Registry of scalar and aggregate functions. A process typically uses one
 /// registry with the built-ins plus workload UDFs and UDAFs; the registry is
@@ -224,11 +318,15 @@ class FunctionRegistry {
 
   /// Registers (or replaces) a scalar function. An empty `boxed` form is
   /// derived from `numeric`: arguments unbox through NumericValue::Of and
-  /// the result boxes back.
-  void RegisterScalar(ScalarFunction fn);
+  /// the result boxes back. A function with neither body is refused with
+  /// InvalidArgument, and any previous definition stays.
+  Status RegisterScalar(ScalarFunction fn);
 
-  /// Registers (or replaces, built-ins included) an aggregate function.
-  void RegisterAggregate(AggregateFunction fn);
+  /// Registers (or replaces, built-ins included) an aggregate function. A
+  /// definition whose state lacks a function or has a width outside
+  /// [1, AggregateState::kMaxWidth] is refused with InvalidArgument, and any
+  /// previous definition stays.
+  Status RegisterAggregate(AggregateFunction fn);
 
   /// Looks up a scalar function by (lower-case) name. The pointer stays
   /// valid for the registry's lifetime.

@@ -224,13 +224,14 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
       target->GetOrCreate(GroupKeyOf(row), batch);
   cells.last_touched = batch;
   const bool defer = bootstrap_.num_trials() > 0;
+  if (defer) {
+    deferred_certain_.AddRow(cells.aggs.data(), row.stream_uid, row.weight,
+                             row.FromStream());
+  }
   for (size_t a = 0; a < block_->aggs.size(); ++a) {
     const Value v = block_->aggs[a].arg->Eval(row.values, ctx);
     cells.aggs[a].AddMainOnly(v, row.weight);
-    if (defer) {
-      deferred_certain_.push_back(
-          {&cells.aggs[a], v, row.weight, row.stream_uid, row.FromStream()});
-    }
+    if (defer) deferred_certain_.AddArg(static_cast<uint32_t>(a), v);
   }
 }
 
@@ -386,39 +387,33 @@ void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
     }
     cells = &temp->GetOrCreate(ev.key, ev.key_hash, batch);
   }
-  for (size_t a = 0; a < block_->aggs.size(); ++a) {
-    deferred_pending_.push_back({&cells->aggs[a],
-                                 static_cast<uint32_t>(eval_idx),
-                                 static_cast<uint32_t>(a)});
-  }
+  deferred_pending_.push_back(
+      {cells->aggs.data(), static_cast<uint32_t>(eval_idx)});
 }
 
 void BlockExecutor::FlushDeferredTrials() {
   const int trials = bootstrap_.num_trials();
   if (trials == 0 || (deferred_certain_.empty() && deferred_pending_.empty())) {
-    deferred_certain_.clear();
+    deferred_certain_.Clear();
     deferred_pending_.clear();
     return;
   }
   const size_t num_aggs = block_->aggs.size();
   const auto flush_range = [&](size_t begin, size_t end, size_t /*lane*/) {
-    for (size_t i = begin; i < end; ++i) {
-      const int t = static_cast<int>(i);
-      // Certain rows first, then pending rows, each in serial-apply order.
-      // The two lists target disjoint accumulators (sketch vs. the batch
-      // scratch), so per-accumulator add order equals row order — the same
-      // order the pre-parallel engine produced.
-      for (const CertainTrialAdd& rec : deferred_certain_) {
-        const double w = rec.from_stream
-                             ? rec.weight * bootstrap_.WeightAt(rec.uid, t)
-                             : rec.weight;
-        rec.acc->AddTrialOnly(t, rec.v, w);
-      }
-      for (const PendingTrialAdd& rec : deferred_pending_) {
-        const RowEval& ev = row_scratch_[rec.eval_idx];
-        const double w = ev.trial_w[i];
-        if (w == 0.0) continue;
-        rec.acc->AddTrialOnly(t, ev.trial_vals[i * num_aggs + rec.agg], w);
+    // Certain rows, then pending rows, each in serial-apply order. The two
+    // lists target disjoint accumulators (sketch vs. the batch scratch), so
+    // every (accumulator, trial) receives its adds in row order — the order
+    // the pre-parallel engine produced.
+    deferred_certain_.FoldTrials(bootstrap_, static_cast<int>(begin),
+                                 static_cast<int>(end));
+    for (const PendingTrialAdd& rec : deferred_pending_) {
+      const RowEval& ev = row_scratch_[rec.eval_idx];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        for (size_t t = begin; t < end; ++t) {
+          rec.accs[a].AddTrialOnly(static_cast<int>(t),
+                                   ev.trial_vals[t * num_aggs + a],
+                                   ev.trial_w[t]);
+        }
       }
     }
   };
@@ -427,7 +422,7 @@ void BlockExecutor::FlushDeferredTrials() {
   } else {
     flush_range(0, static_cast<size_t>(trials), 0);
   }
-  deferred_certain_.clear();
+  deferred_certain_.Clear();
   deferred_pending_.clear();
 }
 

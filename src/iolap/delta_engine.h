@@ -326,23 +326,12 @@ class BlockExecutor {
     std::vector<ConstraintOp> constraints;
   };
 
-  /// Deferred trial-replica contribution of a certain row: the same value
-  /// lands in every trial accumulator, weighted by the row's bootstrap
-  /// multiplicity. Flushed by FlushDeferredTrials, partitioned by trial.
-  struct CertainTrialAdd {
-    TrialAccumulatorSet* acc;
-    Value v;
-    double weight;
-    uint64_t uid;
-    bool from_stream;
-  };
-
-  /// Deferred trial-replica contribution of a pending row: values and
-  /// weights differ per trial and live in row_scratch_[eval_idx].
+  /// Deferred trial-replica contribution of a pending row to its group's
+  /// aggregates `accs[0..]`: values and weights differ per trial and live
+  /// in row_scratch_[eval_idx].
   struct PendingTrialAdd {
-    TrialAccumulatorSet* acc;
+    TrialAccumulatorSet* accs;
     uint32_t eval_idx;
-    uint32_t agg;
   };
 
   EvalContext MainContext() const;
@@ -397,11 +386,10 @@ class BlockExecutor {
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Drains the deferred trial-replica adds, partitioned across the pool
-  /// by trial index: lanes own disjoint trial accumulators, and each
-  /// accumulator receives its adds in serial-apply (row) order, so the
-  /// result is bit-identical for every thread count. (Entered from the
-  /// serial phase; the internal fan-out mutates lane-disjoint accumulators
-  /// only.)
+  /// by trial index: lanes own disjoint trial states, and each (accumulator,
+  /// trial) receives its adds in serial-apply (row) order, so the result is
+  /// bit-identical for every thread count. (Entered from the serial phase;
+  /// the internal fan-out mutates lane-disjoint trial states only.)
   void FlushDeferredTrials() IOLAP_REQUIRES(engine_serial_phase);
 
   /// Publishes sketch ∪ temp to the registry; returns rollback target or
@@ -487,7 +475,7 @@ class BlockExecutor {
   // a batch, so GetOrCreate clones a shared node at most once per batch,
   // before any record points into it.
   std::vector<RowEval> row_scratch_;
-  std::vector<CertainTrialAdd> deferred_certain_;
+  DeferredTrialFolds deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;
 };
 

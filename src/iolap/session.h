@@ -88,7 +88,7 @@ class Session {
   /// A numeric UDF needs only its signature and a body over NumericValue;
   /// the boxed call is derived from it:
   ///
-  ///   session.functions()->RegisterScalar(
+  ///   Status status = session.functions()->RegisterScalar(
   ///       {.name = "double_it",
   ///        .signature = {.params = {ParamKind::kNumeric},
   ///                      .result = ValueType::kDouble},
@@ -97,17 +97,25 @@ class Session {
   ///          return NumericValue::Dbl(2.0 * args[0].AsDouble());
   ///        }});
   ///
-  /// A UDAF is a definition with its argument's signature and an
-  /// accumulator factory; it is smooth and scale-invariant unless it says
+  /// A UDAF is a definition with its argument's signature and a flat state
+  /// of a few doubles, given by a fold and a result function (see
+  /// AggregateState); it is smooth and scale-invariant unless it says
   /// otherwise, and has no closed-form error unless it supplies one:
   ///
-  ///   session.functions()->RegisterAggregate(
+  ///   void MeanSquareFold(double* s, double x, ValueType, double w) {
+  ///     s[0] += w * x * x;
+  ///     s[1] += w;
+  ///   }
+  ///   std::optional<double> MeanSquare(const double* s, double) {
+  ///     if (s[1] <= 0.0) return std::nullopt;
+  ///     return s[0] / s[1];
+  ///   }
+  ///
+  ///   Status status = session.functions()->RegisterAggregate(
   ///       {.name = "mean_square",
   ///        .signature = {.params = {ParamKind::kNumeric},
   ///                      .result = ValueType::kDouble},
-  ///        .new_accumulator = []() -> std::unique_ptr<AggAccumulator> {
-  ///          return std::make_unique<MeanSquareAccumulator>();
-  ///        }});
+  ///        .state = AggregateState::Of<MeanSquareFold, 2>(MeanSquare)});
   const std::shared_ptr<FunctionRegistry>& functions() { return functions_; }
 
   EngineOptions* mutable_options() { return &options_; }

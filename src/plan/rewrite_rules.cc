@@ -168,12 +168,10 @@ std::optional<Decomposition> TryDecompose(const Block& block, int next_id,
   std::vector<DecomposedAgg> decomposed;
   for (const AggSpec& agg : block.aggs) {
     if (HasAggLookups(agg.arg)) return std::nullopt;
-    const AggregateFunction::Factory factory = agg.fn->new_accumulator;
-    if (factory != NewSumAccumulator && factory != NewCountAccumulator) {
-      return std::nullopt;
-    }
+    const bool is_count = IsBuiltinCount(*agg.fn);
+    if (!is_count && !IsBuiltinSum(*agg.fn)) return std::nullopt;
     DecomposedAgg d;
-    if (factory == NewCountAccumulator) {
+    if (is_count) {
       // COUNT(expr): only count(*) (a never-null literal) decomposes
       // safely into C1·C2.
       if (agg.arg->kind() != Expr::Kind::kLiteral) return std::nullopt;
@@ -415,10 +413,8 @@ Result<QueryPlan> ApplyRewriteRules(QueryPlan plan, RewriteStats* stats) {
   // while that is the built-in one.
   auto registered_sum = plan.functions->FindAggregate("sum");
   const AggregateFunction* sum =
-      registered_sum.ok() &&
-              (*registered_sum)->new_accumulator == NewSumAccumulator
-          ? *registered_sum
-          : nullptr;
+      registered_sum.ok() && IsBuiltinSum(**registered_sum) ? *registered_sum
+                                                            : nullptr;
 
   std::vector<int> id_map(plan.blocks.size(), -1);
   for (size_t b = 0; b < plan.blocks.size(); ++b) {

@@ -328,7 +328,7 @@ class Binder::Impl {
     ExprPtr arg;
     if (ast->args[0]->kind == AstExpr::Kind::kStar) {
       // count(*) counts rows: the built-in COUNT over a never-NULL literal.
-      if (fn.new_accumulator != NewCountAccumulator) {
+      if (!IsBuiltinCount(fn)) {
         return Status::BindError("'*' is only valid inside count(*)");
       }
       arg = Lit(int64_t{1});

@@ -1,6 +1,7 @@
 #include "workloads/conviva.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "common/random.h"
@@ -87,7 +88,13 @@ Result<std::shared_ptr<Catalog>> MakeConvivaCatalog(
 
 void RegisterConvivaUdfs(FunctionRegistry* registry) {
   const ParamKind kNum = ParamKind::kNumeric;
-  registry->RegisterScalar(
+  // Both definitions have a body, which registration never refuses.
+  const auto scalar = [&](ScalarFunction fn) {
+    const Status status = registry->RegisterScalar(std::move(fn));
+    assert(status.ok());
+    (void)status;
+  };
+  scalar(
       {.name = "engagement_score",
        .signature = {.params = {kNum, kNum}, .result = ValueType::kDouble},
        .numeric = [](const NumericValue* args, size_t) {
@@ -98,7 +105,7 @@ void RegisterConvivaUdfs(FunctionRegistry* registry) {
          return NumericValue::Dbl(args[0].AsDouble() /
                                   (60.0 * (1.0 + args[1].AsDouble() / 30.0)));
        }});
-  registry->RegisterScalar(
+  scalar(
       {.name = "is_hd",
        .signature = {.params = {kNum}, .result = ValueType::kInt64},
        .numeric = [](const NumericValue* args, size_t) {

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "bootstrap/error_estimate.h"
 #include "bootstrap/poisson_multiplicities.h"
@@ -126,6 +128,72 @@ TEST(TrialAccumulatorTest, CloneAndMerge) {
   a.Merge(b);
   EXPECT_DOUBLE_EQ(a.MainResult(1.0).AsDouble(), 4.0);
   EXPECT_GT(a.ByteSize(), 0u);
+}
+
+// A zero trial weight never folds: 0 × ±inf and 0 × NaN are NaN, so a
+// trial whose multiplicity is 0 must read exactly as if the value were
+// absent, whichever path folds it (a pending row's per-trial values, or a
+// certain row's Poisson weights).
+TEST(TrialAccumulatorTest, ZeroWeightNeverFolds) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  constexpr int kTrials = 8;
+  const BootstrapWeights bootstrap(/*seed=*/3, kTrials);
+  // A streamed row with weight 0 in some trials and nonzero in others.
+  uint64_t uid = 0;
+  auto mixed = [&](uint64_t u) {
+    bool zero = false;
+    bool nonzero = false;
+    for (int t = 0; t < kTrials; ++t) {
+      (bootstrap.WeightAt(u, t) == 0 ? zero : nonzero) = true;
+    }
+    return zero && nonzero;
+  };
+  while (!mixed(uid)) ++uid;
+  const std::vector<int> trial_weights = {0, 1, 0, 1, 2, 0, 1, 0};
+
+  for (const char* name :
+       {"sum", "avg", "var", "geomean", "harmonic_mean", "rms"}) {
+    for (double special : {kInf, -kInf, std::nan("")}) {
+      SCOPED_TRACE(std::string(name) + " " + std::to_string(special));
+      const AggregateFunction& fn = Aggregate(name);
+      TrialAccumulatorSet absent(fn, kTrials);
+      Fold(&absent, Value::Double(2.0), 1.0, std::vector<int>(kTrials, 1));
+      const std::vector<double> want = absent.TrialResults(1.0);
+
+      // Pending-row path: one value per trial with its own weight.
+      TrialAccumulatorSet pending = absent.Clone();
+      for (int t = 0; t < kTrials; ++t) {
+        pending.AddTrialOnly(t, Value::Double(special), trial_weights[t]);
+      }
+      // Certain-row path: the flush's record and Poisson weights.
+      TrialAccumulatorSet certain = absent.Clone();
+      DeferredTrialFolds folds;
+      folds.AddRow(&certain, uid, 1.0, /*from_stream=*/true);
+      folds.AddArg(0, Value::Double(special));
+      folds.FoldTrials(bootstrap, 0, kTrials);
+
+      const std::vector<double> got_pending = pending.TrialResults(1.0);
+      const std::vector<double> got_certain = certain.TrialResults(1.0);
+      for (int t = 0; t < kTrials; ++t) {
+        if (trial_weights[t] == 0) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got_pending[t]),
+                    std::bit_cast<uint64_t>(want[t]))
+              << "pending trial " << t;
+        }
+        if (bootstrap.WeightAt(uid, t) == 0) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got_certain[t]),
+                    std::bit_cast<uint64_t>(want[t]))
+              << "certain trial " << t;
+        }
+      }
+      if (std::string(name) == "sum") {
+        // The value does reach the trials that weigh it.
+        EXPECT_EQ(want[0], 2.0);
+        EXPECT_TRUE(std::isnan(special) ? std::isnan(got_pending[1])
+                                        : got_pending[1] == special);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ ErrorEstimate

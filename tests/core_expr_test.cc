@@ -439,5 +439,24 @@ TEST_F(ExprTest, RegistryLookupErrors) {
   EXPECT_TRUE(functions_->FindAggregate("geomean").ok());
 }
 
+// A scalar function with neither body is refused in every build, and the
+// definition it would have replaced stays callable.
+TEST_F(ExprTest, RegistrationRefusesScalarWithoutBody) {
+  for (const char* name : {"abs", "no_body"}) {
+    const Status status = functions_->RegisterScalar(
+        {.name = name,
+         .signature = {.params = {ParamKind::kNumeric},
+                       .result = ValueType::kDouble}});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+  }
+  EXPECT_FALSE(functions_->FindScalar("no_body").ok());
+  const auto abs = functions_->FindScalar("abs");
+  ASSERT_TRUE(abs.ok());
+  const Value arg = Value::Double(-2.5);
+  EXPECT_EQ((*abs)->boxed(&arg, 1).dbl(), 2.5);
+  EXPECT_EQ(
+      Call("abs", {Lit(-2.5)}, ValueType::kDouble)->Eval({}, ctx_).dbl(), 2.5);
+}
+
 }  // namespace
 }  // namespace iolap

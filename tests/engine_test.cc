@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "catalog/catalog.h"
 #include "common/random.h"
@@ -845,6 +846,52 @@ TEST(CheckpointIntegrityTest, RetainedSnapshotsVerifyAcrossRestore) {
     EXPECT_EQ(controller.metrics().TotalFailureRecoveries(), 1);
     EXPECT_EQ(controller.metrics().MaxRollbackDepth(), 2);
     EXPECT_GT(verified, 0u);
+  }
+}
+
+// A zero bootstrap weight never folds in the engine either: a streamed
+// sum(x) over one ±inf row stays finite in exactly the trials where that
+// row's Poisson weight is 0 (0 × inf would make them NaN).
+TEST(BootstrapFoldTest, InfiniteRowSkipsItsZeroWeightTrials) {
+  constexpr uint64_t kInfRow = 17;
+  constexpr int kTrials = 16;
+  for (double inf : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Catalog catalog;
+    Table t(Schema({{"t.x", ValueType::kDouble}}));
+    for (uint64_t i = 0; i < 200; ++i) {
+      t.AddRow({Value::Double(i == kInfRow ? inf : 1.0 + i % 7)});
+    }
+    ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+    PlanBuilder pb(&catalog, FunctionRegistry::Default());
+    auto& b = pb.NewBlock("total");
+    b.Scan("t").Agg("sum", b.ColRef("x"), "s");
+    auto plan = pb.Build();
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EngineOptions options;
+    options.num_trials = kTrials;
+    options.num_batches = 4;
+    options.seed = 9;
+    QueryController controller(&catalog, *plan, options);
+    ASSERT_TRUE(controller.Init().ok());
+    ASSERT_TRUE(controller.Run(nullptr).ok());
+
+    const BootstrapWeights bootstrap(options.seed, kTrials);
+    int zero_trials = 0;
+    const auto& sketch = controller.checkpoint_ring().back().at(0)->sketch;
+    ASSERT_EQ(sketch.num_groups(), 1u);
+    const std::vector<double> trials =
+        sketch.groups().begin()->second->aggs[0].TrialResults(1.0);
+    ASSERT_EQ(trials.size(), static_cast<size_t>(kTrials));
+    for (int trial = 0; trial < kTrials; ++trial) {
+      if (bootstrap.WeightAt(kInfRow, trial) == 0) {
+        ++zero_trials;
+        EXPECT_TRUE(std::isfinite(trials[trial])) << "trial " << trial;
+      } else {
+        EXPECT_EQ(trials[trial], inf) << "trial " << trial;
+      }
+    }
+    EXPECT_GT(zero_trials, 0);
   }
 }
 

@@ -186,7 +186,7 @@ TEST_F(RewriteTest, DoesNotFireOnUnsupportedShapes) {
 TEST_F(RewriteTest, UserAggregateNamedSumIsNotDecomposed) {
   AggregateFunction rms = **functions_->FindAggregate("rms");
   rms.name = "sum";
-  functions_->RegisterAggregate(rms);
+  ASSERT_TRUE(functions_->RegisterAggregate(rms).ok());
   for (const char* sql :
        {"SELECT grp, sum(x * y) FROM r, s WHERE r.k = s.k GROUP BY grp",
         "SELECT grp, count(*) FROM r, s WHERE r.k = s.k GROUP BY grp"}) {

@@ -58,15 +58,17 @@ TEST(SessionTest, CustomUdfThroughSession) {
   options.num_batches = 4;
   options.num_trials = 4;
   Session session(catalog.get(), options);
-  session.functions()->RegisterScalar(
-      {.name = "double_it",
-       .signature = {.params = {ParamKind::kNumeric},
-                     .result = ValueType::kDouble},
-       .monotone = true,
-       .numeric = [](const NumericValue* args, size_t) {
-         if (args[0].is_null()) return NumericValue::Null();
-         return NumericValue::Dbl(2.0 * args[0].AsDouble());
-       }});
+  ASSERT_TRUE(session.functions()
+                  ->RegisterScalar(
+                      {.name = "double_it",
+                       .signature = {.params = {ParamKind::kNumeric},
+                                     .result = ValueType::kDouble},
+                       .monotone = true,
+                       .numeric = [](const NumericValue* args, size_t) {
+                         if (args[0].is_null()) return NumericValue::Null();
+                         return NumericValue::Dbl(2.0 * args[0].AsDouble());
+                       }})
+                  .ok());
   auto query = session.Sql("SELECT avg(double_it(v)) FROM t");
   ASSERT_TRUE(query.ok()) << query.status();
   ASSERT_TRUE((*query)->Run().ok());

@@ -424,7 +424,7 @@ TEST_F(SqlBindTest, AggregateCallsCheckedAgainstSignature) {
   AggregateFunction nullary = **functions_->FindAggregate("sum");
   nullary.name = "nullary";
   nullary.signature = {};
-  functions_->RegisterAggregate(nullary);
+  ASSERT_TRUE(functions_->RegisterAggregate(nullary).ok());
   EXPECT_EQ(Bind("SELECT nullary(site) FROM sites").status().code(),
             StatusCode::kBindError);
 }
@@ -440,7 +440,7 @@ TEST_F(SqlBindTest, RegisteredAggregateReplacesBuiltin) {
   ASSERT_TRUE(catalog_.RegisterTable("t", std::move(t)).ok());
   AggregateFunction geomean = **functions_->FindAggregate("geomean");
   geomean.name = "avg";
-  functions_->RegisterAggregate(geomean);
+  ASSERT_TRUE(functions_->RegisterAggregate(geomean).ok());
 
   Session session(&catalog_, EngineOptions{}, functions_);
   auto query = session.Sql("SELECT avg(x) FROM t");
@@ -564,7 +564,7 @@ TEST_F(SqlExecTest, AnalyticEstimateNeedsClosedForm) {
   AggregateFunction plain_avg = **functions_->FindAggregate("avg");
   plain_avg.name = "plain_avg";
   plain_avg.analytic_stddev = nullptr;
-  functions_->RegisterAggregate(plain_avg);
+  ASSERT_TRUE(functions_->RegisterAggregate(plain_avg).ok());
 
   EngineOptions options;
   options.num_batches = 4;
