@@ -34,21 +34,23 @@ int main() {
       std::atomic<long long> recomputed{0};
       std::atomic<size_t> batches{0};
       std::atomic<bool> failed{false};
-      pool.ParallelFor(kSeeds, [&](size_t seed) {
-        EngineOptions options = BenchOptions(ExecutionMode::kIolap);
-        options.slack = slack;
-        options.seed = 4242 + seed * 31;
-        auto outcome = RunBenchQuery(*catalog, query, options);
-        if (!outcome.ok()) {
-          failed = true;
-          return;
+      pool.ParallelRanges(kSeeds, [&](size_t begin, size_t end, size_t) {
+        for (size_t seed = begin; seed < end; ++seed) {
+          EngineOptions options = BenchOptions(ExecutionMode::kIolap);
+          options.slack = slack;
+          options.seed = 4242 + seed * 31;
+          auto outcome = RunBenchQuery(*catalog, query, options);
+          if (!outcome.ok()) {
+            failed = true;
+            continue;
+          }
+          if (outcome->metrics.TotalFailureRecoveries() > 0) {
+            runs_with_failure.fetch_add(1);
+          }
+          recomputed.fetch_add(
+              static_cast<long long>(outcome->metrics.TotalRecomputedRows()));
+          batches.fetch_add(outcome->metrics.batches.size());
         }
-        if (outcome->metrics.TotalFailureRecoveries() > 0) {
-          runs_with_failure.fetch_add(1);
-        }
-        recomputed.fetch_add(
-            static_cast<long long>(outcome->metrics.TotalRecomputedRows()));
-        batches.fetch_add(outcome->metrics.batches.size());
       });
       if (failed) {
         std::fprintf(stderr, "%s failed\n", query.id.c_str());

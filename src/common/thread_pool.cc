@@ -50,38 +50,13 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::SubmitToGroup(TaskGroup* group, std::function<void()> task) {
-  if (workers_.empty()) {
-    // Inline mode: execute on the caller. Exceptions propagate naturally,
-    // matching the rethrow-on-caller contract of the pooled path.
-    task();
-    return;
-  }
   {
     MutexLock lock(mu_);
     tasks_.emplace(group, std::move(task));
-    if (group == nullptr) {
-      ++in_flight_;
-    } else {
-      MutexLock group_lock(group->mu);
-      ++group->remaining;
-    }
+    MutexLock group_lock(group->mu);
+    ++group->remaining;
   }
   task_ready_.NotifyOne();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  SubmitToGroup(nullptr, std::move(task));
-}
-
-void ThreadPool::Wait() {
-  if (workers_.empty()) return;
-  std::exception_ptr error;
-  {
-    MutexLock lock(mu_);
-    while (in_flight_ != 0) all_done_.Wait(mu_);
-    error = std::exchange(submit_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::WaitGroup(TaskGroup* group) {
@@ -92,32 +67,6 @@ void ThreadPool::WaitGroup(TaskGroup* group) {
     error = std::exchange(group->first_error, nullptr);
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn,
-                             bool idempotent) {
-  if (workers_.empty() || count <= 1) {
-    RunTaskBody(idempotent, 0, [count, &fn] {
-      for (size_t i = 0; i < count; ++i) fn(i);
-    });
-    return;
-  }
-  // Chunk so each worker receives at most a handful of tasks.
-  const size_t chunks = std::min(count, workers_.size() * 4);
-  const size_t per_chunk = (count + chunks - 1) / chunks;
-  TaskGroup group;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * per_chunk;
-    const size_t end = std::min(count, begin + per_chunk);
-    if (begin >= end) break;
-    SubmitToGroup(&group, [begin, end, &fn, idempotent] {
-      RunTaskBody(idempotent, begin, [begin, end, &fn] {
-        for (size_t i = begin; i < end; ++i) fn(i);
-      });
-    });
-  }
-  WaitGroup(&group);
 }
 
 void ThreadPool::ParallelRanges(
@@ -162,15 +111,9 @@ void ThreadPool::WorkerLoop() {
     } catch (...) {
       error = std::current_exception();
     }
-    if (group != nullptr) {
-      MutexLock lock(group->mu);
-      if (error && !group->first_error) group->first_error = error;
-      if (--group->remaining == 0) group->done.NotifyAll();
-    } else {
-      MutexLock lock(mu_);
-      if (error && !submit_error_) submit_error_ = error;
-      if (--in_flight_ == 0) all_done_.NotifyAll();
-    }
+    MutexLock lock(group->mu);
+    if (error && !group->first_error) group->first_error = error;
+    if (--group->remaining == 0) group->done.NotifyAll();
   }
 }
 

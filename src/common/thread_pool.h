@@ -13,35 +13,32 @@
 
 namespace iolap {
 
-/// Fixed-size worker pool used for intra-batch parallelism (classification,
-/// per-trial predicate evaluation, trial-replica accumulation and group
-/// materialization in the delta engine). The pool is optional: with
-/// num_threads == 0 tasks run inline on the caller, which keeps
-/// single-threaded runs fully deterministic and easy to debug — and the
-/// engine's parallel phases are structured so that results are bit-identical
-/// for every thread count (see docs/INTERNALS.md, "Parallelism model").
+/// Fixed-size worker pool used for intra-batch parallelism in the delta
+/// engine (classification and per-trial predicate evaluation, and the
+/// trial-partitioned replica flush). It has one entry point, ParallelRanges:
+/// split [0, count) into contiguous ranges, run them on the workers, wait.
+/// The pool is optional: with num_threads == 0 the single range runs inline
+/// on the caller, which keeps single-threaded runs fully deterministic and
+/// easy to debug — and the engine's parallel phases are structured so that
+/// results are bit-identical for every thread count (see docs/INTERNALS.md,
+/// "Parallelism model").
 ///
 /// Error handling: a task that throws does not take the process down
-/// (std::terminate); the first exception of a ParallelFor/ParallelRanges
-/// call — or, for plain Submit, of the current Wait() epoch — is captured
-/// and rethrown on the calling thread from ParallelFor/ParallelRanges/Wait.
-/// Later exceptions of the same call are swallowed.
+/// (std::terminate); the first exception of a ParallelRanges call is
+/// captured and rethrown on the calling thread. Later exceptions of the
+/// same call are swallowed.
 ///
-/// Re-entrancy contract: ParallelFor/ParallelRanges use a per-call
-/// completion latch, so concurrent calls from different threads do not wait
-/// on each other's work. Submit/Wait, by contrast, share one global
-/// in-flight counter: Wait() is a barrier over *all* plain-Submitted tasks,
-/// so interleaving Submit/Wait pairs from multiple threads serializes them.
-/// Calling ParallelFor from inside a pool task deadlocks (the nested call
-/// would wait on workers that are all busy) — parallel phases must be
-/// issued from the driving thread only.
+/// Re-entrancy contract: each ParallelRanges call waits on its own
+/// completion latch, so concurrent calls from different threads do not
+/// wait on each other's work. Calling ParallelRanges from inside a pool
+/// task deadlocks (the nested call would wait on workers that are all
+/// busy) — parallel phases must be issued from the driving thread only.
 ///
 /// Concurrency invariants are expressed with Clang thread-safety
 /// annotations (common/thread_annotations.h) and checked at compile time
 /// under -Wthread-safety: every shared member is IOLAP_GUARDED_BY its
-/// mutex, and the Submit-side lambdas must not capture by reference by
-/// default (tools/lint rule `pool-capture`; the task may outlive the
-/// submitting frame until the next Wait()).
+/// mutex, and the lambdas handed to SubmitToGroup must not capture by
+/// reference by default (tools/lint rule `pool-capture`).
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -50,36 +47,24 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; inline execution when the pool has no workers.
-  void Submit(std::function<void()> task) IOLAP_EXCLUDES(mu_);
-
-  /// Blocks until every plain-Submitted task has finished. Rethrows the
-  /// first exception any of them raised since the last Wait().
-  void Wait() IOLAP_EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, count), partitioned across the pool, and
-  /// waits. Rethrows the first exception fn raised. Safe to call
-  /// concurrently from multiple non-pool threads.
+  /// Runs fn(begin, end, lane) over a static partition of [0, count) into
+  /// at most num_lanes() contiguous ranges and waits. Rethrows the first
+  /// exception fn raised. Safe to call concurrently from multiple non-pool
+  /// threads. The lane index is a stable, deterministic property of the
+  /// *range* (not of the worker that happens to execute it), so per-lane
+  /// resources — e.g. an Rng split via Rng::ForLane(seed, lane) — yield
+  /// results independent of scheduling. Inline mode runs a single range
+  /// [0, count) with lane 0.
   ///
-  /// `idempotent` declares that re-running a task body after arbitrary
-  /// partial work leaves the same final state (true of the engine's pure
+  /// `idempotent` declares that re-running a range after arbitrary partial
+  /// work leaves the same final state (true of the engine's pure
   /// evaluation phases, which only overwrite disjoint output slots). Only
   /// idempotent bodies participate in fault injection: the pool-task-fault
   /// failpoint makes an attempt die with FailpointInjectedError after its
-  /// work, and the wrapper absorbs the crash by re-running the body —
+  /// work, and the wrapper absorbs the crash by re-running the range —
   /// chaos-testing exactly the retry that idempotency licenses. Bodies
   /// whose re-execution would double-apply (e.g. trial-accumulator adds)
   /// must stay non-idempotent and are never injected.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                   bool idempotent = false) IOLAP_EXCLUDES(mu_);
-
-  /// Runs fn(begin, end, lane) over a static partition of [0, count) into
-  /// at most num_lanes() contiguous ranges and waits. The lane index is a
-  /// stable, deterministic property of the *range* (not of the worker that
-  /// happens to execute it), so per-lane resources — e.g. an Rng split via
-  /// Rng::ForLane(seed, lane) — yield results independent of scheduling.
-  /// Inline mode runs a single range [0, count) with lane 0.
-  /// `idempotent` as in ParallelFor.
   void ParallelRanges(
       size_t count,
       const std::function<void(size_t begin, size_t end, size_t lane)>& fn,
@@ -93,8 +78,8 @@ class ThreadPool {
   }
 
  private:
-  /// Per-call completion state for ParallelFor/ParallelRanges: tasks of one
-  /// call count down their own latch, so concurrent calls are independent.
+  /// Per-call completion state for ParallelRanges: tasks of one call count
+  /// down their own latch, so concurrent calls are independent.
   struct TaskGroup {
     Mutex mu;
     CondVar done;
@@ -103,7 +88,7 @@ class ThreadPool {
   };
 
   void WorkerLoop() IOLAP_EXCLUDES(mu_);
-  /// Enqueues `task` charged to `group` (nullptr = the global Wait epoch).
+  /// Enqueues `task` charged to `group`.
   void SubmitToGroup(TaskGroup* group, std::function<void()> task)
       IOLAP_EXCLUDES(mu_);
   /// Blocks until `group` drains, then rethrows its first error, if any.
@@ -113,11 +98,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mu_;
   CondVar task_ready_;
-  CondVar all_done_;
   std::queue<std::pair<TaskGroup*, std::function<void()>>> tasks_
       IOLAP_GUARDED_BY(mu_);
-  size_t in_flight_ IOLAP_GUARDED_BY(mu_) = 0;  // plain-Submit tasks only
-  std::exception_ptr submit_error_ IOLAP_GUARDED_BY(mu_);
   bool shutdown_ IOLAP_GUARDED_BY(mu_) = false;
 };
 

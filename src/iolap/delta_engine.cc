@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -621,179 +622,114 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   };
 
   const bool analytic = options_->error_method == ErrorMethod::kAnalytic;
+  const size_t num_aggs = block_->aggs.size();
 
-  // Ordered work list (sketch groups, then temp-only groups): the parallel
-  // phase below computes pure per-group materializations; the serial phase
-  // afterwards walks the same order doing all registry mutation, so the
-  // published state and emission order match the inline engine exactly.
-  struct PublishWork {
-    const Row* key;
-    const GroupedAggregateState::GroupCells* sketch_cells;
-    const GroupedAggregateState::GroupCells* temp_cells;
-    bool dirty;
-    std::vector<Value> main;                  // unscaled (dirty groups)
-    std::vector<std::vector<double>> trials;  // unscaled (dirty groups)
-    std::vector<double> analytic_sd;          // unscaled (dirty groups)
-    OutputGroup out;                          // when collect_output_
+  // A group's unscaled results, materialized from its accumulator cells.
+  struct Materialized {
+    std::vector<Value> main;
+    std::vector<std::vector<double>> trials;
+    std::vector<double> analytic_sd;
   };
-  std::vector<PublishWork> work;
-  work.reserve(sketch_.num_groups() + temp.num_groups());
-  auto add_work = [&](const Row& key,
-                      const GroupedAggregateState::GroupCells* sketch_cells,
-                      const GroupedAggregateState::GroupCells* temp_cells) {
+  // Merges the sketch and scratch cells when the group has both; trial
+  // replicas only `with_trials`.
+  auto materialize = [&](const GroupedAggregateState::GroupCells* sketch_cells,
+                         const GroupedAggregateState::GroupCells* temp_cells,
+                         bool with_trials) {
+    Materialized m;
+    m.main.reserve(num_aggs);
+    if (with_trials) m.trials.reserve(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      std::optional<TrialAccumulatorSet> merged;
+      const TrialAccumulatorSet* acc = sketch_cells != nullptr
+                                           ? &sketch_cells->aggs[a]
+                                           : &temp_cells->aggs[a];
+      if (sketch_cells != nullptr && temp_cells != nullptr) {
+        merged.emplace(sketch_cells->aggs[a].Clone());
+        merged->Merge(temp_cells->aggs[a]);
+        acc = &*merged;
+      }
+      m.main.push_back(acc->MainResult(1.0));
+      if (with_trials) m.trials.push_back(acc->TrialResults(1.0));
+      if (analytic) {
+        m.analytic_sd.push_back(UnscaledAnalyticSd(*block_->aggs[a].fn, *acc));
+      }
+    }
+    return m;
+  };
+
+  // Appends the group to the batch's output snapshot, scaled to m_i.
+  auto collect = [&](const Row& key, const Materialized& m) {
+    OutputGroup group;
+    group.key = key;
+    group.main.reserve(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      group.main.push_back(scale_value(a, m.main[a]));
+    }
+    if (collect_trials_) {
+      group.trials = m.trials;
+      for (size_t a = 0; a < group.trials.size(); ++a) {
+        if (block_->aggs[a].fn->scales_linearly && effective_scale != 1.0) {
+          for (double& x : group.trials[a]) x *= effective_scale;
+        }
+      }
+      if (analytic) {
+        group.analytic_sd = DisplayAnalyticSd(m.analytic_sd, effective_scale);
+      }
+    }
+    latest_output_.push_back(std::move(group));
+  };
+
+  // One serial walk in a fixed order (sketch groups, then scratch-only
+  // groups): integrity checks, registry publication, downstream emission
+  // and the output snapshot all follow it.
+  auto publish = [&](const Row& key,
+                     const GroupedAggregateState::GroupCells* sketch_cells,
+                     const GroupedAggregateState::GroupCells* temp_cells) {
+    engine_serial_phase.AssertHeld();  // called only from the walk below
     if (temp_cells != nullptr) temp_keys_now.insert(key);
     const bool dirty =
         force_full_publish_ || temp_cells != nullptr ||
         (sketch_cells != nullptr && sketch_cells->last_touched == batch) ||
         prev_temp_keys_.count(key) > 0;
-    work.push_back({&key, sketch_cells, temp_cells, dirty, {}, {}, {}, {}});
-  };
-  for (const auto& [key, cells] : sketch_.groups()) {
-    add_work(key, cells.get(), temp.Find(key));
-  }
-  for (const auto& [key, cells] : temp.groups()) {
-    if (sketch_.Find(key) == nullptr) add_work(key, nullptr, cells.get());
-  }
-
-  // Materializes a dirty group's unscaled results (and, when collecting,
-  // its presentation OutputGroup). Pure: reads only the two accumulator
-  // cells; every mutation stays in the serial phase.
-  auto materialize = [&](PublishWork& w) {
-    w.main.clear();
-    w.trials.clear();
-    w.analytic_sd.clear();
-    w.main.reserve(block_->aggs.size());
-    w.trials.reserve(block_->aggs.size());
-    for (size_t a = 0; a < block_->aggs.size(); ++a) {
-      if (w.sketch_cells != nullptr && w.temp_cells != nullptr) {
-        TrialAccumulatorSet merged = w.sketch_cells->aggs[a].Clone();
-        merged.Merge(w.temp_cells->aggs[a]);
-        w.main.push_back(merged.MainResult(1.0));
-        w.trials.push_back(merged.TrialResults(1.0));
-        if (analytic) {
-          w.analytic_sd.push_back(
-              UnscaledAnalyticSd(*block_->aggs[a].fn, merged));
-        }
-      } else {
-        const TrialAccumulatorSet& only = w.sketch_cells != nullptr
-                                              ? w.sketch_cells->aggs[a]
-                                              : w.temp_cells->aggs[a];
-        w.main.push_back(only.MainResult(1.0));
-        w.trials.push_back(only.TrialResults(1.0));
-        if (analytic) {
-          w.analytic_sd.push_back(
-              UnscaledAnalyticSd(*block_->aggs[a].fn, only));
-        }
-      }
-    }
-    if (collect_output_) {
-      OutputGroup group;
-      group.key = *w.key;
-      group.main.reserve(w.main.size());
-      for (size_t a = 0; a < w.main.size(); ++a) {
-        group.main.push_back(scale_value(a, w.main[a]));
-      }
-      if (collect_trials_) {
-        group.trials = w.trials;
-        for (size_t a = 0; a < group.trials.size(); ++a) {
-          if (block_->aggs[a].fn->scales_linearly && effective_scale != 1.0) {
-            for (double& x : group.trials[a]) x *= effective_scale;
-          }
-        }
-        if (analytic) {
-          group.analytic_sd = DisplayAnalyticSd(w.analytic_sd,
-                                                effective_scale);
-        }
-      }
-      w.out = std::move(group);
-    }
-  };
-
-  // Builds a clean (untouched) group's OutputGroup from the registry's
-  // stored values. Const registry reads only — concurrency-safe; discarded
-  // in the rare case the serial Refresh below reports the group missing.
-  auto collect_clean = [&](PublishWork& w) {
-    OutputGroup group;
-    group.key = *w.key;
-    const int base = static_cast<int>(block_->group_by.size());
-    group.main.reserve(block_->aggs.size());
-    for (size_t a = 0; a < block_->aggs.size(); ++a) {
-      group.main.push_back(
-          registry_->Lookup(block_->id, base + static_cast<int>(a), *w.key));
-    }
-    if (collect_trials_) {
-      group.trials.resize(block_->aggs.size());
-      for (size_t a = 0; a < block_->aggs.size(); ++a) {
-        group.trials[a].reserve(options_->num_trials);
-        for (int t = 0; t < options_->num_trials; ++t) {
-          const Value v = registry_->LookupTrial(
-              block_->id, base + static_cast<int>(a), *w.key, t);
-          group.trials[a].push_back(v.is_null() ? 0.0 : v.AsDouble());
-        }
-      }
-      if (analytic && w.sketch_cells != nullptr) {
-        std::vector<double> sd;
-        sd.reserve(block_->aggs.size());
-        for (size_t a = 0; a < block_->aggs.size(); ++a) {
-          sd.push_back(UnscaledAnalyticSd(*block_->aggs[a].fn,
-                                          w.sketch_cells->aggs[a]));
-        }
-        group.analytic_sd = DisplayAnalyticSd(sd, effective_scale);
-      }
-    }
-    w.out = std::move(group);
-  };
-
-  // Parallel phase: per-group trial re-materialization (and snapshot
-  // assembly), the per-batch ×trials hot spot of publication.
-  const auto prepare = [&](size_t i) {
-    PublishWork& w = work[i];
-    if (w.dirty) {
-      materialize(w);
-    } else if (collect_output_) {
-      collect_clean(w);
-    }
-  };
-  if (pool_ != nullptr) {
-    // Pure per-slot materialization (materialize/collect_clean clear their
-    // outputs first), so a crashed-and-retried chunk is harmless.
-    pool_->ParallelFor(work.size(), prepare, /*idempotent=*/true);
-  } else {
-    for (size_t i = 0; i < work.size(); ++i) prepare(i);
-  }
-
-  // Serial phase in work-list order: integrity checks, registry
-  // publication, downstream emission, snapshot assembly.
-  for (PublishWork& w : work) {
-    if (!w.dirty) {
+    if (!dirty) {
       // Untouched group: integrity-refresh the stored envelope under the
-      // new scale; values are unchanged.
-      const auto result = registry_->Refresh(block_->id, *w.key, batch, track);
+      // new scale. Nothing wrote its sketch cells since it was last
+      // published, so they hold exactly the published results.
+      const auto result = registry_->Refresh(block_->id, key, batch, track);
       if (!result.missing) {
         note_result(result);
-        if (collect_output_) latest_output_.push_back(std::move(w.out));
-        continue;
+        if (collect_output_) {
+          collect(key, materialize(sketch_cells, nullptr, collect_trials_));
+        }
+        return;
       }
       // Never published (first batch after a restore): materialize and
       // publish like a dirty group.
-      materialize(w);
     }
+    Materialized m =
+        materialize(sketch_cells, temp_cells, /*with_trials=*/true);
     // Emit the group downstream the first time it appears.
-    if (feeds_join_ && emitted_set_.find(*w.key) == emitted_set_.end()) {
-      emitted_set_.insert(*w.key);
-      emitted_order_.push_back(*w.key);
-      emitted_bytes_ += RowByteSize(*w.key);
+    if (feeds_join_ && emitted_set_.find(key) == emitted_set_.end()) {
+      emitted_set_.insert(key);
+      emitted_order_.push_back(key);
+      emitted_bytes_ += RowByteSize(key);
       ExecRow out;
-      out.values = *w.key;
-      for (size_t a = 0; a < w.main.size(); ++a) {
-        out.values.push_back(scale_value(a, w.main[a]));
+      out.values = key;
+      for (size_t a = 0; a < num_aggs; ++a) {
+        out.values.push_back(scale_value(a, m.main[a]));
       }
       new_output_rows_.push_back(std::move(out));
     }
-    if (collect_output_) latest_output_.push_back(std::move(w.out));
-    note_result(registry_->Publish(block_->id, *w.key, batch,
-                                   std::move(w.main), std::move(w.trials),
-                                   track, analytic ? &w.analytic_sd : nullptr));
+    if (collect_output_) collect(key, m);
+    note_result(registry_->Publish(block_->id, key, batch, std::move(m.main),
+                                   std::move(m.trials), track,
+                                   analytic ? &m.analytic_sd : nullptr));
+  };
+  for (const auto& [key, cells] : sketch_.groups()) {
+    publish(key, cells.get(), temp.Find(key));
+  }
+  for (const auto& [key, cells] : temp.groups()) {
+    if (sketch_.Find(key) == nullptr) publish(key, nullptr, cells.get());
   }
   prev_temp_keys_ = std::move(temp_keys_now);
   force_full_publish_ = false;

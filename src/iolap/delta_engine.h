@@ -110,7 +110,7 @@ struct EngineOptions {
   ProgramVerifyMode verify_programs = ProgramVerifyMode::kEnforce;
   /// Worker threads for intra-batch parallelism (classification and
   /// per-trial re-evaluation of the non-deterministic set, bootstrap trial
-  /// accumulation, group re-materialization). 0 = inline execution, no pool.
+  /// accumulation). 0 = inline execution, no pool.
   /// Results are bit-identical for every value — parallel phases only
   /// *evaluate*; all state mutation happens in serial row/trial order (see
   /// docs/INTERNALS.md, "Parallelism model").

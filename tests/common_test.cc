@@ -203,37 +203,6 @@ TEST(PoissonOneAtTest, VarianceOneAcrossIndices) {
   EXPECT_NEAR(sumsq / n - mean * mean, 1.0, 0.03);
 }
 
-TEST(ThreadPoolTest, InlineWhenZeroThreads) {
-  ThreadPool pool(0);
-  int counter = 0;
-  pool.Submit([&] { ++counter; });
-  EXPECT_EQ(counter, 1);  // ran synchronously
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSingleThreadedFallback) {
-  ThreadPool pool(0);
-  std::vector<int> hits(64, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
 TEST(ThreadPoolTest, ParallelRangesCoversRangeWithStableLanes) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1001);
@@ -261,35 +230,31 @@ TEST(ThreadPoolTest, ParallelRangesInlineUsesLaneZero) {
   EXPECT_EQ(calls, 1u);
 }
 
-TEST(ThreadPoolTest, ParallelForRethrowsFirstTaskException) {
-  // Regression: an exception in a worker used to escape WorkerLoop and
-  // std::terminate the process; now it surfaces on the calling thread.
+TEST(ThreadPoolTest, ParallelRangesRethrowsFirstTaskException) {
+  // A throwing range surfaces on the calling thread instead of escaping
+  // WorkerLoop and std::terminate-ing the process.
   ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [&](size_t i) {
-                                  if (i == 37) throw std::runtime_error("boom");
-                                }),
+  EXPECT_THROW(pool.ParallelRanges(100,
+                                   [&](size_t begin, size_t end, size_t) {
+                                     if (begin <= 37 && 37 < end) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
                std::runtime_error);
-  // The pool is still usable afterwards.
-  std::atomic<int> counter{0};
-  pool.ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
+  // The pool is still usable afterwards, and the error does not leak into
+  // the next call.
+  std::atomic<size_t> covered{0};
+  EXPECT_NO_THROW(pool.ParallelRanges(
+      10, [&](size_t begin, size_t end, size_t) {
+        covered.fetch_add(end - begin);
+      }));
+  EXPECT_EQ(covered.load(), 10u);
 }
 
-TEST(ThreadPoolTest, WaitRethrowsSubmitException) {
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("late"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The error does not leak into the next Wait() epoch.
-  pool.Submit([] {});
-  EXPECT_NO_THROW(pool.Wait());
-}
-
-TEST(ThreadPoolTest, ConcurrentParallelForCallsAreIndependent) {
-  // Regression: ParallelFor used to track completion in the shared
-  // in_flight_ counter, so concurrent calls waited on each other's tasks
-  // (and could return before their own finished). Each call now has a
-  // private latch.
+TEST(ThreadPoolTest, ConcurrentParallelRangesCallsAreIndependent) {
+  // Each call counts down its own latch, so concurrent callers do not wait
+  // on each other's ranges, and no call returns before its own ranges have
+  // finished.
   ThreadPool pool(4);
   constexpr int kCallers = 4;
   constexpr size_t kPerCall = 500;
@@ -298,8 +263,9 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsAreIndependent) {
   callers.reserve(kCallers);
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
-      pool.ParallelFor(kPerCall, [&, c](size_t) { counts[c].fetch_add(1); });
-      // Our own call must be fully drained once ParallelFor returns.
+      pool.ParallelRanges(kPerCall, [&, c](size_t begin, size_t end, size_t) {
+        for (size_t i = begin; i < end; ++i) counts[c].fetch_add(1);
+      });
       EXPECT_EQ(counts[c].load(), static_cast<int>(kPerCall));
     });
   }

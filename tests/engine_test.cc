@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
 
 #include "catalog/catalog.h"
 #include "common/random.h"
@@ -637,7 +641,7 @@ TEST(ParallelDeterminismTest, ThreadCountDoesNotChangeResults) {
   auto functions = FunctionRegistry::Default();
 
   // An SBI query (non-deterministic set + per-trial re-evaluation) and a
-  // grouped join (group materialization) — together they cover every
+  // grouped join (trial flush over many groups) — together they cover every
   // parallelized loop.
   for (QueryShape shape : {QueryShape::kSbi, QueryShape::kGroupedSpja}) {
     auto plan = BuildQuery(shape, catalog, functions);
@@ -740,6 +744,94 @@ TEST(ParallelDeterminismTest, WorkloadQueriesViaSession) {
     ASSERT_EQ(inline_run.partial_rows.size(), 5u) << c.name;
     ExpectBitIdentical(inline_run, one_thread, c.name + " threads 0 vs 1");
     ExpectBitIdentical(inline_run, four_threads, c.name + " threads 0 vs 4");
+  }
+}
+
+// A group that receives no row in a batch is published from the same
+// accumulators as in the batch before. With a deterministic filter nothing
+// is pending, so an untouched group's scale-invariant cell (AVG) keeps its
+// estimate bit for bit, and a scale-linear cell (SUM, COUNT) moves by
+// exactly m_i / m_{i-1}, trial replicas included.
+TEST(PublicationTest, UntouchedGroupKeepsItsEstimate) {
+  ConvivaConfig config;
+  auto catalog = MakeConvivaCatalog(config.Scaled(0.05));
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const Table& fact = *(*(*catalog)->Find("sessions"))->table;
+  const int site_col = *fact.schema().FindColumn("site");
+  const int failed_col = *fact.schema().FindColumn("failed");
+
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  auto expect_scaled = [](double now, double before, double ratio,
+                          const std::string& context) {
+    const double expected = before * ratio;
+    EXPECT_NEAR(now, expected, 1e-12 * std::fabs(expected)) << context;
+  };
+
+  for (size_t num_threads : {size_t{0}, size_t{3}}) {
+    EngineOptions options;
+    options.num_trials = 30;
+    options.num_batches = 40;
+    options.num_threads = num_threads;
+    Session session(catalog->get(), options);
+    auto query = session.Sql(
+        "SELECT site, avg(play_time), sum(bytes), count(*) FROM sessions "
+        "WHERE failed = 0 GROUP BY site");
+    ASSERT_TRUE(query.ok()) << query.status();
+    const QueryController& controller = (*query)->controller();
+
+    PartialResult prev;
+    std::map<int64_t, size_t> prev_rows;  // site -> row of `prev`
+    double prev_scale = 0.0;
+    size_t seen = 0;
+    int pairs = 0;
+    Status run_status = (*query)->Run([&](const PartialResult& partial) {
+      std::set<int64_t> touched;
+      for (uint64_t id : controller.layout().batches[partial.batch]) {
+        ++seen;
+        const Row& row = fact.row(id);
+        if (row[failed_col].int64() == 0) touched.insert(row[site_col].int64());
+      }
+      const double scale = static_cast<double>(fact.num_rows()) / seen;
+      std::map<int64_t, size_t> rows;
+      for (size_t r = 0; r < partial.rows.num_rows(); ++r) {
+        rows[partial.rows.row(r)[0].int64()] = r;
+      }
+      for (const auto& [site, r] : rows) {
+        const auto before = prev_rows.find(site);
+        if (partial.batch == 0 || touched.count(site) > 0 ||
+            before == prev_rows.end()) {
+          continue;
+        }
+        ++pairs;
+        const std::string context =
+            "threads " + std::to_string(num_threads) + " batch " +
+            std::to_string(partial.batch) + " site " + std::to_string(site);
+        const auto& now = partial.estimates[r];
+        const auto& was = prev.estimates[before->second];
+        EXPECT_EQ(now.size(), 3u) << context;
+        if (now.size() != 3u) continue;
+        EXPECT_EQ(bits(now[0].value), bits(was[0].value)) << context;
+        EXPECT_EQ(bits(now[0].stddev), bits(was[0].stddev)) << context;
+        EXPECT_EQ(bits(now[0].rel_stddev), bits(was[0].rel_stddev))
+            << context;
+        EXPECT_EQ(bits(now[0].ci_lo), bits(was[0].ci_lo)) << context;
+        EXPECT_EQ(bits(now[0].ci_hi), bits(was[0].ci_hi)) << context;
+        const double ratio = scale / prev_scale;
+        for (size_t a = 1; a < 3; ++a) {
+          const std::string cell = context + " agg " + std::to_string(a);
+          expect_scaled(now[a].value, was[a].value, ratio, cell);
+          expect_scaled(now[a].stddev, was[a].stddev, ratio, cell);
+          expect_scaled(now[a].ci_lo, was[a].ci_lo, ratio, cell);
+          expect_scaled(now[a].ci_hi, was[a].ci_hi, ratio, cell);
+        }
+      }
+      prev = partial;
+      prev_rows = std::move(rows);
+      prev_scale = scale;
+      return BatchAction::kContinue;
+    });
+    ASSERT_TRUE(run_status.ok()) << run_status;
+    EXPECT_GT(pairs, 100) << "threads " << num_threads;
   }
 }
 
