@@ -106,8 +106,7 @@ struct ProgramVerifierStats {
   /// prover) accepted.
   int verified = 0;
   /// Programs rejected after a successful compile — each one is a compiler
-  /// bug; the block falls back to the interpreter (or, under
-  /// EngineOptions::verify_programs = kStrict, fails the query).
+  /// bug; the block falls back to the interpreter.
   int rejected = 0;
   std::string last_rejection;
 

@@ -61,6 +61,14 @@ void AggregateRegistry::SetBlockScale(int block, double scale) {
   relations_[block].scale = scale;
 }
 
+void AggregateRegistry::MarkLive(Relation& rel, const Row& key, int batch) {
+  if (rel.live_batch != batch) {
+    rel.live_keys.clear();
+    rel.live_batch = batch;
+  }
+  rel.live_keys.push_back(&key);
+}
+
 void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
                                     Entry& entry, int batch,
                                     PublishResult* result) {
@@ -126,9 +134,15 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
   } else {
     rel.bytes -= ValueBytes(entry.main, entry.trials);
   }
+  MarkLive(rel, it->first, batch);
   rel.bytes += ValueBytes(main, trials);
   entry.main = std::move(main);
   entry.trials = std::move(trials);
+  if (analytic_sd != nullptr) {
+    entry.analytic_sd = *analytic_sd;
+  } else {
+    entry.analytic_sd.clear();
+  }
   // Unscaled replica envelopes for later Refresh()es.
   const size_t num_aggs = entry.main.size();
   entry.env_lo.assign(num_aggs, 0.0);
@@ -166,6 +180,7 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     entry.env_sd[a] = sd;
   }
   PublishResult result;
+  result.created = inserted;
   // The trackers created above, plus the snapshot CheckRanges folds.
   const size_t trackers_before = inserted ? 0 : TrackerBytes(entry.ranges);
   if (track_ranges && !entry.range_disabled) {
@@ -196,6 +211,7 @@ AggregateRegistry::PublishResult AggregateRegistry::Refresh(
     result.missing = true;
     return result;
   }
+  MarkLive(rel, it->first, batch);
   Entry& entry = it->second;
   if (track_ranges && !entry.range_disabled) {
     const size_t trackers_before = TrackerBytes(entry.ranges);
@@ -242,6 +258,8 @@ void AggregateRegistry::RequireContainment(int block, int col,
 void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
   for (Relation& rel : relations_) {
     rel.memo_epoch = NextMemoEpoch();  // erase invalidates memoized pointers
+    rel.live_keys.clear();
+    rel.live_batch = -1;
     for (auto it = rel.entries.begin(); it != rel.entries.end();) {
       Entry& entry = it->second;
       rel.tracker_bytes -= TrackerBytes(entry.ranges);
@@ -273,6 +291,23 @@ void AggregateRegistry::ScaleSlack(double factor) {
 
 size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
+}
+
+std::vector<const Row*> AggregateRegistry::LiveKeys(int block,
+                                                   int batch) const {
+  const Relation& rel = relations_[block];
+  if (rel.live_batch != batch) return {};
+  return rel.live_keys;
+}
+
+Row AggregateRegistry::OutputRow(int block, const Row& key) const {
+  const Relation& rel = relations_[block];
+  Row row = key;
+  row.reserve(key.size() + rel.linear.size());
+  for (size_t a = 0; a < rel.linear.size(); ++a) {
+    row.push_back(Lookup(block, rel.num_keys + static_cast<int>(a), key));
+  }
+  return row;
 }
 
 size_t AggregateRegistry::TotalBytes() const {
@@ -374,6 +409,31 @@ void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
     out[t] = Value::Double(trials[t] * s);
   }
   for (int t = covered; t < num_trials; ++t) out[t] = fallback;
+}
+
+ErrorEstimate AggregateRegistry::Estimate(int block, int col,
+                                         const Row& key) const {
+  const Value v = Lookup(block, col, key);
+  const double value = v.is_null() ? 0.0 : v.AsDouble();
+  const Relation& rel = relations_[block];
+  const Entry* entry = col < rel.num_keys ? nullptr : FindEntry(block, key);
+  const size_t a = static_cast<size_t>(col - rel.num_keys);
+  if (entry == nullptr || a >= entry->main.size()) {
+    return EstimateError(value, {});
+  }
+  const double s = ColScale(rel, a);
+  if (a < entry->analytic_sd.size()) {
+    const double sd = entry->analytic_sd[a];
+    if (sd < 0.0) return EstimateFromStddev(value, sd);  // no closed form
+    const double fpc =
+        rel.scale > 1.0 ? std::sqrt(1.0 - 1.0 / rel.scale) : 0.0;
+    return EstimateFromStddev(value, sd * s * fpc);
+  }
+  if (a >= entry->trials.size()) return EstimateError(value, {});
+  if (s == 1.0) return EstimateError(value, entry->trials[a]);
+  std::vector<double> scaled = entry->trials[a];
+  for (double& x : scaled) x *= s;
+  return EstimateError(value, scaled);
 }
 
 Interval AggregateRegistry::LookupRange(int block, int col,

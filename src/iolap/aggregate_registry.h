@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bootstrap/error_estimate.h"
 #include "bootstrap/variation_range.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -28,9 +29,13 @@ extern ThreadRole engine_serial_phase;
 
 /// The shared store of every aggregate block's current output: the runtime
 /// "rel" that the paper's lineage references `(rel(γ), t.key)` resolve
-/// against (§6.2). Each entry holds the group's current aggregate values,
-/// their bootstrap trial replicas, and — for blocks whose values feed
-/// classification — the variation-range trackers of §5.1.
+/// against (§6.2), and the only stored copy of that output. Each entry holds
+/// the group's current aggregate values, their bootstrap trial replicas,
+/// and — for blocks whose values feed classification — the variation-range
+/// trackers of §5.1. The user's result and snapshot consumers' input are
+/// read from it: the *live* groups of a batch (LiveKeys) are the ones its
+/// publication walk reached. An entry whose only contributions have lapsed
+/// stays, stale, for lineage lookups, but is not live.
 ///
 /// Values are stored *unscaled* (multiplicity scale 1) together with the
 /// block's current scale m_i; lookups re-scale lazily (SUM/COUNT results
@@ -57,6 +62,9 @@ class AggregateRegistry final : public AggLookupResolver,
     int rollback_to = -1;
     /// Refresh only: the group has no entry yet (publish it fully).
     bool missing = false;
+    /// Publish only: the call created the entry (the group is new to
+    /// consumers).
+    bool created = false;
     /// The failure is a failpoint-injected spurious verdict, not a real
     /// constraint violation. The controller replays injected-only
     /// recoveries with *unfrozen* ranges: the replay cannot livelock (no
@@ -76,8 +84,9 @@ class AggregateRegistry final : public AggLookupResolver,
   /// enables variation-range maintenance and the integrity check (enabled
   /// for blocks consumed downstream).
   /// `analytic_sd`, when non-null (analytic error mode), supplies the
-  /// unscaled per-aggregate stddevs used to synthesize the replica
-  /// envelope (±2σ) instead of deriving it from `trials`.
+  /// unscaled per-aggregate stddevs (negative = no closed form) used to
+  /// synthesize the replica envelope (±2σ) instead of deriving it from
+  /// `trials`, and kept for Estimate. Marks the group live at `batch`.
   PublishResult Publish(int block, const Row& key, int batch,
                         std::vector<Value> main,
                         std::vector<std::vector<double>> trials,
@@ -86,15 +95,17 @@ class AggregateRegistry final : public AggLookupResolver,
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Integrity-checks an *untouched* group under the current scale using
-  /// its stored replica envelope. Sets `missing` when the group was never
-  /// published (caller falls back to a full Publish).
+  /// its stored replica envelope, and marks it live at `batch`. Sets
+  /// `missing` when the group was never published (caller falls back to a
+  /// full Publish).
   PublishResult Refresh(int block, const Row& key, int batch,
                         bool track_ranges) IOLAP_REQUIRES(engine_serial_phase);
 
   /// Failure recovery: forgets groups first published after `batch` and
   /// rolls the surviving groups' range constraints back to it, freezing
   /// classification ranges for `freeze_updates` replayed batches (see
-  /// VariationRangeTracker::RecoverTo).
+  /// VariationRangeTracker::RecoverTo). No group stays live: the replay's
+  /// walks mark them again, and frozen replays may route differently.
   void RollbackTo(int batch, int freeze_updates = 0)
       IOLAP_REQUIRES(engine_serial_phase);
 
@@ -104,6 +115,26 @@ class AggregateRegistry final : public AggLookupResolver,
 
   /// Number of groups currently published for `block`.
   size_t GroupCount(int block) const;
+
+  /// The keys of `block`'s groups that its publication walk at `batch`
+  /// published or refreshed, in the order the walk reached them; empty when
+  /// the latest walk was at another batch. Publish and Refresh must reach a
+  /// key at most once per walk. The pointers stay valid until the next
+  /// RollbackTo.
+  std::vector<const Row*> LiveKeys(int block, int batch) const;
+
+  /// Group `key`'s row of the block's output relation under its current
+  /// scale m_i: the key, then Lookup of each aggregate column.
+  Row OutputRow(int block, const Row& key) const;
+
+  /// Error estimate of aggregate column `col` (output-schema index) of
+  /// group `key` under the block's current scale m_i. The value is what
+  /// Lookup returns (null counts as 0). Bootstrap: EstimateError over the
+  /// replicas, scaled like the value. Analytic: the closed-form stddev,
+  /// scaled like the value and shrunk by the finite-population correction
+  /// sqrt(1 - 1/m_i), so the band closes on the final batch; no closed
+  /// form gives a zero-width band.
+  ErrorEstimate Estimate(int block, int col, const Row& key) const;
 
   /// Approximate bytes of `block`'s published relation (key + replicated
   /// values): the per-batch broadcast payload of the lazy-evaluation join.
@@ -156,6 +187,9 @@ class AggregateRegistry final : public AggLookupResolver,
     bool range_disabled = false;
     std::vector<Value> main;                  // unscaled
     std::vector<std::vector<double>> trials;  // unscaled
+    /// Analytic mode: the published closed-form stddevs, unscaled and
+    /// unclamped (negative = no closed form); empty in bootstrap mode.
+    std::vector<double> analytic_sd;
     /// Unscaled replica envelopes (min / max / stddev) per aggregate:
     /// what Refresh() re-scales instead of walking `trials`.
     std::vector<double> env_lo;
@@ -168,6 +202,10 @@ class AggregateRegistry final : public AggLookupResolver,
     double scale = 1.0;
     std::vector<bool> linear;  // per aggregate column
     std::unordered_map<Row, Entry, RowHash, RowEq> entries;
+    // The keys the latest publication walk reached, in walk order, and that
+    // walk's batch (-1 = none since the last RollbackTo, which erases keys).
+    std::vector<const Row*> live_keys;
+    int live_batch = -1;
     // Running byte totals over `entries`: keys, main values and replicas
     // (RelationBytes), and variation-range trackers. Every write path
     // (Publish, Refresh, RollbackTo) adjusts them for what it changed.
@@ -197,6 +235,11 @@ class AggregateRegistry final : public AggLookupResolver,
   double ColScale(const Relation& rel, size_t a) const {
     return rel.linear[a] ? rel.scale : 1.0;
   }
+
+  /// Appends `key` (an entry's key in `rel.entries`) to the live keys of
+  /// the walk at `batch`, starting that walk's list on its first write.
+  static void MarkLive(Relation& rel, const Row& key, int batch)
+      IOLAP_REQUIRES(engine_serial_phase);
 
   /// Per-column integrity updates for `entry` under the current scale;
   /// shared by Publish and Refresh. `batch` feeds the fault-injection

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -198,24 +197,6 @@ Row BlockExecutor::GroupKeyOf(const ExecRow& row) const {
     key.push_back(g->Eval(row.values, ctx));
   }
   return key;
-}
-
-std::vector<double> BlockExecutor::DisplayAnalyticSd(
-    const std::vector<double>& unscaled, double effective_scale) const {
-  const double fpc =
-      effective_scale > 1.0 ? std::sqrt(1.0 - 1.0 / effective_scale) : 0.0;
-  std::vector<double> out;
-  out.reserve(unscaled.size());
-  for (size_t a = 0; a < unscaled.size(); ++a) {
-    if (unscaled[a] < 0.0) {
-      out.push_back(-1.0);  // no closed form
-      continue;
-    }
-    const double s =
-        block_->aggs[a].fn->scales_linearly ? effective_scale : 1.0;
-    out.push_back(unscaled[a] * s * fpc);
-  }
-  return out;
 }
 
 void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
@@ -458,9 +439,6 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     sink_rows_.clear();
     sink_bytes_ = 0;
     pending_.clear();
-    emitted_order_.clear();
-    emitted_set_.clear();
-    emitted_bytes_ = 0;
     stats->recomputed_rows += input_deltas[0].size();
   } else {
     for (const RowBatch& delta : input_deltas) {
@@ -600,7 +578,6 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   // AND-reduced over every failure this batch: the recovery counts as
   // injected only when *no* real constraint violation contributed.
   bool injected_only = true;
-  latest_output_.clear();
   std::unordered_set<Row, RowHash, RowEq> temp_keys_now;
 
   auto note_result = [&](const AggregateRegistry::PublishResult& result) {
@@ -612,15 +589,6 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     }
   };
 
-  // Re-scales an unscaled result for presentation / downstream join rows.
-  auto scale_value = [&](size_t a, const Value& unscaled) -> Value {
-    if (unscaled.is_null() || !block_->aggs[a].fn->scales_linearly ||
-        effective_scale == 1.0) {
-      return unscaled;
-    }
-    return Value::Double(unscaled.AsDouble() * effective_scale);
-  };
-
   const bool analytic = options_->error_method == ErrorMethod::kAnalytic;
   const size_t num_aggs = block_->aggs.size();
 
@@ -630,14 +598,12 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     std::vector<std::vector<double>> trials;
     std::vector<double> analytic_sd;
   };
-  // Merges the sketch and scratch cells when the group has both; trial
-  // replicas only `with_trials`.
+  // Merges the sketch and scratch cells when the group has both.
   auto materialize = [&](const GroupedAggregateState::GroupCells* sketch_cells,
-                         const GroupedAggregateState::GroupCells* temp_cells,
-                         bool with_trials) {
+                         const GroupedAggregateState::GroupCells* temp_cells) {
     Materialized m;
     m.main.reserve(num_aggs);
-    if (with_trials) m.trials.reserve(num_aggs);
+    m.trials.reserve(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
       std::optional<TrialAccumulatorSet> merged;
       const TrialAccumulatorSet* acc = sketch_cells != nullptr
@@ -649,7 +615,7 @@ int BlockExecutor::PublishOutput(int batch, double scale,
         acc = &*merged;
       }
       m.main.push_back(acc->MainResult(1.0));
-      if (with_trials) m.trials.push_back(acc->TrialResults(1.0));
+      m.trials.push_back(acc->TrialResults(1.0));
       if (analytic) {
         m.analytic_sd.push_back(UnscaledAnalyticSd(*block_->aggs[a].fn, *acc));
       }
@@ -657,31 +623,9 @@ int BlockExecutor::PublishOutput(int batch, double scale,
     return m;
   };
 
-  // Appends the group to the batch's output snapshot, scaled to m_i.
-  auto collect = [&](const Row& key, const Materialized& m) {
-    OutputGroup group;
-    group.key = key;
-    group.main.reserve(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      group.main.push_back(scale_value(a, m.main[a]));
-    }
-    if (collect_trials_) {
-      group.trials = m.trials;
-      for (size_t a = 0; a < group.trials.size(); ++a) {
-        if (block_->aggs[a].fn->scales_linearly && effective_scale != 1.0) {
-          for (double& x : group.trials[a]) x *= effective_scale;
-        }
-      }
-      if (analytic) {
-        group.analytic_sd = DisplayAnalyticSd(m.analytic_sd, effective_scale);
-      }
-    }
-    latest_output_.push_back(std::move(group));
-  };
-
   // One serial walk in a fixed order (sketch groups, then scratch-only
-  // groups): integrity checks, registry publication, downstream emission
-  // and the output snapshot all follow it.
+  // groups): integrity checks, registry publication (and with it the
+  // batch's live groups) and the join feed all follow it.
   auto publish = [&](const Row& key,
                      const GroupedAggregateState::GroupCells* sketch_cells,
                      const GroupedAggregateState::GroupCells* temp_cells) {
@@ -698,32 +642,22 @@ int BlockExecutor::PublishOutput(int batch, double scale,
       const auto result = registry_->Refresh(block_->id, key, batch, track);
       if (!result.missing) {
         note_result(result);
-        if (collect_output_) {
-          collect(key, materialize(sketch_cells, nullptr, collect_trials_));
-        }
         return;
       }
       // Never published (first batch after a restore): materialize and
       // publish like a dirty group.
     }
-    Materialized m =
-        materialize(sketch_cells, temp_cells, /*with_trials=*/true);
-    // Emit the group downstream the first time it appears.
-    if (feeds_join_ && emitted_set_.find(key) == emitted_set_.end()) {
-      emitted_set_.insert(key);
-      emitted_order_.push_back(key);
-      emitted_bytes_ += RowByteSize(key);
+    Materialized m = materialize(sketch_cells, temp_cells);
+    const auto result = registry_->Publish(
+        block_->id, key, batch, std::move(m.main), std::move(m.trials), track,
+        analytic ? &m.analytic_sd : nullptr);
+    note_result(result);
+    // Emit the group downstream the first time it appears, scaled to m_i.
+    if (feeds_join_ && result.created) {
       ExecRow out;
-      out.values = key;
-      for (size_t a = 0; a < num_aggs; ++a) {
-        out.values.push_back(scale_value(a, m.main[a]));
-      }
+      out.values = registry_->OutputRow(block_->id, key);
       new_output_rows_.push_back(std::move(out));
     }
-    if (collect_output_) collect(key, m);
-    note_result(registry_->Publish(block_->id, key, batch, std::move(m.main),
-                                   std::move(m.trials), track,
-                                   analytic ? &m.analytic_sd : nullptr));
   };
   for (const auto& [key, cells] : sketch_.groups()) {
     publish(key, cells.get(), temp.Find(key));
@@ -836,8 +770,7 @@ size_t BlockExecutor::JoinStateBytes() const {
 }
 
 size_t BlockExecutor::OtherStateBytes() const {
-  return sketch_.ByteSize() + BatchByteSize(pending_) + sink_bytes_ +
-         emitted_bytes_;
+  return sketch_.ByteSize() + BatchByteSize(pending_) + sink_bytes_;
 }
 
 std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
@@ -855,7 +788,6 @@ std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
     cp->sketch = sketch_;  // shares the group nodes (copy-on-write)
   }
   cp->sink_watermark = sink_rows_.size();
-  cp->emitted_watermark = emitted_order_.size();
   // Checksum the snapshot, not the live state: restore verifies exactly the
   // object it is about to replay. Groups not written since they were last
   // hashed contribute their cached hashes.
@@ -890,7 +822,6 @@ uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint,
     h = HashCombine(h, std::bit_cast<uint64_t>(row.weight));
   }
   h = HashCombine(h, checkpoint.sink_watermark);
-  h = HashCombine(h, checkpoint.emitted_watermark);
   return HashCombine(h, checkpoint.sketch.ContentHash(use_cache));
 }
 
@@ -915,13 +846,6 @@ void BlockExecutor::Restore(const Checkpoint& checkpoint) {
   }
   sink_rows_.resize(checkpoint.sink_watermark);
   sink_bytes_ = BatchByteSize(sink_rows_);
-  emitted_order_.resize(checkpoint.emitted_watermark);
-  emitted_set_.clear();
-  emitted_bytes_ = 0;
-  for (const Row& key : emitted_order_) {
-    emitted_set_.insert(key);
-    emitted_bytes_ += RowByteSize(key);
-  }
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();
@@ -937,9 +861,6 @@ void BlockExecutor::Reset() {
   sketch_.Clear();
   sink_rows_.clear();
   sink_bytes_ = 0;
-  emitted_order_.clear();
-  emitted_set_.clear();
-  emitted_bytes_ = 0;
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();

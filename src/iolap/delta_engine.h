@@ -48,19 +48,6 @@ enum class ErrorMethod {
   kAnalytic,
 };
 
-/// What a program-verifier rejection does to the query (see
-/// EngineOptions::verify_programs; verification itself is not optional).
-enum class ProgramVerifyMode {
-  /// Drop the rejected program, keep the interpreter for that block, count
-  /// the rejection in QueryMetrics. The default: verification can only
-  /// cost speed, never a result.
-  kEnforce,
-  /// Any rejection fails query Init with an error naming the violated
-  /// rule. For CI corpus gates and tests, where a rejection is always a
-  /// compiler bug that must not hide behind the interpreter fallback.
-  kStrict,
-};
-
 /// Engine knobs; defaults follow the paper's setup (§8: bootstrap with 100
 /// trials, slack ε = 2).
 struct EngineOptions {
@@ -98,16 +85,11 @@ struct EngineOptions {
   /// replacing the interpreted per-trial hot loop. Results are bit-identical
   /// to the interpreter (expressions the compiler cannot prove identical
   /// keep the interpreter per block or per row); off = always interpret.
+  /// Every compiled program is statically verified (exec/program_verifier.h
+  /// + plan/plan_verifier.h) before the engine accepts it; a rejected one is
+  /// dropped, the block keeps the interpreter, and QueryMetrics counts the
+  /// rejection.
   bool compile_expressions = true;
-  /// Static verification of compiled programs (exec/program_verifier.h +
-  /// plan/plan_verifier.h) is always on: every program must be proven
-  /// sound — and consistent with its plan fragment — before the engine
-  /// accepts it. kEnforce (default) drops a rejected program and keeps the
-  /// interpreter for that block, counting the rejection in QueryMetrics;
-  /// kStrict additionally fails query Init on any rejection, so CI's
-  /// corpus gate turns a compiler bug into a hard error instead of a
-  /// silent slowdown.
-  ProgramVerifyMode verify_programs = ProgramVerifyMode::kEnforce;
   /// Worker threads for intra-batch parallelism (classification and
   /// per-trial re-evaluation of the non-deterministic set, bootstrap trial
   /// accumulation). 0 = inline execution, no pool.
@@ -160,40 +142,15 @@ class BlockExecutor {
                    const std::vector<RowBatch>& input_deltas,
                    BlockBatchStats* stats);
 
-  /// Groups that first appeared this batch (keys + current values), the
-  /// delta feed for downstream kBlockOutput joins.
+  /// The join feed of an aggregate block: the groups whose registry entry
+  /// this batch's publication created (keys + current scaled values), in
+  /// walk order — the delta rows of downstream kBlockOutput joins, which
+  /// read later values through lineage lookups. Empty unless the block
+  /// feeds a join.
   const RowBatch& new_output_rows() const { return new_output_rows_; }
 
-  /// One group of this batch's aggregate output snapshot.
-  struct OutputGroup {
-    Row key;
-    std::vector<Value> main;
-    std::vector<std::vector<double>> trials;
-    /// Analytic mode: scaled, fpc-corrected stddev per aggregate
-    /// (negative = no closed form for that aggregate).
-    std::vector<double> analytic_sd;
-  };
-
-  /// Enables per-batch output snapshots. The top block collects with trial
-  /// replicas (they feed the user-facing error estimates); blocks that only
-  /// feed snapshot consumers skip the trial copies (`with_trials = false`),
-  /// since consumers re-derive replicas through lineage lookups.
-  void set_collect_output(bool collect, bool with_trials = true) {
-    collect_output_ = collect;
-    collect_trials_ = collect && with_trials;
-  }
-
-  /// The batch's full aggregate output (valid after ProcessBatch when
-  /// collection is enabled). Unlike the registry relation, this snapshot
-  /// contains no ghost groups: a group whose only contributions came from
-  /// non-deterministic rows disappears the batch those rows stop passing.
-  const std::vector<OutputGroup>& latest_output() const {
-    return latest_output_;
-  }
-
   /// Compile→verify counters for this block's programs (row + projection),
-  /// filled at construction; the controller folds them into QueryMetrics
-  /// and enforces ProgramVerifyMode::kStrict.
+  /// filled at construction; the controller folds them into QueryMetrics.
   const ProgramVerifierStats& verifier_stats() const {
     return verifier_stats_;
   }
@@ -233,7 +190,9 @@ class BlockExecutor {
   /// relation from scratch every batch instead of keeping delta state.
   /// This is how post-aggregation projections and HAVING filters run —
   /// O(#groups) per batch — and it is immune to revocable group
-  /// membership, because the snapshot never contains ghost groups.
+  /// membership: the controller feeds it the upstream's live registry
+  /// groups of the batch (AggregateRegistry::LiveKeys), so a group whose
+  /// contributions lapsed is not in its input.
   bool stateless() const { return stateless_; }
 
   // --- checkpointing for failure recovery (§5.1) -------------------------
@@ -248,7 +207,6 @@ class BlockExecutor {
     std::vector<ExecRow> pending;
     GroupedAggregateState sketch;
     size_t sink_watermark = 0;
-    size_t emitted_watermark = 0;
     /// Content hash computed at capture (see ChecksumCheckpoint). Restoring
     /// verifies it; a mismatch means the snapshot is corrupt and the
     /// controller escalates to an older checkpoint or a full restart
@@ -399,12 +357,6 @@ class BlockExecutor {
 
   Row GroupKeyOf(const ExecRow& row) const;
 
-  /// Converts unscaled analytic stddevs into presentation stddevs: scaled
-  /// like the aggregate and shrunk by the finite-population correction
-  /// sqrt(1 - 1/m) so the estimate collapses to zero on the final batch.
-  std::vector<double> DisplayAnalyticSd(const std::vector<double>& unscaled,
-                                        double effective_scale) const;
-
   bool classification_enabled() const {
     return options_->mode == ExecutionMode::kIolap &&
            options_->tuple_partition && !classification_disabled_;
@@ -426,8 +378,6 @@ class BlockExecutor {
   bool classification_disabled_ = false;
   bool pruning_disabled_ = false;
   bool rollback_injected_ = false;
-  bool collect_output_ = false;
-  bool collect_trials_ = false;
   bool stateless_ = false;
   /// Set after a rollback/reset: registry values may be newer than the
   /// restored sketches, so the next batch republishes every group.
@@ -456,13 +406,8 @@ class BlockExecutor {
   std::vector<ExecRow> sink_rows_;  // non-aggregate top block only
   size_t sink_bytes_ = 0;           // BatchByteSize(sink_rows_)
 
-  // Join-feed bookkeeping: groups already emitted downstream.
-  std::vector<Row> emitted_order_;
-  std::unordered_set<Row, RowHash, RowEq> emitted_set_;
-  size_t emitted_bytes_ = 0;  // sum of RowByteSize over emitted_order_
   RowBatch new_output_rows_;
   RowBatch pending_passing_;  // non-agg block: pending rows passing now
-  std::vector<OutputGroup> latest_output_;
   /// Groups whose last publication included a revocable (non-deterministic)
   /// contribution: they must be republished even if untouched, because the
   /// contribution may have lapsed.

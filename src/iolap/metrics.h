@@ -78,7 +78,7 @@ struct QueryMetrics {
   /// query-level, not per batch. `programs_rejected` > 0 means the static
   /// verifier (or the plan invariant prover) refused a successfully
   /// compiled program: a compiler bug, survived by falling back to the
-  /// interpreter (or failing Init under ProgramVerifyMode::kStrict).
+  /// interpreter.
   int programs_compiled = 0;
   int programs_verified = 0;
   int programs_rejected = 0;

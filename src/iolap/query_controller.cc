@@ -51,11 +51,10 @@ Status QueryController::Init() {
   }
 
   // Which blocks are consumed downstream (classification depends on their
-  // variation ranges), which feed joins (must emit group-delta rows), and
-  // which feed snapshot consumers (must collect per-batch output)?
+  // variation ranges), and which feed joins (must emit group-delta rows)?
+  // Snapshot consumers read their input from the registry instead.
   std::vector<bool> consumed(plan_.blocks.size(), false);
   std::vector<bool> feeds_join(plan_.blocks.size(), false);
-  std::vector<bool> feeds_snapshot(plan_.blocks.size(), false);
   for (const Block& block : plan_.blocks) {
     const bool snapshot_consumer =
         block.inputs.size() == 1 &&
@@ -63,11 +62,7 @@ Status QueryController::Init() {
     for (const BlockInput& input : block.inputs) {
       if (input.kind == BlockInput::Kind::kBlockOutput) {
         consumed[input.source_block] = true;
-        if (snapshot_consumer) {
-          feeds_snapshot[input.source_block] = true;
-        } else {
-          feeds_join[input.source_block] = true;
-        }
+        if (!snapshot_consumer) feeds_join[input.source_block] = true;
       }
     }
     std::vector<const AggLookupExpr*> lookups;
@@ -97,29 +92,11 @@ Status QueryController::Init() {
     executors_.push_back(std::make_unique<BlockExecutor>(
         &plan_, static_cast<int>(b), &annotations_, &options_, registry_.get(),
         bootstrap, consumed[b], feeds_join[b], pool_.get()));
-    if (feeds_snapshot[b]) {
-      // Snapshot consumers need keys + main values only; trial replicas
-      // flow through lineage lookups.
-      executors_[b]->set_collect_output(true, /*with_trials=*/false);
-    }
   }
-  // The top block's snapshot feeds the user-facing result + estimates.
-  executors_.back()->set_collect_output(true, /*with_trials=*/true);
   // Every compiled program went through the verifier seam inside the
-  // BlockExecutor constructors; a rejection is a compiler bug. Under
-  // kEnforce the block already fell back to the interpreter and the
-  // counters (folded into metrics at the start of each Run) are the only
-  // trace; under kStrict it fails the query here, rule first.
-  if (options_.verify_programs == ProgramVerifyMode::kStrict) {
-    for (size_t b = 0; b < executors_.size(); ++b) {
-      const ProgramVerifierStats& stats = executors_[b]->verifier_stats();
-      if (stats.rejected > 0) {
-        return Status::Internal(
-            "program verifier rejected a compiled program of block " +
-            std::to_string(b) + ": " + stats.last_rejection);
-      }
-    }
-  }
+  // BlockExecutor constructors; a rejected one already fell back to the
+  // interpreter, and the counters (folded into metrics again at the start
+  // of each Run) are its trace.
   FoldVerifierStats();
   initialized_ = true;
   return Status::OK();
@@ -183,13 +160,14 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
           }
         }
       } else if (executors_[blk]->stateless()) {
-        // Snapshot consumer: the upstream's full, ghost-free output
-        // relation of this batch.
-        for (const auto& group : executors_[input.source_block]->latest_output()) {
+        // Snapshot consumer: the upstream's output relation of this batch,
+        // its live groups (no lapsed ones) with their current values.
+        const std::vector<const Row*> keys =
+            registry_->LiveKeys(input.source_block, b);
+        deltas[k].reserve(keys.size());
+        for (const Row* key : keys) {
           ExecRow row;
-          row.values = group.key;
-          row.values.insert(row.values.end(), group.main.begin(),
-                            group.main.end());
+          row.values = registry_->OutputRow(input.source_block, *key);
           deltas[k].push_back(std::move(row));
         }
       } else {
@@ -295,6 +273,17 @@ int QueryController::ApplyDegradation(int attempts, int rollback,
   return rollback;
 }
 
+void QueryController::PushCheckpoint(int batch) {
+  std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
+  for (const auto& executor : executors_) {
+    snap.push_back(executor->MakeCheckpoint(batch));
+  }
+  checkpoints_.push_back(std::move(snap));
+  if (checkpoints_.size() > options_.checkpoint_history) {
+    checkpoints_.pop_front();
+  }
+}
+
 Status QueryController::Run(const ResultObserver& observer) {
   if (!initialized_) IOLAP_RETURN_IF_ERROR(Init());
   // Fault-injection spec for this run: environment (IOLAP_FAILPOINTS)
@@ -354,18 +343,9 @@ Status QueryController::Run(const ResultObserver& observer) {
         bm.recomputed_rows += replay_stats.input_rows;
         bm.recomputed_rows += replay_stats.recomputed_rows;
         bm.shipped_bytes += replay_stats.shipped_bytes;
-        if (bb < b) {
-          // Re-checkpoint replayed batches so a later failure can land on
-          // them again.
-          std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
-          for (const auto& executor : executors_) {
-            snap.push_back(executor->MakeCheckpoint(bb));
-          }
-          checkpoints_.push_back(std::move(snap));
-          if (checkpoints_.size() > options_.checkpoint_history) {
-            checkpoints_.pop_front();
-          }
-        }
+        // Re-checkpoint replayed batches so a later failure can land on
+        // them again.
+        if (bb < b) PushCheckpoint(bb);
         if (request != BlockExecutor::kNoRollback) {
           rollback = request;
           injected = replay_injected;
@@ -375,18 +355,7 @@ Status QueryController::Run(const ResultObserver& observer) {
     }
     bm.degrade_level = degrade_level_;
 
-    // Take this batch's checkpoint.
-    {
-      std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
-      for (const auto& executor : executors_) {
-        snap.push_back(executor->MakeCheckpoint(b));
-      }
-      checkpoints_.push_back(std::move(snap));
-      if (checkpoints_.size() > options_.checkpoint_history) {
-        checkpoints_.pop_front();
-      }
-    }
-
+    PushCheckpoint(b);
     BuildResult(b);
 
     bm.latency_sec = timer.ElapsedSeconds();
@@ -419,8 +388,8 @@ void QueryController::BuildResult(int batch) {
           : static_cast<double>(seen_rows_[batch]) /
                 std::max<size_t>(1, streamed_table_->num_rows());
 
-  // This batch's rows with their estimates, in the executor's order: the
-  // top block's aggregate snapshot, or its SPJ output.
+  // This batch's rows with their estimates, unordered: the top block's live
+  // registry groups, or its SPJ output.
   Table unsorted(top.output_schema);
   std::vector<std::vector<ErrorEstimate>> estimates;
   if (top.has_aggregate()) {
@@ -428,23 +397,15 @@ void QueryController::BuildResult(int batch) {
       result.estimated_columns.push_back(
           static_cast<int>(top.group_by.size() + a));
     }
-    const auto& groups = executors_.back()->latest_output();
-    unsorted.Reserve(groups.size());
-    estimates.reserve(groups.size());
-    for (const auto& group : groups) {
-      Row row = group.key;
-      row.insert(row.end(), group.main.begin(), group.main.end());
-      unsorted.AddRow(std::move(row));
+    const std::vector<const Row*> keys = registry_->LiveKeys(top.id, batch);
+    unsorted.Reserve(keys.size());
+    estimates.reserve(keys.size());
+    for (const Row* key : keys) {
+      unsorted.AddRow(registry_->OutputRow(top.id, *key));
       std::vector<ErrorEstimate> row_estimates;
       row_estimates.reserve(top.aggs.size());
-      for (size_t a = 0; a < top.aggs.size(); ++a) {
-        const double v =
-            group.main[a].is_null() ? 0.0 : group.main[a].AsDouble();
-        if (a < group.analytic_sd.size()) {
-          row_estimates.push_back(EstimateFromStddev(v, group.analytic_sd[a]));
-        } else {
-          row_estimates.push_back(EstimateError(v, group.trials[a]));
-        }
+      for (int col : result.estimated_columns) {
+        row_estimates.push_back(registry_->Estimate(top.id, col, *key));
       }
       estimates.push_back(std::move(row_estimates));
     }
@@ -467,14 +428,20 @@ void QueryController::BuildResult(int batch) {
       estimates.push_back(std::move(row_estimates));
     }
   }
-  // Sort rows (and their estimates) by every column for a deterministic
-  // presentation matching the reference evaluator; the row index breaks
-  // ties. An aggregate top's rows start with their unique group key.
+  // One sort fixes the delivered order: the ORDER BY keys (display-only
+  // presentation), then every column for a deterministic order matching
+  // the reference evaluator, then the row index. An aggregate top's rows
+  // start with their unique group key. LIMIT keeps a prefix.
+  const std::vector<Presentation::Key>& order_by = plan_.presentation.order_by;
   std::vector<size_t> order(unsorted.num_rows());
   for (size_t r = 0; r < order.size(); ++r) order[r] = r;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     const Row& ra = unsorted.row(a);
     const Row& rb = unsorted.row(b);
+    for (const Presentation::Key& key : order_by) {
+      const int c = ra[key.column].Compare(rb[key.column]);
+      if (c != 0) return key.descending ? c > 0 : c < 0;
+    }
     const size_t n = std::min(ra.size(), rb.size());
     for (size_t i = 0; i < n; ++i) {
       const int c = ra[i].Compare(rb[i]);
@@ -482,6 +449,10 @@ void QueryController::BuildResult(int batch) {
     }
     return a < b;
   });
+  if (plan_.presentation.limit >= 0 &&
+      order.size() > static_cast<size_t>(plan_.presentation.limit)) {
+    order.resize(static_cast<size_t>(plan_.presentation.limit));
+  }
   // Rows are copied, not moved: an SPJ top's unsorted rows were allocated
   // between its trial replicas, which are freed by now, and keeping them
   // alive in the result fragments the heap the next batch allocates from
@@ -492,41 +463,6 @@ void QueryController::BuildResult(int batch) {
   for (size_t r : order) {
     result.rows.AddRow(unsorted.row(r));
     result.estimates.push_back(std::move(estimates[r]));
-  }
-  // Presentation (ORDER BY / LIMIT): reorder and truncate the delivered
-  // rows together with their estimates. Display-only — the incremental
-  // semantics above are untouched.
-  if (!plan_.presentation.empty()) {
-    std::vector<size_t> order(result.rows.num_rows());
-    for (size_t r = 0; r < order.size(); ++r) order[r] = r;
-    if (!plan_.presentation.order_by.empty()) {
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        for (const Presentation::Key& key : plan_.presentation.order_by) {
-          const int c =
-              result.rows.row(a)[key.column].Compare(
-                  result.rows.row(b)[key.column]);
-          if (c != 0) return key.descending ? c > 0 : c < 0;
-        }
-        return false;
-      });
-    }
-    size_t keep = order.size();
-    if (plan_.presentation.limit >= 0) {
-      keep = std::min<size_t>(keep,
-                              static_cast<size_t>(plan_.presentation.limit));
-    }
-    PartialResult presented;
-    presented.batch = result.batch;
-    presented.fraction_processed = result.fraction_processed;
-    presented.estimated_columns = result.estimated_columns;
-    presented.rows = Table(result.rows.schema());
-    for (size_t i = 0; i < keep; ++i) {
-      presented.rows.AddRow(result.rows.row(order[i]));
-      if (order[i] < result.estimates.size()) {
-        presented.estimates.push_back(result.estimates[order[i]]);
-      }
-    }
-    result = std::move(presented);
   }
   last_result_ = std::move(result);
 }

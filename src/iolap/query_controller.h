@@ -112,6 +112,10 @@ class QueryController {
 
   double ScaleAt(int b) const;
 
+  /// Captures every block's checkpoint after batch `batch` into the ring,
+  /// evicting the oldest snapshot past EngineOptions::checkpoint_history.
+  void PushCheckpoint(int batch);
+
   /// Assembles the user-facing result after a batch.
   void BuildResult(int batch);
 

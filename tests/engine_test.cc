@@ -87,6 +87,9 @@ enum class QueryShape {
   kJoinAggregates,   // join of the fact with an aggregate relation
   kHavingTop,        // group-by + HAVING vs scalar subquery (Q11 shape)
   kUncertainAggArg,  // aggregate over an uncertain attribute
+  // A snapshot consumer that aggregates and feeds a join: each of its
+  // groups must reach the join once, not once per batch.
+  kSnapshotAggregateJoin,
 };
 
 Result<QueryPlan> BuildQuery(QueryShape shape, const Catalog& catalog,
@@ -173,6 +176,22 @@ Result<QueryPlan> BuildQuery(QueryShape shape, const Catalog& catalog,
           "rms_dev");
       break;
     }
+    case QueryShape::kSnapshotAggregateJoin: {
+      auto& per_site = pb.NewBlock("per_site");
+      per_site.Scan("sessions")
+          .GroupBy("site")
+          .Agg("count", Lit(int64_t{1}), "n");
+      auto& regroup = pb.NewBlock("regroup");
+      regroup.ScanBlock(per_site.id())
+          .GroupBy("site")
+          .Agg("sum", regroup.ColRef("n"), "total");
+      auto& joined = pb.NewBlock("joined");
+      joined.Scan("sites")
+          .JoinBlock(regroup.id(), {"sites.site"}, {"site"})
+          .Agg("count", Lit(int64_t{1}), "pairs")
+          .Agg("sum", joined.ColRef("weight"), "weight");
+      break;
+    }
   }
   return pb.Build();
 }
@@ -195,7 +214,7 @@ constexpr QueryShape kShapes[] = {
     QueryShape::kSimpleSpja,      QueryShape::kGroupedSpja,
     QueryShape::kSbi,             QueryShape::kCorrelated,
     QueryShape::kJoinAggregates,  QueryShape::kHavingTop,
-    QueryShape::kUncertainAggArg,
+    QueryShape::kUncertainAggArg, QueryShape::kSnapshotAggregateJoin,
 };
 
 class DeltaEngineTest
@@ -255,14 +274,15 @@ std::string DeltaEngineTestName(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
   static const char* shape_names[] = {
       "SimpleSpja",     "GroupedSpja", "Sbi",           "Correlated",
-      "JoinAggregates", "HavingTop",   "UncertainAggArg"};
+      "JoinAggregates", "HavingTop",   "UncertainAggArg",
+      "SnapshotAggregateJoin"};
   return std::string(kModes[std::get<0>(info.param)].name) + "_" +
          shape_names[std::get<1>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndShapes, DeltaEngineTest,
-    ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 7)),
+    ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 8)),
     DeltaEngineTestName);
 
 // Zero slack forces variation-range integrity failures; recovery must keep
@@ -832,6 +852,74 @@ TEST(PublicationTest, UntouchedGroupKeepsItsEstimate) {
     });
     ASSERT_TRUE(run_status.ok()) << run_status;
     EXPECT_GT(pairs, 100) << "threads " << num_threads;
+  }
+}
+
+// A group whose only contribution is a pending row lapses in the batch that
+// row stops passing: its registry entry stays, stale, but the group must
+// leave the result. Forty single-row groups sit around the global average,
+// so the uncertain filter moves them in and out of the answer as the
+// estimate moves. Every batch must equal the reference, and some group must
+// really disappear between two batches.
+TEST(PublicationTest, LapsedGroupsLeaveTheResult) {
+  Catalog catalog;
+  Table t(Schema({{"g", ValueType::kInt64}, {"v", ValueType::kDouble}}));
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    t.AddRow({Value::Int64(0), Value::Double(100.0 * rng.NextDouble())});
+  }
+  for (int k = 1; k <= 40; ++k) {
+    t.AddRow({Value::Int64(k), Value::Double(47.0 + 6.0 * (k - 1) / 39.0)});
+  }
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+  const Table& fact = *(*catalog.Find("t"))->table;
+
+  for (uint64_t seed : {1, 2, 3}) {
+    for (size_t num_threads : {size_t{0}, size_t{3}}) {
+      const std::string run = "seed " + std::to_string(seed) + " threads " +
+                              std::to_string(num_threads);
+      EngineOptions options;
+      options.num_batches = 20;
+      options.num_trials = 20;
+      options.seed = seed;
+      options.num_threads = num_threads;
+      options.partition.block_rows = 8;
+      Session session(&catalog, options);
+      auto query = session.Sql(
+          "SELECT g, count(*) FROM t WHERE v > (SELECT avg(v) FROM t) "
+          "GROUP BY g");
+      ASSERT_TRUE(query.ok()) << query.status();
+      const QueryController& controller = (*query)->controller();
+
+      std::vector<Row> accumulated;
+      std::set<int64_t> prev_groups;
+      int lapses = 0;
+      Status run_status = (*query)->Run([&](const PartialResult& partial) {
+        const std::string context =
+            run + " batch " + std::to_string(partial.batch);
+        for (uint64_t id : controller.layout().batches[partial.batch]) {
+          accumulated.push_back(fact.row(id));
+        }
+        const double scale =
+            static_cast<double>(fact.num_rows()) / accumulated.size();
+        auto expected =
+            EvaluateReference(controller.plan(), catalog, accumulated, scale);
+        EXPECT_TRUE(expected.ok()) << expected.status();
+        if (expected.ok()) ExpectTablesEqual(partial.rows, *expected, context);
+        std::set<int64_t> groups;
+        for (size_t r = 0; r < partial.rows.num_rows(); ++r) {
+          groups.insert(partial.rows.row(r)[0].int64());
+        }
+        for (int64_t g : prev_groups) lapses += groups.count(g) == 0;
+        prev_groups = std::move(groups);
+        return BatchAction::kContinue;
+      });
+      ASSERT_TRUE(run_status.ok()) << run_status;
+      EXPECT_GT(lapses, 0) << run;
+      RecordProperty("lapses_seed" + std::to_string(seed) + "_threads" +
+                         std::to_string(num_threads),
+                     lapses);
+    }
   }
 }
 

@@ -14,7 +14,7 @@
 //   * Plan-level agreement checks between compiled programs and hand-built
 //     plans (root arity/kind, SPJ bounds, aggregate probe shape).
 //   * A workload corpus gate: every program the TPC-H and Conviva queries
-//     compile must verify under ProgramVerifyMode::kStrict.
+//     compile must verify, with zero rejections.
 
 #include <gtest/gtest.h>
 
@@ -927,9 +927,10 @@ TEST(PlanVerifierTest, AggSiteKeyArityMismatchIsRejected) {
 
 // ---------------------------------------------------------------------------
 // Workload corpus gate: every program the paper's workloads compile must
-// verify, under the strict mode that turns any rejection into an Init error.
+// verify. A rejection falls back to the interpreter without changing the
+// result, so the gate is the rejection counter: it must stay at zero.
 
-TEST(ProgramVerifierCorpusTest, WorkloadProgramsVerifyUnderStrictMode) {
+TEST(ProgramVerifierCorpusTest, WorkloadProgramsVerifyWithZeroRejections) {
   auto functions = FunctionRegistry::Default();
   RegisterConvivaUdfs(functions.get());
 
@@ -962,18 +963,17 @@ TEST(ProgramVerifierCorpusTest, WorkloadProgramsVerifyUnderStrictMode) {
     options.slack = 2.0;
     options.seed = 77;
     options.compile_expressions = true;
-    options.verify_programs = ProgramVerifyMode::kStrict;
     Session session(c.catalog.get(), options, functions);
     auto query = session.Sql(c.sql);
     ASSERT_TRUE(query.ok()) << c.name << ": " << query.status();
-    // Strict mode: a single rejected program fails the whole run.
     const Status run_status = (*query)->Run([](const PartialResult&) {
       return BatchAction::kContinue;
     });
     EXPECT_TRUE(run_status.ok()) << c.name << ": " << run_status;
     const QueryMetrics& m = (*query)->metrics();
-    EXPECT_EQ(m.programs_rejected, 0) << c.name;
-    EXPECT_EQ(m.programs_verified, m.programs_compiled) << c.name;
+    EXPECT_EQ(m.programs_rejected, 0) << c.name << ": " << m.Summary();
+    EXPECT_EQ(m.programs_verified, m.programs_compiled)
+        << c.name << ": " << m.Summary();
     if (m.programs_compiled > 0) {
       EXPECT_NE(m.Summary().find("programs="), std::string::npos) << c.name;
     }

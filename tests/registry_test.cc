@@ -1,6 +1,6 @@
 // Unit tests for the AggregateRegistry: lazy re-scaling, lookups, trial
-// replicas, constraint routing, refresh, rollback and per-value
-// degradation.
+// replicas, constraint routing, refresh, rollback, per-value degradation,
+// live groups and error estimates.
 //
 // The mutation API requires the engine's serial-phase capability
 // (IOLAP_REQUIRES(engine_serial_phase)); tests that publish/refresh enter
@@ -8,6 +8,9 @@
 // does — a no-op at runtime, checked under Clang -Wthread-safety.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
 
 #include "catalog/catalog.h"
 #include "iolap/aggregate_registry.h"
@@ -37,6 +40,15 @@ class RegistryTest : public ::testing::Test {
   }
 
   Row Key(int64_t k) { return {Value::Int64(k)}; }
+
+  // The group ids of LiveKeys(0, batch), in the order returned.
+  std::vector<int64_t> Live(int batch) {
+    std::vector<int64_t> ids;
+    for (const Row* key : registry_->LiveKeys(0, batch)) {
+      ids.push_back((*key)[0].int64());
+    }
+    return ids;
+  }
 
   Catalog catalog_;
   std::shared_ptr<FunctionRegistry> functions_;
@@ -227,6 +239,136 @@ TEST_F(RegistryTest, ConstraintOnMissingOrKeyColumnIsIgnored) {
   registry_->RequireLower(0, 0, Key(1), 1.0);
   registry_->RequireContainment(0, 1, Key(77));
   EXPECT_EQ(registry_->GroupCount(0), 0u);
+}
+
+// A batch's live groups are the ones its walk published or refreshed, in
+// walk order; a group the walk did not reach (its contributions lapsed)
+// keeps its entry but is not live.
+TEST_F(RegistryTest, LiveKeysAreTheGroupsTheWalkReached) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 1.0);
+  for (int64_t k : {3, 1}) {
+    ASSERT_TRUE(registry_->Publish(0, Key(k), 0,
+                                   {Value::Double(1), Value::Double(1)},
+                                   {{1}, {1}}, true)
+                    .ok);
+  }
+  EXPECT_EQ(Live(0), (std::vector<int64_t>{3, 1}));
+
+  ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
+  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
+                                 {Value::Double(2), Value::Double(2)},
+                                 {{2}, {2}}, true)
+                  .ok);
+  EXPECT_EQ(Live(1), (std::vector<int64_t>{1, 2}));
+  // Key 3 lapsed: still resolvable, not live. The latest walk is batch 1.
+  EXPECT_FALSE(registry_->Lookup(0, 1, Key(3)).is_null());
+  EXPECT_EQ(registry_->GroupCount(0), 3u);
+  EXPECT_TRUE(Live(0).empty());
+  // A walk that reaches no group leaves the batch with none.
+  EXPECT_TRUE(Live(2).empty());
+}
+
+// A rollback leaves no group live, kept ones included: the replay's walk
+// may route differently and reach fewer groups than the failed attempt.
+TEST_F(RegistryTest, RollbackClearsLiveness) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 1.0);
+  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
+                                 {Value::Double(1), Value::Double(1)},
+                                 {{1}, {1}}, true)
+                  .ok);
+  ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
+  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
+                                 {Value::Double(2), Value::Double(2)},
+                                 {{2}, {2}}, true)
+                  .ok);
+  ASSERT_EQ(Live(1), (std::vector<int64_t>{1, 2}));
+
+  registry_->RollbackTo(0, 1);
+  EXPECT_EQ(registry_->GroupCount(0), 1u);  // key 2 was first published at 1
+  EXPECT_TRUE(Live(0).empty());
+  EXPECT_TRUE(Live(1).empty());
+  // The replay of batch 1 reaches only key 2; kept key 1 stays not live.
+  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
+                                 {Value::Double(2), Value::Double(2)},
+                                 {{2}, {2}}, true)
+                  .ok);
+  EXPECT_EQ(Live(1), (std::vector<int64_t>{2}));
+}
+
+TEST_F(RegistryTest, PublishReportsCreation) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 1.0);
+  auto publish = [&](int batch) {
+    return registry_->Publish(0, Key(5), batch,
+                              {Value::Double(1), Value::Double(1)}, {{1}, {1}},
+                              true);
+  };
+  EXPECT_TRUE(publish(1).created);
+  EXPECT_FALSE(publish(2).created);
+  // Rolling back before its first publication erases the entry.
+  registry_->RollbackTo(0, 0);
+  EXPECT_EQ(registry_->GroupCount(0), 0u);
+  EXPECT_TRUE(publish(1).created);
+  // A rollback that keeps the entry keeps it known.
+  registry_->RollbackTo(1, 0);
+  EXPECT_FALSE(publish(2).created);
+}
+
+void ExpectSameEstimate(const ErrorEstimate& actual,
+                        const ErrorEstimate& expected, const char* what) {
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  EXPECT_EQ(bits(actual.value), bits(expected.value)) << what;
+  EXPECT_EQ(bits(actual.stddev), bits(expected.stddev)) << what;
+  EXPECT_EQ(bits(actual.rel_stddev), bits(expected.rel_stddev)) << what;
+  EXPECT_EQ(bits(actual.ci_lo), bits(expected.ci_lo)) << what;
+  EXPECT_EQ(bits(actual.ci_hi), bits(expected.ci_hi)) << what;
+}
+
+// Bootstrap: the estimate is EstimateError over the replicas scaled like
+// the value (SUM by m_i, AVG not at all).
+TEST_F(RegistryTest, EstimateScalesReplicasLikeTheValue) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 4.0);
+  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
+                                 {Value::Double(10), Value::Double(5)},
+                                 {{9, 10.5, 11, 8}, {4, 5, 6.25, 5}}, true)
+                  .ok);
+  ExpectSameEstimate(registry_->Estimate(0, 1, Key(1)),
+                     EstimateError(40.0, {36, 42, 44, 32}), "sum");
+  ExpectSameEstimate(registry_->Estimate(0, 2, Key(1)),
+                     EstimateError(5.0, {4, 5, 6.25, 5}), "avg");
+  // A missing group estimates its null value as a zero-width band at 0.
+  ExpectSameEstimate(registry_->Estimate(0, 1, Key(9)),
+                     EstimateError(0.0, {}), "missing");
+}
+
+// Analytic: the published closed-form stddev, scaled like the value and
+// shrunk by the finite-population correction sqrt(1 - 1/m_i); none
+// (negative) gives a zero-width band, and m_i = 1 closes every band.
+TEST_F(RegistryTest, AnalyticEstimateAppliesTheFinitePopulationCorrection) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 4.0);
+  const std::vector<double> sd = {2.0, -1.0};
+  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
+                                 {Value::Double(10), Value::Double(5)},
+                                 {{}, {}}, true, &sd)
+                  .ok);
+  ExpectSameEstimate(registry_->Estimate(0, 1, Key(1)),
+                     EstimateFromStddev(40.0, 2.0 * 4.0 * std::sqrt(0.75)),
+                     "sum");
+  const ErrorEstimate none = registry_->Estimate(0, 2, Key(1));
+  EXPECT_EQ(none.value, 5.0);
+  EXPECT_EQ(none.stddev, 0.0);
+  EXPECT_EQ(none.ci_lo, 5.0);
+  EXPECT_EQ(none.ci_hi, 5.0);
+
+  registry_->SetBlockScale(0, 1.0);
+  const ErrorEstimate last = registry_->Estimate(0, 1, Key(1));
+  EXPECT_EQ(last.value, 10.0);
+  EXPECT_EQ(last.stddev, 0.0);
+  EXPECT_EQ(last.ci_lo, last.ci_hi);
 }
 
 }  // namespace
