@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "bootstrap/error_estimate.h"
 #include "bootstrap/poisson_multiplicities.h"
 #include "bootstrap/trial_accumulator.h"
+#include "common/random.h"
 #include "core/expr.h"
 #include "exec/expr_program.h"
 #include "exec/hash_aggregate.h"
@@ -209,6 +211,28 @@ BENCHMARK(BM_TrialAccumulate)
     ->Args({100, 1})
     ->Args({20, 7})
     ->Args({100, 7});
+
+// One cell's error estimate from its bootstrap replicas, as the result
+// build makes it for every estimated cell every batch: mean, stddev and the
+// two CI percentiles. A scale-linear cell (SUM) multiplies each replica by
+// m_i inside the pass; a scale-invariant one (AVG) does not. Args: trials,
+// scaled (0/1). Items are cells.
+void BM_EstimateError(benchmark::State& state) {
+  const int trials = static_cast<int>(state.range(0));
+  const double scale = state.range(1) != 0 ? 2.75 : 1.0;
+  Rng rng(5);
+  std::vector<double> replicas(static_cast<size_t>(trials));
+  for (double& x : replicas) x = 100.0 + 10.0 * rng.NextGaussian();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EstimateError(100.0 * scale, replicas, scale));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EstimateError)
+    ->Args({60, 0})
+    ->Args({60, 1})
+    ->Args({100, 0})
+    ->Args({100, 1});
 
 // Incremental hash-join probe (dimension-cache lookup).
 void BM_JoinProbe(benchmark::State& state) {

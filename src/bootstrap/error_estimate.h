@@ -21,9 +21,13 @@ struct ErrorEstimate {
   std::string ToString() const;
 };
 
-/// Builds the estimate for `value` from `trials`. With fewer than two
-/// replicas the estimate degenerates to a zero-width band around `value`.
-ErrorEstimate EstimateError(double value, const std::vector<double>& trials);
+/// Builds the estimate for `value` from the replicas `trials`, each
+/// multiplied by `scale` (the multiplicity scale of a scale-linear
+/// aggregate, applied in the pass instead of on a copy). With fewer than two
+/// replicas the estimate degenerates to a zero-width band around `value`. A
+/// NaN replica makes the stddev and both CI bounds NaN.
+ErrorEstimate EstimateError(double value, const std::vector<double>& trials,
+                            double scale = 1.0);
 
 /// Builds a presentation estimate from a scaled stddev (normal CI). A
 /// negative stddev (an aggregate without a closed form) gives a zero-width

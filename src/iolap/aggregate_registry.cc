@@ -61,12 +61,12 @@ void AggregateRegistry::SetBlockScale(int block, double scale) {
   relations_[block].scale = scale;
 }
 
-void AggregateRegistry::MarkLive(Relation& rel, const Row& key, int batch) {
+void AggregateRegistry::MarkLive(Relation& rel, LiveGroup group, int batch) {
   if (rel.live_batch != batch) {
-    rel.live_keys.clear();
+    rel.live.clear();
     rel.live_batch = batch;
   }
-  rel.live_keys.push_back(&key);
+  rel.live.push_back(group);
 }
 
 void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
@@ -134,7 +134,7 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
   } else {
     rel.bytes -= ValueBytes(entry.main, entry.trials);
   }
-  MarkLive(rel, it->first, batch);
+  MarkLive(rel, {&it->first, &entry}, batch);
   rel.bytes += ValueBytes(main, trials);
   entry.main = std::move(main);
   entry.trials = std::move(trials);
@@ -211,8 +211,8 @@ AggregateRegistry::PublishResult AggregateRegistry::Refresh(
     result.missing = true;
     return result;
   }
-  MarkLive(rel, it->first, batch);
   Entry& entry = it->second;
+  MarkLive(rel, {&it->first, &entry}, batch);
   if (track_ranges && !entry.range_disabled) {
     const size_t trackers_before = TrackerBytes(entry.ranges);
     CheckRanges(rel, key, entry, batch, &result);
@@ -258,7 +258,7 @@ void AggregateRegistry::RequireContainment(int block, int col,
 void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
   for (Relation& rel : relations_) {
     rel.memo_epoch = NextMemoEpoch();  // erase invalidates memoized pointers
-    rel.live_keys.clear();
+    rel.live.clear();
     rel.live_batch = -1;
     for (auto it = rel.entries.begin(); it != rel.entries.end();) {
       Entry& entry = it->second;
@@ -293,21 +293,34 @@ size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
 }
 
-std::vector<const Row*> AggregateRegistry::LiveKeys(int block,
-                                                   int batch) const {
+const std::vector<AggregateRegistry::LiveGroup>& AggregateRegistry::LiveGroups(
+    int block, int batch) const {
+  static const std::vector<LiveGroup> kNone;
   const Relation& rel = relations_[block];
-  if (rel.live_batch != batch) return {};
-  return rel.live_keys;
+  return rel.live_batch == batch ? rel.live : kNone;
+}
+
+Value AggregateRegistry::ScaledValue(const Relation& rel, const Entry& entry,
+                                     size_t a) const {
+  if (a >= entry.main.size() || entry.main[a].is_null()) return Value::Null();
+  const double s = ColScale(rel, a);
+  return s == 1.0 ? entry.main[a] : Value::Double(entry.main[a].AsDouble() * s);
+}
+
+Row AggregateRegistry::OutputRow(int block, const LiveGroup& group) const {
+  const Relation& rel = relations_[block];
+  Row row;
+  row.reserve(group.key->size() + rel.linear.size());
+  row.assign(group.key->begin(), group.key->end());
+  for (size_t a = 0; a < rel.linear.size(); ++a) {
+    row.push_back(group.entry == nullptr ? Value::Null()
+                                         : ScaledValue(rel, *group.entry, a));
+  }
+  return row;
 }
 
 Row AggregateRegistry::OutputRow(int block, const Row& key) const {
-  const Relation& rel = relations_[block];
-  Row row = key;
-  row.reserve(key.size() + rel.linear.size());
-  for (size_t a = 0; a < rel.linear.size(); ++a) {
-    row.push_back(Lookup(block, rel.num_keys + static_cast<int>(a), key));
-  }
-  return row;
+  return OutputRow(block, LiveGroup{&key, FindEntry(block, key)});
 }
 
 size_t AggregateRegistry::TotalBytes() const {
@@ -323,21 +336,22 @@ const AggregateRegistry::Entry* AggregateRegistry::FindEntry(
   // member) so concurrent const lookups from pool workers stay race-free;
   // the relation's memo_epoch guards against cross-relation aliasing and
   // against entries erased by RollbackTo.
+  // The memo points at the entry's key in the map instead of copying it.
   struct Memo {
     uint64_t epoch = 0;
-    Row key;
+    const Row* key = nullptr;
     const Entry* entry = nullptr;
   };
   thread_local Memo memo;
   const Relation& rel = relations_[block];
   if (memo.epoch == rel.memo_epoch && memo.entry != nullptr &&
-      RowEq()(memo.key, key)) {
+      RowEq()(*memo.key, key)) {
     return memo.entry;
   }
   auto it = rel.entries.find(key);
   if (it == rel.entries.end()) return nullptr;
   memo.epoch = rel.memo_epoch;
-  memo.key = key;
+  memo.key = &it->first;
   memo.entry = &it->second;
   return memo.entry;
 }
@@ -349,13 +363,7 @@ Value AggregateRegistry::Lookup(int block, int col, const Row& key) const {
   }
   const Entry* entry = FindEntry(block, key);
   if (entry == nullptr) return Value::Null();
-  const size_t a = static_cast<size_t>(col - rel.num_keys);
-  if (a >= entry->main.size() || entry->main[a].is_null()) {
-    return Value::Null();
-  }
-  const double s = ColScale(rel, a);
-  return s == 1.0 ? entry->main[a]
-                  : Value::Double(entry->main[a].AsDouble() * s);
+  return ScaledValue(rel, *entry, static_cast<size_t>(col - rel.num_keys));
 }
 
 Value AggregateRegistry::LookupTrial(int block, int col, const Row& key,
@@ -391,12 +399,7 @@ void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
   const size_t a = static_cast<size_t>(col - rel.num_keys);
   // Trials the replica vector does not cover fall back to the (re-scaled)
   // main value, exactly like LookupTrial.
-  Value fallback = Value::Null();
-  if (a < entry->main.size() && !entry->main[a].is_null()) {
-    const double s = ColScale(rel, a);
-    fallback = s == 1.0 ? entry->main[a]
-                        : Value::Double(entry->main[a].AsDouble() * s);
-  }
+  const Value fallback = ScaledValue(rel, *entry, a);
   if (a >= entry->trials.size()) {
     for (int t = 0; t < num_trials; ++t) out[t] = fallback;
     return;
@@ -412,15 +415,17 @@ void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
 }
 
 ErrorEstimate AggregateRegistry::Estimate(int block, int col,
-                                         const Row& key) const {
-  const Value v = Lookup(block, col, key);
-  const double value = v.is_null() ? 0.0 : v.AsDouble();
+                                         const LiveGroup& group) const {
   const Relation& rel = relations_[block];
-  const Entry* entry = col < rel.num_keys ? nullptr : FindEntry(block, key);
+  const Entry* entry = col < rel.num_keys ? nullptr : group.entry;
   const size_t a = static_cast<size_t>(col - rel.num_keys);
   if (entry == nullptr || a >= entry->main.size()) {
-    return EstimateError(value, {});
+    // A key column or a missing group: the value, with no replicas.
+    const Value v = Lookup(block, col, *group.key);
+    return EstimateError(v.is_null() ? 0.0 : v.AsDouble(), {});
   }
+  const Value v = ScaledValue(rel, *entry, a);
+  const double value = v.is_null() ? 0.0 : v.AsDouble();
   const double s = ColScale(rel, a);
   if (a < entry->analytic_sd.size()) {
     const double sd = entry->analytic_sd[a];
@@ -430,10 +435,12 @@ ErrorEstimate AggregateRegistry::Estimate(int block, int col,
     return EstimateFromStddev(value, sd * s * fpc);
   }
   if (a >= entry->trials.size()) return EstimateError(value, {});
-  if (s == 1.0) return EstimateError(value, entry->trials[a]);
-  std::vector<double> scaled = entry->trials[a];
-  for (double& x : scaled) x *= s;
-  return EstimateError(value, scaled);
+  return EstimateError(value, entry->trials[a], s);
+}
+
+ErrorEstimate AggregateRegistry::Estimate(int block, int col,
+                                         const Row& key) const {
+  return Estimate(block, col, LiveGroup{&key, FindEntry(block, key)});
 }
 
 Interval AggregateRegistry::LookupRange(int block, int col,

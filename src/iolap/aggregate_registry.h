@@ -33,7 +33,7 @@ extern ThreadRole engine_serial_phase;
 /// the group's current aggregate values, their bootstrap trial replicas,
 /// and — for blocks whose values feed classification — the variation-range
 /// trackers of §5.1. The user's result and snapshot consumers' input are
-/// read from it: the *live* groups of a batch (LiveKeys) are the ones its
+/// read from it: the *live* groups of a batch (LiveGroups) are the ones its
 /// publication walk reached. An entry whose only contributions have lapsed
 /// stays, stale, for lineage lookups, but is not live.
 ///
@@ -50,6 +50,8 @@ extern ThreadRole engine_serial_phase;
 /// broadcast is charged to the shipped-bytes cost model by the controller.
 class AggregateRegistry final : public AggLookupResolver,
                                 public RangeConstraintSink {
+  struct Entry;
+
  public:
   /// `plan` supplies per-block group-key arity and per-aggregate scaling
   /// behaviour; `slack` is the §5.1 ε.
@@ -71,6 +73,14 @@ class AggregateRegistry final : public AggLookupResolver,
     /// decision actually went bad) and reproduces the fault-free execution
     /// bit for bit — see docs/INTERNALS.md §9.
     bool injected = false;
+  };
+
+  /// A group a publication walk reached: its key in the relation and its
+  /// entry (opaque outside the registry). Both stay valid until the next
+  /// RollbackTo.
+  struct LiveGroup {
+    const Row* key;
+    const Entry* entry;
   };
 
   /// Sets block `block`'s current multiplicity scale m_i; call once per
@@ -116,24 +126,26 @@ class AggregateRegistry final : public AggLookupResolver,
   /// Number of groups currently published for `block`.
   size_t GroupCount(int block) const;
 
-  /// The keys of `block`'s groups that its publication walk at `batch`
-  /// published or refreshed, in the order the walk reached them; empty when
-  /// the latest walk was at another batch. Publish and Refresh must reach a
-  /// key at most once per walk. The pointers stay valid until the next
-  /// RollbackTo.
-  std::vector<const Row*> LiveKeys(int block, int batch) const;
+  /// The groups of `block` that its publication walk at `batch` published
+  /// or refreshed, in the order the walk reached them; empty when the latest
+  /// walk was at another batch. Publish and Refresh must reach a key at most
+  /// once per walk.
+  const std::vector<LiveGroup>& LiveGroups(int block, int batch) const;
 
-  /// Group `key`'s row of the block's output relation under its current
-  /// scale m_i: the key, then Lookup of each aggregate column.
+  /// The group's row of the block's output relation under its current
+  /// scale m_i: the key, then Lookup of each aggregate column. The key form
+  /// probes for the entry first.
+  Row OutputRow(int block, const LiveGroup& group) const;
   Row OutputRow(int block, const Row& key) const;
 
-  /// Error estimate of aggregate column `col` (output-schema index) of
-  /// group `key` under the block's current scale m_i. The value is what
-  /// Lookup returns (null counts as 0). Bootstrap: EstimateError over the
+  /// Error estimate of aggregate column `col` (output-schema index) of the
+  /// group under the block's current scale m_i. The value is what Lookup
+  /// returns (null counts as 0). Bootstrap: EstimateError over the
   /// replicas, scaled like the value. Analytic: the closed-form stddev,
   /// scaled like the value and shrunk by the finite-population correction
   /// sqrt(1 - 1/m_i), so the band closes on the final batch; no closed
-  /// form gives a zero-width band.
+  /// form gives a zero-width band. The key form probes for the entry first.
+  ErrorEstimate Estimate(int block, int col, const LiveGroup& group) const;
   ErrorEstimate Estimate(int block, int col, const Row& key) const;
 
   /// Approximate bytes of `block`'s published relation (key + replicated
@@ -202,9 +214,10 @@ class AggregateRegistry final : public AggLookupResolver,
     double scale = 1.0;
     std::vector<bool> linear;  // per aggregate column
     std::unordered_map<Row, Entry, RowHash, RowEq> entries;
-    // The keys the latest publication walk reached, in walk order, and that
-    // walk's batch (-1 = none since the last RollbackTo, which erases keys).
-    std::vector<const Row*> live_keys;
+    // The groups the latest publication walk reached, in walk order, and
+    // that walk's batch (-1 = none since the last RollbackTo, which erases
+    // entries).
+    std::vector<LiveGroup> live;
     int live_batch = -1;
     // Running byte totals over `entries`: keys, main values and replicas
     // (RelationBytes), and variation-range trackers. Every write path
@@ -213,10 +226,9 @@ class AggregateRegistry final : public AggLookupResolver,
     size_t tracker_bytes = 0;
     // Validates the thread_local lookup memo in FindEntry. Assigned a
     // globally unique value at construction and re-assigned on every
-    // erase (RollbackTo), so a memoized entry pointer can never alias a
-    // different relation or survive the erase that freed it. Entry
-    // pointers are otherwise stable (node-based map), so inserts need no
-    // bump.
+    // erase (RollbackTo), so a memoized key or entry pointer can never
+    // alias a different relation or survive the erase that freed it. Both
+    // are otherwise stable (node-based map), so inserts need no bump.
     uint64_t memo_epoch = 0;
     // Integrity failures charged per group. Deliberately NOT rolled back:
     // a failure recovery erases entries created after the recovery point,
@@ -236,9 +248,13 @@ class AggregateRegistry final : public AggLookupResolver,
     return rel.linear[a] ? rel.scale : 1.0;
   }
 
-  /// Appends `key` (an entry's key in `rel.entries`) to the live keys of
-  /// the walk at `batch`, starting that walk's list on its first write.
-  static void MarkLive(Relation& rel, const Row& key, int batch)
+  /// Aggregate `a` of `entry` re-scaled to `rel`'s current m_i: what Lookup
+  /// returns for it.
+  Value ScaledValue(const Relation& rel, const Entry& entry, size_t a) const;
+
+  /// Appends `group` (an entry of `rel.entries`) to the live groups of the
+  /// walk at `batch`, starting that walk's list on its first write.
+  static void MarkLive(Relation& rel, LiveGroup group, int batch)
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Per-column integrity updates for `entry` under the current scale;

@@ -113,6 +113,27 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     }
   }
   if (proj_program_ != nullptr) proj_program_->InitState(&proj_state_);
+
+  // A projection that is a column reference with an aggregate lookup as its
+  // lineage passes an upstream aggregate cell through: its estimate is the
+  // registry's. Only the other uncertain projections run per trial.
+  if (!block_->has_aggregate()) {
+    pass_through_.assign(block_->projections.size(), nullptr);
+    for (size_t p = 0; p < block_->projections.size(); ++p) {
+      const Expr& proj = *block_->projections[p];
+      if (proj.kind() == Expr::Kind::kColumnRef) {
+        const int c = static_cast<const ColumnRefExpr&>(proj).index();
+        const ExprPtr& lineage = ann_->spj_lineage[static_cast<size_t>(c)];
+        if (lineage != nullptr &&
+            lineage->kind() == Expr::Kind::kAggLookup) {
+          pass_through_[p] = static_cast<const AggLookupExpr*>(lineage.get());
+        }
+      }
+      per_trial_projections_ =
+          per_trial_projections_ ||
+          (ann_->output_attr_uncertain[p] && pass_through_[p] == nullptr);
+    }
+  }
 }
 
 EvalContext BlockExecutor::MainContext() const {
@@ -123,9 +144,9 @@ EvalContext BlockExecutor::MainContext() const {
   return ctx;
 }
 
-RowBatch BlockExecutor::JoinDeltas(const std::vector<RowBatch>& input_deltas) {
+RowBatch BlockExecutor::JoinDeltas(std::vector<RowBatch> input_deltas) {
   assert(input_deltas.size() == block_->inputs.size());
-  RowBatch current = input_deltas[0];
+  RowBatch current = std::move(input_deltas[0]);
   for (size_t k = 1; k < block_->inputs.size(); ++k) {
     RowBatch next;
     join_steps_[k - 1].ProcessBatch(current, input_deltas[k], &next);
@@ -221,8 +242,12 @@ bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
                                         ExprProgramState* ps) const {
   const int trials = bootstrap_.num_trials();
   // Prologue: trial-invariant subexpressions plus one batched resolver
-  // probe per aggregate-lookup site, then the main (trial = -1) pass.
-  if (!row_program_->Bind(ps, row.values, registry_, trials)) return false;
+  // probe per aggregate-lookup site, then the main (trial = -1) pass. A
+  // non-aggregate block reads only the main pass, so it binds no replicas.
+  if (!row_program_->Bind(ps, row.values, registry_,
+                          block_->has_aggregate() ? trials : 0)) {
+    return false;
+  }
   if (!row_program_->EvalTrial(ps, row.values, -1)) return false;
   ev->main_pass =
       filter_root_ < 0 || row_program_->RootTruthy(*ps, filter_root_);
@@ -255,7 +280,11 @@ bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
 
 void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
                                 RowEval* ev, ExprProgramState* prog_state) const {
-  RefreshRow(row, charge_regeneration);
+  // A snapshot consumer's rows were built this batch by
+  // AggregateRegistry::OutputRow: the key and a Lookup of each aggregate
+  // column, which is exactly their lineage. A refresh would rewrite them
+  // with the same values.
+  if (!stateless_) RefreshRow(row, charge_regeneration);
 
   // Classification with a buffered constraint sink: registrations are
   // replayed by the serial apply phase (see ConstraintOp). This is the same
@@ -340,10 +369,6 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
 void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
                                  int batch, GroupedAggregateState* temp) {
   const RowEval& ev = row_scratch_[eval_idx];
-  if (!block_->has_aggregate()) {
-    if (ev.main_pass) pending_passing_.push_back(row);
-    return;
-  }
   GroupedAggregateState::GroupCells* cells = nullptr;
   if (ev.main_pass) {
     cells = &temp->GetOrCreate(ev.key, ev.key_hash, batch);
@@ -424,12 +449,16 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
   }
   // Non-deterministic (or permanently unsketchable): contributes revocably
   // this batch and is saved for re-evaluation in the next one.
-  ApplyPending(row, eval_idx, batch, temp);
+  if (block_->has_aggregate()) {
+    ApplyPending(row, eval_idx, batch, temp);
+  } else if (ev.main_pass) {
+    pending_passing_.push_back(new_pending->size());
+  }
   new_pending->push_back(std::move(row));
 }
 
 int BlockExecutor::ProcessBatch(int batch, double scale,
-                                const std::vector<RowBatch>& input_deltas,
+                                std::vector<RowBatch> input_deltas,
                                 BlockBatchStats* stats) {
   if (stateless_) {
     // Snapshot consumer: the controller passes the upstream's full output
@@ -446,7 +475,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     }
   }
 
-  RowBatch fresh = JoinDeltas(input_deltas);
+  RowBatch fresh = JoinDeltas(std::move(input_deltas));
   // Shuffle cost model: this batch's fresh rows, plus the bootstrap
   // multiplicities each streamed row carries.
   stats->shipped_bytes += BatchByteSize(fresh);
@@ -691,75 +720,102 @@ int BlockExecutor::PublishOutput(int batch, double scale,
 }
 
 Table BlockExecutor::CurrentSpjOutput(
-    std::vector<std::vector<std::vector<double>>>* estimates) const {
+    std::vector<std::vector<ErrorEstimate>>* estimates) const {
   Table out(block_->output_schema);
-  EvalContext ctx = MainContext();
-  const int trials = bootstrap_.num_trials();
+  const EvalContext main_ctx = MainContext();
+  EvalContext ctx = main_ctx;
+  const size_t num_proj = block_->projections.size();
+  // Trials run only for uncertain projections that compute a value; a
+  // pass-through column's estimate is its registry cell's. In analytic mode
+  // there are no trials, so a computed column reports a zero-width band.
+  const int trials = per_trial_projections_ ? bootstrap_.num_trials() : 0;
+  auto per_trial = [&](size_t p) {
+    return ann_->output_attr_uncertain[p] && pass_through_[p] == nullptr;
+  };
+  // The current row's projections and per-projection replicas, reused
+  // across rows.
+  Row projected;
+  std::vector<std::vector<double>> replicas(num_proj);
+  auto clear_row = [&] {
+    projected.clear();
+    projected.reserve(num_proj);
+    for (std::vector<double>& r : replicas) r.clear();
+  };
   // Compiled projection path: one Bind (with its batched aggregate probes)
   // covers the main pass and every per-trial re-evaluation of the row.
   // Returns false on a runtime bail; the caller redoes the row interpreted.
-  auto emit_compiled = [&](const ExecRow& row) -> bool {
-    if (proj_program_ == nullptr) return false;
-    const size_t num_proj = block_->projections.size();
-    const int bind_trials = estimates != nullptr ? trials : 0;
-    if (!proj_program_->Bind(&proj_state_, row.values, registry_,
-                             bind_trials) ||
+  auto project_compiled = [&](const ExecRow& row) -> bool {
+    if (proj_program_ == nullptr ||
+        !proj_program_->Bind(&proj_state_, row.values, registry_, trials) ||
         !proj_program_->EvalTrial(&proj_state_, row.values, -1)) {
       return false;
     }
-    Row projected;
-    projected.reserve(num_proj);
     for (size_t p = 0; p < num_proj; ++p) {
       projected.push_back(proj_program_->RootValue(proj_state_, p));
     }
-    if (estimates != nullptr) {
-      std::vector<std::vector<double>> row_trials(num_proj);
+    for (int t = 0; t < trials; ++t) {
+      if (!proj_program_->EvalTrial(&proj_state_, row.values, t)) {
+        return false;
+      }
       for (size_t p = 0; p < num_proj; ++p) {
-        if (ann_->output_attr_uncertain[p]) row_trials[p].reserve(trials);
+        if (!per_trial(p)) continue;
+        const Value v = proj_program_->RootValue(proj_state_, p);
+        replicas[p].push_back(v.is_null() ? projected[p].AsDouble()
+                                          : v.AsDouble());
       }
-      for (int t = 0; t < trials; ++t) {
-        if (!proj_program_->EvalTrial(&proj_state_, row.values, t)) {
-          return false;
-        }
-        for (size_t p = 0; p < num_proj; ++p) {
-          if (!ann_->output_attr_uncertain[p]) continue;
-          const Value v = proj_program_->RootValue(proj_state_, p);
-          row_trials[p].push_back(v.is_null() ? projected[p].AsDouble()
-                                              : v.AsDouble());
-        }
-      }
-      estimates->push_back(std::move(row_trials));
     }
-    out.AddRow(std::move(projected));
     return true;
   };
-  auto emit = [&](ExecRow row) {
-    RefreshRow(&row, /*charge_regeneration=*/false);
-    if (emit_compiled(row)) return;
+  auto project_interpreted = [&](const ExecRow& row) {
     ctx.trial = -1;
-    Row projected;
-    projected.reserve(block_->projections.size());
     for (const ExprPtr& p : block_->projections) {
       projected.push_back(p->Eval(row.values, ctx));
     }
-    if (estimates != nullptr) {
-      std::vector<std::vector<double>> row_trials(block_->projections.size());
-      for (size_t p = 0; p < block_->projections.size(); ++p) {
-        if (!ann_->output_attr_uncertain[p]) continue;
-        row_trials[p].reserve(bootstrap_.num_trials());
-        for (int t = 0; t < bootstrap_.num_trials(); ++t) {
-          ctx.trial = t;
-          const Value v = block_->projections[p]->Eval(row.values, ctx);
-          row_trials[p].push_back(v.is_null() ? projected[p].AsDouble()
-                                              : v.AsDouble());
-        }
+    for (size_t p = 0; p < num_proj; ++p) {
+      if (!per_trial(p)) continue;
+      for (int t = 0; t < trials; ++t) {
+        ctx.trial = t;
+        const Value v = block_->projections[p]->Eval(row.values, ctx);
+        replicas[p].push_back(v.is_null() ? projected[p].AsDouble()
+                                          : v.AsDouble());
       }
-      estimates->push_back(std::move(row_trials));
     }
+  };
+  auto emit = [&](const ExecRow& row) {
+    clear_row();
+    if (!project_compiled(row)) {
+      clear_row();
+      project_interpreted(row);
+    }
+    std::vector<ErrorEstimate> row_estimates;
+    for (size_t p = 0; p < num_proj; ++p) {
+      if (!ann_->output_attr_uncertain[p]) continue;
+      if (const AggLookupExpr* cell = pass_through_[p]) {
+        row_estimates.push_back(
+            registry_->Estimate(cell->block_id(), cell->agg_col(),
+                                cell->EvalKey(row.values, main_ctx)));
+      } else {
+        const Value& v = projected[p];
+        row_estimates.push_back(
+            EstimateError(v.is_null() ? 0.0 : v.AsDouble(), replicas[p]));
+      }
+    }
+    estimates->push_back(std::move(row_estimates));
     out.AddRow(std::move(projected));
   };
-  for (const ExecRow& row : sink_rows_) emit(row);
-  for (const ExecRow& row : pending_passing_) emit(row);
+  // Rows a block keeps across batches carry the values of the batch that
+  // routed them: refresh a copy. A snapshot consumer's rows, and every
+  // passing pending row, were refreshed this batch.
+  for (const ExecRow& row : sink_rows_) {
+    if (stateless_) {
+      emit(row);
+    } else {
+      ExecRow refreshed = row;
+      RefreshRow(&refreshed, /*charge_regeneration=*/false);
+      emit(refreshed);
+    }
+  }
+  for (size_t i : pending_passing_) emit(pending_[i]);
   return out;
 }
 

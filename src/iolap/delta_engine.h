@@ -135,11 +135,10 @@ class BlockExecutor {
                 bool feeds_join, ThreadPool* pool = nullptr);
 
   /// Runs one mini-batch. `input_deltas[k]` holds the new rows of input k
-  /// this batch; `scale` is m_i = |D| / |D_i|. Returns kNoRollback on
-  /// success, otherwise the batch to roll back to (-1 = full restart) after
-  /// a variation-range integrity failure.
-  int ProcessBatch(int batch, double scale,
-                   const std::vector<RowBatch>& input_deltas,
+  /// this batch, which the block takes over; `scale` is m_i = |D| / |D_i|.
+  /// Returns kNoRollback on success, otherwise the batch to roll back to
+  /// (-1 = full restart) after a variation-range integrity failure.
+  int ProcessBatch(int batch, double scale, std::vector<RowBatch> input_deltas,
                    BlockBatchStats* stats);
 
   /// The join feed of an aggregate block: the groups whose registry entry
@@ -157,11 +156,12 @@ class BlockExecutor {
 
   /// Current full output of a non-aggregate (top SPJ) block: permanently
   /// selected rows plus currently-passing non-deterministic rows, with
-  /// uncertain attributes refreshed and projections applied. When
-  /// `estimates` is non-null it receives, per emitted row, the bootstrap
-  /// trial replicas of each projection (empty for deterministic columns).
+  /// uncertain attributes refreshed and projections applied. `estimates`
+  /// receives, per emitted row, the estimate of each uncertain projection in
+  /// column order: a pass-through column's registry Estimate, or
+  /// EstimateError over a computed column's per-trial re-projections.
   Table CurrentSpjOutput(
-      std::vector<std::vector<std::vector<double>>>* estimates = nullptr) const;
+      std::vector<std::vector<ErrorEstimate>>* estimates) const;
 
   /// Size of the non-deterministic set (Fig. 9(e)).
   size_t PendingCount() const { return pending_.size(); }
@@ -191,7 +191,7 @@ class BlockExecutor {
   /// This is how post-aggregation projections and HAVING filters run —
   /// O(#groups) per batch — and it is immune to revocable group
   /// membership: the controller feeds it the upstream's live registry
-  /// groups of the batch (AggregateRegistry::LiveKeys), so a group whose
+  /// groups of the batch (AggregateRegistry::LiveGroups), so a group whose
   /// contributions lapsed is not in its input.
   bool stateless() const { return stateless_; }
 
@@ -295,7 +295,7 @@ class BlockExecutor {
   EvalContext MainContext() const;
 
   /// Incremental multi-way join of this batch's input deltas.
-  RowBatch JoinDeltas(const std::vector<RowBatch>& input_deltas);
+  RowBatch JoinDeltas(std::vector<RowBatch> input_deltas);
 
   /// Refreshes the row's uncertain attributes in place by re-evaluating
   /// their lineage (§6.2). With `charge_regeneration` (OPT2 off, for saved
@@ -337,8 +337,8 @@ class BlockExecutor {
       IOLAP_REQUIRES(engine_serial_phase);
 
   /// Applies a pending row's revocable contributions to `temp` from its
-  /// precomputed RowEval: main accumulators immediately, trial replicas
-  /// deferred to the flush.
+  /// precomputed RowEval (aggregate blocks): main accumulators immediately,
+  /// trial replicas deferred to the flush.
   void ApplyPending(const ExecRow& row, size_t eval_idx, int batch,
                     GroupedAggregateState* temp)
       IOLAP_REQUIRES(engine_serial_phase);
@@ -398,6 +398,12 @@ class BlockExecutor {
   std::vector<ExprProgramState> prog_states_;
   /// Scratch for proj_program_ (CurrentSpjOutput is const and serial).
   mutable ExprProgramState proj_state_;
+  /// Per projection of a non-aggregate block: the lineage of the upstream
+  /// aggregate cell it passes through unchanged, else null.
+  std::vector<const AggLookupExpr*> pass_through_;
+  /// Some uncertain projection is computed, not passed through: its
+  /// estimate needs per-trial re-projection.
+  bool per_trial_projections_ = false;
 
   // Operator states (§4.2).
   std::vector<JoinStep> join_steps_;
@@ -407,7 +413,8 @@ class BlockExecutor {
   size_t sink_bytes_ = 0;           // BatchByteSize(sink_rows_)
 
   RowBatch new_output_rows_;
-  RowBatch pending_passing_;  // non-agg block: pending rows passing now
+  /// Non-aggregate block: indices into pending_ of the rows passing now.
+  std::vector<size_t> pending_passing_;
   /// Groups whose last publication included a revocable (non-deterministic)
   /// contribution: they must be republished even if untouched, because the
   /// contribution may have lapsed.

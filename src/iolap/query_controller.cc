@@ -162,19 +162,19 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
       } else if (executors_[blk]->stateless()) {
         // Snapshot consumer: the upstream's output relation of this batch,
         // its live groups (no lapsed ones) with their current values.
-        const std::vector<const Row*> keys =
-            registry_->LiveKeys(input.source_block, b);
-        deltas[k].reserve(keys.size());
-        for (const Row* key : keys) {
+        const auto& groups = registry_->LiveGroups(input.source_block, b);
+        deltas[k].reserve(groups.size());
+        for (const AggregateRegistry::LiveGroup& group : groups) {
           ExecRow row;
-          row.values = registry_->OutputRow(input.source_block, *key);
+          row.values = registry_->OutputRow(input.source_block, group);
           deltas[k].push_back(std::move(row));
         }
       } else {
         deltas[k] = executors_[input.source_block]->new_output_rows();
       }
     }
-    const int request = executors_[blk]->ProcessBatch(b, scale, deltas, stats);
+    const int request =
+        executors_[blk]->ProcessBatch(b, scale, std::move(deltas), stats);
     if (request != BlockExecutor::kNoRollback) {
       injected = injected && executors_[blk]->rollback_injected();
       if (rollback == BlockExecutor::kNoRollback || request < rollback) {
@@ -397,35 +397,24 @@ void QueryController::BuildResult(int batch) {
       result.estimated_columns.push_back(
           static_cast<int>(top.group_by.size() + a));
     }
-    const std::vector<const Row*> keys = registry_->LiveKeys(top.id, batch);
-    unsorted.Reserve(keys.size());
-    estimates.reserve(keys.size());
-    for (const Row* key : keys) {
-      unsorted.AddRow(registry_->OutputRow(top.id, *key));
+    const auto& groups = registry_->LiveGroups(top.id, batch);
+    unsorted.Reserve(groups.size());
+    estimates.reserve(groups.size());
+    for (const AggregateRegistry::LiveGroup& group : groups) {
+      unsorted.AddRow(registry_->OutputRow(top.id, group));
       std::vector<ErrorEstimate> row_estimates;
       row_estimates.reserve(top.aggs.size());
       for (int col : result.estimated_columns) {
-        row_estimates.push_back(registry_->Estimate(top.id, col, *key));
+        row_estimates.push_back(registry_->Estimate(top.id, col, group));
       }
       estimates.push_back(std::move(row_estimates));
     }
   } else {
-    std::vector<std::vector<std::vector<double>>> trials;
-    unsorted = executors_.back()->CurrentSpjOutput(&trials);
+    unsorted = executors_.back()->CurrentSpjOutput(&estimates);
     for (size_t p = 0; p < top.projections.size(); ++p) {
       if (annotations_.back().output_attr_uncertain[p]) {
         result.estimated_columns.push_back(static_cast<int>(p));
       }
-    }
-    estimates.reserve(unsorted.num_rows());
-    for (size_t r = 0; r < unsorted.num_rows(); ++r) {
-      std::vector<ErrorEstimate> row_estimates;
-      for (int col : result.estimated_columns) {
-        const Value& v = unsorted.row(r)[col];
-        row_estimates.push_back(
-            EstimateError(v.is_null() ? 0.0 : v.AsDouble(), trials[r][col]));
-      }
-      estimates.push_back(std::move(row_estimates));
     }
   }
   // One sort fixes the delivered order: the ORDER BY keys (display-only
@@ -454,9 +443,8 @@ void QueryController::BuildResult(int batch) {
     order.resize(static_cast<size_t>(plan_.presentation.limit));
   }
   // Rows are copied, not moved: an SPJ top's unsorted rows were allocated
-  // between its trial replicas, which are freed by now, and keeping them
-  // alive in the result fragments the heap the next batch allocates from
-  // (q18 ran measurably slower with moved rows).
+  // between per-row scratch that is freed by now, and keeping them alive in
+  // the result fragments the heap the next batch allocates from.
   result.rows = Table(top.output_schema);
   result.rows.Reserve(order.size());
   result.estimates.reserve(order.size());

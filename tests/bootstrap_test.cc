@@ -223,10 +223,14 @@ TEST(ErrorEstimateTest, RelStddevOfZeroValue) {
   EXPECT_DOUBLE_EQ(est.rel_stddev, est.stddev);
 }
 
-// The CI percentiles come from a selection, not a sort, and must equal the
-// sorted-vector interpolation bit for bit. The one exception is a tie
-// between -0.0 and +0.0, which either algorithm may resolve to either sign
-// (neither orders equal values), so zero results compare with ==.
+// The CI percentiles come from bounded tail buffers (past about 600
+// replicas, from a selection on a copy), not a sort, and must equal the
+// sorted-vector interpolation bit for bit, infinities included. The one
+// exception is a tie between -0.0 and +0.0, which either algorithm may
+// resolve to either sign (neither orders equal values), so zero results
+// compare with ==. The scaled form must equal the estimate over a scaled
+// copy in every field, and a NaN replica, which has no order, makes the
+// whole band NaN.
 TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
   auto reference = [](std::vector<double> v, double p) {
     std::sort(v.begin(), v.end());
@@ -236,30 +240,55 @@ TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
     const double frac = pos - lo;
     return v[lo] * (1.0 - frac) + v[hi] * frac;
   };
-  auto expect_same = [](double got, double want, const std::string& context) {
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  auto expect_same = [&](double got, double want, const std::string& context) {
     if (want == 0.0) {
       EXPECT_EQ(got, 0.0) << context;
     } else {
-      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      EXPECT_EQ(bits(got), bits(want))
           << context << ": " << got << " vs " << want;
     }
   };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double tied[] = {-2.5, -0.0, 0.0, 1.0, 3.75};
   Rng rng(17);
-  for (size_t n : {2, 3, 20, 60, 100, 101}) {
+  for (size_t n : {2, 3, 20, 60, 100, 101, 1000}) {
     for (int round = 0; round < 200; ++round) {
-      // Odd rounds draw from five values, so most entries are tied.
-      const bool ties = round % 2 == 1;
+      // Rounds 1 mod 4 draw from five values, so most entries are tied;
+      // rounds 2 mod 4 put an infinity of either sign in about one entry in
+      // eight.
       std::vector<double> trials;
       for (size_t i = 0; i < n; ++i) {
-        trials.push_back(ties ? tied[rng.NextBounded(5)]
-                              : rng.NextDouble() * 200.0 - 100.0);
+        double x = round % 4 == 1 ? tied[rng.NextBounded(5)]
+                                  : rng.NextDouble() * 200.0 - 100.0;
+        if (round % 4 == 2 && rng.NextBounded(8) == 0) {
+          x = rng.NextBounded(2) == 0 ? kInf : -kInf;
+        }
+        trials.push_back(x);
       }
       const ErrorEstimate est = EstimateError(1.0, trials);
       const std::string context =
           "n=" + std::to_string(n) + " round=" + std::to_string(round);
       expect_same(est.ci_lo, reference(trials, 0.025), context);
       expect_same(est.ci_hi, reference(trials, 0.975), context);
+
+      const double scale = 1.0 + 40.0 * rng.NextDouble();
+      std::vector<double> scaled = trials;
+      for (double& x : scaled) x *= scale;
+      const ErrorEstimate in_pass = EstimateError(-3.5, trials, scale);
+      const ErrorEstimate on_copy = EstimateError(-3.5, scaled);
+      for (auto field : {&ErrorEstimate::value, &ErrorEstimate::stddev,
+                         &ErrorEstimate::rel_stddev, &ErrorEstimate::ci_lo,
+                         &ErrorEstimate::ci_hi}) {
+        EXPECT_EQ(bits(in_pass.*field), bits(on_copy.*field))
+            << context << " scale=" << scale;
+      }
+
+      trials[rng.NextBounded(n)] = std::numeric_limits<double>::quiet_NaN();
+      const ErrorEstimate with_nan = EstimateError(1.0, trials, scale);
+      EXPECT_TRUE(std::isnan(with_nan.stddev)) << context;
+      EXPECT_TRUE(std::isnan(with_nan.ci_lo)) << context;
+      EXPECT_TRUE(std::isnan(with_nan.ci_hi)) << context;
     }
   }
 }

@@ -551,6 +551,150 @@ TEST(AnalyticErrorTest, GroupedAndCorrelatedShapesExact) {
   }
 }
 
+// The HAVING top passes the upstream's site_total through, so in analytic
+// mode it carries the closed-form band of that registry cell: open before
+// the last batch, closed on it by the finite-population correction. A
+// computed column (site_total * 1.0) has no trials to re-project in
+// analytic mode and reports a zero-width band (ROADMAP item 2); its rows
+// must still match.
+TEST(AnalyticErrorTest, HavingPassThroughCarriesTheClosedForm) {
+  Catalog catalog;
+  FillCatalog(&catalog, 800, 43);
+  auto functions = FunctionRegistry::Default();
+  auto plan = BuildQuery(QueryShape::kHavingTop, catalog, functions);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->top().projections.size(), 2u);
+  QueryPlan computed = *plan;
+  computed.blocks.back().projections[1] =
+      Mul(plan->top().projections[1], Lit(1.0));
+
+  EngineOptions options;
+  options.error_method = ErrorMethod::kAnalytic;
+  options.num_batches = 6;
+  options.seed = 3;
+  auto run = [&](const QueryPlan& query) {
+    QueryController controller(&catalog, query, options);
+    EXPECT_TRUE(controller.Init().ok());
+    std::vector<PartialResult> results;
+    EXPECT_TRUE(controller
+                    .Run([&](const PartialResult& partial) {
+                      results.push_back(partial);
+                      return BatchAction::kContinue;
+                    })
+                    .ok());
+    return results;
+  };
+  const std::vector<PartialResult> passed = run(*plan);
+  const std::vector<PartialResult> recomputed = run(computed);
+  ASSERT_EQ(passed.size(), 6u);
+  ASSERT_EQ(recomputed.size(), 6u);
+  size_t open_bands = 0;
+  for (const PartialResult& partial : passed) {
+    ASSERT_EQ(partial.estimated_columns, std::vector<int>{1});
+    const bool last = partial.batch == 5;
+    for (const std::vector<ErrorEstimate>& row : partial.estimates) {
+      if (last) {
+        EXPECT_EQ(row[0].stddev, 0.0) << "batch " << partial.batch;
+      } else {
+        EXPECT_GT(row[0].stddev, 0.0) << "batch " << partial.batch;
+        EXPECT_LT(row[0].ci_lo, row[0].value);
+        ++open_bands;
+      }
+    }
+    ExpectTablesEqual(recomputed[partial.batch].rows, partial.rows,
+                      "computed column, batch " +
+                          std::to_string(partial.batch));
+  }
+  EXPECT_GT(open_bands, 0u);
+}
+
+// A pass-through column takes its registry cell's estimate; written as
+// `agg * 1.0` the same column is re-projected per trial. Both must give
+// the same estimates bit for bit, on the HAVING-top shape and on Q18
+// (HAVING over its own aggregate), inline and on a pool.
+TEST(BootstrapEstimateTest, HavingEstimatesMatchPerTrialReplicas) {
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  auto expect_same = [&](const std::vector<PartialResult>& a,
+                         const std::vector<PartialResult>& b,
+                         const std::string& context) {
+    ASSERT_EQ(a.size(), b.size()) << context;
+    size_t cells = 0;
+    for (size_t p = 0; p < a.size(); ++p) {
+      ExpectTablesEqual(b[p].rows, a[p].rows, context);
+      ASSERT_EQ(a[p].estimated_columns, b[p].estimated_columns) << context;
+      ASSERT_EQ(a[p].estimates.size(), b[p].estimates.size()) << context;
+      for (size_t r = 0; r < a[p].estimates.size(); ++r) {
+        for (size_t k = 0; k < a[p].estimates[r].size(); ++k) {
+          const ErrorEstimate& ea = a[p].estimates[r][k];
+          const ErrorEstimate& eb = b[p].estimates[r][k];
+          const std::string where = context + " batch " + std::to_string(p) +
+                                    " row " + std::to_string(r);
+          EXPECT_EQ(bits(ea.value), bits(eb.value)) << where;
+          EXPECT_EQ(bits(ea.stddev), bits(eb.stddev)) << where;
+          EXPECT_EQ(bits(ea.rel_stddev), bits(eb.rel_stddev)) << where;
+          EXPECT_EQ(bits(ea.ci_lo), bits(eb.ci_lo)) << where;
+          EXPECT_EQ(bits(ea.ci_hi), bits(eb.ci_hi)) << where;
+          cells += ea.stddev > 0.0 ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(cells, 0u) << context << ": no open band compared";
+  };
+  auto collect = [](auto* runnable) {
+    std::vector<PartialResult> results;
+    EXPECT_TRUE(runnable
+                    ->Run([&](const PartialResult& partial) {
+                      results.push_back(partial);
+                      return BatchAction::kContinue;
+                    })
+                    .ok());
+    return results;
+  };
+
+  Catalog catalog;
+  FillCatalog(&catalog, 600, 29);
+  auto functions = FunctionRegistry::Default();
+  auto having = BuildQuery(QueryShape::kHavingTop, catalog, functions);
+  ASSERT_TRUE(having.ok()) << having.status();
+  QueryPlan having_computed = *having;
+  having_computed.blocks.back().projections[1] =
+      Mul(having->top().projections[1], Lit(1.0));
+
+  TpchConfig config;
+  auto tpch = MakeTpchCatalog(config.Scaled(0.05), "lineorder");
+  ASSERT_TRUE(tpch.ok()) << tpch.status();
+  const std::string q18 = FindTpchQuery("q18").sql;
+  const std::string pass = "sum(lo_quantity) AS total_qty";
+  ASSERT_NE(q18.find(pass), std::string::npos);
+  std::string q18_computed = q18;
+  q18_computed.replace(q18.find(pass), pass.size(),
+                       "sum(lo_quantity) * 1.0 AS total_qty");
+
+  for (size_t threads : {size_t{0}, size_t{3}}) {
+    EngineOptions options;
+    options.num_trials = 20;
+    options.num_batches = 8;
+    options.seed = 11;
+    options.num_threads = threads;
+    const std::string suffix = " threads " + std::to_string(threads);
+
+    QueryController as_written(&catalog, *having, options);
+    QueryController per_trial(&catalog, having_computed, options);
+    ASSERT_TRUE(as_written.Init().ok());
+    ASSERT_TRUE(per_trial.Init().ok());
+    expect_same(collect(&as_written), collect(&per_trial),
+                "HavingTop" + suffix);
+
+    Session session(tpch->get(), options);
+    auto q18_as_written = session.Sql(q18);
+    auto q18_per_trial = session.Sql(q18_computed);
+    ASSERT_TRUE(q18_as_written.ok()) << q18_as_written.status();
+    ASSERT_TRUE(q18_per_trial.ok()) << q18_per_trial.status();
+    expect_same(collect(q18_as_written->get()), collect(q18_per_trial->get()),
+                "q18" + suffix);
+  }
+}
+
 // The observer can stop the run early (the paper's interactive control).
 TEST(ObserverTest, EarlyStop) {
   Catalog catalog;

@@ -41,11 +41,11 @@ class RegistryTest : public ::testing::Test {
 
   Row Key(int64_t k) { return {Value::Int64(k)}; }
 
-  // The group ids of LiveKeys(0, batch), in the order returned.
+  // The group ids of LiveGroups(0, batch), in the order returned.
   std::vector<int64_t> Live(int batch) {
     std::vector<int64_t> ids;
-    for (const Row* key : registry_->LiveKeys(0, batch)) {
-      ids.push_back((*key)[0].int64());
+    for (const auto& group : registry_->LiveGroups(0, batch)) {
+      ids.push_back((*group.key)[0].int64());
     }
     return ids;
   }
