@@ -25,7 +25,11 @@ struct TableEntry {
 /// immutable once registered; queries reference them by name.
 class Catalog {
  public:
-  /// Registers `table` under `name`. AlreadyExists if the name is taken.
+  /// Registers `table` under `name`. AlreadyExists if the name is taken;
+  /// InvalidArgument if a row's arity is not the schema's, or a value does
+  /// not fit its column's type (FitsType: int64 and double fit either
+  /// numeric column, NULL fits every column). Queries rely on it: the
+  /// compiled programs read each column in its schema type's register kind.
   Status RegisterTable(const std::string& name, Table table,
                        bool streamed = false);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -51,11 +52,14 @@ bool SplitRecord(const std::string& line, char delimiter,
   return !in_quotes;
 }
 
+// An integer field must fit int64: strtoll clamps an out-of-range one to
+// INT64_MIN/MAX and sets ERANGE, and such a field is not an integer.
 bool ParsesAsInt(const std::string& s) {
   if (s.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   std::strtoll(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
+  return end == s.c_str() + s.size() && errno != ERANGE;
 }
 
 bool ParsesAsDouble(const std::string& s) {

@@ -24,98 +24,21 @@ ValueType PromoteNumeric(ValueType a, ValueType b) {
   return ValueType::kInt64;
 }
 
-bool IsComparison(Expr::BinaryOp op) {
-  switch (op) {
-    case Expr::BinaryOp::kEq:
-    case Expr::BinaryOp::kNe:
-    case Expr::BinaryOp::kLt:
-    case Expr::BinaryOp::kLe:
-    case Expr::BinaryOp::kGt:
-    case Expr::BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool IsLogical(Expr::BinaryOp op) {
   return op == Expr::BinaryOp::kAnd || op == Expr::BinaryOp::kOr;
 }
 
 Value EvalArith(Expr::BinaryOp op, const Value& l, const Value& r,
                 ValueType out_type) {
-  if (l.is_null() || r.is_null()) return Value::Null();
-  if (op == Expr::BinaryOp::kMod) {
-    return NumericMod(NumericValue::Of(l), NumericValue::Of(r)).ToValue();
-  }
-  const double a = l.AsDouble();
-  const double b = r.AsDouble();
-  double result = 0.0;
-  switch (op) {
-    case Expr::BinaryOp::kAdd:
-      result = a + b;
-      break;
-    case Expr::BinaryOp::kSub:
-      result = a - b;
-      break;
-    case Expr::BinaryOp::kMul:
-      result = a * b;
-      break;
-    case Expr::BinaryOp::kDiv:
-      if (b == 0.0) return Value::Null();
-      result = a / b;
-      break;
-    default:
-      return Value::Null();
-  }
-  if (out_type == ValueType::kInt64) return TruncateToInt64(result).ToValue();
-  return Value::Double(result);
+  const NumericValue a = NumericValue::Of(l);
+  const NumericValue b = NumericValue::Of(r);
+  if (op == Expr::BinaryOp::kMod) return NumericMod(a, b).ToValue();
+  return NumericArith(op, a, b, out_type == ValueType::kInt64).ToValue();
 }
 
 Value EvalComparison(Expr::BinaryOp op, const Value& l, const Value& r) {
   if (l.is_null() || r.is_null()) return Value::Null();
-  const int cmp = l.Compare(r);
-  bool result = false;
-  switch (op) {
-    case Expr::BinaryOp::kEq:
-      result = cmp == 0;
-      break;
-    case Expr::BinaryOp::kNe:
-      result = cmp != 0;
-      break;
-    case Expr::BinaryOp::kLt:
-      result = cmp < 0;
-      break;
-    case Expr::BinaryOp::kLe:
-      result = cmp <= 0;
-      break;
-    case Expr::BinaryOp::kGt:
-      result = cmp > 0;
-      break;
-    case Expr::BinaryOp::kGe:
-      result = cmp >= 0;
-      break;
-    default:
-      break;
-  }
-  return Value::Bool(result);
-}
-
-// Three-valued SQL logic over {false(0), true(1), null(unknown)}.
-Value EvalLogical(Expr::BinaryOp op, const Value& l, const Value& r) {
-  const bool lt = l.IsTruthy();
-  const bool rt = r.IsTruthy();
-  if (op == Expr::BinaryOp::kAnd) {
-    if (!l.is_null() && !lt) return Value::Bool(false);
-    if (!r.is_null() && !rt) return Value::Bool(false);
-    if (l.is_null() || r.is_null()) return Value::Null();
-    return Value::Bool(true);
-  }
-  // OR
-  if (!l.is_null() && lt) return Value::Bool(true);
-  if (!r.is_null() && rt) return Value::Bool(true);
-  if (l.is_null() || r.is_null()) return Value::Null();
-  return Value::Bool(false);
+  return Value::Bool(ComparisonHolds(op, l.Compare(r)));
 }
 
 // Interval of a truth value from a tri-state outcome.
@@ -144,9 +67,10 @@ Interval LiteralExpr::EvalInterval(const Row&, const EvalContext&) const {
 // -------------------------------------------------------------- ColumnRef
 
 Value ColumnRefExpr::Eval(const Row& row, const EvalContext& ctx) const {
-  // In trial mode an uncertain column must be re-derived through its
-  // lineage: the stored value is the main estimate, not the trial replica.
-  if (ctx.trial >= 0 && ctx.column_lineage != nullptr &&
+  // An uncertain column is re-derived through its lineage, in the main
+  // evaluation and in every trial: the stored value is the one of the batch
+  // that produced the row, and it is not a trial replica.
+  if (ctx.column_lineage != nullptr &&
       static_cast<size_t>(index_) < ctx.column_lineage->size()) {
     const ExprPtr& lineage = (*ctx.column_lineage)[index_];
     if (lineage != nullptr) return lineage->Eval(row, ctx);
@@ -202,7 +126,7 @@ Value BinaryExpr::Eval(const Row& row, const EvalContext& ctx) const {
   const Value l = left_->Eval(row, ctx);
   const Value r = right_->Eval(row, ctx);
   if (IsComparison(op_)) return EvalComparison(op_, l, r);
-  if (IsLogical(op_)) return EvalLogical(op_, l, r);
+  if (IsLogical(op_)) return AndOr(op_ == BinaryOp::kAnd, l, r);
   return EvalArith(op_, l, r, output_type());
 }
 
@@ -291,7 +215,7 @@ Value CallExpr::Eval(const Row& row, const EvalContext& ctx) const {
   std::vector<Value> args;
   args.reserve(args_.size());
   for (const auto& arg : args_) args.push_back(arg->Eval(row, ctx));
-  return fn_->boxed(args.data(), args.size());
+  return CallBoxed(*fn_, args.data(), args.size(), output_type());
 }
 
 Interval CallExpr::EvalInterval(const Row& row, const EvalContext& ctx) const {
@@ -349,10 +273,12 @@ Row AggLookupExpr::EvalKey(const Row& row, const EvalContext& ctx) const {
 Value AggLookupExpr::Eval(const Row& row, const EvalContext& ctx) const {
   assert(ctx.resolver != nullptr);
   const Row key = EvalKey(row, ctx);
-  if (ctx.trial >= 0) {
-    return ctx.resolver->LookupTrial(block_id_, agg_col_, key, ctx.trial);
-  }
-  return ctx.resolver->Lookup(block_id_, agg_col_, key);
+  Value v = ctx.trial >= 0
+                ? ctx.resolver->LookupTrial(block_id_, agg_col_, key, ctx.trial)
+                : ctx.resolver->Lookup(block_id_, agg_col_, key);
+  // A replica that does not fit the static type (a string aggregate's trial
+  // replicas are doubles) reads as NULL, as in the compiled read.
+  return FitsType(v.type(), output_type()) ? v : Value::Null();
 }
 
 Interval AggLookupExpr::EvalInterval(const Row& row,

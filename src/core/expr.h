@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/function_registry.h"
 #include "core/interval.h"
 #include "core/schema.h"
 #include "core/value.h"
@@ -307,6 +308,77 @@ class AggLookupExpr final : public Expr {
   std::vector<ExprPtr> key_exprs_;
   std::string debug_name_;
 };
+
+// The operator semantics both evaluators share: Expr::Eval applies them to
+// Values, the compiled programs (exec/expr_program) to NumericValue
+// registers.
+
+inline bool IsComparison(Expr::BinaryOp op) {
+  return op == Expr::BinaryOp::kEq || op == Expr::BinaryOp::kNe ||
+         op == Expr::BinaryOp::kLt || op == Expr::BinaryOp::kLe ||
+         op == Expr::BinaryOp::kGt || op == Expr::BinaryOp::kGe;
+}
+
+/// Whether comparison `op` holds for the three-way result `cmp`.
+inline bool ComparisonHolds(Expr::BinaryOp op, int cmp) {
+  switch (op) {
+    case Expr::BinaryOp::kEq:
+      return cmp == 0;
+    case Expr::BinaryOp::kNe:
+      return cmp != 0;
+    case Expr::BinaryOp::kLt:
+      return cmp < 0;
+    case Expr::BinaryOp::kLe:
+      return cmp <= 0;
+    case Expr::BinaryOp::kGt:
+      return cmp > 0;
+    case Expr::BinaryOp::kGe:
+      return cmp >= 0;
+    default:
+      return false;
+  }
+}
+
+/// Three-valued SQL AND (`is_and`) or OR over {false, true, NULL}; `V` is
+/// Value or NumericValue.
+template <typename V>
+V AndOr(bool is_and, const V& l, const V& r) {
+  const bool lt = l.IsTruthy();
+  const bool rt = r.IsTruthy();
+  if (is_and) {
+    if ((!l.is_null() && !lt) || (!r.is_null() && !rt)) return V::Bool(false);
+    return l.is_null() || r.is_null() ? V::Null() : V::Bool(true);
+  }
+  if ((!l.is_null() && lt) || (!r.is_null() && rt)) return V::Bool(true);
+  return l.is_null() || r.is_null() ? V::Null() : V::Bool(false);
+}
+
+/// `+ - * /` in double (AsDouble), NULL on a NULL operand or a zero
+/// divisor; a statically int64 result (`int_out`) narrows through
+/// TruncateToInt64.
+inline NumericValue NumericArith(Expr::BinaryOp op, const NumericValue& l,
+                                 const NumericValue& r, bool int_out) {
+  if (l.is_null() || r.is_null()) return NumericValue::Null();
+  double result = 0.0;
+  switch (op) {
+    case Expr::BinaryOp::kAdd:
+      result = l.f64 + r.f64;
+      break;
+    case Expr::BinaryOp::kSub:
+      result = l.f64 - r.f64;
+      break;
+    case Expr::BinaryOp::kMul:
+      result = l.f64 * r.f64;
+      break;
+    case Expr::BinaryOp::kDiv:
+      if (r.f64 == 0.0) return NumericValue::Null();
+      result = l.f64 / r.f64;
+      break;
+    default:
+      return NumericValue::Null();
+  }
+  return int_out ? TruncateToInt64(result) : NumericValue::Dbl(result);
+}
 
 // Convenience constructors. Types are inferred with SQL-ish promotion
 // (int64 op double -> double; comparisons/logic -> int64 booleans).

@@ -205,6 +205,12 @@ ValueType Signature::ResultType(const std::vector<ValueType>& arg_types) const {
              : ValueType::kNull;
 }
 
+Value CallBoxed(const ScalarFunction& fn, const Value* args, size_t n,
+                ValueType type) {
+  Value result = fn.boxed(args, n);
+  return FitsType(result.type(), type) ? result : Value::Null();
+}
+
 bool IsBuiltinSum(const AggregateFunction& fn) {
   return fn.state.fold == SumCountFold && fn.state.result == SumResult;
 }

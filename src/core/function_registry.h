@@ -58,11 +58,11 @@ struct NumericValue {
     return tag == ValueType::kInt64 ? i64 != 0
                                     : tag == ValueType::kDouble && f64 != 0.0;
   }
-  /// Mirrors Value::Compare() over non-NULL numerics: by value.
+  /// Value::Compare() over non-NULL numerics: exactly, by CompareNumbers.
   int Compare(const NumericValue& other) const {
-    if (f64 < other.f64) return -1;
-    if (f64 > other.f64) return 1;
-    return 0;
+    return CompareNumbers(tag == ValueType::kInt64, i64, f64,
+                          other.tag == ValueType::kInt64, other.i64,
+                          other.f64);
   }
 };
 
@@ -164,9 +164,16 @@ struct ScalarFunction {
   /// The numeric form: the compiled path calls it when every argument sits
   /// in a numeric register.
   NumericBody numeric = nullptr;
-  /// The boxed form, used by the interpreter and for string arguments.
+  /// The boxed form, used by Expr::Eval and for string arguments.
   BoxedBody boxed = nullptr;
 };
+
+/// Calls `fn`'s boxed form. A result that does not fit `type`, the call's
+/// static type (FitsType), reads as NULL. CallExpr::Eval and the compiled
+/// `call_generic` opcode both call this, so a function that breaks its
+/// declared result type gives NULL in both evaluators.
+Value CallBoxed(const ScalarFunction& fn, const Value* args, size_t n,
+                ValueType type);
 
 /// One nonzero multiplicity of a row in one bootstrap trial: the deferred
 /// trial flush computes a row's weights once and folds each of its

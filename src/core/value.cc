@@ -44,15 +44,12 @@ bool Value::IsTruthy() const {
 }
 
 int Value::Compare(const Value& other) const {
-  const bool a_num = is_numeric();
-  const bool b_num = other.is_numeric();
-  if (a_num && b_num) {
-    // Numeric cross-type comparison by value.
-    const double a = AsDouble();
-    const double b = other.AsDouble();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
+  if (is_numeric() && other.is_numeric()) {
+    const bool a_int = type() == ValueType::kInt64;
+    const bool b_int = other.type() == ValueType::kInt64;
+    return CompareNumbers(a_int, a_int ? int64() : 0, a_int ? 0.0 : dbl(),
+                          b_int, b_int ? other.int64() : 0,
+                          b_int ? 0.0 : other.dbl());
   }
   // Heterogeneous / non-numeric: order by type id, then payload.
   const auto ta = static_cast<int>(type());
@@ -85,14 +82,8 @@ uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9ae16a3b2f90404full;
-    case ValueType::kInt64: {
-      // Compare reads numbers as doubles, and beyond ±2^53 several int64s
-      // round to one double; hash those like that double.
-      constexpr int64_t kExact = int64_t{1} << 53;
-      const int64_t i = int64();
-      if (i > kExact || i < -kExact) return HashDouble(static_cast<double>(i));
-      return Mix64(static_cast<uint64_t>(i));
-    }
+    case ValueType::kInt64:
+      return Mix64(static_cast<uint64_t>(int64()));
     case ValueType::kDouble:
       return HashDouble(dbl());
     case ValueType::kString:
@@ -131,9 +122,11 @@ std::string Value::ToString() const {
   return "?";
 }
 
-uint64_t HashRow(const Row& row) {
+uint64_t HashRow(const Row& row) { return HashValues(row.data(), row.size()); }
+
+uint64_t HashValues(const Value* values, size_t n) {
   uint64_t h = 0x2545f4914f6cdd1dull;
-  for (const Value& v : row) h = HashCombine(h, v.Hash());
+  for (size_t i = 0; i < n; ++i) h = HashCombine(h, values[i].Hash());
   return h;
 }
 

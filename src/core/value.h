@@ -20,11 +20,60 @@ enum class ValueType : uint8_t {
 
 const char* ValueTypeToString(ValueType type);
 
+/// Exact three-way comparison of two numbers, each an int64 or a double:
+/// two int64s compare as integers, and an int64 equals a double only when
+/// the double is integral and the same number. Nothing is rounded, so
+/// distinct int64s beyond ±2^53 stay distinct. A NaN compares equal to
+/// every number. Value::Compare and the compiled `cmp_num` opcode (through
+/// NumericValue::Compare) both call this, so the two evaluators agree.
+inline int CompareNumbers(bool a_is_int, int64_t a_int, double a_dbl,
+                          bool b_is_int, int64_t b_int, double b_dbl) {
+  if (a_is_int && b_is_int) {
+    return a_int < b_int ? -1 : (a_int > b_int ? 1 : 0);
+  }
+  if (!a_is_int && !b_is_int) {
+    return a_dbl < b_dbl ? -1 : (a_dbl > b_dbl ? 1 : 0);
+  }
+  // One int64 i against one double d; `sign` flips the result when the
+  // double is on the left.
+  const int64_t i = a_is_int ? a_int : b_int;
+  const double d = a_is_int ? b_dbl : a_dbl;
+  const int sign = a_is_int ? 1 : -1;
+  if (d != d) return 0;  // NaN
+  // [-2^63, 2^63) is exactly the doubles whose truncation fits an int64.
+  if (d >= 0x1p63) return -sign;
+  if (d < -0x1p63) return sign;
+  const int64_t t = static_cast<int64_t>(d);  // truncated toward zero
+  if (i != t) return i < t ? -sign : sign;
+  // i == trunc(d): the fraction d - trunc(d) is exact and decides.
+  const double frac = d - static_cast<double>(t);
+  return frac > 0.0 ? -sign : (frac < 0.0 ? sign : 0);
+}
+
+/// Whether a value of kind `v` fits static type `type`: NULL fits every
+/// type, an int64 or a double fits INT64 and DOUBLE alike, a string fits
+/// STRING, and a NULL-typed slot holds only NULL. Catalog::RegisterTable
+/// checks every row against its schema with this, and a value read from
+/// outside an expression (a boxed call's result, an aggregate lookup)
+/// that does not fit its static type reads as NULL in both evaluators.
+constexpr bool FitsType(ValueType v, ValueType type) {
+  switch (v) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return type == ValueType::kInt64 || type == ValueType::kDouble;
+    case ValueType::kString:
+      return type == ValueType::kString;
+  }
+  return false;
+}
+
 /// A dynamically typed SQL value. Values are small, copyable and totally
-/// ordered (NULL sorts first; numeric types compare by numeric value, so
-/// Int64(2) == Double(2.0)). The binder type-checks queries up front, so
-/// runtime evaluation follows SQL semantics: operations on NULL yield NULL
-/// rather than errors.
+/// ordered (NULL sorts first; numbers compare exactly by value, so
+/// Int64(2) == Double(2.0), see CompareNumbers). The binder type-checks
+/// queries up front, so runtime evaluation follows SQL semantics:
+/// operations on NULL yield NULL rather than errors.
 class Value {
  public:
   /// Constructs SQL NULL.
@@ -59,8 +108,8 @@ class Value {
   /// non-numeric are false (SQL's "unknown" filters out).
   bool IsTruthy() const;
 
-  /// Total ordering: NULL < numerics (by value) < strings (lexicographic).
-  /// Returns <0, 0, >0.
+  /// Total ordering: NULL < numerics (exactly by value, CompareNumbers) <
+  /// strings (lexicographic). Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool Equals(const Value& other) const { return Compare(other) == 0; }
@@ -91,18 +140,22 @@ using Row = std::vector<Value>;
 
 /// Hash of a full row (order-sensitive), for group-by and join keys.
 uint64_t HashRow(const Row& row);
+/// HashRow of the `n` values at `values`, which need not be a Row.
+uint64_t HashValues(const Value* values, size_t n);
 
 /// Approximate serialized size of a row, for the shuffle cost model.
 size_t RowByteSize(const Row& row);
 
 std::string RowToString(const Row& row);
 
-/// A row key paired with its precomputed hash, for heterogeneous probes of
-/// Row-keyed hash maps: callers that already know HashRow(*row) (the apply
-/// phase hashes each group key once per batch) probe with this instead of
-/// paying a re-hash per map.
+/// A row key, given as `size` values at `values` (a Row's or a slice of a
+/// flat array), paired with its precomputed HashValues, for heterogeneous
+/// probes of Row-keyed hash maps: callers that already know the hash (the
+/// evaluate phase hashes each group key once per batch) probe with this
+/// instead of paying a re-hash per map or materializing a Row.
 struct HashedRowRef {
-  const Row* row;
+  const Value* values;
+  size_t size;
   uint64_t hash;
 };
 
@@ -115,21 +168,24 @@ struct RowHash {
 };
 struct RowEq {
   using is_transparent = void;
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
+  static bool Equal(const Value* a, size_t na, const Value* b, size_t nb) {
+    if (na != nb) return false;
+    for (size_t i = 0; i < na; ++i) {
       if (!a[i].Equals(b[i])) return false;
     }
     return true;
   }
+  bool operator()(const Row& a, const Row& b) const {
+    return Equal(a.data(), a.size(), b.data(), b.size());
+  }
   bool operator()(const HashedRowRef& a, const Row& b) const {
-    return operator()(*a.row, b);
+    return Equal(a.values, a.size, b.data(), b.size());
   }
   bool operator()(const Row& a, const HashedRowRef& b) const {
-    return operator()(a, *b.row);
+    return Equal(a.data(), a.size(), b.values, b.size);
   }
   bool operator()(const HashedRowRef& a, const HashedRowRef& b) const {
-    return operator()(*a.row, *b.row);
+    return Equal(a.values, a.size, b.values, b.size);
   }
 };
 

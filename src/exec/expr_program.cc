@@ -17,58 +17,21 @@ namespace {
 constexpr int kMaxCompileDepth = 64;
 constexpr int kMaxRegs = 0xFFFF;
 
-bool IsComparisonOp(Expr::BinaryOp op) {
-  switch (op) {
-    case Expr::BinaryOp::kEq:
-    case Expr::BinaryOp::kNe:
-    case Expr::BinaryOp::kLt:
-    case Expr::BinaryOp::kLe:
-    case Expr::BinaryOp::kGt:
-    case Expr::BinaryOp::kGe:
-      return true;
-    default:
-      return false;
+// Loads a Value into a numeric register; a string (which no numeric slot
+// holds, see FitsType) reads as NULL.
+inline NumericValue LoadNum(const Value& v) {
+  return v.type() == ValueType::kString ? NumericValue::Null()
+                                        : NumericValue::Of(v);
+}
+
+// Loads a Value into a string register; a number reads as NULL.
+inline void LoadStr(StrReg* d, const Value& v) {
+  if (v.type() == ValueType::kString) {
+    d->s = v.str();
+    d->null = false;
+  } else {
+    *d = StrReg{};
   }
-}
-
-bool IsLogicalOp(Expr::BinaryOp op) {
-  return op == Expr::BinaryOp::kAnd || op == Expr::BinaryOp::kOr;
-}
-
-// Loads a Value into a numeric register. Returns false (bail) when the
-// value is a string, i.e. outside the numeric register file.
-inline bool LoadNum(NumericValue* d, const Value& v) {
-  *d = NumericValue::Of(v);
-  return v.type() != ValueType::kString;
-}
-
-// Comparison outcome -> 0/1 register, mirroring EvalComparison's mapping of
-// Value::Compare's sign.
-inline NumericValue CmpResult(Expr::BinaryOp op, int cmp) {
-  bool result = false;
-  switch (op) {
-    case Expr::BinaryOp::kEq:
-      result = cmp == 0;
-      break;
-    case Expr::BinaryOp::kNe:
-      result = cmp != 0;
-      break;
-    case Expr::BinaryOp::kLt:
-      result = cmp < 0;
-      break;
-    case Expr::BinaryOp::kLe:
-      result = cmp <= 0;
-      break;
-    case Expr::BinaryOp::kGt:
-      result = cmp > 0;
-      break;
-    case Expr::BinaryOp::kGe:
-      result = cmp >= 0;
-      break;
-    default:
-      break;
-  }
-  return NumericValue::Bool(result);
 }
 
 }  // namespace
@@ -84,7 +47,7 @@ class ExprProgramCompiler {
 
   bool AddRoot(const ExprPtr& root) {
     if (root == nullptr) {
-      failed_ = true;
+      Fail("null root");
       return false;
     }
     auto slot = CompileNode(*root, 0);
@@ -92,6 +55,9 @@ class ExprProgramCompiler {
     prog_->roots_.push_back({slot->out, slot->invariant});
     return true;
   }
+
+  /// The rule of the first refusal ("" while none).
+  const std::string& refusal() const { return refusal_; }
 
   std::unique_ptr<const ExprProgram> Finish() {
     if (failed_) return nullptr;
@@ -112,7 +78,8 @@ class ExprProgramCompiler {
   };
   using MaybeSlot = std::optional<Slot>;
 
-  MaybeSlot Fail() {
+  MaybeSlot Fail(const char* rule) {
+    if (!failed_) refusal_ = rule;
     failed_ = true;
     return std::nullopt;
   }
@@ -123,7 +90,7 @@ class ExprProgramCompiler {
 
   int NewNum() {
     if (next_num_ >= kMaxRegs) {
-      failed_ = true;
+      Fail("register file full");
       return 0;
     }
     return next_num_++;
@@ -131,7 +98,7 @@ class ExprProgramCompiler {
 
   int NewStr() {
     if (next_str_ >= kMaxRegs) {
-      failed_ = true;
+      Fail("register file full");
       return 0;
     }
     return next_str_++;
@@ -214,7 +181,7 @@ class ExprProgramCompiler {
 
   MaybeSlot CompileNode(const Expr& e, int depth) {
     if (failed_) return std::nullopt;
-    if (depth > kMaxCompileDepth) return Fail();
+    if (depth > kMaxCompileDepth) return Fail("lineage nested too deep");
     auto memo = memo_.find(&e);
     if (memo != memo_.end()) return memo->second;
     MaybeSlot slot = CompileNodeImpl(e, depth);
@@ -242,34 +209,20 @@ class ExprProgramCompiler {
       case Expr::Kind::kAggLookup:
         return CompileAggLookup(static_cast<const AggLookupExpr&>(e), depth);
     }
-    return Fail();
+    return Fail("unknown expression kind");
   }
 
   MaybeSlot CompileColumnRef(const ColumnRefExpr& ref, int depth) {
-    const ExprPtr* lineage = nullptr;
     if (lineage_ != nullptr &&
         static_cast<size_t>(ref.index()) < lineage_->size() &&
         (*lineage_)[ref.index()] != nullptr) {
-      lineage = &(*lineage_)[ref.index()];
+      // An uncertain column is its lineage, in the main pass and in every
+      // trial (the §6.2 lazy refresh): the stored value is the one of the
+      // batch that produced the row.
+      return CompileNode(*(*lineage_)[ref.index()], depth + 1);
     }
     if (ref.index() > prog_->max_col_) prog_->max_col_ = ref.index();
     const uint16_t col = static_cast<uint16_t>(ref.index());
-    if (lineage != nullptr) {
-      // Uncertain column: in trial mode it re-derives through its lineage,
-      // in main mode it reads the stored value — both runtime-typed, so
-      // only numeric lineage compiles (string columns are never uncertain
-      // in practice: lineage carries aggregate outputs).
-      if (StaticallyString(ref)) return Fail();
-      auto sub = CompileNode(**lineage, depth + 1);
-      if (!sub.has_value()) return std::nullopt;
-      if (sub->out.is_str) return Fail();
-      const int dst = NewNum();
-      if (failed_) return std::nullopt;
-      Emit(/*invariant=*/false,
-           {Op::kColLineage, 0, static_cast<uint16_t>(dst), sub->out.reg, 0,
-            col});
-      return Slot{Operand{static_cast<uint16_t>(dst), false}, false};
-    }
     if (StaticallyString(ref)) {
       auto it = str_cols_.find(ref.index());
       if (it != str_cols_.end()) return Slot{Operand{it->second, true}, true};
@@ -291,10 +244,10 @@ class ExprProgramCompiler {
   }
 
   MaybeSlot CompileUnary(const UnaryExpr& unary, int depth) {
-    if (StaticallyString(*unary.operand())) return Fail();
+    if (StaticallyString(*unary.operand())) return Fail("string operand");
     auto sub = CompileNode(*unary.operand(), depth);
     if (!sub.has_value()) return std::nullopt;
-    if (sub->out.is_str) return Fail();
+    if (sub->out.is_str) return Fail("string operand");
     const int dst = NewNum();
     if (failed_) return std::nullopt;
     Emit(sub->invariant,
@@ -308,17 +261,17 @@ class ExprProgramCompiler {
     const Expr& r = *bin.right();
     const bool ls = StaticallyString(l);
     const bool rs = StaticallyString(r);
-    const bool cmp = IsComparisonOp(bin.op());
+    const bool cmp = IsComparison(bin.op());
     if (cmp && ls != rs) {
       // string <op> NULL-literal always evaluates to NULL (the null check
       // precedes Value::Compare); anything else mixes register kinds.
       if (IsNullLiteral(ls ? r : l)) return EmitLiteral(Value::Null());
-      return Fail();
+      return Fail("string/number comparison");
     }
     if (!cmp && (ls || rs)) {
-      // Arithmetic/logic over a statically-string operand: the binder never
-      // produces this; don't guess at its semantics.
-      return Fail();
+      // Arithmetic/logic over a statically-string operand: the binder
+      // rejects this.
+      return Fail("string operand");
     }
     auto lslot = CompileNode(l, depth);
     if (!lslot.has_value()) return std::nullopt;
@@ -338,7 +291,8 @@ class ExprProgramCompiler {
               static_cast<uint16_t>(dst), lslot->out.reg, rslot->out.reg, 0};
     if (cmp) {
       insn.op = lslot->out.is_str ? Op::kCmpStr : Op::kCmpNum;
-    } else if (IsLogicalOp(bin.op())) {
+    } else if (bin.op() == Expr::BinaryOp::kAnd ||
+               bin.op() == Expr::BinaryOp::kOr) {
       insn.op = Op::kLogic;
     } else if (bin.op() == Expr::BinaryOp::kMod) {
       insn.op = Op::kMod;
@@ -350,9 +304,15 @@ class ExprProgramCompiler {
   }
 
   // The binder checked the call against the function's signature; the
-  // numeric form runs whenever every argument lands in a numeric register.
+  // numeric form runs whenever every argument lands in a numeric register
+  // and the static type is numeric.
   MaybeSlot CompileCall(const CallExpr& call, int depth) {
+    // A NULL-typed call yields NULL whatever its arguments (CallBoxed).
+    if (call.output_type() == ValueType::kNull) {
+      return EmitLiteral(Value::Null());
+    }
     const ScalarFunction* fn = &call.function();
+    const bool dst_str = StaticallyString(call);
     std::vector<Operand> args;
     args.reserve(call.args().size());
     bool invariant = true;
@@ -368,24 +328,25 @@ class ExprProgramCompiler {
       prog_->max_call_args_ = args.size();
     }
     const uint16_t site = static_cast<uint16_t>(prog_->call_sites_.size());
-    if (all_numeric && fn->numeric != nullptr) {
+    if (all_numeric && !dst_str && fn->numeric != nullptr) {
       const int dst = NewNum();
       if (failed_) return std::nullopt;
-      prog_->call_sites_.push_back({fn, std::move(args), 0});
+      prog_->call_sites_.push_back(
+          {fn, std::move(args), 0, call.output_type()});
       Emit(invariant,
            {Op::kCallNum, 0, static_cast<uint16_t>(dst), 0, 0, site});
       return Slot{Operand{static_cast<uint16_t>(dst), false}, invariant};
     }
     // Generic call site: box the arguments, call the boxed form, unbox the
-    // result into the register kind the static type promises (or bail).
-    const bool dst_str = StaticallyString(call);
+    // result into the register kind of the static type.
     uint16_t owned = 0;
     if (dst_str) {
       owned = static_cast<uint16_t>(next_owned_++);
     }
     const int dst = dst_str ? NewStr() : NewNum();
     if (failed_) return std::nullopt;
-    prog_->call_sites_.push_back({fn, std::move(args), owned});
+    prog_->call_sites_.push_back(
+        {fn, std::move(args), owned, call.output_type()});
     Emit(invariant, {Op::kCallGeneric, static_cast<uint8_t>(dst_str),
                      static_cast<uint16_t>(dst), 0, 0, site});
     return Slot{Operand{static_cast<uint16_t>(dst), dst_str}, invariant};
@@ -398,9 +359,9 @@ class ExprProgramCompiler {
       auto slot = CompileNode(*key, depth);
       if (!slot.has_value()) return std::nullopt;
       // The hoisted probe evaluates keys once per row; a trial-variant key
-      // (nested uncertainty) would need a probe per trial — keep the
-      // interpreter for that exotic shape.
-      if (!slot->invariant) return Fail();
+      // (nested uncertainty) would need a probe per trial. The binder
+      // rejects it.
+      if (!slot->invariant) return Fail("trial-variant aggregate key");
       keys.push_back(slot->out);
     }
     const uint16_t site = static_cast<uint16_t>(prog_->agg_sites_.size());
@@ -419,6 +380,7 @@ class ExprProgramCompiler {
   const std::vector<ExprPtr>* lineage_;
   std::unique_ptr<ExprProgram> prog_;
   bool failed_ = false;
+  std::string refusal_;
   int next_num_ = 0;
   int next_str_ = 0;
   int next_owned_ = 0;
@@ -433,12 +395,14 @@ class ExprProgramCompiler {
 
 std::unique_ptr<const ExprProgram> ExprProgram::Compile(
     const std::vector<ExprPtr>& roots,
-    const std::vector<ExprPtr>* column_lineage) {
+    const std::vector<ExprPtr>* column_lineage, std::string* refusal) {
   ExprProgramCompiler compiler(column_lineage);
   for (const ExprPtr& root : roots) {
-    if (!compiler.AddRoot(root)) return nullptr;
+    if (!compiler.AddRoot(root)) break;
   }
-  return compiler.Finish();
+  auto program = compiler.Finish();
+  if (program == nullptr && refusal != nullptr) *refusal = compiler.refusal();
+  return program;
 }
 
 ExprProgram::~ExprProgram() = default;
@@ -469,7 +433,6 @@ void ExprProgram::InitState(ExprProgramState* st) const {
   for (const auto& [reg, pool_idx] : const_str_) {
     st->str_[reg] = {const_str_pool_[pool_idx], false};
   }
-  st->bail_ = false;
   st->bound_trials_ = 0;
 }
 
@@ -482,7 +445,7 @@ inline Value BoxStr(const StrReg& r) {
 
 }  // namespace
 
-bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
+void ExprProgram::RunSegment(const std::vector<Insn>& seg,
                              ExprProgramState* st, const Row& row,
                              const AggLookupResolver* resolver, int num_trials,
                              int trial) const {
@@ -490,32 +453,12 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
   auto& str = st->str_;
   for (const Insn& insn : seg) {
     switch (insn.op) {
-      case Op::kLoadNum: {
-        if (!LoadNum(&num[insn.dst], row[insn.aux])) st->bail_ = true;
+      case Op::kLoadNum:
+        num[insn.dst] = LoadNum(row[insn.aux]);
         break;
-      }
-      case Op::kLoadStr: {
-        const Value& v = row[insn.aux];
-        StrReg& d = str[insn.dst];
-        if (v.is_null()) {
-          d = StrReg{};
-        } else if (v.type() == ValueType::kString) {
-          d.s = v.str();
-          d.null = false;
-        } else {
-          d = StrReg{};
-          st->bail_ = true;
-        }
+      case Op::kLoadStr:
+        LoadStr(&str[insn.dst], row[insn.aux]);
         break;
-      }
-      case Op::kColLineage: {
-        if (trial < 0) {
-          if (!LoadNum(&num[insn.dst], row[insn.aux])) st->bail_ = true;
-        } else {
-          num[insn.dst] = num[insn.a];
-        }
-        break;
-      }
       case Op::kNeg:
         num[insn.dst] = NumericNeg(num[insn.a]);
         break;
@@ -525,98 +468,38 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
                                     : NumericValue::Bool(!s.IsTruthy());
         break;
       }
-      case Op::kArith: {
-        const NumericValue& l = num[insn.a];
-        const NumericValue& r = num[insn.b];
-        NumericValue& d = num[insn.dst];
-        if (l.is_null() || r.is_null()) {
-          d = NumericValue::Null();
-          break;
-        }
-        // Like EvalArith: all arithmetic runs in double (AsDouble == .f64),
-        // with the statically-int result truncated back.
-        double result = 0.0;
-        switch (static_cast<Expr::BinaryOp>(insn.sub)) {
-          case Expr::BinaryOp::kAdd:
-            result = l.f64 + r.f64;
-            break;
-          case Expr::BinaryOp::kSub:
-            result = l.f64 - r.f64;
-            break;
-          case Expr::BinaryOp::kMul:
-            result = l.f64 * r.f64;
-            break;
-          case Expr::BinaryOp::kDiv:
-            if (r.f64 == 0.0) {
-              d = NumericValue::Null();
-              continue;
-            }
-            result = l.f64 / r.f64;
-            break;
-          default:
-            d = NumericValue::Null();
-            continue;
-        }
-        d = insn.aux != 0 ? TruncateToInt64(result) : NumericValue::Dbl(result);
+      case Op::kArith:
+        num[insn.dst] = NumericArith(static_cast<Expr::BinaryOp>(insn.sub),
+                                     num[insn.a], num[insn.b], insn.aux != 0);
         break;
-      }
       case Op::kMod:
         num[insn.dst] = NumericMod(num[insn.a], num[insn.b]);
         break;
       case Op::kCmpNum: {
         const NumericValue& l = num[insn.a];
         const NumericValue& r = num[insn.b];
-        NumericValue& d = num[insn.dst];
-        if (l.is_null() || r.is_null()) {
-          d = NumericValue::Null();
-          break;
-        }
-        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), l.Compare(r));
+        num[insn.dst] =
+            l.is_null() || r.is_null()
+                ? NumericValue::Null()
+                : NumericValue::Bool(ComparisonHolds(
+                      static_cast<Expr::BinaryOp>(insn.sub), l.Compare(r)));
         break;
       }
       case Op::kCmpStr: {
         const StrReg& l = str[insn.a];
         const StrReg& r = str[insn.b];
-        NumericValue& d = num[insn.dst];
-        if (l.null || r.null) {
-          d = NumericValue::Null();
-          break;
-        }
-        const int cmp = l.s.compare(r.s);
-        d = CmpResult(static_cast<Expr::BinaryOp>(insn.sub), cmp);
+        num[insn.dst] =
+            l.null || r.null
+                ? NumericValue::Null()
+                : NumericValue::Bool(ComparisonHolds(
+                      static_cast<Expr::BinaryOp>(insn.sub), l.s.compare(r.s)));
         break;
       }
-      case Op::kLogic: {
-        const NumericValue& l = num[insn.a];
-        const NumericValue& r = num[insn.b];
-        NumericValue& d = num[insn.dst];
-        const bool ln = l.is_null();
-        const bool rn = r.is_null();
-        const bool lt = l.IsTruthy();
-        const bool rt = r.IsTruthy();
-        if (static_cast<Expr::BinaryOp>(insn.sub) == Expr::BinaryOp::kAnd) {
-          if (!ln && !lt) {
-            d = NumericValue::Bool(false);
-          } else if (!rn && !rt) {
-            d = NumericValue::Bool(false);
-          } else if (ln || rn) {
-            d = NumericValue::Null();
-          } else {
-            d = NumericValue::Bool(true);
-          }
-        } else {
-          if (!ln && lt) {
-            d = NumericValue::Bool(true);
-          } else if (!rn && rt) {
-            d = NumericValue::Bool(true);
-          } else if (ln || rn) {
-            d = NumericValue::Null();
-          } else {
-            d = NumericValue::Bool(false);
-          }
-        }
+      case Op::kLogic:
+        num[insn.dst] =
+            AndOr(static_cast<Expr::BinaryOp>(insn.sub) == Expr::BinaryOp::kAnd,
+                  num[insn.a], num[insn.b]);
         break;
-      }
       case Op::kCallNum: {
         const CallSite& site = call_sites_[insn.aux];
         for (size_t i = 0; i < site.args.size(); ++i) {
@@ -633,22 +516,16 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
           st->val_args_.push_back(arg.is_str ? BoxStr(str[arg.reg])
                                              : num[arg.reg].ToValue());
         }
-        Value res = site.fn->boxed(st->val_args_.data(), st->val_args_.size());
+        // The register kind is the static type's, so CallBoxed leaves a
+        // string for a string register, a number for a numeric one, or NULL.
+        Value res = CallBoxed(*site.fn, st->val_args_.data(),
+                              st->val_args_.size(), site.type);
         if (insn.sub != 0) {
-          StrReg& d = str[insn.dst];
-          if (res.is_null()) {
-            d = StrReg{};
-          } else if (res.type() == ValueType::kString) {
-            Value& slot = st->owned_[site.owned_slot];
-            slot = std::move(res);
-            d.s = slot.str();
-            d.null = false;
-          } else {
-            d = StrReg{};
-            st->bail_ = true;
-          }
-        } else if (!LoadNum(&num[insn.dst], res)) {
-          st->bail_ = true;
+          Value& slot = st->owned_[site.owned_slot];
+          slot = std::move(res);
+          LoadStr(&str[insn.dst], slot);
+        } else {
+          num[insn.dst] = NumericValue::Of(res);
         }
         break;
       }
@@ -671,56 +548,39 @@ bool ExprProgram::RunSegment(const std::vector<Insn>& seg,
       }
       case Op::kReadAggNum: {
         const AggSlot& slot = st->aggs_[insn.aux];
-        const Value& v = trial < 0 ? slot.main : slot.trials[trial];
-        if (!LoadNum(&num[insn.dst], v)) st->bail_ = true;
+        num[insn.dst] = LoadNum(trial < 0 ? slot.main : slot.trials[trial]);
         break;
       }
       case Op::kReadAggStr: {
         const AggSlot& slot = st->aggs_[insn.aux];
-        const Value& v = trial < 0 ? slot.main : slot.trials[trial];
-        StrReg& d = str[insn.dst];
-        if (v.is_null()) {
-          d = StrReg{};
-        } else if (v.type() == ValueType::kString) {
-          d.s = v.str();
-          d.null = false;
-        } else {
-          d = StrReg{};
-          st->bail_ = true;
-        }
+        LoadStr(&str[insn.dst], trial < 0 ? slot.main : slot.trials[trial]);
         break;
       }
     }
   }
-  return !st->bail_;
 }
 
-bool ExprProgram::Bind(ExprProgramState* st, const Row& row,
+void ExprProgram::Bind(ExprProgramState* st, const Row& row,
                        const AggLookupResolver* resolver,
                        int num_trials) const {
-  st->bail_ = false;
+  assert(max_col_ < 0 || static_cast<size_t>(max_col_) < row.size());
   st->bound_trials_ = num_trials;
-  if (max_col_ >= 0 && static_cast<size_t>(max_col_) >= row.size()) {
-    st->bail_ = true;
-    return false;
-  }
-  return RunSegment(prologue_, st, row, resolver, num_trials, /*trial=*/-1);
+  RunSegment(prologue_, st, row, resolver, num_trials, /*trial=*/-1);
 }
 
-bool ExprProgram::EvalTrial(ExprProgramState* st, const Row& row,
+void ExprProgram::EvalTrial(ExprProgramState* st, const Row& row,
                             int trial) const {
-  if (st->bail_) return false;
   assert(trial < st->bound_trials_);
-  return RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0, trial);
+  RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0, trial);
 }
 
-bool ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
+void ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
                              int num_trials, int pred_root, int first_val_root,
                              size_t num_val_roots, double* w,
                              Value* out_vals) const {
   for (int t = 0; t < num_trials; ++t) {
     if (w[t] == 0.0) continue;
-    if (!EvalTrial(st, row, t)) return false;
+    EvalTrial(st, row, t);
     if (pred_root >= 0 && !RootTruthy(*st, static_cast<size_t>(pred_root))) {
       w[t] = 0.0;
       continue;
@@ -730,7 +590,6 @@ bool ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
           RootValue(*st, static_cast<size_t>(first_val_root) + a);
     }
   }
-  return true;
 }
 
 bool ExprProgram::RootTruthy(const ExprProgramState& st, size_t r) const {
@@ -752,43 +611,42 @@ bool ExprProgram::root_trial_invariant(size_t r) const {
 
 // ------------------------------------------------------------ introspection
 
+const char* ExprProgram::OpName(Op op) {
+  switch (op) {
+    case Op::kLoadNum:
+      return "load_num";
+    case Op::kLoadStr:
+      return "load_str";
+    case Op::kNeg:
+      return "neg";
+    case Op::kNot:
+      return "not";
+    case Op::kArith:
+      return "arith";
+    case Op::kMod:
+      return "mod";
+    case Op::kCmpNum:
+      return "cmp_num";
+    case Op::kCmpStr:
+      return "cmp_str";
+    case Op::kLogic:
+      return "logic";
+    case Op::kCallNum:
+      return "call_num";
+    case Op::kCallGeneric:
+      return "call_generic";
+    case Op::kProbeAgg:
+      return "probe_agg";
+    case Op::kReadAggNum:
+      return "read_agg_num";
+    case Op::kReadAggStr:
+      return "read_agg_str";
+  }
+  return "invalid";
+}
+
 std::string ExprProgram::ToString() const {
   std::string out;
-  auto OpName = [](Op op) -> const char* {
-    switch (op) {
-      case Op::kLoadNum:
-        return "load_num";
-      case Op::kLoadStr:
-        return "load_str";
-      case Op::kColLineage:
-        return "col_lineage";
-      case Op::kNeg:
-        return "neg";
-      case Op::kNot:
-        return "not";
-      case Op::kArith:
-        return "arith";
-      case Op::kMod:
-        return "mod";
-      case Op::kCmpNum:
-        return "cmp_num";
-      case Op::kCmpStr:
-        return "cmp_str";
-      case Op::kLogic:
-        return "logic";
-      case Op::kCallNum:
-        return "call_num";
-      case Op::kCallGeneric:
-        return "call_generic";
-      case Op::kProbeAgg:
-        return "probe_agg";
-      case Op::kReadAggNum:
-        return "read_agg_num";
-      case Op::kReadAggStr:
-        return "read_agg_str";
-    }
-    return "?";
-  };
   auto dump = [&](const char* title, const std::vector<Insn>& seg) {
     out += title;
     out += ":\n";

@@ -28,14 +28,15 @@ namespace iolap {
 //   epilogue  — executed once per trial by EvalTrial(): reads of the probed
 //               per-trial replicas and the operators downstream of them.
 //
-// Compilation is conservative: trees the compiler cannot prove it evaluates
-// bit-identically to Expr::Eval (statically mixed string/numeric operands,
-// trial-variant aggregate keys, ...) refuse to compile and Compile()
-// returns nullptr — callers keep the interpreter. Runtime
-// surprises (a statically-numeric column holding a string, a generic call
-// returning a type its static kind does not cover) set a sticky bail flag;
-// the caller re-evaluates the whole row with the interpreter, so the
-// compiled path never changes a result, only its cost.
+// An uncertain column (one with a lineage expression) compiles to its
+// lineage, in the main pass and in every trial, so a row's stored value of
+// it is never read. Compilation refuses only what the binder rejects or
+// never produces (a string/number mix in one operator, a trial-variant
+// aggregate key, a lineage cycle, a full register file); Compile() then
+// returns nullptr and names the rule. At run time the program trusts its
+// input: rows fit their schema (Catalog::RegisterTable), and a boxed call's
+// result or an aggregate replica that does not fit its static type reads as
+// NULL, exactly as in Expr::Eval.
 //
 // A program is immutable after Compile() and shared read-only across
 // threads; all mutable evaluation state lives in a per-thread
@@ -68,11 +69,6 @@ class ExprProgramState {
  public:
   ExprProgramState() = default;
 
-  /// True if the current row hit a runtime case the compiled code does not
-  /// cover; results for this row are unusable and the caller must fall back
-  /// to the interpreter. Cleared by the next Bind().
-  bool bailed() const { return bail_; }
-
  private:
   friend class ExprProgram;
 
@@ -88,7 +84,6 @@ class ExprProgramState {
   /// Scratch argument buffers for call sites.
   std::vector<NumericValue> num_args_;
   std::vector<Value> val_args_;
-  bool bail_ = false;
   int bound_trials_ = 0;
 };
 
@@ -97,13 +92,14 @@ class ExprProgram {
  public:
   /// Compiles `roots` against a shared register file (common subexpressions
   /// across roots are evaluated once). `column_lineage` mirrors
-  /// EvalContext::column_lineage: a non-null entry makes that column
-  /// trial-variant, evaluated through its (compiled) lineage in trial mode.
-  /// Returns nullptr if any root contains a construct the compiler does not
-  /// cover bit-identically — the caller keeps the interpreter.
+  /// EvalContext::column_lineage: a column with a non-null entry compiles
+  /// to its lineage. Returns nullptr if a root holds a construct the
+  /// compiler refuses (see the file comment), with the rule in `refusal`
+  /// when it is non-null.
   static std::unique_ptr<const ExprProgram> Compile(
       const std::vector<ExprPtr>& roots,
-      const std::vector<ExprPtr>* column_lineage);
+      const std::vector<ExprPtr>* column_lineage,
+      std::string* refusal = nullptr);
 
   ~ExprProgram();
 
@@ -111,27 +107,24 @@ class ExprProgram {
   void InitState(ExprProgramState* state) const;
 
   /// Runs the prologue for `row`: trial-invariant subexpressions, plus one
-  /// LookupTrials probe per AggLookup site covering trials [0, num_trials).
-  /// Returns false (and leaves the state bailed) on a runtime type the
-  /// program does not cover. `resolver` may be null only for programs with
+  /// Lookup (and, for num_trials > 0, one LookupTrials covering trials
+  /// [0, num_trials)) per AggLookup site. `row` must hold at least
+  /// max_col() + 1 columns. `resolver` may be null only for programs with
   /// no AggLookup site.
-  bool Bind(ExprProgramState* state, const Row& row,
+  void Bind(ExprProgramState* state, const Row& row,
             const AggLookupResolver* resolver, int num_trials) const;
 
   /// Runs the epilogue for one trial (trial = -1 selects the main,
   /// non-bootstrap evaluation, exactly like EvalContext::trial). Requires a
-  /// successful Bind() of the same row, with trial < its num_trials.
-  /// Returns false if the row bailed.
-  bool EvalTrial(ExprProgramState* state, const Row& row, int trial) const;
+  /// Bind() of the same row, with trial < its num_trials.
+  void EvalTrial(ExprProgramState* state, const Row& row, int trial) const;
 
   /// Batched per-trial evaluation of the engine's hot loop. For every trial
   /// t in [0, num_trials) with w[t] != 0: runs the epilogue, zeroes w[t] if
   /// root `pred_root` is not truthy (pass pred_root = -1 for no filter),
   /// otherwise stores roots [first_val_root, first_val_root + num_val_roots)
-  /// into out_vals[t * num_val_roots + a]. Returns false on bail, in which
-  /// case w/out_vals contents are unspecified and the caller must redo the
-  /// row with the interpreter.
-  bool EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
+  /// into out_vals[t * num_val_roots + a].
+  void EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
                   int pred_root, int first_val_root, size_t num_val_roots,
                   double* w, Value* out_vals) const;
 
@@ -169,7 +162,7 @@ class ExprProgram {
             agg_sites_[i].key_regs.size()};
   }
 
-  /// Highest row column any kLoad*/kColLineage touches (-1 = no loads).
+  /// Highest row column any kLoad* touches (-1 = no loads).
   int max_col() const { return max_col_; }
 
  private:
@@ -181,9 +174,8 @@ class ExprProgram {
   friend class ExprProgramTestPeer;
 
   enum class Op : uint8_t {
-    kLoadNum,     // dst.num = row[aux]; bail on string
-    kLoadStr,     // dst.str = row[aux]; bail on numeric
-    kColLineage,  // dst.num = trial < 0 ? row[aux] : num[a] (compiled lineage)
+    kLoadNum,     // dst.num = row[aux]
+    kLoadStr,     // dst.str = row[aux]
     kNeg,         // dst.num = -num[a] (runtime-typed, like UnaryExpr)
     kNot,         // dst.num = 3VL NOT num[a]
     kArith,       // dst.num = num[a] <sub> num[b]; aux = int64-output flag
@@ -192,10 +184,10 @@ class ExprProgram {
     kCmpStr,      // dst.num = str[a] <sub> str[b] as 0/1/NULL
     kLogic,       // dst.num = 3VL AND/OR of num[a], num[b]
     kCallNum,     // dst.num = numeric form of call_sites_[aux]
-    kCallGeneric, // dst = boxed form of call_sites_[aux]; bail on kind clash
+    kCallGeneric, // dst = boxed form of call_sites_[aux] (CallBoxed)
     kProbeAgg,    // gather keys, Lookup + LookupTrials into aggs_[aux]
-    kReadAggNum,  // dst.num = agg slot value for this trial; bail on string
-    kReadAggStr,  // dst.str = agg slot value for this trial; bail on numeric
+    kReadAggNum,  // dst.num = agg slot value for this trial; NULL on string
+    kReadAggStr,  // dst.str = agg slot value for this trial; NULL on number
   };
 
   struct Insn {
@@ -219,6 +211,8 @@ class ExprProgram {
     /// kCallGeneric with string static kind: index of the state-owned
     /// Value slot the dst view points into.
     uint16_t owned_slot = 0;
+    /// The call's static type: CallBoxed nulls a result that does not fit.
+    ValueType type = ValueType::kDouble;
   };
 
   struct AggSite {
@@ -234,7 +228,10 @@ class ExprProgram {
 
   ExprProgram() = default;
 
-  bool RunSegment(const std::vector<Insn>& seg, ExprProgramState* st,
+  /// The mnemonic of `op` in ToString and verifier diagnostics.
+  static const char* OpName(Op op);
+
+  void RunSegment(const std::vector<Insn>& seg, ExprProgramState* st,
                   const Row& row, const AggLookupResolver* resolver,
                   int num_trials, int trial) const;
 
@@ -251,8 +248,7 @@ class ExprProgram {
   uint16_t num_regs_ = 0;
   uint16_t str_regs_ = 0;
   uint16_t owned_slots_ = 0;
-  /// Highest row index any kLoad*/kColLineage touches; Bind fails fast on
-  /// shorter rows.
+  /// Highest row index any kLoad* touches.
   int max_col_ = -1;
   size_t max_call_args_ = 0;
 };

@@ -65,13 +65,13 @@ GroupedAggregateState::GroupCells& GroupedAggregateState::GetOrCreate(
 }
 
 GroupedAggregateState::GroupCells& GroupedAggregateState::GetOrCreate(
-    const Row& key, uint64_t hash, int batch, bool* created) {
-  auto it = groups_.find(HashedRowRef{&key, hash});
+    HashedRowRef key, int batch, bool* created) {
+  auto it = groups_.find(key);
   if (it != groups_.end()) {
     if (created != nullptr) *created = false;
     return Writable(&it->second);
   }
-  return GetOrCreate(key, batch, created);
+  return GetOrCreate(Row(key.values, key.values + key.size), batch, created);
 }
 
 const GroupedAggregateState::GroupCells* GroupedAggregateState::Find(
@@ -81,8 +81,8 @@ const GroupedAggregateState::GroupCells* GroupedAggregateState::Find(
 }
 
 const GroupedAggregateState::GroupCells* GroupedAggregateState::Find(
-    const Row& key, uint64_t hash) const {
-  auto it = groups_.find(HashedRowRef{&key, hash});
+    HashedRowRef key) const {
+  auto it = groups_.find(key);
   return it == groups_.end() ? nullptr : it->second.get();
 }
 

@@ -55,16 +55,17 @@ class GroupedAggregateState {
   /// whether the group is new.
   GroupCells& GetOrCreate(const Row& key, int batch, bool* created = nullptr);
 
-  /// Same, with a precomputed HashRow(key): probes via heterogeneous lookup
-  /// so the key is not re-hashed. Only group *creation* (the rare path)
-  /// re-hashes, because try_emplace cannot take a caller-supplied hash.
-  GroupCells& GetOrCreate(const Row& key, uint64_t hash, int batch,
+  /// Same, with a precomputed hash: probes via heterogeneous lookup so the
+  /// key is neither re-hashed nor copied. Only group *creation* (the rare
+  /// path) builds a Row and re-hashes it, because try_emplace cannot take
+  /// a caller-supplied hash.
+  GroupCells& GetOrCreate(HashedRowRef key, int batch,
                           bool* created = nullptr);
 
   const GroupCells* Find(const Row& key) const;
 
-  /// Find with a precomputed HashRow(key); never re-hashes.
-  const GroupCells* Find(const Row& key, uint64_t hash) const;
+  /// Find with a precomputed hash; never re-hashes.
+  const GroupCells* Find(HashedRowRef key) const;
 
   /// Pre-sizes the bucket array for `expected_new_groups` more groups.
   void Reserve(size_t expected_new_groups) {

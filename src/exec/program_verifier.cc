@@ -39,42 +39,6 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
     return false;
   };
 
-  auto op_name = [](Op op) -> const char* {
-    switch (op) {
-      case Op::kLoadNum:
-        return "load_num";
-      case Op::kLoadStr:
-        return "load_str";
-      case Op::kColLineage:
-        return "col_lineage";
-      case Op::kNeg:
-        return "neg";
-      case Op::kNot:
-        return "not";
-      case Op::kArith:
-        return "arith";
-      case Op::kMod:
-        return "mod";
-      case Op::kCmpNum:
-        return "cmp_num";
-      case Op::kCmpStr:
-        return "cmp_str";
-      case Op::kLogic:
-        return "logic";
-      case Op::kCallNum:
-        return "call_num";
-      case Op::kCallGeneric:
-        return "call_generic";
-      case Op::kProbeAgg:
-        return "probe_agg";
-      case Op::kReadAggNum:
-        return "read_agg_num";
-      case Op::kReadAggStr:
-        return "read_agg_str";
-    }
-    return "invalid";
-  };
-
   // Abstract state: one definition level per register / agg slot, plus the
   // exactness maxima re-derived from the instruction streams.
   std::vector<Def> num_def(p.num_regs_, Def::kUndef);
@@ -217,7 +181,7 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
                         std::to_string(static_cast<uint8_t>(insn.op)));
       }
       at = std::string(seg_name) + "[" + std::to_string(i) + "] " +
-           op_name(insn.op);
+           ExprProgram::OpName(insn.op);
       switch (insn.op) {
         case Op::kLoadNum:
           if (!use_row_col(insn.aux)) return false;
@@ -226,17 +190,6 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
         case Op::kLoadStr:
           if (!use_row_col(insn.aux)) return false;
           if (!def_str(insn.dst, level)) return false;
-          break;
-        case Op::kColLineage:
-          // Lineage columns are trial-variant by definition: hoisting one
-          // into the prologue would freeze every trial to the row value.
-          if (level != Def::kEpilogue) {
-            return fail(kTrialInvariance,
-                        at + ": col_lineage in the prologue");
-          }
-          if (!use_row_col(insn.aux)) return false;
-          if (!use_num(insn.a)) return false;
-          if (!def_num(insn.dst, level)) return false;
           break;
         case Op::kNeg:
         case Op::kNot:
@@ -306,6 +259,20 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
             return fail(kRegisterKind, at + ": static-kind discriminant " +
                                            std::to_string(insn.sub) +
                                            " is not 0/1");
+          }
+          // CallBoxed keeps a result that fits the site's static type, so
+          // that type must be the one of the register file written.
+          const bool str_type =
+              p.call_sites_[insn.aux].type == ValueType::kString;
+          if (numeric_form ? str_type : (insn.sub != 0) != str_type) {
+            return fail(kRegisterKind,
+                        at + ": call site " + std::to_string(insn.aux) +
+                            " has static type " +
+                            ValueTypeToString(p.call_sites_[insn.aux].type) +
+                            " but writes the " +
+                            (numeric_form || insn.sub == 0 ? "numeric"
+                                                           : "string") +
+                            " file");
           }
           // The function's signature decides what the call may pass: an
           // arity it admits, and no string register into the numeric form
@@ -510,10 +477,14 @@ VerifyResult ProgramVerifier::Verify(const ExprProgram& p) {
 std::unique_ptr<const ExprProgram> CompileVerified(
     const std::vector<ExprPtr>& roots,
     const std::vector<ExprPtr>* column_lineage, ProgramVerifierStats* stats) {
-  auto program = ExprProgram::Compile(roots, column_lineage);
+  std::string refusal;
+  auto program = ExprProgram::Compile(roots, column_lineage, &refusal);
   if (program == nullptr) {
-    // The compiler kept the interpreter on its own — not a verifier event.
-    if (stats != nullptr) ++stats->refused;
+    // The compiler refused on its own: not a verifier event.
+    if (stats != nullptr) {
+      ++stats->refused;
+      stats->last_refusal = refusal;
+    }
     return nullptr;
   }
   if (stats != nullptr) ++stats->compiled;

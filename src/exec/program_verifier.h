@@ -13,22 +13,22 @@ namespace iolap {
 
 // Static bytecode verifier for compiled expression programs.
 //
-// ExprProgram (exec/expr_program.h) is the per-trial hot path of every
-// delta update: its interpreter loop indexes register files, call sites and
-// aggregate slots without bounds checks, on the strength of invariants the
-// compiler is supposed to establish. A miscompiled program that does not
-// happen to bail silently corrupts every downstream confidence interval —
-// the bit-identity oracle behind Theorem 1's exactness guarantee (PAPER.md
-// / DESIGN.md) has no runtime net on the compiled path.
+// ExprProgram (exec/expr_program.h) is the engine's only row evaluator: its
+// dispatch loop indexes register files, call sites and aggregate slots
+// without bounds checks, on the strength of invariants the compiler is
+// supposed to establish. A miscompiled program silently corrupts every
+// downstream value and confidence interval, and the reference checks of
+// Theorem 1 (PAPER.md / DESIGN.md) would see it only on the queries they
+// run.
 //
 // ProgramVerifier makes those invariants *proven* instead of assumed: an
 // abstract-interpretation pass over the prologue and epilogue segments that
 // accepts a program only if every execution — any row, any trial count —
 // is memory-safe and trial-sound. The engine runs it as an always-on
-// post-compile assertion (see CompileVerified below): a rejected program is
-// dropped and the block keeps the interpreter, exactly like a compile
-// refusal ("refuse-to-interpreter"), so verification can only cost speed,
-// never correctness. docs/INTERNALS.md §10 describes the lattice.
+// post-compile assertion (see CompileVerified below): a rejected program
+// fails QueryController::Init with the rule's name, so a compiler bug stops
+// the query instead of running it. docs/INTERNALS.md §10 describes the
+// lattice.
 //
 // Soundness rules (rule ids match the diagnostics and INTERNALS.md §10):
 //
@@ -47,7 +47,8 @@ namespace iolap {
 //                    numeric form and takes numeric registers only;
 //                    kCallGeneric never passes a string register to a
 //                    numeric parameter and writes the file its static-kind
-//                    discriminant claims.
+//                    discriminant claims; either form writes the file of
+//                    the site's static type.
 //   null-tag         the 3VL lattice is respected: kLogic's sub is AND/OR,
 //                    kCmpNum/kCmpStr's sub is one of the six comparisons,
 //                    kArith's sub is +,-,*,/ and its int-output flag is
@@ -65,8 +66,7 @@ namespace iolap {
 //                    runs without a resolver) with its key registers
 //                    defined; kReadAggNum/kReadAggStr appear only in the
 //                    epilogue and only for sites the prologue probes;
-//                    kColLineage (trial-variant by construction) never
-//                    appears in the prologue; a root marked `invariant`
+//                    a root marked `invariant`
 //                    reads a prologue-defined register, which — together
 //                    with def-before-use — proves it transitively depends
 //                    on prologue computation only.
@@ -99,15 +99,16 @@ struct ProgramVerifierStats {
   /// Successful ExprProgram::Compile calls (programs that then faced the
   /// verifier).
   int compiled = 0;
-  /// Compile() refusals (nullptr): the compiler itself kept the
-  /// interpreter; the verifier never saw a program.
+  /// Compile() refusals (nullptr); the verifier never saw a program.
   int refused = 0;
   /// Programs the verifier (and, for engine blocks, the plan invariant
   /// prover) accepted.
   int verified = 0;
   /// Programs rejected after a successful compile — each one is a compiler
-  /// bug; the block falls back to the interpreter.
+  /// bug.
   int rejected = 0;
+  /// The rule of the last refusal and of the last rejection ("" if none).
+  std::string last_refusal;
   std::string last_rejection;
 
   void RecordRejection(const std::string& rule, const std::string& message) {
@@ -118,10 +119,10 @@ struct ProgramVerifierStats {
 
 /// The sanctioned way for engine code to obtain a compiled program: compile
 /// `roots`, run the verifier, and return the program only if it is proven
-/// sound. Returns nullptr on compile refusal *and* on verifier rejection —
-/// the caller keeps the interpreter either way — recording both in `stats`
-/// (may be null). The verifier-bypass lint rule flags direct
-/// ExprProgram::Compile calls outside this seam.
+/// sound. Returns nullptr on compile refusal *and* on verifier rejection,
+/// recording either in `stats` (may be null) with its rule. The
+/// verifier-bypass lint rule flags direct ExprProgram::Compile calls
+/// outside this seam.
 std::unique_ptr<const ExprProgram> CompileVerified(
     const std::vector<ExprPtr>& roots,
     const std::vector<ExprPtr>* column_lineage, ProgramVerifierStats* stats);

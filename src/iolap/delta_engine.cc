@@ -56,6 +56,9 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   for (bool uncertain : ann_->agg_arg_uncertain) {
     any_agg_arg_uncertain_ = any_agg_arg_uncertain_ || uncertain;
   }
+  if (block_->has_aggregate()) {
+    eval_width_ = block_->group_by.size() + block_->aggs.size();
+  }
   stateless_ = block_->inputs.size() == 1 &&
                block_->inputs[0].kind == BlockInput::Kind::kBlockOutput;
   for (size_t k = 1; k < block_->inputs.size(); ++k) {
@@ -69,42 +72,50 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
                              prefix_grows);
   }
 
-  // Lower this block's hot expressions into compiled register programs
-  // (exec/expr_program) through the verifier seam: CompileVerified refuses
-  // both what the compiler cannot prove bit-identical and what the static
-  // bytecode verifier rejects; the plan invariant prover then checks the
-  // accepted program against this block's fragment. Any refusal keeps the
-  // interpreter for the block.
-  if (options->compile_expressions) {
-    auto drop_if_plan_mismatch = [this](
-                                     std::unique_ptr<const ExprProgram>* prog,
-                                     ProgramRole role) {
-      if (*prog == nullptr) return;
+  // Lower this block's expressions into compiled register programs
+  // (exec/expr_program) through the verifier seam: CompileVerified returns
+  // a program only when the compiler accepts the roots and the static
+  // bytecode verifier proves it sound; the plan invariant prover then checks
+  // it against this block's fragment. The programs are the block's only row
+  // evaluators, so a refusal or rejection leaves the block unrunnable and
+  // compile_status() names the rule.
+  auto compile = [this](const std::vector<ExprPtr>& roots, ProgramRole role,
+                        const char* what) {
+    auto prog = CompileVerified(roots, &ann_->spj_lineage, &verifier_stats_);
+    if (prog != nullptr) {
       const PlanVerifyResult pv =
-          VerifyBlockProgram(*plan_, *block_, **prog, role);
+          VerifyBlockProgram(*plan_, *block_, *prog, role);
       if (!pv.ok) {
         --verifier_stats_.verified;
         verifier_stats_.RecordRejection("plan-invariant", pv.message);
-        prog->reset();
+        prog.reset();
       }
-    };
-    std::vector<ExprPtr> roots;
-    if (block_->filter != nullptr) {
-      filter_root_ = 0;
-      roots.push_back(block_->filter);
     }
-    arg_root_base_ = static_cast<int>(roots.size());
-    for (const AggSpec& agg : block_->aggs) roots.push_back(agg.arg);
-    if (!roots.empty()) {
-      row_program_ =
-          CompileVerified(roots, &ann_->spj_lineage, &verifier_stats_);
-      drop_if_plan_mismatch(&row_program_, ProgramRole::kRowProgram);
+    if (prog == nullptr && compile_status_.ok()) {
+      const ProgramVerifierStats& st = verifier_stats_;
+      compile_status_ = Status::Internal(
+          "block '" + block_->debug_name + "': the " + what + " program " +
+          (st.last_rejection.empty()
+               ? "was refused by the compiler: " + st.last_refusal
+               : "was rejected by a verifier: " + st.last_rejection));
     }
-    if (!block_->has_aggregate() && !block_->projections.empty()) {
-      proj_program_ = CompileVerified(block_->projections,
-                                      &ann_->spj_lineage, &verifier_stats_);
-      drop_if_plan_mismatch(&proj_program_, ProgramRole::kProjection);
-    }
+    return prog;
+  };
+  std::vector<ExprPtr> roots;
+  if (block_->filter != nullptr) {
+    filter_root_ = 0;
+    roots.push_back(block_->filter);
+  }
+  key_root_base_ = static_cast<int>(roots.size());
+  roots.insert(roots.end(), block_->group_by.begin(), block_->group_by.end());
+  arg_root_base_ = static_cast<int>(roots.size());
+  for (const AggSpec& agg : block_->aggs) roots.push_back(agg.arg);
+  if (!roots.empty()) {
+    row_program_ = compile(roots, ProgramRole::kRowProgram, "row");
+  }
+  if (!block_->has_aggregate() && !block_->projections.empty()) {
+    proj_program_ =
+        compile(block_->projections, ProgramRole::kProjection, "projection");
   }
   if (row_program_ != nullptr) {
     prog_states_.resize(pool_ != nullptr ? pool_->num_lanes() : 1);
@@ -136,14 +147,6 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   }
 }
 
-EvalContext BlockExecutor::MainContext() const {
-  EvalContext ctx;
-  ctx.resolver = registry_;
-  ctx.column_lineage = &ann_->spj_lineage;
-  ctx.trial = -1;
-  return ctx;
-}
-
 RowBatch BlockExecutor::JoinDeltas(std::vector<RowBatch> input_deltas) {
   assert(input_deltas.size() == block_->inputs.size());
   RowBatch current = std::move(input_deltas[0]);
@@ -155,76 +158,51 @@ RowBatch BlockExecutor::JoinDeltas(std::vector<RowBatch> input_deltas) {
   return current;
 }
 
-void BlockExecutor::RefreshRow(ExecRow* row, bool charge_regeneration) const {
-  if (charge_regeneration && !lazy_enabled()) {
-    // Without lineage-based lazy evaluation, bringing a saved tuple up to
-    // date means re-deriving it from its sources: re-probing every join it
-    // passed through and rebuilding the tuple (§4.3 "generating a new tuple
-    // requires going through the entire plan").
-    for (const JoinStep& step : join_steps_) {
-      Row key;
-      key.reserve(step.prefix_key_cols().size());
-      for (int c : step.prefix_key_cols()) key.push_back(row->values[c]);
-      volatile size_t probed = step.ProbeCount(key);
-      (void)probed;
-    }
-    ExecRow rebuilt = *row;  // rematerialization
-    *row = std::move(rebuilt);
+void BlockExecutor::RegenerateRow(ExecRow* row) const {
+  // Without lineage-based lazy evaluation, bringing a saved tuple up to
+  // date means re-deriving it from its sources: re-probing every join it
+  // passed through and rebuilding the tuple (§4.3 "generating a new tuple
+  // requires going through the entire plan").
+  for (const JoinStep& step : join_steps_) {
+    Row key;
+    key.reserve(step.prefix_key_cols().size());
+    for (int c : step.prefix_key_cols()) key.push_back(row->values[c]);
+    volatile size_t probed = step.ProbeCount(key);
+    (void)probed;
   }
-  if (!ann_->spj_attr_uncertain.empty()) {
-    const EvalContext ctx = MainContext();
-    for (size_t c = 0; c < ann_->spj_lineage.size(); ++c) {
-      const ExprPtr& lineage = ann_->spj_lineage[c];
-      if (lineage != nullptr) {
-        row->values[c] = lineage->Eval(row->values, ctx);
-      }
-    }
-  }
+  ExecRow rebuilt = *row;  // rematerialization
+  *row = std::move(rebuilt);
 }
 
-IntervalTruth BlockExecutor::Classify(const ExecRow& row,
-                                      RangeConstraintSink* sink) const {
-  if (block_->filter == nullptr) return IntervalTruth::kAlwaysTrue;
-  EvalContext ctx = MainContext();
-  // With pruning disabled (recovery-storm staircase level 2) fall through
-  // to conservative tagging: nothing is decided, so no new obligations are
-  // registered — but range maintenance stays on and existing obligations
-  // are still verified (unlike DisableClassification).
-  if (classification_enabled() && !pruning_disabled_) {
-    // Persistent (non-stateless) blocks act on decided outcomes across
-    // batches, so every decided comparison must register the bounds that
-    // keep it valid (the constraints the §5.1 integrity check enforces).
-    // Stateless consumers re-decide everything next batch and impose no
-    // obligations.
-    if (!stateless_) ctx.constraint_sink = sink;
-    return ClassifyPredicate(*block_->filter, row.values, ctx);
+IntervalTruth BlockExecutor::ClassifyUncertainFilter(
+    const ExecRow& row, RangeConstraintSink* sink) const {
+  // With pruning disabled (recovery-storm staircase level 2), and under
+  // conservative §4.1 tagging (also the HDA behaviour), a tuple whose
+  // filter reads uncertain values is non-deterministic: nothing is decided,
+  // so no new obligations are registered — but range maintenance stays on
+  // and existing obligations are still verified (unlike
+  // DisableClassification).
+  if (!classification_enabled() || pruning_disabled_) {
+    return IntervalTruth::kUndecided;
   }
-  // Conservative §4.1 tagging (also the HDA behaviour): any tuple whose
-  // filter reads uncertain values is non-deterministic; purely
-  // deterministic filters evaluate normally.
-  if (!ann_->filter_uncertain) {
-    return block_->filter->Eval(row.values, ctx).IsTruthy()
-               ? IntervalTruth::kAlwaysTrue
-               : IntervalTruth::kAlwaysFalse;
-  }
-  return IntervalTruth::kUndecided;
+  EvalContext ctx;
+  ctx.resolver = registry_;
+  ctx.column_lineage = &ann_->spj_lineage;
+  // Persistent (non-stateless) blocks act on decided outcomes across
+  // batches, so every decided comparison must register the bounds that
+  // keep it valid (the constraints the §5.1 integrity check enforces).
+  // Stateless consumers re-decide everything next batch and impose no
+  // obligations.
+  if (!stateless_) ctx.constraint_sink = sink;
+  return ClassifyPredicate(*block_->filter, row.values, ctx);
 }
 
-Row BlockExecutor::GroupKeyOf(const ExecRow& row) const {
-  const EvalContext ctx = MainContext();
-  Row key;
-  key.reserve(block_->group_by.size());
-  for (const ExprPtr& g : block_->group_by) {
-    key.push_back(g->Eval(row.values, ctx));
-  }
-  return key;
-}
-
-void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
+void BlockExecutor::AccumulateCertain(const ExecRow& row, size_t eval_idx,
+                                      int batch,
                                       GroupedAggregateState* target) {
-  const EvalContext ctx = MainContext();
   GroupedAggregateState::GroupCells& cells =
-      target->GetOrCreate(GroupKeyOf(row), batch);
+      target->GetOrCreate(KeyOf(eval_idx), batch);
+  const Value* main_vals = MainValsOf(eval_idx);
   cells.last_touched = batch;
   const bool defer = bootstrap_.num_trials() > 0;
   if (defer) {
@@ -232,59 +210,15 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row, int batch,
                              row.FromStream());
   }
   for (size_t a = 0; a < block_->aggs.size(); ++a) {
-    const Value v = block_->aggs[a].arg->Eval(row.values, ctx);
-    cells.aggs[a].AddMainOnly(v, row.weight);
-    if (defer) deferred_certain_.AddArg(static_cast<uint32_t>(a), v);
+    cells.aggs[a].AddMainOnly(main_vals[a], row.weight);
+    if (defer) deferred_certain_.AddArg(static_cast<uint32_t>(a), main_vals[a]);
   }
-}
-
-bool BlockExecutor::EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
-                                        ExprProgramState* ps) const {
-  const int trials = bootstrap_.num_trials();
-  // Prologue: trial-invariant subexpressions plus one batched resolver
-  // probe per aggregate-lookup site, then the main (trial = -1) pass. A
-  // non-aggregate block reads only the main pass, so it binds no replicas.
-  if (!row_program_->Bind(ps, row.values, registry_,
-                          block_->has_aggregate() ? trials : 0)) {
-    return false;
-  }
-  if (!row_program_->EvalTrial(ps, row.values, -1)) return false;
-  ev->main_pass =
-      filter_root_ < 0 || row_program_->RootTruthy(*ps, filter_root_);
-  if (!block_->has_aggregate()) return true;
-  const size_t num_aggs = block_->aggs.size();
-  ev->key = GroupKeyOf(row);
-  ev->key_hash = HashRow(ev->key);
-  if (ev->main_pass) {
-    ev->main_vals.clear();
-    ev->main_vals.reserve(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      ev->main_vals.push_back(row_program_->RootValue(
-          *ps, static_cast<size_t>(arg_root_base_) + a));
-    }
-  }
-  // Candidate weights up front; EvalTrials zeroes the trials whose filter
-  // decision fails under that resample and fills the argument values of the
-  // surviving ones — the same end state the interpreted loop produces.
-  ev->trial_w.assign(trials, 0.0);
-  ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
-  for (int t = 0; t < trials; ++t) {
-    ev->trial_w[t] =
-        row.weight *
-        (row.FromStream() ? bootstrap_.WeightAt(row.stream_uid, t) : 1);
-  }
-  return row_program_->EvalTrials(ps, row.values, trials, filter_root_,
-                                  arg_root_base_, num_aggs, ev->trial_w.data(),
-                                  ev->trial_vals.data());
 }
 
 void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
-                                RowEval* ev, ExprProgramState* prog_state) const {
-  // A snapshot consumer's rows were built this batch by
-  // AggregateRegistry::OutputRow: the key and a Lookup of each aggregate
-  // column, which is exactly their lineage. A refresh would rewrite them
-  // with the same values.
-  if (!stateless_) RefreshRow(row, charge_regeneration);
+                                RowEval* ev, Value* vals,
+                                ExprProgramState* ps) const {
+  if (charge_regeneration && !lazy_enabled()) RegenerateRow(row);
 
   // Classification with a buffered constraint sink: registrations are
   // replayed by the serial apply phase (see ConstraintOp). This is the same
@@ -310,70 +244,92 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   // one holds the doomed attempt's registrations.
   ev->constraints.clear();
   sink.ops = &ev->constraints;
-  ev->truth = Classify(*row, &sink);
+  // An uncertain filter is classified against variation ranges; a
+  // deterministic one is decided by the program's main pass below.
+  const bool program_decides =
+      block_->filter != nullptr && !ann_->filter_uncertain;
+  ev->truth = block_->filter != nullptr && ann_->filter_uncertain
+                  ? ClassifyUncertainFilter(*row, &sink)
+                  : IntervalTruth::kAlwaysTrue;
+  if (ev->truth == IntervalTruth::kAlwaysFalse) return;
 
-  ev->pending_route =
-      ev->truth != IntervalTruth::kAlwaysFalse &&
-      !(ev->truth == IntervalTruth::kAlwaysTrue &&
-        !(block_->has_aggregate() && any_agg_arg_uncertain_));
-  if (!ev->pending_route) return;
-
-  // Non-deterministic path: precompute the main filter decision and the
-  // per-trial membership/argument evaluations. These read only the row and
-  // the registry (frozen during a batch), never the sketch, so they run
-  // concurrently per row; the contributions are applied serially later.
-  if (prog_state != nullptr && EvaluateRowCompiled(*row, ev, prog_state)) {
+  // Non-deterministic path: undecided rows, and an aggregate block's rows
+  // whose arguments read uncertain values (permanently unsketchable). A
+  // program-decided row takes this route only if its filter passes.
+  const bool agg = block_->has_aggregate();
+  ev->pending_route = ev->truth == IntervalTruth::kUndecided ||
+                      (agg && any_agg_arg_uncertain_);
+  ev->main_pass = true;
+  // A non-aggregate block reads only a filter's main pass, and only when
+  // classification did not decide it.
+  if (row_program_ == nullptr ||
+      (!agg && !program_decides && !ev->pending_route)) {
     return;
   }
-  // Interpreter path: no compiled program, or the row bailed mid-way (the
-  // re-assignments below overwrite anything the compiled attempt wrote).
-  EvalContext ctx = MainContext();
-  ev->main_pass = block_->filter == nullptr ||
-                  block_->filter->Eval(row->values, ctx).IsTruthy();
-  if (!block_->has_aggregate()) return;
-  const size_t num_aggs = block_->aggs.size();
-  ev->key = GroupKeyOf(*row);
-  ev->key_hash = HashRow(ev->key);
-  ev->main_vals.clear();
-  if (ev->main_pass) {
-    ev->main_vals.reserve(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      ev->main_vals.push_back(block_->aggs[a].arg->Eval(row->values, ctx));
+
+  // Prologue: trial-invariant subexpressions plus one resolver probe per
+  // aggregate-lookup site, which fetches the trial replicas only for an
+  // aggregate block's pending row; then the main (trial = -1) pass. These
+  // read only the row and the registry (frozen during a batch), never the
+  // sketch, so they run concurrently per row; the contributions are applied
+  // serially later.
+  const int trials = bootstrap_.num_trials();
+  row_program_->Bind(ps, row->values, registry_,
+                     agg && ev->pending_route ? trials : 0);
+  row_program_->EvalTrial(ps, row->values, -1);
+  ev->main_pass =
+      filter_root_ < 0 || row_program_->RootTruthy(*ps, filter_root_);
+  if (program_decides) {
+    ev->truth = ev->main_pass ? IntervalTruth::kAlwaysTrue
+                              : IntervalTruth::kAlwaysFalse;
+    if (!ev->main_pass) {
+      ev->pending_route = false;
+      return;
     }
   }
+  if (!agg) return;
+  const size_t num_keys = block_->group_by.size();
+  for (size_t k = 0; k < num_keys; ++k) {
+    vals[k] = row_program_->RootValue(
+        *ps, static_cast<size_t>(key_root_base_) + k);
+  }
+  ev->key_hash = HashValues(vals, num_keys);
+  const size_t num_aggs = block_->aggs.size();
+  if (ev->main_pass || !ev->pending_route) {
+    for (size_t a = 0; a < num_aggs; ++a) {
+      vals[num_keys + a] = row_program_->RootValue(
+          *ps, static_cast<size_t>(arg_root_base_) + a);
+    }
+  }
+  if (!ev->pending_route) return;
   // Per-trial membership: the decision the filter takes under each
   // bootstrap resample, using the trial replicas of the aggregates it
   // reads. This is what makes the error estimate honest for tuples whose
-  // membership is itself uncertain.
-  const int trials = bootstrap_.num_trials();
+  // membership is itself uncertain. Candidate weights go in up front;
+  // EvalTrials zeroes the trials whose filter decision fails under that
+  // resample and fills the argument values of the surviving ones.
   ev->trial_w.assign(trials, 0.0);
   ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
   for (int t = 0; t < trials; ++t) {
-    const double w =
+    ev->trial_w[t] =
         row->weight *
         (row->FromStream() ? bootstrap_.WeightAt(row->stream_uid, t) : 1);
-    if (w == 0.0) continue;
-    ctx.trial = t;
-    if (block_->filter != nullptr &&
-        !block_->filter->Eval(row->values, ctx).IsTruthy()) {
-      continue;
-    }
-    ev->trial_w[t] = w;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      ev->trial_vals[static_cast<size_t>(t) * num_aggs + a] =
-          block_->aggs[a].arg->Eval(row->values, ctx);
-    }
   }
+  row_program_->EvalTrials(ps, row->values, trials, filter_root_,
+                           arg_root_base_, num_aggs, ev->trial_w.data(),
+                           ev->trial_vals.data());
 }
 
 void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
                                  int batch, GroupedAggregateState* temp) {
   const RowEval& ev = row_scratch_[eval_idx];
+  const HashedRowRef key = KeyOf(eval_idx);
   GroupedAggregateState::GroupCells* cells = nullptr;
   if (ev.main_pass) {
-    cells = &temp->GetOrCreate(ev.key, ev.key_hash, batch);
+    cells = &temp->GetOrCreate(key, batch);
+    const Value* main_vals = MainValsOf(eval_idx);
     for (size_t a = 0; a < block_->aggs.size(); ++a) {
-      cells->aggs[a].AddMainOnly(ev.main_vals[a], row.weight);
+      cells->aggs[a].AddMainOnly(main_vals[a], row.weight);
     }
   }
   bool any_trial = false;
@@ -388,11 +344,8 @@ void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
     // replicas are folded only where the group exists. The check is
     // loop-invariant across this row's trials (nothing mutates the maps
     // between them), so one check covers all surviving trials.
-    if (sketch_.Find(ev.key, ev.key_hash) == nullptr &&
-        temp->Find(ev.key, ev.key_hash) == nullptr) {
-      return;
-    }
-    cells = &temp->GetOrCreate(ev.key, ev.key_hash, batch);
+    if (sketch_.Find(key) == nullptr && temp->Find(key) == nullptr) return;
+    cells = &temp->GetOrCreate(key, batch);
   }
   deferred_pending_.push_back(
       {cells->aggs.data(), static_cast<uint32_t>(eval_idx)});
@@ -440,7 +393,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
   if (ev.truth == IntervalTruth::kAlwaysFalse) return;
   if (!ev.pending_route) {
     if (block_->has_aggregate()) {
-      AccumulateCertain(row, batch, &sketch_);
+      AccumulateCertain(row, eval_idx, batch, &sketch_);
     } else {
       sink_bytes_ += row.ByteSize();
       sink_rows_.push_back(std::move(row));
@@ -498,26 +451,29 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     stats->shipped_bytes += BatchByteSize(pending_);
   }
 
-  // Evaluation phase over fresh ∪ pending rows: refresh, classify (with
-  // buffered constraints), and the per-trial re-evaluations of rows bound
-  // for the non-deterministic path. Evaluations read only the row and the
-  // registry — which is frozen until the apply phase replays constraints
-  // and PublishOutput republishes — so rows are independent and the pass
-  // parallelizes without changing any outcome.
+  // Evaluation phase over fresh ∪ pending rows: classify (with buffered
+  // constraints), every routed row's key and arguments, and the per-trial
+  // re-evaluations of rows bound for the non-deterministic path.
+  // Evaluations read only the row and the registry — which is frozen until
+  // the apply phase replays constraints and PublishOutput republishes — so
+  // rows are independent and the pass parallelizes without changing any
+  // outcome.
   const size_t num_fresh = fresh.size();
   const size_t total_rows = num_fresh + pending_.size();
   row_scratch_.clear();
   row_scratch_.resize(total_rows);
+  row_vals_.assign(total_rows * eval_width_, Value());
 
   const auto evaluate = [&](size_t begin, size_t end, size_t lane) {
-    // Each ParallelRanges lane owns one compiled-program scratch state;
-    // inline execution is lane 0.
+    // Each ParallelRanges lane owns one program scratch state; inline
+    // execution is lane 0.
     ExprProgramState* prog_state =
         row_program_ != nullptr ? &prog_states_[lane] : nullptr;
     for (size_t i = begin; i < end; ++i) {
       ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
       EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                  &row_scratch_[i], prog_state);
+                  &row_scratch_[i], row_vals_.data() + i * eval_width_,
+                  prog_state);
     }
   };
   if (pool_ != nullptr) {
@@ -577,6 +533,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
 
   const int rollback = PublishOutput(batch, scale, temp, stats);
   row_scratch_.clear();
+  row_vals_.clear();
   return rollback;
 }
 
@@ -722,70 +679,40 @@ int BlockExecutor::PublishOutput(int batch, double scale,
 Table BlockExecutor::CurrentSpjOutput(
     std::vector<std::vector<ErrorEstimate>>* estimates) const {
   Table out(block_->output_schema);
-  const EvalContext main_ctx = MainContext();
-  EvalContext ctx = main_ctx;
   const size_t num_proj = block_->projections.size();
   // Trials run only for uncertain projections that compute a value; a
   // pass-through column's estimate is its registry cell's. In analytic mode
   // there are no trials, so a computed column reports a zero-width band.
   const int trials = per_trial_projections_ ? bootstrap_.num_trials() : 0;
-  auto per_trial = [&](size_t p) {
-    return ann_->output_attr_uncertain[p] && pass_through_[p] == nullptr;
-  };
-  // The current row's projections and per-projection replicas, reused
-  // across rows.
-  Row projected;
+  EvalContext key_ctx;
+  key_ctx.resolver = registry_;
+  // The current row's per-projection replicas, reused across rows.
   std::vector<std::vector<double>> replicas(num_proj);
-  auto clear_row = [&] {
-    projected.clear();
+  // One Bind (with its batched aggregate probes) covers the main pass and
+  // every per-trial re-evaluation of the row. The program reads every
+  // uncertain column through its lineage, so a row kept since an earlier
+  // batch needs no refresh.
+  auto emit = [&](const ExecRow& row) {
+    Row projected;
     projected.reserve(num_proj);
-    for (std::vector<double>& r : replicas) r.clear();
-  };
-  // Compiled projection path: one Bind (with its batched aggregate probes)
-  // covers the main pass and every per-trial re-evaluation of the row.
-  // Returns false on a runtime bail; the caller redoes the row interpreted.
-  auto project_compiled = [&](const ExecRow& row) -> bool {
-    if (proj_program_ == nullptr ||
-        !proj_program_->Bind(&proj_state_, row.values, registry_, trials) ||
-        !proj_program_->EvalTrial(&proj_state_, row.values, -1)) {
-      return false;
-    }
-    for (size_t p = 0; p < num_proj; ++p) {
-      projected.push_back(proj_program_->RootValue(proj_state_, p));
-    }
-    for (int t = 0; t < trials; ++t) {
-      if (!proj_program_->EvalTrial(&proj_state_, row.values, t)) {
-        return false;
-      }
+    if (proj_program_ != nullptr) {
+      proj_program_->Bind(&proj_state_, row.values, registry_, trials);
+      proj_program_->EvalTrial(&proj_state_, row.values, -1);
       for (size_t p = 0; p < num_proj; ++p) {
-        if (!per_trial(p)) continue;
+        projected.push_back(proj_program_->RootValue(proj_state_, p));
+      }
+    }
+    for (std::vector<double>& r : replicas) r.clear();
+    for (int t = 0; t < trials; ++t) {
+      proj_program_->EvalTrial(&proj_state_, row.values, t);
+      for (size_t p = 0; p < num_proj; ++p) {
+        if (!ann_->output_attr_uncertain[p] || pass_through_[p] != nullptr) {
+          continue;
+        }
         const Value v = proj_program_->RootValue(proj_state_, p);
         replicas[p].push_back(v.is_null() ? projected[p].AsDouble()
                                           : v.AsDouble());
       }
-    }
-    return true;
-  };
-  auto project_interpreted = [&](const ExecRow& row) {
-    ctx.trial = -1;
-    for (const ExprPtr& p : block_->projections) {
-      projected.push_back(p->Eval(row.values, ctx));
-    }
-    for (size_t p = 0; p < num_proj; ++p) {
-      if (!per_trial(p)) continue;
-      for (int t = 0; t < trials; ++t) {
-        ctx.trial = t;
-        const Value v = block_->projections[p]->Eval(row.values, ctx);
-        replicas[p].push_back(v.is_null() ? projected[p].AsDouble()
-                                          : v.AsDouble());
-      }
-    }
-  };
-  auto emit = [&](const ExecRow& row) {
-    clear_row();
-    if (!project_compiled(row)) {
-      clear_row();
-      project_interpreted(row);
     }
     std::vector<ErrorEstimate> row_estimates;
     for (size_t p = 0; p < num_proj; ++p) {
@@ -793,7 +720,7 @@ Table BlockExecutor::CurrentSpjOutput(
       if (const AggLookupExpr* cell = pass_through_[p]) {
         row_estimates.push_back(
             registry_->Estimate(cell->block_id(), cell->agg_col(),
-                                cell->EvalKey(row.values, main_ctx)));
+                                cell->EvalKey(row.values, key_ctx)));
       } else {
         const Value& v = projected[p];
         row_estimates.push_back(
@@ -803,18 +730,7 @@ Table BlockExecutor::CurrentSpjOutput(
     estimates->push_back(std::move(row_estimates));
     out.AddRow(std::move(projected));
   };
-  // Rows a block keeps across batches carry the values of the batch that
-  // routed them: refresh a copy. A snapshot consumer's rows, and every
-  // passing pending row, were refreshed this batch.
-  for (const ExecRow& row : sink_rows_) {
-    if (stateless_) {
-      emit(row);
-    } else {
-      ExecRow refreshed = row;
-      RefreshRow(&refreshed, /*charge_regeneration=*/false);
-      emit(refreshed);
-    }
-  }
+  for (const ExecRow& row : sink_rows_) emit(row);
   for (size_t i : pending_passing_) emit(pending_[i]);
   return out;
 }

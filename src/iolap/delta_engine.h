@@ -80,16 +80,6 @@ struct EngineOptions {
   /// decomposition) at compile time. Off by default; see
   /// plan/rewrite_rules.h and bench_ablation_rewrite.
   bool apply_rewrite_rules = false;
-  /// Lower filters, aggregate arguments and projections into compiled
-  /// register programs (exec/expr_program) with trial-invariant hoisting,
-  /// replacing the interpreted per-trial hot loop. Results are bit-identical
-  /// to the interpreter (expressions the compiler cannot prove identical
-  /// keep the interpreter per block or per row); off = always interpret.
-  /// Every compiled program is statically verified (exec/program_verifier.h
-  /// + plan/plan_verifier.h) before the engine accepts it; a rejected one is
-  /// dropped, the block keeps the interpreter, and QueryMetrics counts the
-  /// rejection.
-  bool compile_expressions = true;
   /// Worker threads for intra-batch parallelism (classification and
   /// per-trial re-evaluation of the non-deterministic set, bootstrap trial
   /// accumulation). 0 = inline execution, no pool.
@@ -154,9 +144,14 @@ class BlockExecutor {
     return verifier_stats_;
   }
 
+  /// Not OK when a program of the block was refused by the compiler or
+  /// rejected by a verifier: the block has no evaluator, and the controller
+  /// fails Init with this Status, which names the rule.
+  const Status& compile_status() const { return compile_status_; }
+
   /// Current full output of a non-aggregate (top SPJ) block: permanently
-  /// selected rows plus currently-passing non-deterministic rows, with
-  /// uncertain attributes refreshed and projections applied. `estimates`
+  /// selected rows plus currently-passing non-deterministic rows, projected
+  /// with every uncertain attribute read through its lineage. `estimates`
   /// receives, per emitted row, the estimate of each uncertain projection in
   /// column order: a pass-through column's registry Estimate, or
   /// EstimateError over a computed column's per-trial re-projections.
@@ -263,7 +258,9 @@ class BlockExecutor {
     double bound = 0.0;
   };
 
-  /// Per-row output of the parallel evaluation phase.
+  /// Per-row output of the parallel evaluation phase: with the row's slice
+  /// of row_vals_, everything the serial apply phase folds, so it evaluates
+  /// nothing itself.
   struct RowEval {
     IntervalTruth truth = IntervalTruth::kUndecided;
     /// Row routes to the non-deterministic path (undecided, or decided
@@ -271,11 +268,10 @@ class BlockExecutor {
     bool pending_route = false;
     /// Main (trial = -1) filter decision of a pending-routed row.
     bool main_pass = false;
-    Row key;                       // group key (aggregate blocks only)
-    /// HashRow(key), computed during the parallel evaluation phase so the
-    /// serial apply phase probes the group maps without re-hashing.
+    /// HashValues of the row's group key (aggregate blocks only), computed
+    /// during the parallel evaluation phase so the serial apply phase
+    /// probes the group maps without re-hashing.
     uint64_t key_hash = 0;
-    std::vector<Value> main_vals;  // agg args at trial -1 (main_pass only)
     /// Per-trial surviving weight; 0 = multiplicity zero or filter failed
     /// under that resample.
     std::vector<double> trial_w;
@@ -292,37 +288,30 @@ class BlockExecutor {
     uint32_t eval_idx;
   };
 
-  EvalContext MainContext() const;
-
   /// Incremental multi-way join of this batch's input deltas.
   RowBatch JoinDeltas(std::vector<RowBatch> input_deltas);
 
-  /// Refreshes the row's uncertain attributes in place by re-evaluating
-  /// their lineage (§6.2). With `charge_regeneration` (OPT2 off, for saved
-  /// state rows), additionally performs the work of re-deriving the tuple
-  /// through the block's join pipeline (hash probes + rematerialization).
-  void RefreshRow(ExecRow* row, bool charge_regeneration) const;
+  /// Without lineage-based lazy evaluation (OPT2 off), performs the work of
+  /// re-deriving a saved tuple through the block's join pipeline (hash
+  /// probes + rematerialization). Its values do not change: every program
+  /// reads an uncertain column through its lineage (§6.2).
+  void RegenerateRow(ExecRow* row) const;
 
-  /// Classifies the filter decision for `row` (§5.2 SELECT rule),
-  /// registering decided-outcome obligations onto `sink` (buffered; the
-  /// caller replays them serially).
-  IntervalTruth Classify(const ExecRow& row, RangeConstraintSink* sink) const;
+  /// Classifies an uncertain filter against the variation ranges of the
+  /// aggregates it reads (§5.2 SELECT rule), registering decided-outcome
+  /// obligations onto `sink` (buffered; the caller replays them serially).
+  IntervalTruth ClassifyUncertainFilter(const ExecRow& row,
+                                        RangeConstraintSink* sink) const;
 
-  /// Evaluation phase for one row: refresh, classify, and — when the row
-  /// routes to the non-deterministic path — the per-trial filter/argument
-  /// evaluations. Pure except for the in-place row refresh; safe to run
-  /// concurrently per row. `prog_state` is the caller's lane-private
-  /// compiled-program scratch (null = interpret).
+  /// Evaluation phase for one row: classify, then run the row program's
+  /// main pass (a deterministic filter's truth, the group key and the
+  /// aggregate arguments, into `vals`, the row's slice of row_vals_) and —
+  /// when the row routes to the non-deterministic path — its per-trial
+  /// filter/argument evaluations. Pure except for the OPT2-off
+  /// regeneration; safe to run concurrently per row. `prog_state` is the
+  /// caller's lane-private program scratch.
   void EvaluateRow(ExecRow* row, bool charge_regeneration, RowEval* ev,
-                   ExprProgramState* prog_state) const;
-
-  /// Compiled fast path for the non-deterministic part of EvaluateRow:
-  /// one Bind (prologue + batched aggregate probes) plus the per-trial
-  /// epilogue via EvalTrials. Returns false when the row hit a construct
-  /// the program does not cover — the caller redoes the row with the
-  /// interpreter, so results never change.
-  bool EvaluateRowCompiled(const ExecRow& row, RowEval* ev,
-                           ExprProgramState* ps) const;
+                   Value* vals, ExprProgramState* prog_state) const;
 
   /// Routes an evaluated row: sketch/sink for certain rows, the pending
   /// (non-deterministic) set otherwise. Serial apply phase.
@@ -330,11 +319,22 @@ class BlockExecutor {
                 GroupedAggregateState* temp, std::vector<ExecRow>* new_pending)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Adds a certain row's aggregate contributions to `target`: main
-  /// accumulators immediately, trial replicas deferred to the flush.
-  void AccumulateCertain(const ExecRow& row, int batch,
+  /// Adds a certain row's aggregate contributions, evaluated into its
+  /// RowEval and row_vals_ slice, to `target`: main accumulators
+  /// immediately, trial replicas deferred to the flush.
+  void AccumulateCertain(const ExecRow& row, size_t eval_idx, int batch,
                          GroupedAggregateState* target)
       IOLAP_REQUIRES(engine_serial_phase);
+
+  /// The group key evaluated for row `eval_idx`, with its hash.
+  HashedRowRef KeyOf(size_t eval_idx) const {
+    return {row_vals_.data() + eval_idx * eval_width_,
+            block_->group_by.size(), row_scratch_[eval_idx].key_hash};
+  }
+  /// The main aggregate arguments evaluated for row `eval_idx`.
+  const Value* MainValsOf(size_t eval_idx) const {
+    return row_vals_.data() + eval_idx * eval_width_ + block_->group_by.size();
+  }
 
   /// Applies a pending row's revocable contributions to `temp` from its
   /// precomputed RowEval (aggregate blocks): main accumulators immediately,
@@ -354,8 +354,6 @@ class BlockExecutor {
   /// kNoRollback.
   int PublishOutput(int batch, double scale, const GroupedAggregateState& temp,
                     BlockBatchStats* stats) IOLAP_REQUIRES(engine_serial_phase);
-
-  Row GroupKeyOf(const ExecRow& row) const;
 
   bool classification_enabled() const {
     return options_->mode == ExecutionMode::kIolap &&
@@ -383,16 +381,18 @@ class BlockExecutor {
   /// restored sketches, so the next batch republishes every group.
   bool force_full_publish_ = false;
 
-  // Compiled expression programs (exec/expr_program), built once at plan
-  // time and shared read-only across lanes; null = expression not compiled
-  // (flag off, or a construct the compiler refuses). row_program_'s roots
-  // are [filter?] + aggregate arguments; proj_program_'s are the
-  // projections of a non-aggregate block.
+  // Compiled expression programs (exec/expr_program), the block's only row
+  // evaluators, built once at plan time and shared read-only across lanes.
+  // row_program_'s roots are [filter?] + group keys + aggregate arguments
+  // (null when there are none); proj_program_'s are the projections of a
+  // non-aggregate block.
   std::unique_ptr<const ExprProgram> row_program_;
   std::unique_ptr<const ExprProgram> proj_program_;
   int filter_root_ = -1;   // root index of the filter in row_program_
+  int key_root_base_ = 0;  // root index of group key 0
   int arg_root_base_ = 0;  // root index of aggregate argument 0
   ProgramVerifierStats verifier_stats_;
+  Status compile_status_;
   /// Lane-private evaluation scratch, one per pool lane (index = the lane
   /// argument ParallelRanges hands each range; inline mode uses lane 0).
   std::vector<ExprProgramState> prog_states_;
@@ -427,6 +427,12 @@ class BlockExecutor {
   // a batch, so GetOrCreate clones a shared node at most once per batch,
   // before any record points into it.
   std::vector<RowEval> row_scratch_;
+  /// Row i's group key, then its main aggregate arguments (a certain row's,
+  /// or a main-passing pending row's), at [i * eval_width_, (i + 1) *
+  /// eval_width_): one flat array per batch, so a row needs no vectors of
+  /// its own.
+  std::vector<Value> row_vals_;
+  size_t eval_width_ = 0;  // group keys + aggregates (aggregate blocks)
   DeferredTrialFolds deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;
 };

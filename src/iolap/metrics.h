@@ -75,15 +75,12 @@ struct QueryMetrics {
 
   /// Compile→verify counters of the expression-program seam
   /// (exec/program_verifier.h), summed over all blocks at query Init —
-  /// query-level, not per batch. `programs_rejected` > 0 means the static
-  /// verifier (or the plan invariant prover) refused a successfully
-  /// compiled program: a compiler bug, survived by falling back to the
-  /// interpreter.
+  /// query-level, not per batch. A rejection (by the static verifier or
+  /// the plan invariant prover) or a compiler refusal fails Init, so both
+  /// read 0 on every query that runs.
   int programs_compiled = 0;
   int programs_verified = 0;
   int programs_rejected = 0;
-  /// Expressions the compiler itself refused (nullptr from Compile) —
-  /// expected for constructs outside the compiled subset.
   int compile_refusals = 0;
 
   double TotalLatencySec() const;

@@ -92,11 +92,12 @@ Status QueryController::Init() {
     executors_.push_back(std::make_unique<BlockExecutor>(
         &plan_, static_cast<int>(b), &annotations_, &options_, registry_.get(),
         bootstrap, consumed[b], feeds_join[b], pool_.get()));
+    // Every compiled program went through the verifier seam inside the
+    // BlockExecutor constructor. The programs are the only row evaluators,
+    // so a refused or rejected one (a compiler bug: the binder rejects what
+    // the compiler refuses) fails the query here instead of running it.
+    IOLAP_RETURN_IF_ERROR(executors_.back()->compile_status());
   }
-  // Every compiled program went through the verifier seam inside the
-  // BlockExecutor constructors; a rejected one already fell back to the
-  // interpreter, and the counters (folded into metrics again at the start
-  // of each Run) are its trace.
   FoldVerifierStats();
   initialized_ = true;
   return Status::OK();

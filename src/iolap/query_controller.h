@@ -53,6 +53,8 @@ class QueryController {
   const QueryMetrics& metrics() const { return metrics_; }
   const PartialResult& last_result() const { return last_result_; }
   const QueryPlan& plan() const { return plan_; }
+  /// The registry of the blocks' published aggregates (null before Init).
+  const AggregateRegistry* registry() const { return registry_.get(); }
   size_t num_batches() const { return layout_.batches.size(); }
 
   /// Mini-batch layout of the streamed relation (valid after Init):

@@ -25,6 +25,7 @@ PlanVerifyResult VerifyBlockProgram(const QueryPlan& plan, const Block& block,
   std::vector<const Expr*> expected;
   if (role == ProgramRole::kRowProgram) {
     if (block.filter != nullptr) expected.push_back(block.filter.get());
+    for (const ExprPtr& key : block.group_by) expected.push_back(key.get());
     for (const AggSpec& agg : block.aggs) expected.push_back(agg.arg.get());
   } else {
     for (const ExprPtr& proj : block.projections) {

@@ -12,10 +12,9 @@ namespace iolap {
 // (exec/program_verifier.h). ProgramVerifier proves a program is internally
 // sound; this pass proves the program *matches the plan fragment it will
 // execute for* — the contract BlockExecutor otherwise takes on faith when
-// it routes rows through the compiled path instead of the interpreter.
-// Like the bytecode verifier it runs once per block at query Init and a
-// failure means refuse-to-interpreter, so it can only cost speed. See
-// docs/INTERNALS.md §10.
+// it evaluates every row of the block through the program.
+// Like the bytecode verifier it runs once per block at query Init, and a
+// failure fails the Init. See docs/INTERNALS.md §10.
 
 struct PlanVerifyResult {
   bool ok = true;
@@ -25,14 +24,16 @@ struct PlanVerifyResult {
 /// Which plan fragment a compiled program claims to implement.
 enum class ProgramRole {
   /// Per-row program: root 0 is the filter (when the block has one),
-  /// followed by one root per aggregate argument, in aggs order.
+  /// followed by one root per group-by key, then one per aggregate
+  /// argument, in aggs order.
   kRowProgram,
   /// Projection program of a pure-SPJ block: one root per projection.
   kProjection,
 };
 
 /// Statically checks `program` against `block` of `plan`:
-///   - root count matches the fragment (filter + agg args, or projections);
+///   - root count matches the fragment (filter + group keys + agg args, or
+///     projections);
 ///   - root register kinds agree with the plan's static output types
 ///     (a string-typed expression must land in a string register and vice
 ///     versa);

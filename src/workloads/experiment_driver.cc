@@ -103,10 +103,6 @@ EngineOptions BenchOptions(ExecutionMode mode) {
   options.num_threads = BenchThreads();
   options.slack = 2.0;
   options.seed = 1234;
-  // IOLAP_BENCH_COMPILE_EXPRS=0 forces the interpreter everywhere — the
-  // before/after lever for the compiled-expression benches (results are
-  // bit-identical either way; only time changes).
-  options.compile_expressions = EnvDouble("IOLAP_BENCH_COMPILE_EXPRS", 1.0) != 0.0;
   return options;
 }
 

@@ -58,9 +58,9 @@ Result<std::shared_ptr<Catalog>> CatalogFor(const BenchQuery& query,
                                             bool conviva);
 
 /// Engine options preset used by the figure benches: iOLAP defaults
-/// (bootstrap trials, slack 2, batch count) at the bench scale.
-/// IOLAP_BENCH_COMPILE_EXPRS=0 disables the compiled expression programs
-/// (interpreter-only baseline for perf comparisons).
+/// (bootstrap trials, slack 2, batch count) at the bench scale. Every
+/// block evaluates its rows through compiled expression programs; there is
+/// no interpreter switch.
 EngineOptions BenchOptions(ExecutionMode mode);
 
 }  // namespace iolap

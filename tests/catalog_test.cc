@@ -36,6 +36,51 @@ TEST(CatalogTest, DuplicateRejected) {
             StatusCode::kAlreadyExists);
 }
 
+// The boundary of the type rule: every registered row fits its schema, so
+// a statically numeric column never holds a string when a compiled program
+// reads it. int64 and double fit either numeric column; NULL fits any.
+TEST(CatalogTest, RejectsRowsThatContradictTheSchema) {
+  const Schema schema({{"k", ValueType::kInt64},
+                       {"x", ValueType::kDouble},
+                       {"s", ValueType::kString}});
+  auto table_of = [&](Row row) {
+    Table table(schema);
+    table.AddRow({Value::Int64(1), Value::Double(2.0), Value::String("a")});
+    table.AddRow(std::move(row));
+    return table;
+  };
+  Catalog catalog;
+  EXPECT_TRUE(catalog
+                  .RegisterTable("ok", table_of({Value::Double(1.5),
+                                                 Value::Int64(3),
+                                                 Value::Null()}))
+                  .ok());
+  EXPECT_TRUE(
+      catalog
+          .RegisterTable("nulls", table_of({Value::Null(), Value::Null(),
+                                            Value::Null()}))
+          .ok());
+  const std::pair<const char*, Row> bad[] = {
+      {"string_in_double",
+       {Value::Int64(1), Value::String("surprise"), Value::String("a")}},
+      {"number_in_string",
+       {Value::Int64(1), Value::Double(2.0), Value::Int64(7)}},
+      {"string_in_int",
+       {Value::String("1"), Value::Double(2.0), Value::Null()}},
+      {"short_row", {Value::Int64(1), Value::Double(2.0)}},
+      {"long_row",
+       {Value::Int64(1), Value::Double(2.0), Value::String("a"),
+        Value::Int64(4)}},
+  };
+  for (const auto& [name, row] : bad) {
+    const Status status = catalog.RegisterTable(name, table_of(row));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find("row 1"), std::string::npos)
+        << name << ": " << status;
+    EXPECT_FALSE(catalog.Has(name)) << name;
+  }
+}
+
 TEST(CatalogTest, MissingTable) {
   Catalog catalog;
   EXPECT_EQ(catalog.Find("nope").status().code(), StatusCode::kNotFound);

@@ -389,7 +389,7 @@ TEST_F(ExprTest, ClassifyDeterministicPredicate) {
 
 TEST_F(ExprTest, ColumnLineageTrialResolution) {
   // Column 1 of the row is an uncertain attribute whose lineage is a
-  // scalar agg lookup; trial evaluation must re-derive it via the lookup,
+  // scalar agg lookup; every evaluation re-derives it via the lookup,
   // ignoring the (stale) stored value.
   resolver_.Set(0, 0, {}, 37.0, Interval(30, 40), {31.0, 35.0});
   std::vector<ExprPtr> lineage(2);
@@ -401,8 +401,10 @@ TEST_F(ExprTest, ColumnLineageTrialResolution) {
   Row row = {Value::Int64(7), Value::Double(999.0)};  // stale stored value
   auto ref = Col(1, "u", ValueType::kDouble);
 
-  // Main evaluation reads the stored value.
-  EXPECT_DOUBLE_EQ(ref->Eval(row, ctx).dbl(), 999.0);
+  // Main evaluation reads the lookup's current value, not the stored one.
+  EXPECT_DOUBLE_EQ(ref->Eval(row, ctx).dbl(), 37.0);
+  // Without a lineage table the column is the stored value.
+  EXPECT_DOUBLE_EQ(ref->Eval(row, ctx_).dbl(), 999.0);
   // Trial evaluation re-derives through lineage.
   ctx.trial = 0;
   EXPECT_DOUBLE_EQ(ref->Eval(row, ctx).dbl(), 31.0);

@@ -46,23 +46,39 @@ TEST(ValueTest, HashIsDefinedAndAgreesWithEquals) {
     EXPECT_EQ(Value::Double(d).Hash(), Value::Double(d).Hash()) << d;
   }
   const int64_t k53 = int64_t{1} << 53;
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  // Numbers are equal only when they are the same number.
   const std::pair<Value, Value> equal[] = {
-      {Value::Int64(k53 + 1), Value::Double(0x1p53)},
-      {Value::Int64(k53 + 1), Value::Int64(k53)},
-      {Value::Int64(-k53 - 1), Value::Double(-0x1p53)},
-      {Value::Int64(std::numeric_limits<int64_t>::max()),
-       Value::Double(0x1p63)},
-      {Value::Int64(std::numeric_limits<int64_t>::min()),
-       Value::Double(-0x1p63)},
+      {Value::Int64(k53), Value::Double(0x1p53)},
+      {Value::Int64(-k53), Value::Double(-0x1p53)},
+      {Value::Int64(kMin), Value::Double(-0x1p63)},
       {Value::Int64(-7), Value::Double(-7.0)},
   };
   for (const auto& [a, b] : equal) {
     ASSERT_TRUE(a.Equals(b)) << a.ToString() << " vs " << b.ToString();
     EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
   }
-  // Within ±2^53 an int64 hashes as before.
-  EXPECT_EQ(Value::Int64(k53).Hash(), Mix64(static_cast<uint64_t>(k53)));
-  EXPECT_EQ(Value::Int64(-k53).Hash(), Mix64(static_cast<uint64_t>(-k53)));
+  // Beyond ±2^53 distinct int64s stay distinct, from each other and from
+  // the double they round to; `a` is the larger of each pair.
+  const std::pair<Value, Value> larger[] = {
+      {Value::Int64(k53 + 1), Value::Double(0x1p53)},
+      {Value::Int64(k53 + 1), Value::Int64(k53)},
+      {Value::Double(-0x1p53), Value::Int64(-k53 - 1)},
+      {Value::Double(0x1p63), Value::Int64(kMax)},
+      {Value::Int64(kMin + 1), Value::Int64(kMin)},
+      {Value::Double(2.5), Value::Int64(2)},
+      {Value::Int64(-2), Value::Double(-2.5)},
+  };
+  for (const auto& [a, b] : larger) {
+    EXPECT_GT(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+    EXPECT_LT(b.Compare(a), 0) << a.ToString() << " vs " << b.ToString();
+    EXPECT_NE(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+  }
+  // An int64 hashes as itself.
+  for (int64_t i : {k53, -k53, k53 + 1, kMax, kMin}) {
+    EXPECT_EQ(Value::Int64(i).Hash(), Mix64(static_cast<uint64_t>(i))) << i;
+  }
 }
 
 TEST(ValueTest, CompareOrdersNullFirst) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "catalog/csv.h"
 
@@ -78,6 +79,32 @@ TEST(CsvTest, Errors) {
   options.type_inference_rows = 1;
   EXPECT_FALSE(ReadCsv("x\n1\nnot_a_number\n", options).ok());
   EXPECT_FALSE(ReadCsvFile("/no/such/file.csv").ok());
+}
+
+// strtoll clamps an integer outside int64 to INT64_MIN/MAX; such a field
+// is not an integer. A sampled column of them infers as DOUBLE, and one in
+// a column already inferred INT64 is a parse error.
+TEST(CsvTest, OutOfRangeIntegersAreNotClamped) {
+  auto wide = ReadCsv("x\n99999999999999999999\n-99999999999999999999\n");
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide->schema().column(0).type, ValueType::kDouble);
+  EXPECT_EQ(wide->row(0)[0].dbl(), 1e20);
+  EXPECT_EQ(wide->row(1)[0].dbl(), -1e20);
+
+  auto edge = ReadCsv("x\n9223372036854775807\n-9223372036854775808\n");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  EXPECT_EQ(edge->schema().column(0).type, ValueType::kInt64);
+  EXPECT_EQ(edge->row(0)[0].int64(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(edge->row(1)[0].int64(), std::numeric_limits<int64_t>::min());
+
+  CsvOptions options;
+  options.type_inference_rows = 1;
+  auto late = ReadCsv("x\n1\n9223372036854775808\n", options);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kParseError);
+  EXPECT_NE(late.status().message().find("expected integer"),
+            std::string::npos)
+      << late.status();
 }
 
 TEST(CsvTest, WriteRoundTrip) {

@@ -18,6 +18,7 @@
 #include "iolap/query_controller.h"
 #include "iolap/session.h"
 #include "plan/plan_builder.h"
+#include "sql/binder.h"
 #include "workloads/conviva.h"
 #include "workloads/conviva_queries.h"
 #include "workloads/tpch.h"
@@ -429,6 +430,48 @@ TEST(BaselineTest, SingleExactBatch) {
   auto expected = EvaluateReference(*plan, catalog, fact.rows(), 1.0);
   ASSERT_TRUE(expected.ok());
   ExpectTablesEqual(controller.last_result().rows, *expected, "baseline");
+}
+
+// Group keys 2^53 and 2^53 + 1 are two groups, in the engine and in the
+// reference evaluator: numbers compare exactly (CompareNumbers) and an
+// int64 hashes as itself.
+TEST(WideIntegerKeyTest, KeysBeyondTwoToThe53StayDistinct) {
+  const int64_t k53 = int64_t{1} << 53;
+  Catalog catalog;
+  Table t(Schema({{"k", ValueType::kInt64}, {"x", ValueType::kDouble}}));
+  for (int i = 0; i < 64; ++i) {
+    t.AddRow({Value::Int64(k53 + (i % 2)), Value::Double(i)});
+  }
+  const std::vector<Row> rows = t.rows();
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+  auto functions = FunctionRegistry::Default();
+  const std::string grouped = "SELECT k, count(*), sum(x) FROM t GROUP BY k";
+  const std::string filtered =
+      "SELECT count(*) FROM t WHERE k = 9007199254740993";
+
+  EngineOptions options;
+  options.num_batches = 4;
+  options.num_trials = 10;
+  for (const std::string& sql : {grouped, filtered}) {
+    Session session(&catalog, options, functions);
+    auto query = session.Sql(sql);
+    ASSERT_TRUE(query.ok()) << query.status();
+    ASSERT_TRUE((*query)->Run(nullptr).ok());
+    auto plan = BindSql(sql, catalog, functions);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto expected = EvaluateReference(*plan, catalog, rows, 1.0);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectTablesEqual((*query)->last_result().rows, *expected, sql);
+    if (sql == grouped) {
+      ASSERT_EQ(expected->num_rows(), 2u);
+      std::set<int64_t> keys;
+      for (size_t r = 0; r < 2; ++r) keys.insert(expected->row(r)[0].int64());
+      EXPECT_EQ(keys, (std::set<int64_t>{k53, k53 + 1}));
+      EXPECT_EQ(expected->row(0)[1].AsDouble(), 32.0);
+    } else {
+      EXPECT_EQ(expected->row(0)[0].AsDouble(), 32.0);
+    }
+  }
 }
 
 // Error estimates should shrink as more data is processed and the final

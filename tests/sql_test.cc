@@ -355,6 +355,54 @@ TEST_F(SqlBindTest, BindErrors) {
 // The binder is the one place a scalar call resolves: arity and argument
 // kinds are checked against the function's signature there, so neither the
 // interpreter nor the compiler ever sees an unknown function or a bad call.
+// No operator mixes a string and a number: the compiled programs, the
+// engine's only evaluator, keep them in separate register files, and a
+// string has no defined order against a number or value as one.
+TEST_F(SqlBindTest, StringNumberMixIsABindError) {
+  for (const char* sql : {
+           "SELECT count(*) FROM sites WHERE region = 5",
+           "SELECT count(*) FROM sites WHERE region > 5",
+           "SELECT count(*) FROM sites WHERE NOT region",
+           "SELECT count(*) FROM sites WHERE -region < 0",
+           "SELECT sum(site + region) FROM sites",
+           "SELECT count(*) FROM sites WHERE 1.5 <= cdn",
+           "SELECT count(*) FROM sites WHERE region AND site > 1",
+           "SELECT sum(site % region) FROM sites",
+       }) {
+    auto plan = Bind(sql);
+    ASSERT_FALSE(plan.ok()) << sql;
+    EXPECT_EQ(plan.status().code(), StatusCode::kBindError)
+        << sql << ": " << plan.status();
+  }
+  // Strings compare with strings, and NULL fits either side.
+  for (const char* sql : {
+           "SELECT count(*) FROM sites WHERE region = 'us'",
+           "SELECT count(*) FROM sites WHERE region < cdn",
+           "SELECT count(*) FROM sites WHERE region = NULL",
+           "SELECT sum(site + NULL) FROM sites",
+       }) {
+    EXPECT_TRUE(Bind(sql).ok()) << sql << ": " << Bind(sql).status();
+  }
+}
+
+// An aggregate lookup is probed once per row, before any bootstrap trial,
+// so its key must not read an uncertain value.
+TEST_F(SqlBindTest, LookupKeyedOnUncertainValueIsABindError) {
+  auto plan = Bind(
+      "SELECT count(*) FROM sessions s WHERE s.play_time > "
+      "(SELECT avg(s2.play_time) FROM sessions s2 "
+      "WHERE s2.site = (SELECT max(site) FROM sites))");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kBindError) << plan.status();
+  EXPECT_NE(plan.status().message().find("uncertain"), std::string::npos)
+      << plan.status();
+  // Keyed on a deterministic column, the same subquery binds.
+  EXPECT_TRUE(Bind("SELECT count(*) FROM sessions s WHERE s.play_time > "
+                   "(SELECT avg(s2.play_time) FROM sessions s2 "
+                   "WHERE s2.site = s.site)")
+                  .ok());
+}
+
 TEST_F(SqlBindTest, ScalarCallsCheckedAgainstSignature) {
   auto bind_error = [&](const std::string& item) {
     auto plan = Bind("SELECT avg(" + item + ") FROM sessions");
