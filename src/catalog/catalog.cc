@@ -14,44 +14,14 @@ Status Catalog::RegisterTable(const std::string& name,
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already registered: " + name);
   }
-  // One pass with no allocation and one branch per row: bit k of
-  // kFits[type] is set when a value of kind k fits a `type` column.
-  constexpr auto fits = [](ValueType type) {
-    uint8_t mask = 0;
-    for (int k = 0; k < 4; ++k) {
-      if (FitsType(static_cast<ValueType>(k), type)) mask |= 1u << k;
-    }
-    return mask;
-  };
-  static constexpr uint8_t kFits[4] = {fits(ValueType::kNull),
-                                       fits(ValueType::kInt64),
-                                       fits(ValueType::kDouble),
-                                       fits(ValueType::kString)};
-  const std::vector<Column>& columns = table->schema().columns();
+  // A table filled only through AddRow was checked as it was filled.
   const std::vector<Row>& rows = table->rows();
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r + 4 < rows.size()) __builtin_prefetch(rows[r + 4].data());
-    const Row& row = rows[r];
-    if (row.size() != columns.size()) {
+  for (size_t r = 0; r < rows.size() && !table->rows_fit(); ++r) {
+    if (!table->schema().Fits(rows[r])) {
       return Status::InvalidArgument(
-          "table " + name + " row " + std::to_string(r) + " has " +
-          std::to_string(row.size()) + " values for " +
-          std::to_string(columns.size()) + " columns");
-    }
-    unsigned ok = 1;
-    for (size_t c = 0; c < row.size(); ++c) {
-      ok &= kFits[static_cast<unsigned>(columns[c].type)] >>
-            static_cast<unsigned>(row[c].type());
-    }
-    if ((ok & 1) != 0) continue;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (!FitsType(row[c].type(), columns[c].type)) {
-        return Status::InvalidArgument(
-            "table " + name + " row " + std::to_string(r) + " column '" +
-            columns[c].name + "' holds a " +
-            ValueTypeToString(row[c].type()) + " in a " +
-            ValueTypeToString(columns[c].type) + " column");
-      }
+          "table " + name + " row " + std::to_string(r) + " " +
+          RowToString(rows[r]) + " does not fit the schema " +
+          table->schema().ToString());
     }
   }
   tables_[name] = TableEntry{std::move(table), streamed};

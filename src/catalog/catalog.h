@@ -30,6 +30,8 @@ class Catalog {
   /// not fit its column's type (FitsType: int64 and double fit either
   /// numeric column, NULL fits every column). Queries rely on it: the
   /// compiled programs read each column in its schema type's register kind.
+  /// Rows that Table::AddRow checked as they came (Table::rows_fit) are
+  /// not read again.
   Status RegisterTable(const std::string& name, Table table,
                        bool streamed = false);
 

@@ -69,9 +69,9 @@ class RangeConstraintSink {
 
 /// Everything expression evaluation can touch. `column_lineage`, when
 /// non-null, maps each column of the current row to the lineage expression
-/// that computes it (null entry = deterministic column); trial and interval
-/// evaluation of a column reference re-derives the column through its
-/// lineage instead of trusting the possibly stale stored value.
+/// that computes it (null entry = deterministic column); main, trial and
+/// interval evaluation of a column reference re-derive the column through
+/// its lineage instead of trusting the possibly stale stored value.
 struct EvalContext {
   const AggLookupResolver* resolver = nullptr;
   const std::vector<ExprPtr>* column_lineage = nullptr;

@@ -200,9 +200,10 @@ bool Signature::Accepts(size_t i, ValueType type) const {
 
 ValueType Signature::ResultType(const std::vector<ValueType>& arg_types) const {
   if (result_arg < 0) return result;
-  return static_cast<size_t>(result_arg) < arg_types.size()
-             ? arg_types[result_arg]
-             : ValueType::kNull;
+  for (size_t i = static_cast<size_t>(result_arg); i < arg_types.size(); ++i) {
+    if (arg_types[i] != ValueType::kNull) return arg_types[i];
+  }
+  return ValueType::kNull;
 }
 
 Value CallBoxed(const ScalarFunction& fn, const Value* args, size_t n,
@@ -327,7 +328,8 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
          return NumericMod(args[0], args[1]);
        }});
 
-  // Result type: that of the first argument (if: of the THEN branch).
+  // Result type: that of the first argument that is not NULL-typed (if: of
+  // THEN, else of ELSE).
   const Signature any_variadic = {.variadic = kAny, .result_arg = 0};
   scalar({.name = "least",
           .signature = any_variadic,
@@ -346,8 +348,7 @@ std::shared_ptr<FunctionRegistry> FunctionRegistry::Default() {
           .numeric = If<NumericValue>,
           .boxed = If<Value>});
 
-  // String functions. A NULL-typed argument can still carry a number at run
-  // time (coalesce(NULL, 5)); the bodies read it as NULL.
+  // String functions. A non-string argument (NULL) gives NULL.
   scalar(
       {.name = "length",
        .signature = {.params = {kStr}, .result = ValueType::kInt64},

@@ -111,8 +111,11 @@ struct Signature {
   std::vector<ParamKind> params = {};
   /// When set, zero or more further arguments of this kind may follow.
   std::optional<ParamKind> variadic = std::nullopt;
-  /// The result type, unless `result_arg` >= 0: then a call has the static
-  /// type of that argument (kNull when the call has fewer arguments).
+  /// The result type, unless `result_arg` >= 0: then the call returns one
+  /// of its arguments from `result_arg` on (its result candidates) and has
+  /// the static type of the first of them that is not NULL-typed (kNull
+  /// when none is). ValidatePlan rejects a call whose candidates mix
+  /// strings and numbers.
   ValueType result = ValueType::kNull;
   int result_arg = -1;
 

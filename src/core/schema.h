@@ -34,6 +34,16 @@ class Schema {
 
   void AddColumn(Column column) { columns_.push_back(std::move(column)); }
 
+  /// Whether `row` has one value per column and each value fits its
+  /// column's type (FitsType).
+  bool Fits(const Row& row) const {
+    if (row.size() != columns_.size()) return false;
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (!FitsType(row[c].type(), columns_[c].type)) return false;
+    }
+    return true;
+  }
+
   /// Index of the column named `name`, resolving qualified and unqualified
   /// forms. NotFound if absent, InvalidArgument if ambiguous.
   Result<int> FindColumn(const std::string& name) const;

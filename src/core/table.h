@@ -17,16 +17,28 @@ class Table {
   Table() = default;
   explicit Table(Schema schema) : schema_(std::move(schema)) {}
   Table(Schema schema, std::vector<Row> rows)
-      : schema_(std::move(schema)), rows_(std::move(rows)) {}
+      : schema_(std::move(schema)), rows_(std::move(rows)), rows_fit_(false) {}
 
   const Schema& schema() const { return schema_; }
   const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>& mutable_rows() { return rows_; }
+  std::vector<Row>& mutable_rows() {
+    rows_fit_ = false;
+    return rows_;
+  }
 
   size_t num_rows() const { return rows_.size(); }
   const Row& row(size_t i) const { return rows_[i]; }
 
-  void AddRow(Row row) { rows_.push_back(std::move(row)); }
+  /// Appends `row`, checking whether it fits the schema while it is still
+  /// in cache.
+  void AddRow(Row row) {
+    rows_fit_ = rows_fit_ && schema_.Fits(row);
+    rows_.push_back(std::move(row));
+  }
+  /// True when every row came through AddRow and fit the schema
+  /// (Schema::Fits); Catalog::RegisterTable re-reads the rows only when
+  /// this is false.
+  bool rows_fit() const { return rows_fit_; }
   void Reserve(size_t n) { rows_.reserve(n); }
 
   /// Approximate payload size, for the shuffle cost model.
@@ -38,6 +50,7 @@ class Table {
  private:
   Schema schema_;
   std::vector<Row> rows_;
+  bool rows_fit_ = true;
 };
 
 }  // namespace iolap

@@ -134,14 +134,6 @@ class ExprProgramCompiler {
     return false;
   }
 
-  // True if `e` is a literal NULL (used to fold NULL-against-string
-  // comparisons, which always yield NULL, instead of refusing them as a
-  // register-kind mismatch).
-  static bool IsNullLiteral(const Expr& e) {
-    return e.kind() == Expr::Kind::kLiteral &&
-           static_cast<const LiteralExpr&>(e).value().is_null();
-  }
-
   MaybeSlot EmitLiteral(const Value& v) {
     if (v.type() == ValueType::kString) {
       auto it = str_literals_.find(v.str());
@@ -192,8 +184,13 @@ class ExprProgramCompiler {
   MaybeSlot CompileNodeImpl(const Expr& e, int depth) {
     // Constant folding: row- and trial-independent subtrees evaluate once
     // at compile time through the interpreter (the oracle by definition).
+    // A NULL has no string constant, so a statically-string subtree that
+    // folds to NULL compiles as written and keeps its string register.
     if (e.kind() != Expr::Kind::kLiteral && Foldable(e)) {
-      return EmitLiteral(e.Eval(Row{}, EvalContext{}));
+      const Value folded = e.Eval(Row{}, EvalContext{});
+      if (!folded.is_null() || !StaticallyString(e)) {
+        return EmitLiteral(folded);
+      }
     }
     switch (e.kind()) {
       case Expr::Kind::kLiteral:
@@ -263,13 +260,16 @@ class ExprProgramCompiler {
     const bool rs = StaticallyString(r);
     const bool cmp = IsComparison(bin.op());
     if (cmp && ls != rs) {
-      // string <op> NULL-literal always evaluates to NULL (the null check
-      // precedes Value::Compare); anything else mixes register kinds.
-      if (IsNullLiteral(ls ? r : l)) return EmitLiteral(Value::Null());
+      // A string against a NULL-typed operand (ValidatePlan rejects a
+      // number) is NULL: a NULL-typed expression reads NULL at run time,
+      // and the null check precedes Value::Compare.
+      if ((ls ? r : l).output_type() == ValueType::kNull) {
+        return EmitLiteral(Value::Null());
+      }
       return Fail("string/number comparison");
     }
     if (!cmp && (ls || rs)) {
-      // Arithmetic/logic over a statically-string operand: the binder
+      // Arithmetic/logic over a statically-string operand: ValidatePlan
       // rejects this.
       return Fail("string operand");
     }
@@ -277,13 +277,6 @@ class ExprProgramCompiler {
     if (!lslot.has_value()) return std::nullopt;
     auto rslot = CompileNode(r, depth);
     if (!rslot.has_value()) return std::nullopt;
-    if (cmp && lslot->out.is_str != rslot->out.is_str) {
-      // The static kinds matched, so a slot-kind mismatch means one side is
-      // a statically-string expression that constant-folded to NULL (e.g.
-      // lower(NULL)), which lives in a numeric register: the comparison is
-      // constant NULL, same as the null check in the interpreter.
-      return EmitLiteral(Value::Null());
-    }
     const bool invariant = lslot->invariant && rslot->invariant;
     const int dst = NewNum();
     if (failed_) return std::nullopt;
@@ -359,7 +352,7 @@ class ExprProgramCompiler {
       auto slot = CompileNode(*key, depth);
       if (!slot.has_value()) return std::nullopt;
       // The hoisted probe evaluates keys once per row; a trial-variant key
-      // (nested uncertainty) would need a probe per trial. The binder
+      // (nested uncertainty) would need a probe per trial. ValidatePlan
       // rejects it.
       if (!slot->invariant) return Fail("trial-variant aggregate key");
       keys.push_back(slot->out);

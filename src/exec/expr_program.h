@@ -30,8 +30,8 @@ namespace iolap {
 //
 // An uncertain column (one with a lineage expression) compiles to its
 // lineage, in the main pass and in every trial, so a row's stored value of
-// it is never read. Compilation refuses only what the binder rejects or
-// never produces (a string/number mix in one operator, a trial-variant
+// it is never read. Compilation refuses only what ValidatePlan rejects or
+// no plan holds (a string/number mix in one operator, a trial-variant
 // aggregate key, a lineage cycle, a full register file); Compile() then
 // returns nullptr and names the rule. At run time the program trusts its
 // input: rows fit their schema (Catalog::RegisterTable), and a boxed call's

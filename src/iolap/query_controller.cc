@@ -94,8 +94,9 @@ Status QueryController::Init() {
         bootstrap, consumed[b], feeds_join[b], pool_.get()));
     // Every compiled program went through the verifier seam inside the
     // BlockExecutor constructor. The programs are the only row evaluators,
-    // so a refused or rejected one (a compiler bug: the binder rejects what
-    // the compiler refuses) fails the query here instead of running it.
+    // so a refused or rejected one (a compiler bug: ValidatePlan, above,
+    // rejects what the compiler refuses) fails the query here instead of
+    // running it.
     IOLAP_RETURN_IF_ERROR(executors_.back()->compile_status());
   }
   FoldVerifierStats();

@@ -17,10 +17,10 @@ namespace iolap {
 /// function, with only the per-row key left to evaluate at runtime.
 ///
 /// The result vector is indexed by SPJ column and is what EvalContext's
-/// `column_lineage` expects: trial and interval evaluation of a column
-/// reference re-derives the column through this expression, and the OPT2
-/// lazy-evaluation step refreshes stale state rows by re-evaluating exactly
-/// these expressions.
+/// `column_lineage` expects: evaluation of a column reference re-derives
+/// the column through this expression, and so does every pass of a
+/// compiled program (the OPT2 lazy refresh), so a stored row's stale value
+/// of the column is never read.
 std::vector<ExprPtr> ComputeSpjLineage(const QueryPlan& plan,
                                        const Block& block);
 

@@ -1,49 +1,10 @@
 #include "plan/logical_plan.h"
 
+#include "plan/lineage_blocks.h"
+
 namespace iolap {
 
 namespace {
-
-Status ValidateExprColumns(const ExprPtr& expr, size_t width,
-                           const std::string& where) {
-  if (expr == nullptr) return Status::OK();
-  switch (expr->kind()) {
-    case Expr::Kind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(*expr);
-      if (ref.index() < 0 || static_cast<size_t>(ref.index()) >= width) {
-        return Status::Internal("column index out of range in " + where + ": " +
-                                expr->ToString());
-      }
-      return Status::OK();
-    }
-    case Expr::Kind::kUnary: {
-      const auto& e = static_cast<const UnaryExpr&>(*expr);
-      return ValidateExprColumns(e.operand(), width, where);
-    }
-    case Expr::Kind::kBinary: {
-      const auto& e = static_cast<const BinaryExpr&>(*expr);
-      IOLAP_RETURN_IF_ERROR(ValidateExprColumns(e.left(), width, where));
-      return ValidateExprColumns(e.right(), width, where);
-    }
-    case Expr::Kind::kCall: {
-      const auto& e = static_cast<const CallExpr&>(*expr);
-      for (const auto& arg : e.args()) {
-        IOLAP_RETURN_IF_ERROR(ValidateExprColumns(arg, width, where));
-      }
-      return Status::OK();
-    }
-    case Expr::Kind::kAggLookup: {
-      const auto& e = static_cast<const AggLookupExpr&>(*expr);
-      for (const auto& key : e.key_exprs()) {
-        IOLAP_RETURN_IF_ERROR(ValidateExprColumns(key, width, where));
-      }
-      return Status::OK();
-    }
-    case Expr::Kind::kLiteral:
-      return Status::OK();
-  }
-  return Status::OK();
-}
 
 Status ValidateAggLookupTargets(const ExprPtr& expr, const QueryPlan& plan,
                                 int block_id) {
@@ -70,6 +31,134 @@ Status ValidateAggLookupTargets(const ExprPtr& expr, const QueryPlan& plan,
     if (lookup->key_exprs().size() != target.group_by.size()) {
       return Status::Internal("AggLookup key arity mismatch: " +
                               lookup->ToString());
+    }
+  }
+  return Status::OK();
+}
+
+bool IsNumber(ValueType type) {
+  return type == ValueType::kInt64 || type == ValueType::kDouble;
+}
+
+// Checks every node of `expr` (null: none) and counts it into `nodes`:
+// column indexes below `width`, and the string/number rule. Strings and
+// numbers live in separate register files of the compiled programs, the
+// engine's only evaluator, and no operator reads both: a comparison takes
+// two strings or two numbers; arithmetic, AND, OR, NOT and unary minus
+// take no string; and a call returning one of its arguments (if,
+// coalesce, least, greatest) takes its result candidates all strings or
+// all numbers. A NULL-typed operand fits everywhere: it reads NULL at run
+// time.
+Status CheckExpr(const ExprPtr& expr, size_t width, const std::string& where,
+                 size_t* nodes) {
+  if (expr == nullptr) return Status::OK();
+  ++*nodes;
+  switch (expr->kind()) {
+    case Expr::Kind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(*expr);
+      if (ref.index() < 0 || static_cast<size_t>(ref.index()) >= width) {
+        return Status::Internal("column index out of range in " + where + ": " +
+                                expr->ToString());
+      }
+      return Status::OK();
+    }
+    case Expr::Kind::kUnary: {
+      const auto& unary = static_cast<const UnaryExpr&>(*expr);
+      if (unary.operand()->output_type() == ValueType::kString) {
+        return Status::BindError("cannot apply " + unary.ToString() +
+                                 " to a STRING");
+      }
+      return CheckExpr(unary.operand(), width, where, nodes);
+    }
+    case Expr::Kind::kBinary: {
+      const auto& bin = static_cast<const BinaryExpr&>(*expr);
+      const ValueType l = bin.left()->output_type();
+      const ValueType r = bin.right()->output_type();
+      const bool mixed =
+          IsComparison(bin.op())
+              ? (l == ValueType::kString && IsNumber(r)) ||
+                    (IsNumber(l) && r == ValueType::kString)
+              : l == ValueType::kString || r == ValueType::kString;
+      if (mixed) {
+        return Status::BindError(std::string("cannot evaluate ") +
+                                 bin.ToString() + " over a " +
+                                 ValueTypeToString(l) + " and a " +
+                                 ValueTypeToString(r));
+      }
+      IOLAP_RETURN_IF_ERROR(CheckExpr(bin.left(), width, where, nodes));
+      return CheckExpr(bin.right(), width, where, nodes);
+    }
+    case Expr::Kind::kCall: {
+      const auto& call = static_cast<const CallExpr&>(*expr);
+      const std::vector<ExprPtr>& args = call.args();
+      const int first = call.function().signature.result_arg;
+      bool strings = false;
+      bool numbers = false;
+      for (size_t i = first < 0 ? args.size() : static_cast<size_t>(first);
+           i < args.size(); ++i) {
+        strings = strings || args[i]->output_type() == ValueType::kString;
+        numbers = numbers || IsNumber(args[i]->output_type());
+      }
+      if (strings && numbers) {
+        return Status::BindError("cannot evaluate " + call.ToString() +
+                                 ": its result may be a STRING or a number");
+      }
+      for (const ExprPtr& arg : args) {
+        IOLAP_RETURN_IF_ERROR(CheckExpr(arg, width, where, nodes));
+      }
+      return Status::OK();
+    }
+    case Expr::Kind::kAggLookup:
+      for (const ExprPtr& key :
+           static_cast<const AggLookupExpr&>(*expr).key_exprs()) {
+        IOLAP_RETURN_IF_ERROR(CheckExpr(key, width, where, nodes));
+      }
+      return Status::OK();
+    case Expr::Kind::kLiteral:
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+// A block's expressions compile into one program per role, and a node adds
+// at most one register to each file (see ExprProgram); the files are
+// indexed by 16 bits.
+constexpr size_t kMaxBlockExprNodes = 0xFFFF;
+
+// What the compiled programs rely on beyond CheckExpr on the block's own
+// expressions, which counted `nodes`: the same rules on its lineage, no
+// aggregate lookup keyed on an uncertain value (the lookup is probed once
+// per row, before any trial), and the expressions fitting the register
+// files.
+Status CheckEvaluable(const QueryPlan& plan, const Block& block, size_t width,
+                      size_t nodes) {
+  const std::vector<ExprPtr> lineage = ComputeSpjLineage(plan, block);
+  for (const ExprPtr& e : lineage) {
+    IOLAP_RETURN_IF_ERROR(CheckExpr(e, width, "lineage", &nodes));
+  }
+  if (nodes > kMaxBlockExprNodes) {
+    return Status::BindError("block '" + block.debug_name + "' has " +
+                             std::to_string(nodes) +
+                             " expression nodes; at most " +
+                             std::to_string(kMaxBlockExprNodes) + " fit");
+  }
+  std::vector<ExprPtr> exprs = block.group_by;
+  exprs.push_back(block.filter);
+  for (const AggSpec& agg : block.aggs) exprs.push_back(agg.arg);
+  exprs.insert(exprs.end(), block.projections.begin(),
+               block.projections.end());
+  exprs.insert(exprs.end(), lineage.begin(), lineage.end());
+  std::vector<const AggLookupExpr*> lookups;
+  for (const ExprPtr& e : exprs) {
+    if (e != nullptr) e->CollectAggLookups(&lookups);
+  }
+  for (const AggLookupExpr* lookup : lookups) {
+    for (const ExprPtr& key : lookup->key_exprs()) {
+      if (key->DependsOnUncertain(&lineage)) {
+        return Status::BindError(
+            "a correlated subquery cannot be keyed on an uncertain value "
+            "(an aggregate or a subquery): " + key->ToString());
+      }
     }
   }
   return Status::OK();
@@ -195,12 +284,12 @@ Status ValidatePlan(const QueryPlan& plan) {
       return Status::Internal("spj_schema width mismatch");
     }
 
-    IOLAP_RETURN_IF_ERROR(
-        ValidateExprColumns(block.filter, width, "filter"));
+    size_t nodes = 0;
+    IOLAP_RETURN_IF_ERROR(CheckExpr(block.filter, width, "filter", &nodes));
     IOLAP_RETURN_IF_ERROR(
         ValidateAggLookupTargets(block.filter, plan, block.id));
     for (const auto& g : block.group_by) {
-      IOLAP_RETURN_IF_ERROR(ValidateExprColumns(g, width, "group_by"));
+      IOLAP_RETURN_IF_ERROR(CheckExpr(g, width, "group_by", &nodes));
       if (g->DependsOnUncertain(nullptr)) {
         return Status::InvalidArgument(
             "group-by keys over uncertain aggregates are unsupported (§3.3)");
@@ -210,11 +299,11 @@ Status ValidatePlan(const QueryPlan& plan) {
       if (agg.fn == nullptr || agg.arg == nullptr) {
         return Status::Internal("incomplete aggregate spec");
       }
-      IOLAP_RETURN_IF_ERROR(ValidateExprColumns(agg.arg, width, "agg arg"));
+      IOLAP_RETURN_IF_ERROR(CheckExpr(agg.arg, width, "agg arg", &nodes));
       IOLAP_RETURN_IF_ERROR(ValidateAggLookupTargets(agg.arg, plan, block.id));
     }
     for (const auto& p : block.projections) {
-      IOLAP_RETURN_IF_ERROR(ValidateExprColumns(p, width, "projection"));
+      IOLAP_RETURN_IF_ERROR(CheckExpr(p, width, "projection", &nodes));
       IOLAP_RETURN_IF_ERROR(ValidateAggLookupTargets(p, plan, block.id));
     }
     if (block.has_aggregate()) {
@@ -239,6 +328,7 @@ Status ValidatePlan(const QueryPlan& plan) {
             "aggregate");
       }
     }
+    IOLAP_RETURN_IF_ERROR(CheckEvaluable(plan, block, width, nodes));
   }
   // Exactly one streamed base relation (possibly scanned by several blocks).
   if (!plan.streamed_table.empty() && streamed_inputs == 0) {

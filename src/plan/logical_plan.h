@@ -127,7 +127,11 @@ struct QueryPlan {
 
 /// Structural validation: topological order, key-arity match, column
 /// indexes in range, group keys deterministic, exactly one streamed table,
-/// sampled aggregates smooth (§3.3). Run by the builder and the binder.
+/// sampled aggregates smooth (§3.3). Then the type rules the compiled
+/// programs rely on, as BindError: no operator mixes a string and a
+/// number, no aggregate lookup is keyed on an uncertain value, and a
+/// block's expressions fit the programs' register files. Run by the
+/// builder, the binder, the rewrite rules and QueryController::Init.
 Status ValidatePlan(const QueryPlan& plan);
 
 }  // namespace iolap

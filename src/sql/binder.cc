@@ -4,8 +4,6 @@
 #include <map>
 #include <set>
 
-#include "plan/lineage_blocks.h"
-
 namespace iolap {
 
 namespace {
@@ -42,106 +40,6 @@ Expr::BinaryOp BinaryOpFromName(const std::string& name) {
   return Expr::BinaryOp::kOr;
 }
 
-bool IsNumber(ValueType type) {
-  return type == ValueType::kInt64 || type == ValueType::kDouble;
-}
-
-// The string/number rule of the operators, checked on every node of `expr`
-// (filters joined from WHERE conjuncts included). Strings and numbers live
-// in separate register files of the compiled programs, the engine's only
-// evaluator, and no operator reads both: a comparison takes two strings or
-// two numbers, and arithmetic, AND, OR, NOT and unary minus take no
-// string. A NULL-typed operand fits everywhere. Also counts the nodes,
-// each once per reference, into `nodes`.
-Status CheckOperands(const Expr& expr, size_t* nodes) {
-  ++*nodes;
-  switch (expr.kind()) {
-    case Expr::Kind::kUnary: {
-      const auto& unary = static_cast<const UnaryExpr&>(expr);
-      if (unary.operand()->output_type() == ValueType::kString) {
-        return Status::BindError("cannot apply " + unary.ToString() +
-                                 " to a STRING");
-      }
-      return CheckOperands(*unary.operand(), nodes);
-    }
-    case Expr::Kind::kBinary: {
-      const auto& bin = static_cast<const BinaryExpr&>(expr);
-      const ValueType l = bin.left()->output_type();
-      const ValueType r = bin.right()->output_type();
-      const bool mixed =
-          IsComparison(bin.op())
-              ? (l == ValueType::kString && IsNumber(r)) ||
-                    (IsNumber(l) && r == ValueType::kString)
-              : l == ValueType::kString || r == ValueType::kString;
-      if (mixed) {
-        return Status::BindError(std::string("cannot evaluate ") +
-                                 bin.ToString() + " over a " +
-                                 ValueTypeToString(l) + " and a " +
-                                 ValueTypeToString(r));
-      }
-      IOLAP_RETURN_IF_ERROR(CheckOperands(*bin.left(), nodes));
-      return CheckOperands(*bin.right(), nodes);
-    }
-    case Expr::Kind::kCall:
-      for (const ExprPtr& arg : static_cast<const CallExpr&>(expr).args()) {
-        IOLAP_RETURN_IF_ERROR(CheckOperands(*arg, nodes));
-      }
-      return Status::OK();
-    case Expr::Kind::kAggLookup:
-      for (const ExprPtr& key :
-           static_cast<const AggLookupExpr&>(expr).key_exprs()) {
-        IOLAP_RETURN_IF_ERROR(CheckOperands(*key, nodes));
-      }
-      return Status::OK();
-    default:
-      return Status::OK();
-  }
-}
-
-// A block's expressions compile into one program per role, and a node adds
-// at most one register to each file (see ExprProgram); the files are
-// indexed by 16 bits.
-constexpr size_t kMaxBlockExprNodes = 0xFFFF;
-
-// The rules of a bound plan that its compiled programs rely on: the
-// operand rule, no aggregate lookup keyed on an uncertain value (the lookup
-// is probed once per row, before any trial), and a block's expressions
-// fitting the register files.
-Status CheckEvaluable(const QueryPlan& plan) {
-  for (const Block& block : plan.blocks) {
-    const std::vector<ExprPtr> lineage = ComputeSpjLineage(plan, block);
-    std::vector<ExprPtr> exprs = block.group_by;
-    if (block.filter != nullptr) exprs.push_back(block.filter);
-    for (const AggSpec& agg : block.aggs) exprs.push_back(agg.arg);
-    exprs.insert(exprs.end(), block.projections.begin(),
-                 block.projections.end());
-    exprs.insert(exprs.end(), lineage.begin(), lineage.end());
-    size_t nodes = 0;
-    std::vector<const AggLookupExpr*> lookups;
-    for (const ExprPtr& e : exprs) {
-      if (e == nullptr) continue;  // a deterministic column's lineage
-      IOLAP_RETURN_IF_ERROR(CheckOperands(*e, &nodes));
-      e->CollectAggLookups(&lookups);
-    }
-    if (nodes > kMaxBlockExprNodes) {
-      return Status::BindError("block '" + block.debug_name + "' has " +
-                               std::to_string(nodes) +
-                               " expression nodes; at most " +
-                               std::to_string(kMaxBlockExprNodes) + " fit");
-    }
-    for (const AggLookupExpr* lookup : lookups) {
-      for (const ExprPtr& key : lookup->key_exprs()) {
-        if (key->DependsOnUncertain(&lineage)) {
-          return Status::BindError(
-              "a correlated subquery cannot be keyed on an uncertain value "
-              "(an aggregate or a subquery): " + key->ToString());
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Impl
@@ -174,7 +72,6 @@ class Binder::Impl {
       }
     }
     IOLAP_RETURN_IF_ERROR(ValidatePlan(plan_));
-    IOLAP_RETURN_IF_ERROR(CheckEvaluable(plan_));
     return std::move(plan_);
   }
 

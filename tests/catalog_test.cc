@@ -79,6 +79,22 @@ TEST(CatalogTest, RejectsRowsThatContradictTheSchema) {
         << name << ": " << status;
     EXPECT_FALSE(catalog.Has(name)) << name;
   }
+
+  // Rows that did not come through AddRow are read at registration: those
+  // passed to the constructor, and any after mutable_rows().
+  const Row good = {Value::Int64(1), Value::Double(2.0), Value::String("a")};
+  const Row bad_row = {Value::Int64(1), Value::String("b"), Value::Null()};
+  EXPECT_FALSE(Table(schema, {good}).rows_fit());
+  EXPECT_TRUE(catalog.RegisterTable("built_ok", Table(schema, {good})).ok());
+  EXPECT_EQ(catalog.RegisterTable("built_bad", Table(schema, {good, bad_row}))
+                .code(),
+            StatusCode::kInvalidArgument);
+  Table edited = table_of(good);
+  EXPECT_TRUE(edited.rows_fit());
+  edited.mutable_rows()[1] = bad_row;
+  EXPECT_FALSE(edited.rows_fit());
+  EXPECT_EQ(catalog.RegisterTable("edited", std::move(edited)).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CatalogTest, MissingTable) {

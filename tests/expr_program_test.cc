@@ -507,6 +507,54 @@ TEST(ExprProgramTest, CallResultOutsideItsStaticTypeIsNull) {
   EXPECT_TRUE(h.CheckRow(roots, row, 0, "bad calls"));
 }
 
+// A call returning one of its arguments is typed by its first result
+// candidate that is not NULL-typed, so coalesce(NULL, x), if(c, NULL, x)
+// and least(NULL, x) return x in Expr::Eval and in a compiled program, and
+// a string compared with any NULL-typed operand compiles to NULL.
+TEST(ExprProgramTest, NullTypedArgumentsLeaveTheOtherCandidates) {
+  Harness h;
+  const auto typed_call = [](const std::string& name,
+                             std::vector<ExprPtr> args) {
+    std::vector<ValueType> types;
+    for (const ExprPtr& arg : args) types.push_back(arg->output_type());
+    const ExprPtr untyped = Call(name, args);
+    const auto& fn = static_cast<const CallExpr&>(*untyped).function();
+    return std::make_shared<CallExpr>(&fn, std::move(args),
+                                      fn.signature.ResultType(types));
+  };
+  const Row row = {Value::Double(2.5), Value::Int64(7), Value::String("us")};
+  const ExprPtr x = Col(0, ValueType::kDouble);
+  const ExprPtr i = Col(1, ValueType::kInt64);
+  const ExprPtr s = Col(2, ValueType::kString);
+  const ExprPtr null = LitV(Value::Null());
+  const ExprPtr yes = LitV(Value::Int64(1));
+  const ExprPtr no = LitV(Value::Int64(0));
+  const std::vector<ExprPtr> roots = {
+      typed_call("coalesce", {null, x}),
+      typed_call("if", {yes, null, x}),
+      typed_call("if", {no, null, x}),
+      typed_call("least", {null, i}),
+      typed_call("coalesce", {null, null, s}),
+      typed_call("if", {no, null, s}),
+      // A string against NULL-typed operands: a call and a lookup.
+      Bin(Expr::BinaryOp::kEq, s, typed_call("coalesce", {null, null}),
+          ValueType::kInt64),
+      Bin(Expr::BinaryOp::kEq, s,
+          std::make_shared<AggLookupExpr>(0, 1, std::vector<ExprPtr>{i},
+                                          ValueType::kNull, "agg"),
+          ValueType::kInt64),
+  };
+  const std::vector<Value> expect = {
+      Value::Double(2.5), Value::Null(),       Value::Double(2.5),
+      Value::Int64(7),    Value::String("us"), Value::String("us"),
+      Value::Null(),      Value::Null()};
+  for (size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_TRUE(BitEqual(roots[r]->Eval(row, h.Ctx(-1)), expect[r]))
+        << roots[r]->ToString();
+  }
+  EXPECT_TRUE(h.CheckRow(roots, row, 2, "null-typed candidates"));
+}
+
 // Distinct int64s beyond ±2^53 stay distinct: 2^53 + 1 = 2^53 is false in
 // Expr::Eval and in a compiled program, and an int64 equals a double only
 // when the double is integral and the same number.
@@ -1237,6 +1285,32 @@ TEST(ExprProgramEngineTest, CallResultOutsideItsStaticTypeIsNullInARun) {
   ASSERT_EQ(rows.num_rows(), 1u);
   EXPECT_EQ(rows.row(0)[0].AsDouble(), 0.0);
   EXPECT_GT(rows.row(0)[1].AsDouble(), 0.0);
+}
+
+// In a run, coalesce(NULL, x) and if(c, NULL, x) return x: each sum below
+// equals the one written without the NULL candidate, in every batch.
+TEST(ExprProgramEngineTest, NullTypedArgumentsLeaveTheOtherCandidatesInARun) {
+  ConvivaConfig config;
+  auto catalog = MakeConvivaCatalog(config.Scaled(0.01));
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  Session session(catalog->get(), WorkloadOptions(0), WorkloadFunctions());
+  auto query = session.Sql(
+      "SELECT sum(coalesce(NULL, play_time)), sum(play_time), "
+      "sum(if(play_time > 100, NULL, play_time)), "
+      "sum(if(play_time > 100, 0, play_time)) FROM sessions");
+  ASSERT_TRUE(query.ok()) << query.status();
+  int batches = 0;
+  ASSERT_TRUE((*query)
+                  ->Run([&](const PartialResult& partial) {
+                    ++batches;
+                    const Row& row = partial.rows.row(0);
+                    EXPECT_TRUE(BitEqual(row[0], row[1])) << partial.batch;
+                    EXPECT_TRUE(BitEqual(row[2], row[3])) << partial.batch;
+                    EXPECT_GT(row[2].AsDouble(), 0.0) << partial.batch;
+                    return BatchAction::kContinue;
+                  })
+                  .ok());
+  EXPECT_GT(batches, 0);
 }
 
 }  // namespace

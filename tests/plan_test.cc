@@ -93,6 +93,24 @@ TEST_F(PlanTest, AggregateArgumentCheckedAtBuild) {
   EXPECT_EQ(plan->top().output_schema.column(0).type, ValueType::kString);
 }
 
+// ValidatePlan holds the type rules the compiled programs rely on, so a
+// built plan meets them as a bound one does.
+TEST_F(PlanTest, StringNumberMixFailsAtBuild) {
+  PlanBuilder pb(&catalog_, functions_);
+  auto& b = pb.NewBlock("bad");
+  b.Scan("sites")
+      .Filter(Eq(b.ColRef("region"), Lit(int64_t{5})))
+      .Agg("count", Lit(int64_t{1}), "c");
+  EXPECT_EQ(pb.Build().status().code(), StatusCode::kBindError);
+
+  PlanBuilder ok(&catalog_, functions_);
+  auto& n = ok.NewBlock("null_region");
+  n.Scan("sites")
+      .Filter(Eq(n.ColRef("region"), Lit(Value::Null())))
+      .Agg("count", Lit(int64_t{1}), "c");
+  EXPECT_TRUE(ok.Build().ok());
+}
+
 TEST_F(PlanTest, JoinWithDimension) {
   PlanBuilder pb(&catalog_, functions_);
   auto& b = pb.NewBlock("joined");

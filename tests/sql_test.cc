@@ -368,6 +368,10 @@ TEST_F(SqlBindTest, StringNumberMixIsABindError) {
            "SELECT count(*) FROM sites WHERE 1.5 <= cdn",
            "SELECT count(*) FROM sites WHERE region AND site > 1",
            "SELECT sum(site % region) FROM sites",
+           // A call returning one of its arguments takes no mix of them.
+           "SELECT if(site > 1, 'a', 5) FROM sites",
+           "SELECT coalesce(NULL, region, site) FROM sites",
+           "SELECT count(*) FROM sites GROUP BY greatest(region, 1)",
        }) {
     auto plan = Bind(sql);
     ASSERT_FALSE(plan.ok()) << sql;
@@ -380,6 +384,10 @@ TEST_F(SqlBindTest, StringNumberMixIsABindError) {
            "SELECT count(*) FROM sites WHERE region < cdn",
            "SELECT count(*) FROM sites WHERE region = NULL",
            "SELECT sum(site + NULL) FROM sites",
+           "SELECT count(*) FROM sites WHERE region = if(site > 1, NULL, 'us')",
+           "SELECT count(*) FROM sites WHERE region = "
+           "(SELECT max(NULL) FROM sites)",
+           "SELECT coalesce(NULL, region), if(site > 1, NULL, 5) FROM sites",
        }) {
     EXPECT_TRUE(Bind(sql).ok()) << sql << ": " << Bind(sql).status();
   }
@@ -424,20 +432,25 @@ TEST_F(SqlBindTest, ScalarCallsCheckedAgainstSignature) {
   EXPECT_TRUE(Bind("SELECT avg(sqrt(NULL)), avg(length(NULL)) FROM sessions")
                   .ok());
 
-  // if/coalesce/least/greatest take their result type from an argument.
+  // if/coalesce/least/greatest take the type of their first result
+  // candidate (if: THEN, then ELSE) that is not NULL-typed.
   auto plan = Bind(
       "SELECT if(play_time > 1, site, 2), if(site > 1, 'a', 'b'), "
       "coalesce(play_time, site), least(site, 1.5), greatest(play_time, 2), "
-      "coalesce(NULL, site) FROM sessions");
+      "coalesce(NULL, site), if(site > 1, NULL, play_time), "
+      "least(NULL, NULL, site), coalesce(NULL, NULL) FROM sessions");
   ASSERT_TRUE(plan.ok()) << plan.status();
   const std::vector<ExprPtr>& items = plan->top().projections;
-  ASSERT_EQ(items.size(), 6u);
+  ASSERT_EQ(items.size(), 9u);
   EXPECT_EQ(items[0]->output_type(), ValueType::kInt64);
   EXPECT_EQ(items[1]->output_type(), ValueType::kString);
   EXPECT_EQ(items[2]->output_type(), ValueType::kDouble);
   EXPECT_EQ(items[3]->output_type(), ValueType::kInt64);
   EXPECT_EQ(items[4]->output_type(), ValueType::kDouble);
-  EXPECT_EQ(items[5]->output_type(), ValueType::kNull);
+  EXPECT_EQ(items[5]->output_type(), ValueType::kInt64);
+  EXPECT_EQ(items[6]->output_type(), ValueType::kDouble);
+  EXPECT_EQ(items[7]->output_type(), ValueType::kInt64);
+  EXPECT_EQ(items[8]->output_type(), ValueType::kNull);
 }
 
 // Aggregate calls are checked against their definitions' signatures, like
@@ -645,6 +658,28 @@ TEST_F(SqlExecTest, ArithmeticInAggArgs) {
   CheckSql(
       "SELECT sum(play_time * (1 - buffer_time / 100.0)) FROM sessions "
       "WHERE buffer_time < 90");
+}
+
+// A NULL-typed operand reads NULL at run time: a call returning one of its
+// arguments returns the others past it, and a string compared with it is
+// NULL, in the engine and in the reference alike.
+TEST_F(SqlExecTest, NullTypedOperands) {
+  CheckSql(
+      "SELECT sum(coalesce(NULL, play_time)), "
+      "sum(if(buffer_time > 30, NULL, bytes)), count(least(NULL, site)) "
+      "FROM sessions");
+  CheckSql(
+      "SELECT region, count(*) FROM sessions, sites "
+      "WHERE sessions.site = sites.site "
+      "AND region = if(sites.site > 1, NULL, 'us') GROUP BY region");
+  CheckSql(
+      "SELECT count(*) FROM sessions, sites WHERE sessions.site = sites.site "
+      "AND region = (SELECT max(NULL) FROM sites)");
+  // A string call that folds to NULL stays in a string register.
+  CheckSql(
+      "SELECT lower(NULL), count(upper(NULL)), count(*) FROM sessions, sites "
+      "WHERE sessions.site = sites.site AND region <> lower(NULL) "
+      "GROUP BY lower(NULL)");
 }
 
 }  // namespace
