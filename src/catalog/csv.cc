@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -62,11 +63,16 @@ bool ParsesAsInt(const std::string& s) {
   return end == s.c_str() + s.size() && errno != ERANGE;
 }
 
+// A number field must not overflow a double: strtod turns 1e999 into
+// +-HUGE_VAL (infinity) and sets ERANGE, and such a field is not a number.
+// Underflow (1e-400 reads as 0) is rounding like any other, and the literal
+// spellings of infinity and NaN set no ERANGE, so they stay numbers.
 bool ParsesAsDouble(const std::string& s) {
   if (s.empty()) return false;
   char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  return end == s.c_str() + s.size() && !(errno == ERANGE && std::isinf(v));
 }
 
 bool NeedsQuoting(const std::string& s, char delimiter) {

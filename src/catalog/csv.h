@@ -23,6 +23,13 @@ struct CsvOptions {
 /// rows: a column is INT64 if every sampled non-null field parses as an
 /// integer, DOUBLE if every field parses as a number, STRING otherwise.
 /// Quoted fields ("a ""quoted"" field, with comma") are supported.
+///
+/// Values are never clamped. An integer outside int64 is not an integer,
+/// and a number that overflows a double (1e999) is not a number: a sampled
+/// column holding one infers DOUBLE or STRING respectively, and a field
+/// after the sample that does not fit its column's type is a ParseError. Underflow is
+/// ordinary rounding (1e-400 loads as 0), and the literals inf, -inf and
+/// nan (as strtod spells them) load as those doubles.
 Result<Table> ReadCsv(const std::string& text, const CsvOptions& options = {});
 
 /// Reads a CSV file from disk.

@@ -19,10 +19,11 @@ namespace iolap {
 ///  - registry-envelope-fault: a *natural-typed* envelope violation — the
 ///    tracker walks back its constraint history exactly as a real escape
 ///    would, so the replay freezes ranges.
-///  - checkpoint-capture-corrupt: flips a checksum bit while a checkpoint
-///    is captured; detected at restore time.
-///  - checkpoint-restore-fault: a checkpoint fails verification at restore
-///    time even though its content is intact.
+///  - checkpoint-capture-corrupt: flips a checksum bit while a batch's
+///    undo record is sealed (detail = that batch); detected when a restore
+///    must undo the record.
+///  - checkpoint-restore-fault: the undo record of the detail batch fails
+///    verification at restore time even though its content is intact.
 ///  - controller-batch-fault: the QueryController loses a scheduled batch
 ///    after it completed and must recover it (arg = rollback depth).
 ///  - pool-task-fault: a ThreadPool task body dies and is retried

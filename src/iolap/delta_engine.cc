@@ -124,6 +124,7 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     }
   }
   if (proj_program_ != nullptr) proj_program_->InitState(&proj_state_);
+  OpenRecord();
 
   // A projection that is a column reference with an aggregate lookup as its
   // lineage passes an upstream aggregate cell through: its estimate is the
@@ -203,7 +204,6 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row, size_t eval_idx,
   GroupedAggregateState::GroupCells& cells =
       target->GetOrCreate(KeyOf(eval_idx), batch);
   const Value* main_vals = MainValsOf(eval_idx);
-  cells.last_touched = batch;
   const bool defer = bootstrap_.num_trials() > 0;
   if (defer) {
     deferred_certain_.AddRow(cells.aggs.data(), row.stream_uid, row.weight,
@@ -386,28 +386,42 @@ void BlockExecutor::FlushDeferredTrials() {
   deferred_pending_.clear();
 }
 
-void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, int batch,
-                             GroupedAggregateState* temp,
+void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
+                             int batch, GroupedAggregateState* temp,
                              std::vector<ExecRow>* new_pending) {
   const RowEval& ev = row_scratch_[eval_idx];
-  if (ev.truth == IntervalTruth::kAlwaysFalse) return;
-  if (!ev.pending_route) {
+  const bool fresh = old_index == kFreshRow;
+  if (ev.truth != IntervalTruth::kAlwaysFalse && ev.pending_route) {
+    // Non-deterministic (or permanently unsketchable): contributes revocably
+    // this batch and is saved for re-evaluation in the next one.
+    if (block_->has_aggregate()) {
+      ApplyPending(row, eval_idx, batch, temp);
+    } else if (ev.main_pass) {
+      pending_passing_.push_back(new_pending->size());
+    }
+    if (fresh) {
+      ++open_.fresh_pending;
+      pending_bytes_ += row.ByteSize();
+    }
+    new_pending->push_back(std::move(row));
+    return;
+  }
+  if (ev.truth != IntervalTruth::kAlwaysFalse) {
     if (block_->has_aggregate()) {
       AccumulateCertain(row, eval_idx, batch, &sketch_);
     } else {
       sink_bytes_ += row.ByteSize();
-      sink_rows_.push_back(std::move(row));
+      if (fresh) {
+        sink_rows_.push_back(std::move(row));
+        return;
+      }
+      sink_rows_.push_back(row);
     }
-    return;
   }
-  // Non-deterministic (or permanently unsketchable): contributes revocably
-  // this batch and is saved for re-evaluation in the next one.
-  if (block_->has_aggregate()) {
-    ApplyPending(row, eval_idx, batch, temp);
-  } else if (ev.main_pass) {
-    pending_passing_.push_back(new_pending->size());
-  }
-  new_pending->push_back(std::move(row));
+  if (fresh) return;
+  // A row of the old U left it: the open record keeps it for an undo.
+  pending_bytes_ -= row.ByteSize();
+  open_.left_pending.emplace_back(old_index, std::move(row));
 }
 
 int BlockExecutor::ProcessBatch(int batch, double scale,
@@ -421,6 +435,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     sink_rows_.clear();
     sink_bytes_ = 0;
     pending_.clear();
+    pending_bytes_ = 0;
     stats->recomputed_rows += input_deltas[0].size();
   } else {
     for (const RowBatch& delta : input_deltas) {
@@ -448,7 +463,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   stats->recomputed_rows += pending_.size();
   if (!lazy_enabled()) {
     // Without OPT2 the saved tuples are re-shipped / re-derived.
-    stats->shipped_bytes += BatchByteSize(pending_);
+    stats->shipped_bytes += pending_bytes_;
   }
 
   // Evaluation phase over fresh ∪ pending rows: classify (with buffered
@@ -485,23 +500,6 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     evaluate(0, total_rows, 0);
   }
 
-  // Pre-size the group maps with this batch's routing counts (upper bounds
-  // on new groups) so the serial apply phase never rehashes mid-loop.
-  if (block_->has_aggregate()) {
-    size_t certain_rows = 0;
-    size_t pending_rows = 0;
-    for (const RowEval& ev : row_scratch_) {
-      if (ev.truth == IntervalTruth::kAlwaysFalse) continue;
-      if (ev.pending_route) {
-        ++pending_rows;
-      } else {
-        ++certain_rows;
-      }
-    }
-    sketch_.Reserve(certain_rows);
-    temp.Reserve(pending_rows);
-  }
-
   // Apply phase, serial in the original row order: replay the buffered
   // range constraints, then route each row into the sketch / sink /
   // non-deterministic set. Entering the serial-phase role here (a no-op at
@@ -522,8 +520,12 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
           break;
       }
     }
-    ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-    RouteRow(std::move(row), i, batch, &temp, &new_pending);
+    if (i < num_fresh) {
+      RouteRow(std::move(fresh[i]), i, kFreshRow, batch, &temp, &new_pending);
+    } else {
+      RouteRow(std::move(pending_[i - num_fresh]), i, i - num_fresh, batch,
+               &temp, &new_pending);
+    }
   }
   pending_ = std::move(new_pending);
 
@@ -645,11 +647,13 @@ int BlockExecutor::PublishOutput(int batch, double scale,
       new_output_rows_.push_back(std::move(out));
     }
   };
-  for (const auto& [key, cells] : sketch_.groups()) {
-    publish(key, cells.get(), temp.Find(key));
+  for (const GroupedAggregateState::Group& g : sketch_.groups()) {
+    publish(g.key, g.cells.get(), temp.Find(g.ref()));
   }
-  for (const auto& [key, cells] : temp.groups()) {
-    if (sketch_.Find(key) == nullptr) publish(key, nullptr, cells.get());
+  for (const GroupedAggregateState::Group& g : temp.groups()) {
+    if (sketch_.Find(g.ref()) == nullptr) {
+      publish(g.key, nullptr, g.cells.get());
+    }
   }
   prev_temp_keys_ = std::move(temp_keys_now);
   force_full_publish_ = false;
@@ -742,87 +746,119 @@ size_t BlockExecutor::JoinStateBytes() const {
 }
 
 size_t BlockExecutor::OtherStateBytes() const {
-  return sketch_.ByteSize() + BatchByteSize(pending_) + sink_bytes_;
+  return sketch_.ByteSize() + pending_bytes_ + sink_bytes_;
 }
 
-std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
-    int batch) const {
-  auto cp = std::make_shared<Checkpoint>();
-  cp->batch = batch;
-  cp->join_marks.reserve(join_steps_.size());
-  for (const JoinStep& step : join_steps_) {
-    cp->join_marks.push_back(step.watermark());
+std::vector<JoinStep::Watermark> BlockExecutor::JoinWatermarks() const {
+  std::vector<JoinStep::Watermark> marks;
+  marks.reserve(join_steps_.size());
+  for (const JoinStep& step : join_steps_) marks.push_back(step.watermark());
+  return marks;
+}
+
+void BlockExecutor::OpenRecord() {
+  open_ = UndoRecord{};
+  open_.join_marks = JoinWatermarks();
+  open_.sink_watermark = sink_rows_.size();
+  open_.sink_bytes = sink_bytes_;
+  open_.pending_bytes = pending_bytes_;
+}
+
+BlockExecutor::UndoRecord BlockExecutor::SealRecord(int batch) {
+  UndoRecord record = std::move(open_);
+  record.batch = batch;
+  record.sketch = sketch_.Seal();
+  record.bytes = sizeof(UndoRecord) +
+                 record.join_marks.size() * sizeof(JoinStep::Watermark) +
+                 record.sketch.pre_images.size() *
+                     sizeof(GroupedAggregateState::PreImage) +
+                 record.sketch.pre_image_bytes;
+  for (const auto& [index, row] : record.left_pending) {
+    record.bytes += sizeof(index) + row.ByteSize();
   }
-  // A stateless consumer clears its sketch and pending set before reading
-  // them (ProcessBatch), so only the batch and the watermarks matter.
-  if (!stateless_) {
-    cp->pending = pending_;
-    cp->sketch = sketch_;  // shares the group nodes (copy-on-write)
-  }
-  cp->sink_watermark = sink_rows_.size();
-  // Checksum the snapshot, not the live state: restore verifies exactly the
-  // object it is about to replay. Groups not written since they were last
-  // hashed contribute their cached hashes.
-  cp->checksum = ChecksumCheckpoint(*cp, /*use_cache=*/true);
+  record.checksum = ChecksumRecord(record);
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointCaptureCorrupt, batch)) {
-    cp->checksum ^= 1;  // simulated bit-rot between capture and restore
+    record.checksum ^= 1;  // simulated bit-rot between capture and restore
   }
-  return cp;
+  OpenRecord();
+  return record;
 }
 
-size_t BlockExecutor::Checkpoint::ByteSize(
-    std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
-    const {
-  size_t total = sizeof(Checkpoint);
-  total += join_marks.size() * sizeof(JoinStep::Watermark);
-  total += BatchByteSize(pending);
-  total += sketch.ByteSize(counted);
-  return total;
-}
-
-uint64_t BlockExecutor::ChecksumCheckpoint(const Checkpoint& checkpoint,
-                                           bool use_cache) {
-  // Scalars and ordered containers fold order-sensitively.
-  uint64_t h = HashCombine(0, static_cast<uint64_t>(checkpoint.batch));
-  for (const JoinStep::Watermark& mark : checkpoint.join_marks) {
+uint64_t BlockExecutor::ChecksumRecord(const UndoRecord& record) {
+  uint64_t h = HashCombine(0, static_cast<uint64_t>(record.batch));
+  for (const JoinStep::Watermark& mark : record.join_marks) {
     h = HashCombine(h, mark.input);
     h = HashCombine(h, mark.prefix);
   }
-  for (const ExecRow& row : checkpoint.pending) {
+  h = HashCombine(h, record.sink_watermark);
+  h = HashCombine(h, record.sink_bytes);
+  h = HashCombine(h, record.pending_bytes);
+  h = HashCombine(h, record.sketch.num_groups);
+  h = HashCombine(h, record.sketch.bytes);
+  for (const GroupedAggregateState::PreImage& pre : record.sketch.pre_images) {
+    h = HashCombine(h, pre.pos);
+    h = HashCombine(h, GroupedAggregateState::CellsHash(*pre.cells));
+  }
+  h = HashCombine(h, record.fresh_pending);
+  for (const auto& [index, row] : record.left_pending) {
+    h = HashCombine(h, index);
     h = HashCombine(h, HashRow(row.values));
     h = HashCombine(h, row.stream_uid);
     h = HashCombine(h, std::bit_cast<uint64_t>(row.weight));
   }
-  h = HashCombine(h, checkpoint.sink_watermark);
-  return HashCombine(h, checkpoint.sketch.ContentHash(use_cache));
+  return h;
 }
 
-bool BlockExecutor::VerifyCheckpoint(const Checkpoint& checkpoint) {
-  if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, checkpoint.batch)) {
+bool BlockExecutor::VerifyRecord(const UndoRecord& record) {
+  if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, record.batch)) {
     return false;  // simulated corruption detected at restore time
   }
-  return ChecksumCheckpoint(checkpoint, /*use_cache=*/false) ==
-         checkpoint.checksum;
+  return ChecksumRecord(record) == record.checksum;
 }
 
-void BlockExecutor::Restore(const Checkpoint& checkpoint) {
+void BlockExecutor::UndoOpenBatch() {
+  UndoRecord record = std::move(open_);
+  record.sketch = sketch_.Seal();
+  Undo(std::move(record));
+}
+
+void BlockExecutor::Undo(UndoRecord record) {
   for (size_t k = 0; k < join_steps_.size(); ++k) {
-    join_steps_[k].TruncateTo(checkpoint.join_marks[k]);
+    join_steps_[k].TruncateTo(record.join_marks[k]);
   }
   if (stateless_) {
-    pending_.clear();
+    // A snapshot consumer rebuilds everything from its input next batch.
     sketch_.Clear();
+    pending_.clear();
+    sink_rows_.clear();
+    pending_bytes_ = 0;
+    sink_bytes_ = 0;
   } else {
-    pending_ = checkpoint.pending;
-    sketch_ = checkpoint.sketch;  // shares the group nodes (copy-on-write)
+    sketch_.Rollback(std::move(record.sketch));
+    // Drop the rows that entered U and merge the rows that left back in at
+    // their old indices; the rows that stayed kept their relative order.
+    std::vector<ExecRow> old;
+    old.reserve(pending_.size() - record.fresh_pending +
+                record.left_pending.size());
+    auto stayed =
+        pending_.begin() + static_cast<ptrdiff_t>(record.fresh_pending);
+    for (auto& [index, row] : record.left_pending) {
+      while (old.size() < index) old.push_back(std::move(*stayed++));
+      old.push_back(std::move(row));
+    }
+    old.insert(old.end(), std::make_move_iterator(stayed),
+               std::make_move_iterator(pending_.end()));
+    pending_ = std::move(old);
+    pending_bytes_ = record.pending_bytes;
+    sink_rows_.resize(record.sink_watermark);
+    sink_bytes_ = record.sink_bytes;
   }
-  sink_rows_.resize(checkpoint.sink_watermark);
-  sink_bytes_ = BatchByteSize(sink_rows_);
   new_output_rows_.clear();
   pending_passing_.clear();
   prev_temp_keys_.clear();
   // Registry values may be newer than the restored sketches.
   force_full_publish_ = true;
+  OpenRecord();
 }
 
 void BlockExecutor::Reset() {
@@ -830,6 +866,7 @@ void BlockExecutor::Reset() {
     step.TruncateTo(JoinStep::Watermark{0, 0});
   }
   pending_.clear();
+  pending_bytes_ = 0;
   sketch_.Clear();
   sink_rows_.clear();
   sink_bytes_ = 0;
@@ -837,6 +874,7 @@ void BlockExecutor::Reset() {
   pending_passing_.clear();
   prev_temp_keys_.clear();
   force_full_publish_ = true;
+  OpenRecord();
 }
 
 }  // namespace iolap

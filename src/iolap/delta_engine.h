@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bootstrap/error_estimate.h"
@@ -69,8 +70,10 @@ struct EngineOptions {
   size_t num_batches = 40;
   PartitionOptions partition;
   uint64_t seed = 42;
-  /// Per-batch state checkpoints retained for failure recovery; rollbacks
-  /// deeper than this degrade to a full restart.
+  /// Batches a failure recovery can rewind to (the state after each of the
+  /// last checkpoint_history batches); rollbacks deeper than this degrade
+  /// to a full restart. The undo log keeps the records of the last
+  /// checkpoint_history - 1 sealed batches plus the batch in progress.
   size_t checkpoint_history = 8;
   /// Failure-recovery attempts per batch before the engine falls back to
   /// classification-free (always-correct) processing for the rest of the
@@ -162,6 +165,8 @@ class BlockExecutor {
   size_t PendingCount() const { return pending_.size(); }
 
   size_t JoinStateBytes() const;
+  /// Sketch, U and sink bytes, from running counts: valid after a
+  /// SealRecord (or an undo), which is when the controller reads it.
   size_t OtherStateBytes() const;
 
   /// Disables range-based pruning for the rest of the run (recovery storm
@@ -190,47 +195,68 @@ class BlockExecutor {
   /// contributions lapsed is not in its input.
   bool stateless() const { return stateless_; }
 
-  // --- checkpointing for failure recovery (§5.1) -------------------------
+  /// Read-only views of the block's recoverable state: the sketch (an
+  /// aggregate block's certain contributions), the non-deterministic set U,
+  /// the sink (a non-aggregate block's certain rows) and the join caches'
+  /// watermarks.
+  const GroupedAggregateState& sketch() const { return sketch_; }
+  const std::vector<ExecRow>& pending_rows() const { return pending_; }
+  const std::vector<ExecRow>& sink_rows() const { return sink_rows_; }
+  std::vector<JoinStep::Watermark> JoinWatermarks() const;
 
-  /// A self-contained snapshot of the block's state after one batch. Its
-  /// sketch shares unchanged group nodes with the live sketch and with the
-  /// other snapshots in the ring (copy-on-write, see GroupedAggregateState);
-  /// a stateless block captures only the batch and the watermarks.
-  struct Checkpoint {
+  // --- undo log for failure recovery (§5.1) ------------------------------
+
+  /// What one batch changed in the block's state, enough to undo it.
+  /// Restoring the state after batch t undoes the records of the batches
+  /// after t, newest first. A record holds only what its batch wrote, so
+  /// sealing, checksumming and dropping one costs O(groups written + rows
+  /// entering or leaving U). A stateless block clears its state at every
+  /// batch, so undoing its record clears it too.
+  struct UndoRecord {
+    /// The batch whose changes the record undoes.
     int batch = 0;
+    // The state before the batch: join watermarks, sink size, and the
+    // running byte counts of the sink and of U.
     std::vector<JoinStep::Watermark> join_marks;
-    std::vector<ExecRow> pending;
-    GroupedAggregateState sketch;
     size_t sink_watermark = 0;
-    /// Content hash computed at capture (see ChecksumCheckpoint). Restoring
-    /// verifies it; a mismatch means the snapshot is corrupt and the
-    /// controller escalates to an older checkpoint or a full restart
-    /// instead of silently replaying bad state.
+    size_t sink_bytes = 0;
+    size_t pending_bytes = 0;
+    /// The sketch's group count, bytes and pre-images from before the batch.
+    GroupedAggregateState::Undo sketch;
+    /// The batch rebuilt U as [fresh rows routed pending] followed by [old
+    /// rows still pending]: the length of the first part, and each old row
+    /// that left U with its index in the old U, in index order.
+    size_t fresh_pending = 0;
+    std::vector<std::pair<size_t, ExecRow>> left_pending;
+    /// Checksum over the record's content, computed when it is sealed (see
+    /// ChecksumRecord). Restoring verifies it first; a mismatch means the
+    /// record is corrupt, so neither it nor anything older can be undone
+    /// and the controller falls back to a full restart.
     uint64_t checksum = 0;
-
-    /// Approximate retained bytes, for ring-size accounting in the
-    /// controller: sketch nodes already in `counted` are skipped (see
-    /// GroupedAggregateState::ByteSize).
-    size_t ByteSize(
-        std::unordered_set<const GroupedAggregateState::GroupCells*>* counted)
-        const;
+    /// Approximate bytes the record retains (its pre-images and the rows
+    /// that left U), for the controller's running ring count.
+    size_t bytes = 0;
   };
 
-  std::shared_ptr<const Checkpoint> MakeCheckpoint(int batch) const;
+  /// Closes the open record — the changes of `batch`, which the last
+  /// ProcessBatch applied — checksums it, and opens the next. Also folds the
+  /// batch's sketch writes into OtherStateBytes().
+  UndoRecord SealRecord(int batch);
 
-  /// Order-insensitive content hash over everything a restore would replay
-  /// (batch, join watermarks, pending rows, sketch accumulator results).
-  /// Capture passes `use_cache` to reuse the per-group hashes of nodes not
-  /// written since they were last hashed; verification recomputes
-  /// everything from content.
-  static uint64_t ChecksumCheckpoint(const Checkpoint& checkpoint,
-                                     bool use_cache);
+  /// Content checksum over everything an undo replays: batch, watermarks,
+  /// byte counts, pre-image positions and content hashes, and the rows that
+  /// left U. O(record).
+  static uint64_t ChecksumRecord(const UndoRecord& record);
 
-  /// True when `checkpoint`'s checksum matches its content. The
+  /// True when `record`'s checksum matches its content. The
   /// checkpoint-restore-fault failpoint forces a mismatch here.
-  static bool VerifyCheckpoint(const Checkpoint& checkpoint);
+  static bool VerifyRecord(const UndoRecord& record);
 
-  void Restore(const Checkpoint& checkpoint);
+  /// Undoes the batch processed since the last SealRecord.
+  void UndoOpenBatch();
+  /// Undoes a sealed record: call UndoOpenBatch first, then undo the
+  /// records newest first.
+  void Undo(UndoRecord record);
   /// Drops all state (full restart).
   void Reset();
 
@@ -313,11 +339,19 @@ class BlockExecutor {
   void EvaluateRow(ExecRow* row, bool charge_regeneration, RowEval* ev,
                    Value* vals, ExprProgramState* prog_state) const;
 
+  /// `old_index` of a fresh row (one not in U before this batch).
+  static constexpr size_t kFreshRow = SIZE_MAX;
+
   /// Routes an evaluated row: sketch/sink for certain rows, the pending
-  /// (non-deterministic) set otherwise. Serial apply phase.
-  void RouteRow(ExecRow row, size_t eval_idx, int batch,
+  /// (non-deterministic) set otherwise. A row of the old U (its index there
+  /// is `old_index`) that leaves U goes into the open record, and a fresh
+  /// row that enters U is counted there. Serial apply phase.
+  void RouteRow(ExecRow row, size_t eval_idx, size_t old_index, int batch,
                 GroupedAggregateState* temp, std::vector<ExecRow>* new_pending)
       IOLAP_REQUIRES(engine_serial_phase);
+
+  /// Starts the record of the next batch from the current state.
+  void OpenRecord();
 
   /// Adds a certain row's aggregate contributions, evaluated into its
   /// RowEval and row_vals_ slice, to `target`: main accumulators
@@ -408,9 +442,13 @@ class BlockExecutor {
   // Operator states (§4.2).
   std::vector<JoinStep> join_steps_;
   std::vector<ExecRow> pending_;  // the non-deterministic set U
+  size_t pending_bytes_ = 0;      // BatchByteSize(pending_), kept running
   GroupedAggregateState sketch_;
   std::vector<ExecRow> sink_rows_;  // non-aggregate top block only
   size_t sink_bytes_ = 0;           // BatchByteSize(sink_rows_)
+  /// The changes of the batch in progress since the last SealRecord (its
+  /// sketch part is kept by sketch_ until the seal).
+  UndoRecord open_;
 
   RowBatch new_output_rows_;
   /// Non-aggregate block: indices into pending_ of the rows passing now.
@@ -423,9 +461,9 @@ class BlockExecutor {
   // Per-batch scratch (cleared at the end of ProcessBatch; members only to
   // reuse capacity across batches). Deferred records hold accumulator
   // pointers, which are stable: GroupCells are heap nodes whose `aggs`
-  // vectors are sized once at creation, and no checkpoint is taken within
-  // a batch, so GetOrCreate clones a shared node at most once per batch,
-  // before any record points into it.
+  // vectors are sized once at creation, and GetOrCreate clones a node at
+  // most once per batch (its first write, which records the pre-image),
+  // before any deferred record points into it.
   std::vector<RowEval> row_scratch_;
   /// Row i's group key, then its main aggregate arguments (a certain row's,
   /// or a main-passing pending row's), at [i * eval_width_, (i + 1) *

@@ -125,6 +125,18 @@ std::string QueryMetrics::Summary() const {
                 TotalShippedBytes() / 1e6, TotalFailureRecoveries(),
                 PeakJoinStateBytes() / 1e6, PeakOtherStateBytes() / 1e3);
   std::string out = buf;
+  double recovery = 0, checkpoint = 0, result = 0, accounting = 0;
+  for (const BatchMetrics& b : batches) {
+    recovery += b.recovery_sec;
+    checkpoint += b.checkpoint_sec;
+    result += b.result_sec;
+    accounting += b.accounting_sec;
+  }
+  std::snprintf(buf, sizeof(buf),
+                " recovery=%.3fs checkpoint=%.3fs result=%.3fs "
+                "accounting=%.3fs",
+                recovery, checkpoint, result, accounting);
+  out += buf;
   // Program-verification detail only when expressions were compiled at
   // all; a rejection is a compiler bug and must be visible in the line.
   if (programs_compiled > 0 || programs_rejected > 0 ||

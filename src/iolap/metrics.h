@@ -25,6 +25,17 @@ struct BatchMetrics {
   /// latency_sec; the ratio cpu_sec / latency_sec approximates the
   /// effective parallel speedup of the batch.
   double cpu_sec = 0.0;
+  /// Wall seconds of the controller's phases, parts of latency_sec (one
+  /// clock read per phase boundary): failure recovery (restores and
+  /// replays, the replayed batches' record seals included; 0 in a batch
+  /// that did not recover), sealing this
+  /// batch's undo record (eviction included), building the delivered
+  /// result, and state-byte accounting. The rest of latency_sec is the
+  /// blocks' batch processing.
+  double recovery_sec = 0.0;
+  double checkpoint_sec = 0.0;
+  double result_sec = 0.0;
+  double accounting_sec = 0.0;
   /// Fraction of the streamed relation processed after this batch.
   double fraction_processed = 0.0;
   /// New input tuples scanned this batch.
@@ -48,11 +59,12 @@ struct BatchMetrics {
   /// Deepest single rollback this batch, in batches rewound (current batch
   /// minus restore point; a full restart of batch b counts b + 1).
   int rollback_depth_max = 0;
-  /// Recoveries that degraded to a full restart (target evicted from the
-  /// checkpoint ring, every candidate corrupt, or storm level 3).
+  /// Recoveries that degraded to a full restart (target older than the
+  /// checkpoint ring reaches, a corrupt undo record on the way, or storm
+  /// level 3).
   int full_restarts = 0;
-  /// Checkpoints whose checksum failed verification during recovery; each
-  /// one forced escalation to an older snapshot or a full restart.
+  /// Recoveries that found an undo record whose checksum failed
+  /// verification; each one forced a full restart.
   int corrupt_checkpoints = 0;
   /// Recoveries whose failure verdicts were all failpoint-injected (the
   /// replay runs with unfrozen ranges and reproduces the fault-free bits).

@@ -1,7 +1,7 @@
 #include "iolap/query_controller.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <chrono>
 
 #include "common/failpoint.h"
 #include "common/timer.h"
@@ -195,34 +195,34 @@ int QueryController::RollbackTo(int target, int current_batch, bool injected,
   // Failure recovery mutates the registry; it always runs on the driving
   // thread between batches, which the serial-phase role makes checkable.
   ScopedThreadRole serial_phase(engine_serial_phase);
-  if (target >= 0) {
-    // Walk the ring newest-to-oldest over snapshots at or before the
-    // target. A checkpoint whose checksum no longer matches its content is
-    // corrupt — replaying it would resurrect bad state as silently as the
-    // failure it is meant to undo — so verification failures escalate to
-    // the next older candidate (a deeper but sound rollback).
-    for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend();) {
-      const auto& snapshot = *it;
-      if (snapshot.empty() || snapshot[0]->batch > target) {
-        ++it;
-        continue;
+  // Undoing the batch in progress reaches the state after sealed_through_;
+  // each record in the ring reaches one batch further back.
+  const int restored = std::min(target, sealed_through_);
+  const int oldest = sealed_through_ - static_cast<int>(checkpoints_.size());
+  if (options_.checkpoint_history > 0 && restored >= 0 && restored >= oldest) {
+    // Verify every record to be undone before undoing any. A record whose
+    // checksum no longer matches its content is corrupt — replaying it would
+    // resurrect bad state as silently as the failure it is meant to undo —
+    // and the state before it is out of reach: fall back to a full restart.
+    bool intact = true;
+    for (auto it = checkpoints_.rbegin();
+         intact && it != checkpoints_.rend() && (*it)[0].batch > restored;
+         ++it) {
+      for (const BlockExecutor::UndoRecord& record : *it) {
+        intact = intact && BlockExecutor::VerifyRecord(record);
       }
-      bool valid = true;
-      for (const auto& checkpoint : snapshot) {
-        valid = valid && BlockExecutor::VerifyCheckpoint(*checkpoint);
+    }
+    if (intact) {
+      for (auto& executor : executors_) executor->UndoOpenBatch();
+      while (!checkpoints_.empty() && checkpoints_.back()[0].batch > restored) {
+        std::vector<BlockExecutor::UndoRecord>& records = checkpoints_.back();
+        for (size_t blk = 0; blk < executors_.size(); ++blk) {
+          ring_bytes_ -= records[blk].bytes;
+          executors_[blk]->Undo(std::move(records[blk]));
+        }
+        checkpoints_.pop_back();
       }
-      if (!valid) {
-        bm->corrupt_checkpoints++;
-        // Prune the corrupt snapshot: it can never be restored, so keeping
-        // its payload would only pin dead state in the ring (and a later
-        // recovery would stumble over — and re-count — the same corpse).
-        it = std::make_reverse_iterator(checkpoints_.erase(std::next(it).base()));
-        continue;
-      }
-      const int restored = snapshot[0]->batch;
-      for (size_t blk = 0; blk < executors_.size(); ++blk) {
-        executors_[blk]->Restore(*snapshot[blk]);
-      }
+      sealed_through_ = restored;
       const int depth = current_batch - restored;
       // Natural failures freeze recovered ranges through the replay window
       // (livelock prevention); injected ones replay unfrozen — no decision
@@ -231,18 +231,21 @@ int QueryController::RollbackTo(int target, int current_batch, bool injected,
       registry_->RollbackTo(restored, injected ? 0 : depth);
       bm->rollback_depth_max = std::max(bm->rollback_depth_max, depth);
       if (!injected) bm->frozen_replay_batches += depth;
+      if (state_hook_ != nullptr) state_hook_(restored, true);
       return restored;
     }
-    // Target evicted from the ring, or every candidate corrupt: degrade to
-    // a full restart.
+    bm->corrupt_checkpoints++;
   }
   for (auto& executor : executors_) executor->Reset();
   const int depth = current_batch + 1;  // everything from batch 0 replays
   registry_->RollbackTo(-1, injected ? 0 : depth);
   checkpoints_.clear();
+  ring_bytes_ = 0;
+  sealed_through_ = -1;
   bm->full_restarts++;
   bm->rollback_depth_max = std::max(bm->rollback_depth_max, depth);
   if (!injected) bm->frozen_replay_batches += depth;
+  if (state_hook_ != nullptr) state_hook_(-1, true);
   return -1;
 }
 
@@ -276,14 +279,24 @@ int QueryController::ApplyDegradation(int attempts, int rollback,
 }
 
 void QueryController::PushCheckpoint(int batch) {
-  std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
-  for (const auto& executor : executors_) {
-    snap.push_back(executor->MakeCheckpoint(batch));
+  std::vector<BlockExecutor::UndoRecord> records;
+  records.reserve(executors_.size());
+  for (auto& executor : executors_) {
+    records.push_back(executor->SealRecord(batch));
+    ring_bytes_ += records.back().bytes;
   }
-  checkpoints_.push_back(std::move(snap));
-  if (checkpoints_.size() > options_.checkpoint_history) {
+  checkpoints_.push_back(std::move(records));
+  sealed_through_ = batch;
+  // With the batch in progress, checkpoint_history - 1 sealed records reach
+  // the states after the last checkpoint_history batches.
+  const size_t keep = std::max<size_t>(options_.checkpoint_history, 1) - 1;
+  while (checkpoints_.size() > keep) {
+    for (const BlockExecutor::UndoRecord& record : checkpoints_.front()) {
+      ring_bytes_ -= record.bytes;
+    }
     checkpoints_.pop_front();
   }
+  if (state_hook_ != nullptr) state_hook_(batch, false);
 }
 
 Status QueryController::Run(const ResultObserver& observer) {
@@ -296,11 +309,17 @@ Status QueryController::Run(const ResultObserver& observer) {
   metrics_ = QueryMetrics{};
   FoldVerifierStats();
   checkpoints_.clear();
+  ring_bytes_ = 0;
+  sealed_through_ = -1;
   degrade_level_ = 0;
 
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double>(to - from).count();
+  };
   const int num_batches = static_cast<int>(layout_.batches.size());
   for (int b = 0; b < num_batches; ++b) {
-    WallTimer timer;
+    const Clock::time_point start = Clock::now();
     CpuTimer cpu_timer;
     BatchMetrics bm;
     bm.batch = b;
@@ -324,6 +343,7 @@ Status QueryController::Run(const ResultObserver& observer) {
     // reprocess forward. A recovery storm degrades down the staircase —
     // wider slack, then no pruning, then classification-free processing,
     // which cannot fail.
+    const Clock::time_point processed = Clock::now();
     int attempts = 0;
     while (rollback != BlockExecutor::kNoRollback) {
       ++attempts;
@@ -331,11 +351,6 @@ Status QueryController::Run(const ResultObserver& observer) {
       if (injected) bm.injected_faults++;
       rollback = ApplyDegradation(attempts, rollback, &bm);
       const int restored = RollbackTo(rollback, b, injected, &bm);
-      // Drop checkpoints newer than the restore point.
-      while (!checkpoints_.empty() &&
-             checkpoints_.back()[0]->batch > restored) {
-        checkpoints_.pop_back();
-      }
       rollback = BlockExecutor::kNoRollback;
       for (int bb = restored + 1; bb <= b; ++bb) {
         BlockBatchStats replay_stats;
@@ -345,7 +360,7 @@ Status QueryController::Run(const ResultObserver& observer) {
         bm.recomputed_rows += replay_stats.input_rows;
         bm.recomputed_rows += replay_stats.recomputed_rows;
         bm.shipped_bytes += replay_stats.shipped_bytes;
-        // Re-checkpoint replayed batches so a later failure can land on
+        // Seal the replayed batches' records so a later failure can undo
         // them again.
         if (bb < b) PushCheckpoint(bb);
         if (request != BlockExecutor::kNoRollback) {
@@ -356,12 +371,13 @@ Status QueryController::Run(const ResultObserver& observer) {
       }
     }
     bm.degrade_level = degrade_level_;
+    const Clock::time_point recovered = Clock::now();
 
     PushCheckpoint(b);
+    const Clock::time_point sealed = Clock::now();
     BuildResult(b);
+    const Clock::time_point built = Clock::now();
 
-    bm.latency_sec = timer.ElapsedSeconds();
-    bm.cpu_sec = cpu_timer.ElapsedSeconds();
     bm.fraction_processed = last_result_.fraction_processed;
     bm.input_rows = stats.input_rows;
     bm.recomputed_rows += stats.recomputed_rows;
@@ -371,6 +387,13 @@ Status QueryController::Run(const ResultObserver& observer) {
       bm.other_state_bytes += executor->OtherStateBytes();
     }
     bm.other_state_bytes += registry_->TotalBytes();
+    const Clock::time_point accounted = Clock::now();
+    bm.recovery_sec = attempts > 0 ? seconds(processed, recovered) : 0.0;
+    bm.checkpoint_sec = seconds(recovered, sealed);
+    bm.result_sec = seconds(sealed, built);
+    bm.accounting_sec = seconds(built, accounted);
+    bm.latency_sec = seconds(start, accounted);
+    bm.cpu_sec = cpu_timer.ElapsedSeconds();
     metrics_.batches.push_back(bm);
 
     if (observer != nullptr && observer(last_result_) == BatchAction::kStop) {
@@ -460,19 +483,6 @@ void QueryController::BuildResult(int batch) {
 size_t QueryController::PendingCount() const {
   size_t total = 0;
   for (const auto& executor : executors_) total += executor->PendingCount();
-  return total;
-}
-
-size_t QueryController::CheckpointRingBytes() const {
-  // Snapshots share the sketch nodes no batch rewrote between them; each
-  // node is retained, and counted, once.
-  std::unordered_set<const GroupedAggregateState::GroupCells*> counted;
-  size_t total = 0;
-  for (const auto& snapshot : checkpoints_) {
-    for (const auto& checkpoint : snapshot) {
-      total += checkpoint->ByteSize(&counted);
-    }
-  }
   return total;
 }
 

@@ -65,18 +65,31 @@ class QueryController {
   /// The §5 non-deterministic set size summed over blocks (Fig. 9(e)).
   size_t PendingCount() const;
 
-  /// Checkpoint ring: per retained batch, one snapshot per block.
-  using CheckpointRing = std::deque<
-      std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>>>;
+  /// The checkpoint ring is an undo log: per sealed batch, one record per
+  /// block (BlockExecutor::UndoRecord), oldest first. It keeps the records
+  /// of the last EngineOptions::checkpoint_history - 1 sealed batches; with
+  /// the batch in progress, whose record the executors hold, they reach the
+  /// state after each of the last checkpoint_history batches.
+  using CheckpointRing = std::deque<std::vector<BlockExecutor::UndoRecord>>;
 
-  /// Checkpoint-ring introspection for tests: the retained entries
-  /// (bounded by EngineOptions::checkpoint_history — corrupt snapshots are
-  /// pruned during recovery, so the ring never accretes dead payloads),
-  /// their count, and their approximate retained bytes, counting sketch
-  /// nodes shared between snapshots once.
+  /// Checkpoint-ring introspection for tests: the retained records, their
+  /// count in batches, and their approximate retained bytes (a running
+  /// count).
   const CheckpointRing& checkpoint_ring() const { return checkpoints_; }
   size_t checkpoint_ring_size() const { return checkpoints_.size(); }
-  size_t CheckpointRingBytes() const;
+  size_t CheckpointRingBytes() const { return ring_bytes_; }
+
+  /// Block `block`'s executor, read-only (valid after Init).
+  const BlockExecutor& executor(size_t block) const {
+    return *executors_[block];
+  }
+
+  /// Called on the driving thread whenever the blocks' state becomes the
+  /// state after a batch other than by delivering it: after each seal
+  /// (`restored` false), and after each restore (`restored` true; batch -1
+  /// after a full restart). Lets tests follow recovery from outside.
+  using StateHook = std::function<void(int batch, bool restored)>;
+  void set_state_hook(StateHook hook) { state_hook_ = std::move(hook); }
 
  private:
   /// Runs every block for batch `b`; returns a rollback target or
@@ -91,14 +104,15 @@ class QueryController {
   /// Init-time facts and must survive the per-run reset).
   void FoldVerifierStats();
 
-  /// Restores all state to the newest verifiable checkpoint at or before
-  /// batch `target` (-1, or no usable candidate, = full restart). Corrupt
-  /// checkpoints (checksum mismatch) are skipped with escalation to the
-  /// next older snapshot. Natural failures freeze recovered variation
-  /// ranges through the replay window; `injected` recoveries replay
-  /// unfrozen (the fault-free bits are reproduced exactly, and no real
-  /// mis-decision exists to livelock on). Recovery accounting lands in
-  /// `bm`. Returns the batch after which processing must resume.
+  /// Restores all state to the newest reachable batch at or before batch
+  /// `target` by undoing the batch in progress and then the ring's records
+  /// newest first. -1, a target older than the ring reaches, or a record
+  /// that fails verification (it cannot be undone past) means a full
+  /// restart. Natural failures freeze recovered variation ranges through
+  /// the replay window; `injected` recoveries replay unfrozen (the
+  /// fault-free bits are reproduced exactly, and no real mis-decision
+  /// exists to livelock on). Recovery accounting lands in `bm`. Returns the
+  /// batch after which processing must resume.
   int RollbackTo(int target, int current_batch, bool injected,
                  BatchMetrics* bm);
 
@@ -114,8 +128,8 @@ class QueryController {
 
   double ScaleAt(int b) const;
 
-  /// Captures every block's checkpoint after batch `batch` into the ring,
-  /// evicting the oldest snapshot past EngineOptions::checkpoint_history.
+  /// Seals every block's record of batch `batch` into the ring, evicting
+  /// the oldest records the ring no longer needs.
   void PushCheckpoint(int batch);
 
   /// Assembles the user-facing result after a batch.
@@ -136,8 +150,11 @@ class QueryController {
   BatchLayout layout_;
   std::vector<size_t> seen_rows_;  // cumulative rows through batch i
 
-  // Checkpoint ring: state snapshots after each of the last K batches.
   CheckpointRing checkpoints_;
+  size_t ring_bytes_ = 0;  // the records' bytes in checkpoints_
+  /// The newest sealed batch (-1: none): the live state before the batch in
+  /// progress is the state after it.
+  int sealed_through_ = -1;
 
   QueryMetrics metrics_;
   PartialResult last_result_;
@@ -145,6 +162,7 @@ class QueryController {
   /// Highest recovery-storm staircase level reached so far (sticky for the
   /// rest of the run; see ApplyDegradation).
   int degrade_level_ = 0;
+  StateHook state_hook_;
 };
 
 }  // namespace iolap

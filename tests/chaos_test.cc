@@ -288,14 +288,16 @@ TEST(ChaosTest, DirectedInjectedSchedules) {
       {"publish-fault", "registry-publish-fault=at:3,times:1,arg:2", 1, 2},
       {"controller-restart", "controller-batch-fault=at:3,times:1,arg:10", 1,
        4, 1},
+      // A corrupt undo record on the way to the target forces a full
+      // restart (batches 0..4 replay).
       {"corrupt-capture",
        "checkpoint-capture-corrupt=at:2,times:1;"
-       "controller-batch-fault=at:3,times:1,arg:1",
-       1, 2, 0, 1},
+       "controller-batch-fault=at:4,times:1,arg:3",
+       1, 5, 1, 1},
       {"restore-fault",
-       "checkpoint-restore-fault=at:2,times:1;"
-       "controller-batch-fault=at:3,times:1,arg:1",
-       1, 2, 0, 1},
+       "checkpoint-restore-fault=at:3,times:1;"
+       "controller-batch-fault=at:4,times:1,arg:2",
+       1, 5, 1, 1},
       // times:5 bounds the storm; a single recovery pass can consume one
       // fire per tracked block, so the recovery count floor is times /
       // (max tracked blocks per query) = 2.
@@ -373,15 +375,16 @@ TEST(ChaosTest, RollbackPastRingDegradesToFullRestart) {
   // A quiet baseline makes the counters below exact.
   ASSERT_EQ(clean.metrics.TotalFailureRecoveries(), 0);
 
-  // At batch 5 the ring holds checkpoints for batches 3 and 4 only; a
-  // depth-4 fault targets batch 1 → no candidate → full restart.
+  // At batch 5 the ring holds batch 4's record only, which with batch 5's
+  // reaches the states after batches 3 and 4; a depth-4 fault targets
+  // batch 1 → out of reach → full restart.
   const ChaosOutcome deep = run("controller-batch-fault=at:5,times:1,arg:4");
   ExpectBitIdentical(deep, clean, "evicted-target full restart");
   EXPECT_EQ(deep.metrics.TotalFullRestarts(), 1);
   EXPECT_EQ(deep.metrics.MaxRollbackDepth(), 6);  // batches 0..5 replayed
 
   // Boundary: a depth-2 fault targets batch 3 — exactly the oldest
-  // retained checkpoint. Restores it; no restart.
+  // reachable state. Restores it; no restart.
   const ChaosOutcome boundary =
       run("controller-batch-fault=at:5,times:1,arg:2");
   ExpectBitIdentical(boundary, clean, "ring-boundary restore");
@@ -389,9 +392,10 @@ TEST(ChaosTest, RollbackPastRingDegradesToFullRestart) {
   EXPECT_EQ(boundary.metrics.MaxRollbackDepth(), 2);
 }
 
-// Every retained checkpoint corrupt: capture-corruption on each batch in
-// the ring forces restore verification to reject all candidates and fall
-// back to a full restart, counting each rejection.
+// Every retained record corrupt: capture-corruption on each batch makes the
+// first record a rollback must undo fail verification, which falls back to
+// a full restart and counts that one record (nothing older can be reached
+// past it).
 TEST(ChaosTest, AllCheckpointsCorruptFallsBackToFullRestart) {
   const ChaosCase c = NestedCases().front();
   EngineOptions options;
@@ -402,14 +406,14 @@ TEST(ChaosTest, AllCheckpointsCorruptFallsBackToFullRestart) {
   options.checkpoint_history = 2;
   options.failpoints =
       "checkpoint-capture-corrupt=every:1;"
-      "controller-batch-fault=at:4,times:1,arg:1";
+      "controller-batch-fault=at:4,times:1,arg:2";
   Session session(c.catalog.get(), options, ChaosFunctions());
   auto compiled = session.Sql(c.sql);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   ASSERT_TRUE((*compiled)->Run(nullptr).ok());
   const QueryMetrics& m = (*compiled)->metrics();
-  EXPECT_GE(m.TotalCorruptCheckpoints(), 2);  // both ring entries rejected
-  EXPECT_GE(m.TotalFullRestarts(), 1);
+  EXPECT_EQ(m.TotalCorruptCheckpoints(), 1);  // batch 3's record
+  EXPECT_EQ(m.TotalFullRestarts(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -104,6 +105,38 @@ TEST(CsvTest, OutOfRangeIntegersAreNotClamped) {
   EXPECT_EQ(late.status().code(), StatusCode::kParseError);
   EXPECT_NE(late.status().message().find("expected integer"),
             std::string::npos)
+      << late.status();
+}
+
+// The double twin of the integer rule: an overflowing number is not a
+// number (strtod would clamp it to an infinity), while underflow rounds to
+// 0 and the literal spellings of infinity and NaN still load.
+TEST(CsvTest, OutOfRangeDoublesAreNotClamped) {
+  auto wide = ReadCsv("x\n1e999\n-1e999\n1e-400\n");
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_EQ(wide->schema().column(0).type, ValueType::kString);
+  EXPECT_EQ(wide->row(0)[0].str(), "1e999");
+  EXPECT_EQ(wide->row(1)[0].str(), "-1e999");
+
+  auto tiny = ReadCsv("x\n1e-400\n2.5\n");
+  ASSERT_TRUE(tiny.ok()) << tiny.status();
+  EXPECT_EQ(tiny->schema().column(0).type, ValueType::kDouble);
+  EXPECT_EQ(tiny->row(0)[0].dbl(), 0.0);
+
+  auto literal = ReadCsv("x\ninf\n-inf\nnan\n1.5\n");
+  ASSERT_TRUE(literal.ok()) << literal.status();
+  EXPECT_EQ(literal->schema().column(0).type, ValueType::kDouble);
+  EXPECT_EQ(literal->row(0)[0].dbl(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(literal->row(1)[0].dbl(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(literal->row(2)[0].dbl()));
+
+  CsvOptions options;
+  options.type_inference_rows = 1;
+  auto late = ReadCsv("x\n1.5\n1e999\n", options);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kParseError);
+  EXPECT_NE(late.status().message().find("expected number"), std::string::npos)
       << late.status();
 }
 

@@ -1177,11 +1177,10 @@ TEST(RecoveryInjectionTest, InjectedVerdictRollsBackAndReplaysBitIdentical) {
   EXPECT_GE(natural.MaxRollbackDepth(), 1);
 }
 
-// A capture stores the sum of cached per-group hashes; verification
-// recomputes every group from content. Every retained snapshot must verify
-// after every batch, including those captured after a mid-run restore,
-// whose sketch starts out sharing every group node with the restored
-// snapshot.
+// A seal checksums each undo record over its own content; verification
+// recomputes it. Every retained record must verify after every batch,
+// including those sealed after a mid-run restore, whose pre-images are the
+// nodes the restore put back.
 TEST(CheckpointIntegrityTest, RetainedSnapshotsVerifyAcrossRestore) {
   Catalog catalog;
   FillCatalog(&catalog, 1500, /*seed=*/31);
@@ -1193,17 +1192,17 @@ TEST(CheckpointIntegrityTest, RetainedSnapshotsVerifyAcrossRestore) {
     options.num_trials = 20;
     options.num_batches = 8;
     options.seed = 13;
-    // Rolls back from batch 5 to the batch-3 snapshot, once.
+    // Rolls back from batch 5 to the state after batch 3, once.
     options.failpoints = "exec-integrity-verdict=at:5,times:1,arg:2";
     QueryController controller(&catalog, *plan, options);
     ASSERT_TRUE(controller.Init().ok());
     size_t verified = 0;
     const Status run_status = controller.Run([&](const PartialResult& partial) {
-      for (const auto& snapshot : controller.checkpoint_ring()) {
-        for (const auto& checkpoint : snapshot) {
-          EXPECT_TRUE(BlockExecutor::VerifyCheckpoint(*checkpoint))
-              << "after batch " << partial.batch << ": snapshot of batch "
-              << checkpoint->batch;
+      for (const auto& records : controller.checkpoint_ring()) {
+        for (const BlockExecutor::UndoRecord& record : records) {
+          EXPECT_TRUE(BlockExecutor::VerifyRecord(record))
+              << "after batch " << partial.batch << ": record of batch "
+              << record.batch;
           ++verified;
         }
       }
@@ -1245,10 +1244,10 @@ TEST(BootstrapFoldTest, InfiniteRowSkipsItsZeroWeightTrials) {
 
     const BootstrapWeights bootstrap(options.seed, kTrials);
     int zero_trials = 0;
-    const auto& sketch = controller.checkpoint_ring().back().at(0)->sketch;
+    const GroupedAggregateState& sketch = controller.executor(0).sketch();
     ASSERT_EQ(sketch.num_groups(), 1u);
     const std::vector<double> trials =
-        sketch.groups().begin()->second->aggs[0].TrialResults(1.0);
+        sketch.groups().front().cells->aggs[0].TrialResults(1.0);
     ASSERT_EQ(trials.size(), static_cast<size_t>(kTrials));
     for (int trial = 0; trial < kTrials; ++trial) {
       if (bootstrap.WeightAt(kInfRow, trial) == 0) {

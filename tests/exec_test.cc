@@ -214,18 +214,34 @@ TEST(GroupedAggregateTest, CloneIsDeep) {
   // overload of the write gate.
   const Row key = {Value::Int64(1)};
   EXPECT_EQ(&copy.GetOrCreate(key, 0), &written);
-  EXPECT_EQ(&copy.GetOrCreate(key, HashRow(key), 0), &written);
+  EXPECT_EQ(&copy.GetOrCreate(HashedRowRef{key.data(), key.size(),
+                                           HashRow(key)},
+                              0),
+            &written);
   EXPECT_EQ(copy.Find(key), &written);
 }
 
-// Recount of ByteSize's model from groups(), ignoring every cache.
+// Recount of ByteSize's model from groups().
 size_t RecountBytes(const GroupedAggregateState& state) {
   size_t total = 0;
-  for (const auto& [key, cells] : state.groups()) {
-    total += RowByteSize(key) + sizeof(int);
-    for (const TrialAccumulatorSet& acc : cells->aggs) total += acc.ByteSize();
+  for (const GroupedAggregateState::Group& g : state.groups()) {
+    total += RowByteSize(g.key) + sizeof(int);
+    for (const TrialAccumulatorSet& acc : g.cells->aggs) {
+      total += acc.ByteSize();
+    }
   }
   return total;
+}
+
+// Every group's key and content hash, in walk order.
+std::vector<std::pair<Row, uint64_t>> Contents(
+    const GroupedAggregateState& state) {
+  std::vector<std::pair<Row, uint64_t>> out;
+  for (const GroupedAggregateState::Group& g : state.groups()) {
+    EXPECT_EQ(g.hash, HashRow(g.key));
+    out.emplace_back(g.key, GroupedAggregateState::CellsHash(*g.cells));
+  }
+  return out;
 }
 
 TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
@@ -233,12 +249,14 @@ TEST(GroupedAggregateTest, ByteSizeGrowsWithGroups) {
   GroupedAggregateState state(&specs, 4);
   const size_t empty = state.ByteSize();
   for (int g = 0; g < 10; ++g) state.GetOrCreate({Value::Int64(g)}, 0);
+  state.Seal();
   EXPECT_GT(state.ByteSize(), empty);
 }
 
-// The cached per-node sizes and hashes stay exact across writes and copies:
-// MAX over strings changes a node's size when a longer value wins.
-TEST(GroupedAggregateTest, CachedByteSizeMatchesRecount) {
+// The running byte count follows every write: after each Seal it equals a
+// recount from groups(), and a rollback restores it. MAX over strings
+// changes a node's size when a longer value wins.
+TEST(GroupedAggregateTest, RunningByteSizeMatchesRecount) {
   std::vector<AggSpec> specs;
   specs.push_back(AggSpec{*Functions().FindAggregate("max"),
                           Col(0, "s", ValueType::kString), "m"});
@@ -247,39 +265,118 @@ TEST(GroupedAggregateTest, CachedByteSizeMatchesRecount) {
     state.GetOrCreate({Value::Int64(g)}, 0).aggs[0].AddMainOnly(
         Value::String("a"), 1.0);
   }
+  state.Seal();
   EXPECT_EQ(state.ByteSize(), RecountBytes(state));
-  const uint64_t hash = state.ContentHash(/*use_cache=*/true);
-  EXPECT_EQ(hash, state.ContentHash(/*use_cache=*/false));
 
-  // An unshared node is written in place; the write drops both caches.
   state.GetOrCreate({Value::Int64(0)}, 1).aggs[0].AddMainOnly(
       Value::String("abcdef"), 1.0);
-  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
-  EXPECT_EQ(state.ContentHash(/*use_cache=*/true),
-            state.ContentHash(/*use_cache=*/false));
-  EXPECT_NE(state.ContentHash(/*use_cache=*/true), hash);
-
-  GroupedAggregateState copy = state;
-  copy.GetOrCreate({Value::Int64(1)}, 1).aggs[0].AddMainOnly(
-      Value::String("a much longer string"), 1.0);
-  copy.GetOrCreate({Value::Int64(9)}, 1).aggs[0].AddTrialOnly(
+  state.GetOrCreate({Value::Int64(9)}, 1).aggs[0].AddTrialOnly(
       1, Value::String("bb"), 1.0);
-  EXPECT_EQ(copy.ByteSize(), RecountBytes(copy));
+  const size_t before = state.ByteSize();
+  state.Seal();
   EXPECT_EQ(state.ByteSize(), RecountBytes(state));
-  EXPECT_GT(copy.ByteSize(), state.ByteSize());
-  EXPECT_EQ(copy.ContentHash(/*use_cache=*/true),
-            copy.ContentHash(/*use_cache=*/false));
+  EXPECT_GT(state.ByteSize(), before);
 
-  // Writing the original after its sizes were cached re-measures it too.
-  state.GetOrCreate({Value::Int64(2)}, 2).aggs[0].AddMainOnly(
-      Value::String("zzzzzzzz"), 1.0);
+  const size_t after_batch_1 = state.ByteSize();
+  state.GetOrCreate({Value::Int64(1)}, 2).aggs[0].AddMainOnly(
+      Value::String("a much longer string"), 1.0);
+  GroupedAggregateState::Undo undo = state.Seal();
   EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+  EXPECT_GT(state.ByteSize(), after_batch_1);
+  state.Rollback(std::move(undo));
+  EXPECT_EQ(state.ByteSize(), after_batch_1);
+  EXPECT_EQ(state.ByteSize(), RecountBytes(state));
+}
 
-  // Counting across both states visits each shared node once.
-  std::unordered_set<const GroupedAggregateState::GroupCells*> counted;
-  const size_t both = state.ByteSize(&counted) + copy.ByteSize(&counted);
-  EXPECT_EQ(counted.size(), 7u);  // 4 originals, 2 clones, 1 new group
-  EXPECT_LT(both, state.ByteSize() + copy.ByteSize());
+// A batch that writes k of G existing groups (some more than once) and
+// creates c new ones leaves an Undo of exactly k pre-images, in first-write
+// order, and G as its group count. Rolling it back restores every group's
+// content, the walk order and the byte count; the scratch pattern (every
+// group created in the batch) records nothing.
+TEST(GroupedAggregateTest, UndoHoldsPreImagesOfWrittenGroupsOnly) {
+  auto specs = SumSpec();
+  GroupedAggregateState state(&specs, 3);
+  constexpr int kGroups = 40;
+  for (int g = 0; g < kGroups; ++g) {
+    auto& cells = state.GetOrCreate({Value::Int64(g)}, 0);
+    cells.aggs[0].AddMainOnly(Value::Double(g), 1.0);
+    cells.aggs[0].AddTrialOnly(g % 3, Value::Double(g), 2.0);
+  }
+  EXPECT_TRUE(state.Seal().pre_images.empty());
+  const auto before = Contents(state);
+  const size_t bytes_before = state.ByteSize();
+
+  // Batch 1 writes groups 7, 3 and 21 (3 twice) and creates 200 groups,
+  // enough to grow the index several times.
+  for (int g : {7, 3, 21, 3}) {
+    state.GetOrCreate({Value::Int64(g)}, 1).aggs[0].AddMainOnly(
+        Value::Double(100), 1.0);
+  }
+  for (int g = 0; g < 200; ++g) {
+    state.GetOrCreate({Value::Int64(1000 + g)}, 1).aggs[0].AddMainOnly(
+        Value::Double(1), 1.0);
+  }
+  GroupedAggregateState::Undo undo = state.Seal();
+  EXPECT_EQ(undo.num_groups, static_cast<size_t>(kGroups));
+  EXPECT_EQ(undo.bytes, bytes_before);
+  ASSERT_EQ(undo.pre_images.size(), 3u);
+  EXPECT_EQ(undo.pre_images[0].pos, 7u);
+  EXPECT_EQ(undo.pre_images[1].pos, 3u);
+  EXPECT_EQ(undo.pre_images[2].pos, 21u);
+  // The pre-images are the old nodes, left intact by copy-on-write.
+  EXPECT_DOUBLE_EQ(undo.pre_images[1].cells->aggs[0].MainResult(1.0).AsDouble(),
+                   3.0);
+  EXPECT_DOUBLE_EQ(
+      state.Find({Value::Int64(3)})->aggs[0].MainResult(1.0).AsDouble(), 203.0);
+
+  state.Rollback(std::move(undo));
+  EXPECT_EQ(Contents(state), before);
+  EXPECT_EQ(state.ByteSize(), bytes_before);
+  EXPECT_EQ(state.Find({Value::Int64(1000)}), nullptr);
+  for (int g = 0; g < kGroups; ++g) {
+    ASSERT_NE(state.Find({Value::Int64(g)}), nullptr) << g;
+  }
+  // Recreating after the rollback appends again in creation order.
+  state.GetOrCreate({Value::Int64(5000)}, 1);
+  EXPECT_EQ(state.groups().back().key, Row{Value::Int64(5000)});
+  EXPECT_EQ(state.num_groups(), static_cast<size_t>(kGroups) + 1);
+
+  // A per-batch scratch instance: every group is created in its batch.
+  GroupedAggregateState scratch(&specs, 3);
+  for (int r = 0; r < 50; ++r) {
+    scratch.GetOrCreate({Value::Int64(r % 7)}, 4).aggs[0].AddMainOnly(
+        Value::Double(r), 1.0);
+  }
+  EXPECT_TRUE(scratch.Seal().pre_images.empty());
+}
+
+// Undos apply newest first across several batches and restore each earlier
+// state exactly, including after the open writes are rolled back first.
+TEST(GroupedAggregateTest, ChainedRollbacksRestoreEachState) {
+  auto specs = SumSpec();
+  GroupedAggregateState state(&specs, 2);
+  std::vector<std::vector<std::pair<Row, uint64_t>>> states;
+  std::vector<GroupedAggregateState::Undo> undos;
+  for (int batch = 0; batch < 6; ++batch) {
+    for (int r = 0; r < 30; ++r) {
+      const int g = (r * 7 + batch * 11) % (10 + 8 * batch);
+      state.GetOrCreate({Value::Int64(g)}, batch).aggs[0].AddMainOnly(
+          Value::Double(r + batch), 1.0);
+    }
+    undos.push_back(state.Seal());
+    states.push_back(Contents(state));
+  }
+  // Open writes of batch 6, then back to the state after batch 2.
+  state.GetOrCreate({Value::Int64(3)}, 6).aggs[0].AddMainOnly(
+      Value::Double(1), 1.0);
+  state.GetOrCreate({Value::Int64(777)}, 6);
+  state.Rollback(state.Seal());
+  EXPECT_EQ(Contents(state), states[5]);
+  for (int batch = 5; batch > 2; --batch) {
+    state.Rollback(std::move(undos[batch]));
+    EXPECT_EQ(Contents(state), states[batch - 1]) << batch;
+    EXPECT_EQ(state.ByteSize(), RecountBytes(state)) << batch;
+  }
 }
 
 }  // namespace

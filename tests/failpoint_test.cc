@@ -179,70 +179,96 @@ QueryMetrics RunRing(const std::shared_ptr<Catalog>& catalog,
   return (*query)->metrics();
 }
 
-// The ring never retains more than checkpoint_history entries, faults or
-// not, and its retained bytes are introspectable.
+// The ring never retains more than checkpoint_history - 1 sealed batches'
+// records (with the batch in progress they reach checkpoint_history
+// states), faults or not, and its retained bytes are introspectable.
 TEST_F(FailpointTest, CheckpointRingStaysBounded) {
   auto catalog = RingCatalog(240, 11);
   size_t ring_size = 0, ring_bytes = 0;
   RunRing(catalog, "", &ring_size, &ring_bytes);
-  EXPECT_LE(ring_size, 3u);
-  EXPECT_GE(ring_size, 1u);
+  EXPECT_EQ(ring_size, 2u);
   EXPECT_GT(ring_bytes, 0u);
 
   // A recovery storm (repeated injected verdicts) must not grow the ring
   // past its bound either.
   RunRing(catalog, "controller-batch-fault=every:1,times:4,arg:1",
           &ring_size, &ring_bytes);
-  EXPECT_LE(ring_size, 3u);
+  EXPECT_LE(ring_size, 2u);
 }
 
-// A checkpoint whose checksum fails verification is pruned from the ring on
-// the recovery walk that discovers it — a second walk over the same window
-// must not pay for (or recount) the dead snapshot.
-TEST_F(FailpointTest, CorruptCheckpointsArePrunedFromRing) {
+// A record whose checksum fails verification cannot be undone, and neither
+// can anything older: a recovery whose undo path crosses it falls back to a
+// full restart, which drops the ring, so a later recovery over the same
+// window neither stumbles over nor re-counts it.
+TEST_F(FailpointTest, CorruptRecordForcesFullRestart) {
   auto catalog = RingCatalog(240, 12);
   size_t ring_size = 0, ring_bytes = 0;
-  // Corrupt the batch-2 snapshot at capture, then force two rollbacks that
-  // both target it (the verdict seam is engine-level, so times:2 fires a
-  // second time during the replay of batch 3). The first walk skips the
-  // corrupt snapshot, counts it, erases it, and escalates one batch
-  // deeper; the replay re-captures batch 2 cleanly, so the second walk
-  // restores it without stumbling over — or re-counting — the corpse.
+  // Corrupt the record of batch 2 at its seal, then force two rollbacks
+  // from batch 3 to batch 1 (the verdict seam is engine-level, so times:2
+  // fires a second time during the replay of batch 3). The first must undo
+  // batch 2's record, finds it corrupt and restarts; the replay re-seals
+  // batch 2 cleanly, so the second restores batch 1.
   const QueryMetrics metrics = RunRing(
       catalog,
       "checkpoint-capture-corrupt=at:2,times:1;"
-      "exec-integrity-verdict=at:3,times:2,arg:1",
+      "exec-integrity-verdict=at:3,times:2,arg:2",
       &ring_size, &ring_bytes);
   EXPECT_EQ(metrics.TotalCorruptCheckpoints(), 1);
+  EXPECT_EQ(metrics.TotalFullRestarts(), 1);
   EXPECT_GE(metrics.TotalFailureRecoveries(), 2);
-  EXPECT_LE(ring_size, 3u);
+  EXPECT_LE(ring_size, 2u);
   EXPECT_GT(ring_bytes, 0u);
 }
 
-// Snapshots share every sketch group no batch rewrote between them. When
-// each group is written in a single batch (GROUP BY a unique id), the ring
-// retains each group once, so its bytes stay near the newest snapshot's own
-// size instead of growing with the number of snapshots retained.
-TEST_F(FailpointTest, CheckpointRingCountsSharedGroupsOnce) {
+// A record holds what its batch wrote. When each group is written in a
+// single batch (GROUP BY a unique id), no record holds a pre-image, so the
+// ring stays a few hundred bytes while the state grows; when every batch
+// rewrites all G groups (GROUP BY one of 4 values), each record holds G
+// pre-images. The running ring count equals the records' bytes.
+TEST_F(FailpointTest, CheckpointRingHoldsWhatBatchesWrote) {
   auto catalog = RingCatalog(240, 13);
-  auto ring_bytes = [&](size_t history) {
+  auto run = [&](const std::string& sql, auto&& check) {
     EngineOptions options;
     options.num_batches = 6;
     options.num_trials = 8;
     options.seed = 7;
-    options.checkpoint_history = history;
+    options.checkpoint_history = 4;
     Session session(catalog.get(), options);
-    auto query = session.Sql("SELECT id, sum(v) FROM t GROUP BY id");
-    EXPECT_TRUE(query.ok()) << query.status();
-    EXPECT_TRUE((*query)->Run().ok());
-    EXPECT_EQ((*query)->controller().checkpoint_ring_size(), history);
-    return (*query)->controller().CheckpointRingBytes();
+    auto query = session.Sql(sql);
+    ASSERT_TRUE(query.ok()) << query.status();
+    const QueryController& controller = (*query)->controller();
+    ASSERT_TRUE((*query)
+                    ->Run([&](const PartialResult&) {
+                      size_t bytes = 0;
+                      for (const auto& records : controller.checkpoint_ring()) {
+                        for (const auto& record : records) {
+                          bytes += record.bytes;
+                          check(record, controller.executor(0).sketch());
+                        }
+                      }
+                      EXPECT_EQ(controller.CheckpointRingBytes(), bytes);
+                      return BatchAction::kContinue;
+                    })
+                    .ok());
+    EXPECT_EQ(controller.checkpoint_ring_size(), 3u);
+    if (std::string(sql).find("GROUP BY id") != std::string::npos) {
+      EXPECT_LT(controller.CheckpointRingBytes() * 10,
+                controller.executor(0).sketch().ByteSize());
+    }
   };
-  // A ring of one holds exactly the newest snapshot.
-  const size_t newest = ring_bytes(1);
-  const size_t ring = ring_bytes(4);
-  EXPECT_GT(ring, newest);
-  EXPECT_LT(ring, 2 * newest);
+  run("SELECT id, sum(v) FROM t GROUP BY id",
+      [](const BlockExecutor::UndoRecord& record,
+         const GroupedAggregateState&) {
+        EXPECT_TRUE(record.sketch.pre_images.empty()) << record.batch;
+      });
+  run("SELECT g, sum(v) FROM t GROUP BY g",
+      [](const BlockExecutor::UndoRecord& record,
+         const GroupedAggregateState& sketch) {
+        if (record.batch == 0) return;
+        EXPECT_EQ(record.sketch.num_groups, 4u);
+        EXPECT_EQ(record.sketch.pre_images.size(), sketch.num_groups())
+            << record.batch;
+      });
 }
 
 }  // namespace

@@ -88,6 +88,48 @@ TEST(MetricsTest, EmptyMetrics) {
   EXPECT_FALSE(metrics.Summary().empty());
 }
 
+// The controller's phase times are parts of each batch's latency: the
+// checkpoint, result and accounting phases are measured in every batch,
+// recovery exactly in the batches that recovered, and the four sum to at
+// most latency_sec. Summary() prints their totals.
+TEST(MetricsTest, ControllerPhasesArePartsOfLatency) {
+  Rng rng(5);
+  Catalog catalog;
+  Table t(Schema({{"v", ValueType::kDouble}, {"g", ValueType::kInt64}}));
+  for (int i = 0; i < 400; ++i) {
+    t.AddRow({Value::Double(rng.NextDouble() * 100),
+              Value::Int64(static_cast<int64_t>(rng.NextBounded(5)))});
+  }
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+  EngineOptions options;
+  options.num_batches = 6;
+  options.num_trials = 10;
+  options.failpoints = "controller-batch-fault=at:3,times:1,arg:2";
+  Session session(&catalog, options);
+  auto query = session.Sql(
+      "SELECT g, sum(v) FROM t WHERE v > (SELECT avg(v) FROM t) GROUP BY g");
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE((*query)->Run().ok());
+  const QueryMetrics& metrics = (*query)->metrics();
+  ASSERT_EQ(metrics.batches.size(), 6u);
+  EXPECT_EQ(metrics.TotalFailureRecoveries(), 1);
+  for (const BatchMetrics& b : metrics.batches) {
+    SCOPED_TRACE("batch " + std::to_string(b.batch));
+    EXPECT_GT(b.checkpoint_sec, 0.0);
+    EXPECT_GT(b.result_sec, 0.0);
+    EXPECT_GT(b.accounting_sec, 0.0);
+    EXPECT_EQ(b.recovery_sec > 0.0, b.failure_recoveries > 0);
+    EXPECT_LE(b.recovery_sec + b.checkpoint_sec + b.result_sec +
+                  b.accounting_sec,
+              b.latency_sec);
+  }
+  const std::string summary = metrics.Summary();
+  for (const char* phase :
+       {" recovery=", " checkpoint=", " result=", " accounting="}) {
+    EXPECT_NE(summary.find(phase), std::string::npos) << summary;
+  }
+}
+
 TEST(ExplainTest, RendersPlanAndAnnotations) {
   Rng rng(3);
   Catalog catalog;
