@@ -34,6 +34,32 @@ double UnscaledAnalyticSd(const AggregateFunction& fn,
   return fn.analytic_stddev(acc.moment_count(), acc.moment_variance());
 }
 
+// An undo record's content checksum, O(record).
+uint64_t ChecksumOf(const BlockExecutor::UndoRecord& record) {
+  uint64_t h = HashCombine(0, static_cast<uint64_t>(record.batch));
+  for (const JoinStep::Watermark& mark : record.join_marks) {
+    h = HashCombine(h, mark.input);
+    h = HashCombine(h, mark.prefix);
+  }
+  h = HashCombine(h, record.sink_watermark);
+  h = HashCombine(h, record.sink_bytes);
+  h = HashCombine(h, record.pending_bytes);
+  h = HashCombine(h, record.sketch.num_groups);
+  h = HashCombine(h, record.sketch.bytes);
+  for (const GroupedAggregateState::PreImage& pre : record.sketch.pre_images) {
+    h = HashCombine(h, pre.pos);
+    h = HashCombine(h, GroupedAggregateState::CellsHash(*pre.cells));
+  }
+  h = HashCombine(h, record.fresh_pending);
+  for (const auto& [index, row] : record.left_pending) {
+    h = HashCombine(h, index);
+    h = HashCombine(h, HashRow(row.values));
+    h = HashCombine(h, row.stream_uid);
+    h = HashCombine(h, std::bit_cast<uint64_t>(row.weight));
+  }
+  return h;
+}
+
 }  // namespace
 
 BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
@@ -776,7 +802,7 @@ BlockExecutor::UndoRecord BlockExecutor::SealRecord(int batch) {
   for (const auto& [index, row] : record.left_pending) {
     record.bytes += sizeof(index) + row.ByteSize();
   }
-  record.checksum = ChecksumRecord(record);
+  record.checksum = ChecksumOf(record);
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointCaptureCorrupt, batch)) {
     record.checksum ^= 1;  // simulated bit-rot between capture and restore
   }
@@ -784,36 +810,11 @@ BlockExecutor::UndoRecord BlockExecutor::SealRecord(int batch) {
   return record;
 }
 
-uint64_t BlockExecutor::ChecksumRecord(const UndoRecord& record) {
-  uint64_t h = HashCombine(0, static_cast<uint64_t>(record.batch));
-  for (const JoinStep::Watermark& mark : record.join_marks) {
-    h = HashCombine(h, mark.input);
-    h = HashCombine(h, mark.prefix);
-  }
-  h = HashCombine(h, record.sink_watermark);
-  h = HashCombine(h, record.sink_bytes);
-  h = HashCombine(h, record.pending_bytes);
-  h = HashCombine(h, record.sketch.num_groups);
-  h = HashCombine(h, record.sketch.bytes);
-  for (const GroupedAggregateState::PreImage& pre : record.sketch.pre_images) {
-    h = HashCombine(h, pre.pos);
-    h = HashCombine(h, GroupedAggregateState::CellsHash(*pre.cells));
-  }
-  h = HashCombine(h, record.fresh_pending);
-  for (const auto& [index, row] : record.left_pending) {
-    h = HashCombine(h, index);
-    h = HashCombine(h, HashRow(row.values));
-    h = HashCombine(h, row.stream_uid);
-    h = HashCombine(h, std::bit_cast<uint64_t>(row.weight));
-  }
-  return h;
-}
-
 bool BlockExecutor::VerifyRecord(const UndoRecord& record) {
   if (IOLAP_FAILPOINT(Failpoint::kCheckpointRestoreFault, record.batch)) {
     return false;  // simulated corruption detected at restore time
   }
-  return ChecksumRecord(record) == record.checksum;
+  return ChecksumOf(record) == record.checksum;
 }
 
 void BlockExecutor::UndoOpenBatch() {

@@ -228,10 +228,11 @@ class BlockExecutor {
     /// that left U with its index in the old U, in index order.
     size_t fresh_pending = 0;
     std::vector<std::pair<size_t, ExecRow>> left_pending;
-    /// Checksum over the record's content, computed when it is sealed (see
-    /// ChecksumRecord). Restoring verifies it first; a mismatch means the
-    /// record is corrupt, so neither it nor anything older can be undone
-    /// and the controller falls back to a full restart.
+    /// Checksum over everything an undo replays (batch, watermarks, byte
+    /// counts, pre-image positions and content hashes, the rows that left
+    /// U), computed when the record is sealed. Restoring verifies it first;
+    /// a mismatch means the record is corrupt, so neither it nor anything
+    /// older can be undone and the controller falls back to a full restart.
     uint64_t checksum = 0;
     /// Approximate bytes the record retains (its pre-images and the rows
     /// that left U), for the controller's running ring count.
@@ -242,11 +243,6 @@ class BlockExecutor {
   /// ProcessBatch applied — checksums it, and opens the next. Also folds the
   /// batch's sketch writes into OtherStateBytes().
   UndoRecord SealRecord(int batch);
-
-  /// Content checksum over everything an undo replays: batch, watermarks,
-  /// byte counts, pre-image positions and content hashes, and the rows that
-  /// left U. O(record).
-  static uint64_t ChecksumRecord(const UndoRecord& record);
 
   /// True when `record`'s checksum matches its content. The
   /// checkpoint-restore-fault failpoint forces a mismatch here.
