@@ -10,7 +10,7 @@
 //  - the running byte counts equal a full recount.
 // Recoveries come from injected verdicts at several depths, natural
 // variation-range failures (q17, q20 and Conviva at slack 0) and full
-// restarts, with checkpoint_history 1, 2 and 8, at 0 and 3 threads. The
+// restarts, with checkpoint_history 0, 1, 2 and 8, at 0 and 3 threads. The
 // engine seed (bootstrap weights, batch layout) comes from IOLAP_CHAOS_SEED
 // when it is set, so the chaos sweep varies the runs.
 
@@ -298,13 +298,14 @@ EngineOptions Options(size_t threads, size_t history) {
 }
 
 // Injected verdicts at several depths (depth 9 from batch 6 is a full
-// restart) on nested queries with pending rows, for every ring size.
+// restart) on nested queries with pending rows, for every ring size
+// (checkpoint_history 0 keeps nothing, so every recovery restarts).
 TEST(RestoreExactnessTest, InjectedVerdictsAtSeveralDepths) {
   Counts total;
   for (const std::string id : {"q17", "q20", "c1", "c10"}) {
     const Case c = Query(id);
     for (size_t threads : {0, 3}) {
-      for (size_t history : {1, 2, 8}) {
+      for (size_t history : {0, 1, 2, 8}) {
         for (int depth : {1, 2, 4, 9}) {
           SCOPED_TRACE(id + " threads=" + std::to_string(threads) +
                        " history=" + std::to_string(history) +
@@ -320,6 +321,9 @@ TEST(RestoreExactnessTest, InjectedVerdictsAtSeveralDepths) {
           total.left_rows += counts.left_rows;
           total.pre_images += counts.pre_images;
           EXPECT_GE(counts.restores, 1);
+          if (history == 0) {
+            EXPECT_EQ(counts.full_restarts, counts.restores);
+          }
         }
       }
     }
