@@ -73,13 +73,12 @@ std::string ErrorEstimate::ToString() const {
   return buf;
 }
 
-ErrorEstimate EstimateError(double value, const std::vector<double>& trials,
+ErrorEstimate EstimateError(double value, const double* trials, size_t n,
                             double scale) {
   ErrorEstimate est;
   est.value = value;
   est.ci_lo = value;
   est.ci_hi = value;
-  const size_t n = trials.size();
   if (n < 2) return est;
 
   // Each CI bound interpolates between the order statistics at
@@ -95,8 +94,8 @@ ErrorEstimate EstimateError(double value, const std::vector<double>& trials,
 
   double sum = 0.0;
   bool nan = false;
-  for (double t : trials) {
-    const double x = t * scale;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = trials[i] * scale;
     sum += x;
     nan = nan || std::isnan(x);
     if (buffered) {
@@ -106,8 +105,8 @@ ErrorEstimate EstimateError(double value, const std::vector<double>& trials,
   }
   const double mean = sum / n;
   double ss = 0.0;
-  for (double t : trials) {
-    const double d = t * scale - mean;
+  for (size_t i = 0; i < n; ++i) {
+    const double d = trials[i] * scale - mean;
     ss += d * d;
   }
   est.stddev = std::sqrt(ss / (n - 1));

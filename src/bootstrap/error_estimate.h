@@ -1,6 +1,7 @@
 #ifndef IOLAP_BOOTSTRAP_ERROR_ESTIMATE_H_
 #define IOLAP_BOOTSTRAP_ERROR_ESTIMATE_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -21,13 +22,18 @@ struct ErrorEstimate {
   std::string ToString() const;
 };
 
-/// Builds the estimate for `value` from the replicas `trials`, each
+/// Builds the estimate for `value` from the `n` replicas at `trials`, each
 /// multiplied by `scale` (the multiplicity scale of a scale-linear
 /// aggregate, applied in the pass instead of on a copy). With fewer than two
 /// replicas the estimate degenerates to a zero-width band around `value`. A
 /// NaN replica makes the stddev and both CI bounds NaN.
-ErrorEstimate EstimateError(double value, const std::vector<double>& trials,
+ErrorEstimate EstimateError(double value, const double* trials, size_t n,
                             double scale = 1.0);
+inline ErrorEstimate EstimateError(double value,
+                                   const std::vector<double>& trials,
+                                   double scale = 1.0) {
+  return EstimateError(value, trials.data(), trials.size(), scale);
+}
 
 /// Builds a presentation estimate from a scaled stddev (normal CI). A
 /// negative stddev (an aggregate without a closed form) gives a zero-width

@@ -49,15 +49,18 @@ Value TrialAccumulatorSet::MainResult(double scale) const {
   return main_->Result(scale);
 }
 
-std::vector<double> TrialAccumulatorSet::TrialResults(double scale) const {
+void TrialAccumulatorSet::TrialResults(double scale, double* out) const {
   const Value main = main_->Result(scale);
   const double fallback = main.is_null() ? 0.0 : main.AsDouble();
-  std::vector<double> out;
-  out.reserve(trials_.size() / state_->width);
   for (size_t i = 0; i < trials_.size(); i += state_->width) {
     const std::optional<double> v = state_->result(trials_.data() + i, scale);
-    out.push_back(v.has_value() ? *v : fallback);
+    *out++ = v.has_value() ? *v : fallback;
   }
+}
+
+std::vector<double> TrialAccumulatorSet::TrialResults(double scale) const {
+  std::vector<double> out(trials_.size() / state_->width);
+  TrialResults(scale, out.data());
   return out;
 }
 

@@ -44,8 +44,10 @@ class TrialAccumulatorSet {
   void Merge(const TrialAccumulatorSet& other);
 
   Value MainResult(double scale) const;
-  /// Numeric trial replicas (NULL trials surface as the main value, so a
-  /// group that is empty in some resample does not poison the envelope).
+  /// Numeric trial replicas into out[0, num_trials) (NULL trials surface as
+  /// the main value, so a group that is empty in some resample does not
+  /// poison the envelope).
+  void TrialResults(double scale, double* out) const;
   std::vector<double> TrialResults(double scale) const;
 
   TrialAccumulatorSet Clone() const;

@@ -1,7 +1,6 @@
 #include "iolap/aggregate_registry.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -17,22 +16,6 @@ ThreadRole engine_serial_phase;
 
 namespace {
 
-/// Source of globally unique memo epochs (see Relation::memo_epoch). Starts
-/// at 1 so a default-initialized thread_local memo (epoch 0) never matches.
-uint64_t NextMemoEpoch() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-// An entry's share of RelationBytes, without its key.
-size_t ValueBytes(const std::vector<Value>& main,
-                  const std::vector<std::vector<double>>& trials) {
-  size_t total = 0;
-  for (const Value& v : main) total += v.ByteSize();
-  for (const auto& replicas : trials) total += replicas.size() * sizeof(double);
-  return total;
-}
-
 size_t TrackerBytes(const std::vector<VariationRangeTracker>& ranges) {
   size_t total = 0;
   for (const VariationRangeTracker& tracker : ranges) {
@@ -43,12 +26,14 @@ size_t TrackerBytes(const std::vector<VariationRangeTracker>& ranges) {
 
 }  // namespace
 
-AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack)
-    : slack_(slack) {
+AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack,
+                                     int num_trials)
+    : slack_(slack),
+      num_trials_(num_trials),
+      stride_(static_cast<size_t>(num_trials) + kTailSize) {
   relations_.resize(plan->blocks.size());
   for (size_t b = 0; b < plan->blocks.size(); ++b) {
     const Block& block = plan->blocks[b];
-    relations_[b].memo_epoch = NextMemoEpoch();
     relations_[b].num_keys = static_cast<int>(block.group_by.size());
     relations_[b].linear.reserve(block.aggs.size());
     for (const AggSpec& agg : block.aggs) {
@@ -61,21 +46,22 @@ void AggregateRegistry::SetBlockScale(int block, double scale) {
   relations_[block].scale = scale;
 }
 
-void AggregateRegistry::MarkLive(Relation& rel, LiveGroup group, int batch) {
+void AggregateRegistry::MarkLive(Relation& rel, int slot, int batch) {
   if (rel.live_batch != batch) {
     rel.live.clear();
     rel.live_batch = batch;
   }
-  rel.live.push_back(group);
+  rel.live.push_back(slot);
 }
 
-void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
-                                    Entry& entry, int batch,
+void AggregateRegistry::CheckRanges(Relation& rel, size_t slot, int batch,
                                     PublishResult* result) {
-  for (size_t a = 0; a < entry.ranges.size(); ++a) {
+  Slot& group = rel.slots[slot];
+  for (size_t a = 0; a < group.ranges.size(); ++a) {
     const double s = ColScale(rel, a);
-    const double v =
-        (entry.main[a].is_null() ? 0.0 : entry.main[a].AsDouble()) * s;
+    const Value& main = rel.mains[Cell(rel, slot, a)];
+    const double v = (main.is_null() ? 0.0 : main.AsDouble()) * s;
+    const double* tail = Replicas(rel, slot, a) + num_trials_;
     // Fault injection: a natural-typed envelope escape. The tracker walks
     // back its constraint history like a real violation (and its state
     // stays unfolded, like a real violation), so everything below —
@@ -87,24 +73,24 @@ void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
     // targeting below converts history indexes to batches).
     VariationRangeTracker::UpdateResult update;
     if (IOLAP_FAILPOINT(Failpoint::kRegistryEnvelopeFault, batch)) {
-      update = entry.ranges[a].InjectInconsistency();
+      update = group.ranges[a].InjectInconsistency();
     }
     if (update.ok) {
       // The replica envelope is linear in the scale (s > 0 always).
-      update = entry.ranges[a].UpdateEnvelope(v, entry.env_lo[a] * s,
-                                              entry.env_hi[a] * s,
-                                              entry.env_sd[a] * s);
+      update = group.ranges[a].UpdateEnvelope(v, tail[kEnvLo] * s,
+                                              tail[kEnvHi] * s,
+                                              tail[kEnvSd] * s);
     }
     if (!update.ok) {
       // The failure invalidates pruning decisions that constrained this
       // value: request recovery. A value that keeps betraying its
       // obligations stops being classified on entirely.
-      if (++rel.failure_counts[key] >= 3) entry.range_disabled = true;
+      if (++rel.failure_counts[*group.key] >= 3) group.range_disabled = true;
       result->ok = false;
       // Convert the tracker's local history index to a global batch.
       const int global = update.last_consistent_batch < 0
-                             ? entry.first_batch - 1
-                             : entry.first_batch + update.last_consistent_batch;
+                             ? group.first_batch - 1
+                             : group.first_batch + update.last_consistent_batch;
       const int target = global < 0 ? -1 : global;
       if (result->rollback_to == -1 || target < result->rollback_to) {
         result->rollback_to = target;
@@ -115,78 +101,83 @@ void AggregateRegistry::CheckRanges(Relation& rel, const Row& key,
 }
 
 AggregateRegistry::PublishResult AggregateRegistry::Publish(
-    int block, const Row& key, int batch, std::vector<Value> main,
-    std::vector<std::vector<double>> trials, bool track_ranges,
-    const std::vector<double>* analytic_sd) {
+    int block, const Row& key, int batch, const Value* main,
+    const double* trials, bool track_ranges, const double* analytic_sd) {
   Relation& rel = relations_[block];
-  auto [it, inserted] = rel.entries.try_emplace(key);
-  Entry& entry = it->second;
+  const size_t num_aggs = rel.linear.size();
+  auto [it, inserted] =
+      rel.index.try_emplace(key, static_cast<int>(rel.slots.size()));
+  const int slot = it->second;
   if (inserted) {
-    entry.first_batch = batch;
+    // RollbackTo forgets groups by popping the newest slots.
+    assert(rel.slots.empty() || rel.slots.back().first_batch <= batch);
+    Slot& group = rel.slots.emplace_back();
+    group.key = &it->first;
+    group.first_batch = batch;
     if (track_ranges) {
-      entry.ranges.assign(main.size(), VariationRangeTracker(slack_));
+      group.ranges.assign(num_aggs, VariationRangeTracker(slack_));
     }
     auto fc = rel.failure_counts.find(key);
     if (fc != rel.failure_counts.end() && fc->second >= 3) {
-      entry.range_disabled = true;
+      group.range_disabled = true;
     }
-    rel.bytes += RowByteSize(key);
-  } else {
-    rel.bytes -= ValueBytes(entry.main, entry.trials);
+    rel.mains.resize(rel.mains.size() + num_aggs);
+    rel.doubles.resize(rel.doubles.size() + num_aggs * stride_);
+    rel.bytes += RowByteSize(key) + num_aggs * num_trials_ * sizeof(double);
   }
-  MarkLive(rel, {&it->first, &entry}, batch);
-  rel.bytes += ValueBytes(main, trials);
-  entry.main = std::move(main);
-  entry.trials = std::move(trials);
-  if (analytic_sd != nullptr) {
-    entry.analytic_sd = *analytic_sd;
-  } else {
-    entry.analytic_sd.clear();
-  }
-  // Unscaled replica envelopes for later Refresh()es.
-  const size_t num_aggs = entry.main.size();
-  entry.env_lo.assign(num_aggs, 0.0);
-  entry.env_hi.assign(num_aggs, 0.0);
-  entry.env_sd.assign(num_aggs, 0.0);
+  Slot& group = rel.slots[slot];
+  MarkLive(rel, slot, batch);
+  group.analytic = analytic_sd != nullptr;
   for (size_t a = 0; a < num_aggs; ++a) {
-    const double v = entry.main[a].is_null() ? 0.0 : entry.main[a].AsDouble();
+    Value& stored = rel.mains[Cell(rel, slot, a)];
+    if (!inserted) rel.bytes -= stored.ByteSize();
+    rel.bytes += main[a].ByteSize();
+    stored = main[a];
+    // The replicas, and their unscaled envelope for later Refresh()es.
+    double* replicas = rel.doubles.data() + Cell(rel, slot, a) * stride_;
+    double* tail = replicas + num_trials_;
+    std::copy_n(trials + a * num_trials_, num_trials_, replicas);
+    const double v = main[a].is_null() ? 0.0 : main[a].AsDouble();
     if (analytic_sd != nullptr) {
       // Closed-form envelope: ±2σ around the estimate (σ < 0 = no closed
       // form: degenerate point envelope, i.e. conservative elsewhere).
-      const double sd = std::max(0.0, (*analytic_sd)[a]);
-      entry.env_lo[a] = v - 2.0 * sd;
-      entry.env_hi[a] = v + 2.0 * sd;
-      entry.env_sd[a] = sd;
+      const double sd = std::max(0.0, analytic_sd[a]);
+      tail[kEnvLo] = v - 2.0 * sd;
+      tail[kEnvHi] = v + 2.0 * sd;
+      tail[kEnvSd] = sd;
+      tail[kAnalyticSd] = analytic_sd[a];
       continue;
     }
     double lo = v;
     double hi = v;
     double sum = 0.0;
-    const auto& t = entry.trials[a];
-    for (double x : t) {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-      sum += x;
+    for (int t = 0; t < num_trials_; ++t) {
+      lo = std::min(lo, replicas[t]);
+      hi = std::max(hi, replicas[t]);
+      sum += replicas[t];
     }
     double sd = 0.0;
-    if (t.size() > 1) {
-      const double mean = sum / t.size();
+    if (num_trials_ > 1) {
+      const double mean = sum / num_trials_;
       double ss = 0.0;
-      for (double x : t) ss += (x - mean) * (x - mean);
-      sd = std::sqrt(ss / (t.size() - 1));
+      for (int t = 0; t < num_trials_; ++t) {
+        ss += (replicas[t] - mean) * (replicas[t] - mean);
+      }
+      sd = std::sqrt(ss / (num_trials_ - 1));
     }
-    entry.env_lo[a] = lo;
-    entry.env_hi[a] = hi;
-    entry.env_sd[a] = sd;
+    tail[kEnvLo] = lo;
+    tail[kEnvHi] = hi;
+    tail[kEnvSd] = sd;
   }
   PublishResult result;
   result.created = inserted;
+  result.slot = slot;
   // The trackers created above, plus the snapshot CheckRanges folds.
-  const size_t trackers_before = inserted ? 0 : TrackerBytes(entry.ranges);
-  if (track_ranges && !entry.range_disabled) {
-    CheckRanges(rel, key, entry, batch, &result);
+  const size_t trackers_before = inserted ? 0 : TrackerBytes(group.ranges);
+  if (track_ranges && !group.range_disabled) {
+    CheckRanges(rel, slot, batch, &result);
   }
-  rel.tracker_bytes += TrackerBytes(entry.ranges) - trackers_before;
+  rel.tracker_bytes += TrackerBytes(group.ranges) - trackers_before;
   // Fault injection: a spurious failed verdict for a group that actually
   // passed its checks. Marked `injected`: nothing is wrong with the
   // registered constraints, so the controller replays with unfrozen ranges
@@ -205,18 +196,15 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
 AggregateRegistry::PublishResult AggregateRegistry::Refresh(
     int block, const Row& key, int batch, bool track_ranges) {
   Relation& rel = relations_[block];
-  auto it = rel.entries.find(key);
+  const auto it = rel.index.find(key);
+  assert(it != rel.index.end());
+  Slot& group = rel.slots[it->second];
+  MarkLive(rel, it->second, batch);
   PublishResult result;
-  if (it == rel.entries.end()) {
-    result.missing = true;
-    return result;
-  }
-  Entry& entry = it->second;
-  MarkLive(rel, {&it->first, &entry}, batch);
-  if (track_ranges && !entry.range_disabled) {
-    const size_t trackers_before = TrackerBytes(entry.ranges);
-    CheckRanges(rel, key, entry, batch, &result);
-    rel.tracker_bytes += TrackerBytes(entry.ranges) - trackers_before;
+  if (track_ranges && !group.range_disabled) {
+    const size_t trackers_before = TrackerBytes(group.ranges);
+    CheckRanges(rel, it->second, batch, &result);
+    rel.tracker_bytes += TrackerBytes(group.ranges) - trackers_before;
   }
   return result;
 }
@@ -225,11 +213,12 @@ VariationRangeTracker* AggregateRegistry::TrackerFor(int block, int col,
                                                      const Row& key) {
   Relation& rel = relations_[block];
   if (col < rel.num_keys) return nullptr;  // key columns are deterministic
-  auto it = rel.entries.find(key);
-  if (it == rel.entries.end() || it->second.range_disabled) return nullptr;
+  const auto it = rel.index.find(key);
+  if (it == rel.index.end()) return nullptr;
+  Slot& group = rel.slots[it->second];
   const size_t a = static_cast<size_t>(col - rel.num_keys);
-  if (a >= it->second.ranges.size()) return nullptr;
-  return &it->second.ranges[a];
+  if (group.range_disabled || a >= group.ranges.size()) return nullptr;
+  return &group.ranges[a];
 }
 
 void AggregateRegistry::RequireUpper(int block, int col, const Row& key,
@@ -257,23 +246,31 @@ void AggregateRegistry::RequireContainment(int block, int col,
 
 void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
   for (Relation& rel : relations_) {
-    rel.memo_epoch = NextMemoEpoch();  // erase invalidates memoized pointers
     rel.live.clear();
     rel.live_batch = -1;
-    for (auto it = rel.entries.begin(); it != rel.entries.end();) {
-      Entry& entry = it->second;
-      rel.tracker_bytes -= TrackerBytes(entry.ranges);
-      if (entry.first_batch > batch) {
-        rel.bytes -= RowByteSize(it->first);
-        rel.bytes -= ValueBytes(entry.main, entry.trials);
-        it = rel.entries.erase(it);
-        continue;
+    // Slots are created in batch order: the groups first published after
+    // `batch` are the newest.
+    const size_t num_aggs = rel.linear.size();
+    while (!rel.slots.empty() && rel.slots.back().first_batch > batch) {
+      const size_t slot = rel.slots.size() - 1;
+      const Slot& group = rel.slots.back();
+      rel.tracker_bytes -= TrackerBytes(group.ranges);
+      rel.bytes -=
+          RowByteSize(*group.key) + num_aggs * num_trials_ * sizeof(double);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        rel.bytes -= rel.mains[Cell(rel, slot, a)].ByteSize();
       }
-      for (VariationRangeTracker& tracker : entry.ranges) {
-        tracker.RecoverTo(batch - entry.first_batch, freeze_updates);
+      rel.index.erase(rel.index.find(*group.key));
+      rel.slots.pop_back();
+    }
+    rel.mains.resize(rel.slots.size() * num_aggs);
+    rel.doubles.resize(rel.slots.size() * num_aggs * stride_);
+    for (Slot& group : rel.slots) {
+      rel.tracker_bytes -= TrackerBytes(group.ranges);
+      for (VariationRangeTracker& tracker : group.ranges) {
+        tracker.RecoverTo(batch - group.first_batch, freeze_updates);
       }
-      rel.tracker_bytes += TrackerBytes(entry.ranges);
-      ++it;
+      rel.tracker_bytes += TrackerBytes(group.ranges);
     }
   }
 }
@@ -281,46 +278,40 @@ void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
 void AggregateRegistry::ScaleSlack(double factor) {
   slack_ *= factor;
   for (Relation& rel : relations_) {
-    for (auto& [key, entry] : rel.entries) {
-      for (VariationRangeTracker& tracker : entry.ranges) {
+    for (Slot& group : rel.slots) {
+      for (VariationRangeTracker& tracker : group.ranges) {
         tracker.ScaleSlack(factor);
       }
     }
   }
 }
 
-size_t AggregateRegistry::GroupCount(int block) const {
-  return relations_[block].entries.size();
-}
-
-const std::vector<AggregateRegistry::LiveGroup>& AggregateRegistry::LiveGroups(
-    int block, int batch) const {
-  static const std::vector<LiveGroup> kNone;
+const std::vector<int>& AggregateRegistry::LiveGroups(int block,
+                                                      int batch) const {
+  static const std::vector<int> kNone;
   const Relation& rel = relations_[block];
   return rel.live_batch == batch ? rel.live : kNone;
 }
 
-Value AggregateRegistry::ScaledValue(const Relation& rel, const Entry& entry,
+Value AggregateRegistry::ScaledValue(const Relation& rel, size_t slot,
                                      size_t a) const {
-  if (a >= entry.main.size() || entry.main[a].is_null()) return Value::Null();
+  if (a >= rel.linear.size()) return Value::Null();
+  const Value& v = rel.mains[Cell(rel, slot, a)];
+  if (v.is_null()) return Value::Null();
   const double s = ColScale(rel, a);
-  return s == 1.0 ? entry.main[a] : Value::Double(entry.main[a].AsDouble() * s);
+  return s == 1.0 ? v : Value::Double(v.AsDouble() * s);
 }
 
-Row AggregateRegistry::OutputRow(int block, const LiveGroup& group) const {
+Row AggregateRegistry::OutputRow(int block, int slot) const {
   const Relation& rel = relations_[block];
+  const Row& key = *rel.slots[slot].key;
   Row row;
-  row.reserve(group.key->size() + rel.linear.size());
-  row.assign(group.key->begin(), group.key->end());
+  row.reserve(key.size() + rel.linear.size());
+  row.assign(key.begin(), key.end());
   for (size_t a = 0; a < rel.linear.size(); ++a) {
-    row.push_back(group.entry == nullptr ? Value::Null()
-                                         : ScaledValue(rel, *group.entry, a));
+    row.push_back(ScaledValue(rel, slot, a));
   }
   return row;
-}
-
-Row AggregateRegistry::OutputRow(int block, const Row& key) const {
-  return OutputRow(block, LiveGroup{&key, FindEntry(block, key)});
 }
 
 size_t AggregateRegistry::TotalBytes() const {
@@ -329,31 +320,28 @@ size_t AggregateRegistry::TotalBytes() const {
   return total;
 }
 
-const AggregateRegistry::Entry* AggregateRegistry::FindEntry(
-    int block, const Row& key) const {
-  // Single-slot lookup memo: the delta engine resolves the same group once
-  // per bootstrap trial in tight loops. thread_local (rather than a mutable
-  // member) so concurrent const lookups from pool workers stay race-free;
-  // the relation's memo_epoch guards against cross-relation aliasing and
-  // against entries erased by RollbackTo.
-  // The memo points at the entry's key in the map instead of copying it.
-  struct Memo {
-    uint64_t epoch = 0;
-    const Row* key = nullptr;
-    const Entry* entry = nullptr;
+int AggregateRegistry::FindSlot(int block, const Row& key) const {
+  // Lookup hint: the delta engine resolves the same group once per
+  // bootstrap trial in tight loops. thread_local (rather than a mutable
+  // member) so concurrent const lookups from pool workers stay race-free.
+  // The hint counts only when its slot still holds the probed key, which
+  // then is that key's slot whatever happened since (the slot may have
+  // been popped and reused, or belong to another registry), so nothing
+  // invalidates it.
+  struct Hint {
+    int block = -1;
+    size_t slot = 0;
   };
-  thread_local Memo memo;
+  thread_local Hint hint;
   const Relation& rel = relations_[block];
-  if (memo.epoch == rel.memo_epoch && memo.entry != nullptr &&
-      RowEq()(*memo.key, key)) {
-    return memo.entry;
+  if (hint.block == block && hint.slot < rel.slots.size() &&
+      RowEq()(*rel.slots[hint.slot].key, key)) {
+    return static_cast<int>(hint.slot);
   }
-  auto it = rel.entries.find(key);
-  if (it == rel.entries.end()) return nullptr;
-  memo.epoch = rel.memo_epoch;
-  memo.key = &it->first;
-  memo.entry = &it->second;
-  return memo.entry;
+  const auto it = rel.index.find(key);
+  if (it == rel.index.end()) return -1;
+  hint = {block, static_cast<size_t>(it->second)};
+  return it->second;
 }
 
 Value AggregateRegistry::Lookup(int block, int col, const Row& key) const {
@@ -361,9 +349,9 @@ Value AggregateRegistry::Lookup(int block, int col, const Row& key) const {
   if (col < rel.num_keys) {
     return col < static_cast<int>(key.size()) ? key[col] : Value::Null();
   }
-  const Entry* entry = FindEntry(block, key);
-  if (entry == nullptr) return Value::Null();
-  return ScaledValue(rel, *entry, static_cast<size_t>(col - rel.num_keys));
+  const int slot = FindSlot(block, key);
+  if (slot < 0) return Value::Null();
+  return ScaledValue(rel, slot, static_cast<size_t>(col - rel.num_keys));
 }
 
 Value AggregateRegistry::LookupTrial(int block, int col, const Row& key,
@@ -372,14 +360,13 @@ Value AggregateRegistry::LookupTrial(int block, int col, const Row& key,
   if (col < rel.num_keys) {
     return col < static_cast<int>(key.size()) ? key[col] : Value::Null();
   }
-  const Entry* entry = FindEntry(block, key);
-  if (entry == nullptr) return Value::Null();
+  const int slot = FindSlot(block, key);
+  if (slot < 0) return Value::Null();
   const size_t a = static_cast<size_t>(col - rel.num_keys);
-  if (a >= entry->trials.size() ||
-      static_cast<size_t>(trial) >= entry->trials[a].size()) {
-    return Lookup(block, col, key);
+  if (a >= rel.linear.size() || trial < 0 || trial >= num_trials_) {
+    return ScaledValue(rel, slot, a);
   }
-  return Value::Double(entry->trials[a][trial] * ColScale(rel, a));
+  return Value::Double(Replicas(rel, slot, a)[trial] * ColScale(rel, a));
 }
 
 void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
@@ -391,56 +378,54 @@ void AggregateRegistry::LookupTrials(int block, int col, const Row& key,
     for (int t = 0; t < num_trials; ++t) out[t] = v;
     return;
   }
-  const Entry* entry = FindEntry(block, key);
-  if (entry == nullptr) {
+  const int slot = FindSlot(block, key);
+  if (slot < 0) {
     for (int t = 0; t < num_trials; ++t) out[t] = Value::Null();
     return;
   }
   const size_t a = static_cast<size_t>(col - rel.num_keys);
-  // Trials the replica vector does not cover fall back to the (re-scaled)
-  // main value, exactly like LookupTrial.
-  const Value fallback = ScaledValue(rel, *entry, a);
-  if (a >= entry->trials.size()) {
-    for (int t = 0; t < num_trials; ++t) out[t] = fallback;
-    return;
+  // Trials past the replicas fall back to the (re-scaled) main value,
+  // exactly like LookupTrial.
+  const Value fallback = ScaledValue(rel, slot, a);
+  int t = 0;
+  if (a < rel.linear.size()) {
+    const double* replicas = Replicas(rel, slot, a);
+    const double s = ColScale(rel, a);
+    for (; t < std::min(num_trials, num_trials_); ++t) {
+      out[t] = Value::Double(replicas[t] * s);
+    }
   }
-  const std::vector<double>& trials = entry->trials[a];
-  const double s = ColScale(rel, a);
-  const int covered =
-      std::min(num_trials, static_cast<int>(trials.size()));
-  for (int t = 0; t < covered; ++t) {
-    out[t] = Value::Double(trials[t] * s);
-  }
-  for (int t = covered; t < num_trials; ++t) out[t] = fallback;
+  for (; t < num_trials; ++t) out[t] = fallback;
 }
 
-ErrorEstimate AggregateRegistry::Estimate(int block, int col,
-                                         const LiveGroup& group) const {
+ErrorEstimate AggregateRegistry::Estimate(int block, int col, int slot) const {
   const Relation& rel = relations_[block];
-  const Entry* entry = col < rel.num_keys ? nullptr : group.entry;
   const size_t a = static_cast<size_t>(col - rel.num_keys);
-  if (entry == nullptr || a >= entry->main.size()) {
-    // A key column or a missing group: the value, with no replicas.
-    const Value v = Lookup(block, col, *group.key);
-    return EstimateError(v.is_null() ? 0.0 : v.AsDouble(), {});
-  }
-  const Value v = ScaledValue(rel, *entry, a);
+  assert(col >= rel.num_keys && a < rel.linear.size());
+  const Value v = ScaledValue(rel, slot, a);
   const double value = v.is_null() ? 0.0 : v.AsDouble();
   const double s = ColScale(rel, a);
-  if (a < entry->analytic_sd.size()) {
-    const double sd = entry->analytic_sd[a];
+  const double* replicas = Replicas(rel, slot, a);
+  if (rel.slots[slot].analytic) {
+    const double sd = replicas[num_trials_ + kAnalyticSd];
     if (sd < 0.0) return EstimateFromStddev(value, sd);  // no closed form
     const double fpc =
         rel.scale > 1.0 ? std::sqrt(1.0 - 1.0 / rel.scale) : 0.0;
     return EstimateFromStddev(value, sd * s * fpc);
   }
-  if (a >= entry->trials.size()) return EstimateError(value, {});
-  return EstimateError(value, entry->trials[a], s);
+  return EstimateError(value, replicas, static_cast<size_t>(num_trials_), s);
 }
 
 ErrorEstimate AggregateRegistry::Estimate(int block, int col,
                                          const Row& key) const {
-  return Estimate(block, col, LiveGroup{&key, FindEntry(block, key)});
+  const Relation& rel = relations_[block];
+  const int slot = col < rel.num_keys ? -1 : FindSlot(block, key);
+  if (slot < 0 || col - rel.num_keys >= static_cast<int>(rel.linear.size())) {
+    // A key column or a missing group: the value, with no replicas.
+    const Value v = Lookup(block, col, key);
+    return EstimateError(v.is_null() ? 0.0 : v.AsDouble(), {});
+  }
+  return Estimate(block, col, slot);
 }
 
 Interval AggregateRegistry::LookupRange(int block, int col,
@@ -452,15 +437,16 @@ Interval AggregateRegistry::LookupRange(int block, int col,
     }
     return Interval::Unbounded();
   }
-  const Entry* entry = FindEntry(block, key);
-  if (entry == nullptr || entry->range_disabled) return Interval::Unbounded();
+  const int slot = FindSlot(block, key);
+  if (slot < 0) return Interval::Unbounded();
+  const Slot& group = rel.slots[slot];
   const size_t a = static_cast<size_t>(col - rel.num_keys);
-  if (a >= entry->ranges.size()) {
+  if (group.range_disabled || a >= group.ranges.size()) {
     // Untracked blocks never feed classification; stay conservative if a
     // range is ever requested anyway.
     return Interval::Unbounded();
   }
-  return entry->ranges[a].current();
+  return group.ranges[a].current();
 }
 
 }  // namespace iolap

@@ -29,13 +29,18 @@ extern ThreadRole engine_serial_phase;
 
 /// The shared store of every aggregate block's current output: the runtime
 /// "rel" that the paper's lineage references `(rel(γ), t.key)` resolve
-/// against (§6.2), and the only stored copy of that output. Each entry holds
-/// the group's current aggregate values, their bootstrap trial replicas,
-/// and — for blocks whose values feed classification — the variation-range
-/// trackers of §5.1. The user's result and snapshot consumers' input are
-/// read from it: the *live* groups of a batch (LiveGroups) are the ones its
-/// publication walk reached. An entry whose only contributions have lapsed
-/// stays, stale, for lineage lookups, but is not live.
+/// against (§6.2), and the only stored copy of that output. Each block's
+/// relation is a table of *slots*, one per group, numbered in creation
+/// order, with a key → slot index. Per slot it holds the group's key, its
+/// first batch and — for blocks whose values feed classification — the
+/// variation-range trackers of §5.1; per (slot, aggregate), flat arrays
+/// hold the current value and the bootstrap trial replicas with the
+/// replicas' envelope. Groups are created in batch order, so RollbackTo
+/// pops the newest slots and every surviving slot keeps its number. The
+/// user's result and snapshot consumers' input are read from it: the
+/// *live* slots of a batch (LiveGroups) are the groups its publication walk
+/// reached. A group whose only contributions have lapsed keeps its slot,
+/// stale, for lineage lookups, but is not live.
 ///
 /// Values are stored *unscaled* (multiplicity scale 1) together with the
 /// block's current scale m_i; lookups re-scale lazily (SUM/COUNT results
@@ -50,37 +55,28 @@ extern ThreadRole engine_serial_phase;
 /// broadcast is charged to the shipped-bytes cost model by the controller.
 class AggregateRegistry final : public AggLookupResolver,
                                 public RangeConstraintSink {
-  struct Entry;
-
  public:
   /// `plan` supplies per-block group-key arity and per-aggregate scaling
-  /// behaviour; `slack` is the §5.1 ε.
-  AggregateRegistry(const QueryPlan* plan, double slack);
+  /// behaviour; `slack` is the §5.1 ε; every published aggregate carries
+  /// `num_trials` replicas.
+  AggregateRegistry(const QueryPlan* plan, double slack, int num_trials);
 
   struct PublishResult {
     bool ok = true;
     /// On an integrity-check failure: the latest batch that is still
     /// consistent (-1 = restart from scratch).
     int rollback_to = -1;
-    /// Refresh only: the group has no entry yet (publish it fully).
-    bool missing = false;
-    /// Publish only: the call created the entry (the group is new to
+    /// Publish only: the call created the group's slot (the group is new to
     /// consumers).
     bool created = false;
+    /// Publish only: the group's slot.
+    int slot = -1;
     /// The failure is a failpoint-injected spurious verdict, not a real
     /// constraint violation. The controller replays injected-only
     /// recoveries with *unfrozen* ranges: the replay cannot livelock (no
     /// decision actually went bad) and reproduces the fault-free execution
     /// bit for bit — see docs/INTERNALS.md §9.
     bool injected = false;
-  };
-
-  /// A group a publication walk reached: its key in the relation and its
-  /// entry (opaque outside the registry). Both stay valid until the next
-  /// RollbackTo.
-  struct LiveGroup {
-    const Row* key;
-    const Entry* entry;
   };
 
   /// Sets block `block`'s current multiplicity scale m_i; call once per
@@ -90,32 +86,32 @@ class AggregateRegistry final : public AggLookupResolver,
 
   /// Publishes (or overwrites) group `key` of block `block` at `batch`
   /// with *unscaled* results: `main` has one value per aggregate column,
-  /// `trials[a]` the unscaled replicas of aggregate a. `track_ranges`
-  /// enables variation-range maintenance and the integrity check (enabled
-  /// for blocks consumed downstream).
-  /// `analytic_sd`, when non-null (analytic error mode), supplies the
-  /// unscaled per-aggregate stddevs (negative = no closed form) used to
-  /// synthesize the replica envelope (±2σ) instead of deriving it from
-  /// `trials`, and kept for Estimate. Marks the group live at `batch`.
+  /// `trials[a * num_trials + t]` is replica t of aggregate a. Groups must
+  /// be created in batch order. `track_ranges` enables variation-range
+  /// maintenance and the integrity check (enabled for blocks consumed
+  /// downstream). `analytic_sd`, when non-null (analytic error mode),
+  /// supplies the unscaled per-aggregate stddevs (negative = no closed
+  /// form) used to synthesize the replica envelope (±2σ) instead of
+  /// deriving it from `trials`, and kept for Estimate. Marks the group live
+  /// at `batch`.
   PublishResult Publish(int block, const Row& key, int batch,
-                        std::vector<Value> main,
-                        std::vector<std::vector<double>> trials,
+                        const Value* main, const double* trials,
                         bool track_ranges,
-                        const std::vector<double>* analytic_sd = nullptr)
+                        const double* analytic_sd = nullptr)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Integrity-checks an *untouched* group under the current scale using
-  /// its stored replica envelope, and marks it live at `batch`. Sets
-  /// `missing` when the group was never published (caller falls back to a
-  /// full Publish).
+  /// Integrity-checks an *untouched*, already published group under the
+  /// current scale using its stored replica envelope, and marks it live at
+  /// `batch`.
   PublishResult Refresh(int block, const Row& key, int batch,
                         bool track_ranges) IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Failure recovery: forgets groups first published after `batch` and
-  /// rolls the surviving groups' range constraints back to it, freezing
-  /// classification ranges for `freeze_updates` replayed batches (see
-  /// VariationRangeTracker::RecoverTo). No group stays live: the replay's
-  /// walks mark them again, and frozen replays may route differently.
+  /// Failure recovery: forgets groups first published after `batch` (the
+  /// newest slots) and rolls the surviving groups' range constraints back
+  /// to it, freezing classification ranges for `freeze_updates` replayed
+  /// batches (see VariationRangeTracker::RecoverTo). No group stays live:
+  /// the replay's walks mark them again, and frozen replays may route
+  /// differently.
   void RollbackTo(int batch, int freeze_updates = 0)
       IOLAP_REQUIRES(engine_serial_phase);
 
@@ -124,28 +120,28 @@ class AggregateRegistry final : public AggLookupResolver,
   void ScaleSlack(double factor) IOLAP_REQUIRES(engine_serial_phase);
 
   /// Number of groups currently published for `block`.
-  size_t GroupCount(int block) const;
+  size_t GroupCount(int block) const { return relations_[block].slots.size(); }
 
-  /// The groups of `block` that its publication walk at `batch` published
-  /// or refreshed, in the order the walk reached them; empty when the latest
+  /// The slots of `block` that its publication walk at `batch` published or
+  /// refreshed, in the order the walk reached them; empty when the latest
   /// walk was at another batch. Publish and Refresh must reach a key at most
   /// once per walk.
-  const std::vector<LiveGroup>& LiveGroups(int block, int batch) const;
+  const std::vector<int>& LiveGroups(int block, int batch) const;
 
-  /// The group's row of the block's output relation under its current
-  /// scale m_i: the key, then Lookup of each aggregate column. The key form
-  /// probes for the entry first.
-  Row OutputRow(int block, const LiveGroup& group) const;
-  Row OutputRow(int block, const Row& key) const;
+  /// The row of `slot` in the block's output relation under its current
+  /// scale m_i: the key, then Lookup of each aggregate column.
+  Row OutputRow(int block, int slot) const;
 
-  /// Error estimate of aggregate column `col` (output-schema index) of the
-  /// group under the block's current scale m_i. The value is what Lookup
+  /// Error estimate of aggregate column `col` (output-schema index) of
+  /// `slot` under the block's current scale m_i. The value is what Lookup
   /// returns (null counts as 0). Bootstrap: EstimateError over the
   /// replicas, scaled like the value. Analytic: the closed-form stddev,
   /// scaled like the value and shrunk by the finite-population correction
   /// sqrt(1 - 1/m_i), so the band closes on the final batch; no closed
-  /// form gives a zero-width band. The key form probes for the entry first.
-  ErrorEstimate Estimate(int block, int col, const LiveGroup& group) const;
+  /// form gives a zero-width band.
+  ErrorEstimate Estimate(int block, int col, int slot) const;
+  /// The same for group `key`; a key column or a missing group gives a
+  /// zero-width band at its value.
   ErrorEstimate Estimate(int block, int col, const Row& key) const;
 
   /// Approximate bytes of `block`'s published relation (key + replicated
@@ -177,12 +173,12 @@ class AggregateRegistry final : public AggLookupResolver,
   // Deliberately NOT role-annotated: lookups are the parallel evaluation
   // phases' hot path and read the registry while it is frozen (no Publish /
   // Refresh / Require* runs concurrently — which is exactly what the
-  // IOLAP_REQUIRES annotations above enforce). FindEntry's thread_local
-  // memo keeps the concurrent probes allocation- and contention-free.
+  // IOLAP_REQUIRES annotations above enforce). FindSlot's thread_local
+  // hint keeps the concurrent probes allocation- and contention-free.
   Value Lookup(int block, int col, const Row& key) const override;
   Value LookupTrial(int block, int col, const Row& key,
                     int trial) const override;
-  /// Batched probe for the compiled expression path: one entry lookup for
+  /// Batched probe for the compiled expression path: one slot lookup for
   /// all trials instead of one per trial. Result-identical to calling
   /// LookupTrial for each trial in [0, num_trials).
   void LookupTrials(int block, int col, const Row& key, int num_trials,
@@ -190,56 +186,54 @@ class AggregateRegistry final : public AggLookupResolver,
   Interval LookupRange(int block, int col, const Row& key) const override;
 
  private:
-  struct Entry {
+  // The doubles of one (slot, aggregate): num_trials_ replicas, then these.
+  enum Tail { kEnvLo, kEnvHi, kEnvSd, kAnalyticSd, kTailSize };
+
+  struct Slot {
+    /// The group's key: the key → slot index's copy.
+    const Row* key = nullptr;
     int first_batch = 0;
     /// Graceful per-value degradation: after repeated failures the range
     /// is reported as Unbounded forever — rows consulting it simply stay
     /// in the non-deterministic set, and this value can never trigger a
     /// rollback again. Pruning on well-behaved values continues.
     bool range_disabled = false;
-    std::vector<Value> main;                  // unscaled
-    std::vector<std::vector<double>> trials;  // unscaled
-    /// Analytic mode: the published closed-form stddevs, unscaled and
-    /// unclamped (negative = no closed form); empty in bootstrap mode.
-    std::vector<double> analytic_sd;
-    /// Unscaled replica envelopes (min / max / stddev) per aggregate:
-    /// what Refresh() re-scales instead of walking `trials`.
-    std::vector<double> env_lo;
-    std::vector<double> env_hi;
-    std::vector<double> env_sd;
+    /// The last Publish supplied closed-form stddevs (analytic mode).
+    bool analytic = false;
     std::vector<VariationRangeTracker> ranges;  // empty if not tracked
   };
   struct Relation {
     int num_keys = 0;
     double scale = 1.0;
     std::vector<bool> linear;  // per aggregate column
-    std::unordered_map<Row, Entry, RowHash, RowEq> entries;
-    // The groups the latest publication walk reached, in walk order, and
-    // that walk's batch (-1 = none since the last RollbackTo, which erases
-    // entries).
-    std::vector<LiveGroup> live;
+    std::unordered_map<Row, int, RowHash, RowEq> index;  // key → slot
+    std::vector<Slot> slots;                             // creation order
+    /// Per [slot × aggregate]: the unscaled value, and num_trials_
+    /// unscaled replicas followed by the Tail (unscaled envelope min / max
+    /// / stddev, what Refresh() re-scales instead of walking the replicas;
+    /// the unclamped closed-form stddev in analytic mode).
+    std::vector<Value> mains;
+    std::vector<double> doubles;
+    // The slots the latest publication walk reached, in walk order, and
+    // that walk's batch (-1 = none since the last RollbackTo).
+    std::vector<int> live;
     int live_batch = -1;
-    // Running byte totals over `entries`: keys, main values and replicas
+    // Running byte totals over the slots: keys, main values and replicas
     // (RelationBytes), and variation-range trackers. Every write path
     // (Publish, Refresh, RollbackTo) adjusts them for what it changed.
     size_t bytes = 0;
     size_t tracker_bytes = 0;
-    // Validates the thread_local lookup memo in FindEntry. Assigned a
-    // globally unique value at construction and re-assigned on every
-    // erase (RollbackTo), so a memoized key or entry pointer can never
-    // alias a different relation or survive the erase that freed it. Both
-    // are otherwise stable (node-based map), so inserts need no bump.
-    uint64_t memo_epoch = 0;
     // Integrity failures charged per group. Deliberately NOT rolled back:
-    // a failure recovery erases entries created after the recovery point,
+    // a failure recovery forgets groups created after the recovery point,
     // and without the persistent count a chronically misbehaving value
     // would be recreated with a clean slate and fail identically forever.
     std::unordered_map<Row, int, RowHash, RowEq> failure_counts;
   };
 
-  const Entry* FindEntry(int block, const Row& key) const;
+  /// The slot of group `key` of `block`, or -1.
+  int FindSlot(int block, const Row& key) const;
   /// Mutable tracker access for constraint registration; null when the
-  /// entry is missing, disabled, or untracked.
+  /// group is missing, disabled, or untracked.
   VariationRangeTracker* TrackerFor(int block, int col, const Row& key)
       IOLAP_REQUIRES(engine_serial_phase);
 
@@ -248,22 +242,34 @@ class AggregateRegistry final : public AggLookupResolver,
     return rel.linear[a] ? rel.scale : 1.0;
   }
 
-  /// Aggregate `a` of `entry` re-scaled to `rel`'s current m_i: what Lookup
-  /// returns for it.
-  Value ScaledValue(const Relation& rel, const Entry& entry, size_t a) const;
+  /// The [slot × aggregate] index of aggregate `a` of `slot`: its position
+  /// in `mains`, and in `doubles` in units of stride_.
+  static size_t Cell(const Relation& rel, size_t slot, size_t a) {
+    return slot * rel.linear.size() + a;
+  }
+  /// The replicas of aggregate `a` of `slot`, followed by its Tail.
+  const double* Replicas(const Relation& rel, size_t slot, size_t a) const {
+    return rel.doubles.data() + Cell(rel, slot, a) * stride_;
+  }
 
-  /// Appends `group` (an entry of `rel.entries`) to the live groups of the
-  /// walk at `batch`, starting that walk's list on its first write.
-  static void MarkLive(Relation& rel, LiveGroup group, int batch)
+  /// Aggregate `a` of `slot` re-scaled to `rel`'s current m_i: what Lookup
+  /// returns for it.
+  Value ScaledValue(const Relation& rel, size_t slot, size_t a) const;
+
+  /// Appends `slot` to the live groups of the walk at `batch`, starting
+  /// that walk's list on its first write.
+  static void MarkLive(Relation& rel, int slot, int batch)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Per-column integrity updates for `entry` under the current scale;
+  /// Per-column integrity updates for `slot` under the current scale;
   /// shared by Publish and Refresh. `batch` feeds the fault-injection
   /// seams (registry-envelope-fault keys its schedule on it).
-  void CheckRanges(Relation& rel, const Row& key, Entry& entry, int batch,
+  void CheckRanges(Relation& rel, size_t slot, int batch,
                    PublishResult* result) IOLAP_REQUIRES(engine_serial_phase);
 
   double slack_;
+  int num_trials_;
+  size_t stride_;                    // num_trials_ + kTailSize
   std::vector<Relation> relations_;  // indexed by block id
 };
 

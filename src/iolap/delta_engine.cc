@@ -592,8 +592,6 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   // AND-reduced over every failure this batch: the recovery counts as
   // injected only when *no* real constraint violation contributed.
   bool injected_only = true;
-  std::unordered_set<Row, RowHash, RowEq> temp_keys_now;
-
   auto note_result = [&](const AggregateRegistry::PublishResult& result) {
     if (!result.ok) {
       injected_only = injected_only && result.injected;
@@ -605,19 +603,27 @@ int BlockExecutor::PublishOutput(int batch, double scale,
 
   const bool analytic = options_->error_method == ErrorMethod::kAnalytic;
   const size_t num_aggs = block_->aggs.size();
+  const size_t trials = static_cast<size_t>(bootstrap_.num_trials());
+  publish_main_.resize(num_aggs);
+  publish_trials_.resize(num_aggs * trials);
+  publish_sd_.resize(analytic ? num_aggs : 0);
 
-  // A group's unscaled results, materialized from its accumulator cells.
-  struct Materialized {
-    std::vector<Value> main;
-    std::vector<std::vector<double>> trials;
-    std::vector<double> analytic_sd;
-  };
-  // Merges the sketch and scratch cells when the group has both.
-  auto materialize = [&](const GroupedAggregateState::GroupCells* sketch_cells,
-                         const GroupedAggregateState::GroupCells* temp_cells) {
-    Materialized m;
-    m.main.reserve(num_aggs);
-    m.trials.reserve(num_aggs);
+  // One serial walk in a fixed order (sketch groups, then scratch-only
+  // groups): integrity checks, registry publication (and with it the
+  // batch's live groups) and the join feed all follow it. A dirty group is
+  // materialized from its accumulator cells, merging the sketch and scratch
+  // cells when it has both, and published.
+  auto publish = [&](const Row& key, bool dirty,
+                     const GroupedAggregateState::GroupCells* sketch_cells,
+                     const GroupedAggregateState::GroupCells* temp_cells) {
+    engine_serial_phase.AssertHeld();  // called only from the walk below
+    if (!dirty) {
+      // Untouched group: integrity-refresh the stored envelope under the
+      // new scale. Nothing wrote its sketch cells since it was last
+      // published, so they hold exactly the published results.
+      note_result(registry_->Refresh(block_->id, key, batch, track));
+      return;
+    }
     for (size_t a = 0; a < num_aggs; ++a) {
       std::optional<TrialAccumulatorSet> merged;
       const TrialAccumulatorSet* acc = sketch_cells != nullptr
@@ -628,60 +634,39 @@ int BlockExecutor::PublishOutput(int batch, double scale,
         merged->Merge(temp_cells->aggs[a]);
         acc = &*merged;
       }
-      m.main.push_back(acc->MainResult(1.0));
-      m.trials.push_back(acc->TrialResults(1.0));
+      publish_main_[a] = acc->MainResult(1.0);
+      acc->TrialResults(1.0, publish_trials_.data() + a * trials);
       if (analytic) {
-        m.analytic_sd.push_back(UnscaledAnalyticSd(*block_->aggs[a].fn, *acc));
+        publish_sd_[a] = UnscaledAnalyticSd(*block_->aggs[a].fn, *acc);
       }
     }
-    return m;
-  };
-
-  // One serial walk in a fixed order (sketch groups, then scratch-only
-  // groups): integrity checks, registry publication (and with it the
-  // batch's live groups) and the join feed all follow it.
-  auto publish = [&](const Row& key,
-                     const GroupedAggregateState::GroupCells* sketch_cells,
-                     const GroupedAggregateState::GroupCells* temp_cells) {
-    engine_serial_phase.AssertHeld();  // called only from the walk below
-    if (temp_cells != nullptr) temp_keys_now.insert(key);
-    const bool dirty =
-        force_full_publish_ || temp_cells != nullptr ||
-        (sketch_cells != nullptr && sketch_cells->last_touched == batch) ||
-        prev_temp_keys_.count(key) > 0;
-    if (!dirty) {
-      // Untouched group: integrity-refresh the stored envelope under the
-      // new scale. Nothing wrote its sketch cells since it was last
-      // published, so they hold exactly the published results.
-      const auto result = registry_->Refresh(block_->id, key, batch, track);
-      if (!result.missing) {
-        note_result(result);
-        return;
-      }
-      // Never published (first batch after a restore): materialize and
-      // publish like a dirty group.
-    }
-    Materialized m = materialize(sketch_cells, temp_cells);
     const auto result = registry_->Publish(
-        block_->id, key, batch, std::move(m.main), std::move(m.trials), track,
-        analytic ? &m.analytic_sd : nullptr);
+        block_->id, key, batch, publish_main_.data(), publish_trials_.data(),
+        track, analytic ? publish_sd_.data() : nullptr);
     note_result(result);
     // Emit the group downstream the first time it appears, scaled to m_i.
     if (feeds_join_ && result.created) {
       ExecRow out;
-      out.values = registry_->OutputRow(block_->id, key);
+      out.values = registry_->OutputRow(block_->id, result.slot);
       new_output_rows_.push_back(std::move(out));
     }
   };
-  for (const GroupedAggregateState::Group& g : sketch_.groups()) {
-    publish(g.key, g.cells.get(), temp.Find(g.ref()));
+  // A new position starts unstamped: -2 never equals batch - 1.
+  scratch_stamps_.resize(sketch_.num_groups(), -2);
+  for (size_t pos = 0; pos < sketch_.num_groups(); ++pos) {
+    const GroupedAggregateState::Group& g = sketch_.groups()[pos];
+    const GroupedAggregateState::GroupCells* temp_cells = temp.Find(g.ref());
+    const bool dirty = force_full_publish_ || temp_cells != nullptr ||
+                       g.cells->last_touched == batch ||
+                       scratch_stamps_[pos] == batch - 1;
+    if (temp_cells != nullptr) scratch_stamps_[pos] = batch;
+    publish(g.key, dirty, g.cells.get(), temp_cells);
   }
   for (const GroupedAggregateState::Group& g : temp.groups()) {
     if (sketch_.Find(g.ref()) == nullptr) {
-      publish(g.key, nullptr, g.cells.get());
+      publish(g.key, /*dirty=*/true, nullptr, g.cells.get());
     }
   }
-  prev_temp_keys_ = std::move(temp_keys_now);
   force_full_publish_ = false;
 
   // Spurious integrity verdict (fault injection): report a failure even
@@ -856,7 +841,7 @@ void BlockExecutor::Undo(UndoRecord record) {
   }
   new_output_rows_.clear();
   pending_passing_.clear();
-  prev_temp_keys_.clear();
+  scratch_stamps_.clear();
   // Registry values may be newer than the restored sketches.
   force_full_publish_ = true;
   OpenRecord();
@@ -873,7 +858,7 @@ void BlockExecutor::Reset() {
   sink_bytes_ = 0;
   new_output_rows_.clear();
   pending_passing_.clear();
-  prev_temp_keys_.clear();
+  scratch_stamps_.clear();
   force_full_publish_ = true;
   OpenRecord();
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -75,10 +74,6 @@ struct EngineOptions {
   /// to a full restart. The undo log keeps the records of the last
   /// checkpoint_history - 1 sealed batches plus the batch in progress.
   size_t checkpoint_history = 8;
-  /// Failure-recovery attempts per batch before the engine falls back to
-  /// classification-free (always-correct) processing for the rest of the
-  /// run.
-  int max_recoveries_per_batch = 32;
   /// Apply the Appendix B viewlet-transformation rewrites (query
   /// decomposition) at compile time. Off by default; see
   /// plan/rewrite_rules.h and bench_ablation_rewrite.
@@ -134,7 +129,7 @@ class BlockExecutor {
   int ProcessBatch(int batch, double scale, std::vector<RowBatch> input_deltas,
                    BlockBatchStats* stats);
 
-  /// The join feed of an aggregate block: the groups whose registry entry
+  /// The join feed of an aggregate block: the groups whose registry slot
   /// this batch's publication created (keys + current scaled values), in
   /// walk order — the delta rows of downstream kBlockOutput joins, which
   /// read later values through lineage lookups. Empty unless the block
@@ -449,10 +444,18 @@ class BlockExecutor {
   RowBatch new_output_rows_;
   /// Non-aggregate block: indices into pending_ of the rows passing now.
   std::vector<size_t> pending_passing_;
-  /// Groups whose last publication included a revocable (non-deterministic)
-  /// contribution: they must be republished even if untouched, because the
-  /// contribution may have lapsed.
-  std::unordered_set<Row, RowHash, RowEq> prev_temp_keys_;
+  /// Per sketch group, by position: the last batch whose publication walk
+  /// found scratch cells for it. A group stamped with the previous batch
+  /// must be republished even if untouched, because its revocable
+  /// (non-deterministic) contribution may have lapsed. Positions are stable
+  /// until an undo, which clears the stamps.
+  std::vector<int> scratch_stamps_;
+  /// PublishOutput's materialization buffers, reused across groups and
+  /// batches: a group's unscaled main values, replicas [a × trials + t] and
+  /// closed-form stddevs (analytic mode).
+  std::vector<Value> publish_main_;
+  std::vector<double> publish_trials_;
+  std::vector<double> publish_sd_;
 
   // Per-batch scratch (cleared at the end of ProcessBatch; members only to
   // reuse capacity across batches). Deferred records hold accumulator

@@ -72,8 +72,8 @@ struct BatchMetrics {
   /// Replayed batches processed with frozen variation ranges (natural
   /// recoveries only), summed over this batch's recoveries.
   int frozen_replay_batches = 0;
-  /// 1 when this batch exhausted max_recoveries_per_batch and fell back to
-  /// classification-free processing.
+  /// 1 when this batch exhausted its failure recoveries (32) and fell back
+  /// to classification-free processing.
   int recoveries_exhausted = 0;
   /// Recovery-storm degradation level in effect after this batch:
   /// 0 = none, 1 = slack widened, 2 = pruning disabled,

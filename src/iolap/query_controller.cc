@@ -9,6 +9,10 @@
 
 namespace iolap {
 
+// Failure-recovery attempts per batch before the engine falls back to
+// classification-free (always-correct) processing for the rest of the run.
+constexpr int kMaxRecoveriesPerBatch = 32;
+
 QueryController::QueryController(const Catalog* catalog, QueryPlan plan,
                                  EngineOptions options)
     : catalog_(catalog), plan_(std::move(plan)), options_(options) {}
@@ -77,7 +81,8 @@ Status QueryController::Init() {
     }
   }
 
-  registry_ = std::make_unique<AggregateRegistry>(&plan_, options_.slack);
+  registry_ = std::make_unique<AggregateRegistry>(&plan_, options_.slack,
+                                                  options_.num_trials);
   const BootstrapWeights bootstrap(options_.seed, options_.num_trials);
   // Intra-batch parallelism: one pool shared by all executors. Blocks run
   // serially in topological order; within a block the evaluation phases fan
@@ -164,11 +169,11 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
       } else if (executors_[blk]->stateless()) {
         // Snapshot consumer: the upstream's output relation of this batch,
         // its live groups (no lapsed ones) with their current values.
-        const auto& groups = registry_->LiveGroups(input.source_block, b);
-        deltas[k].reserve(groups.size());
-        for (const AggregateRegistry::LiveGroup& group : groups) {
+        const auto& slots = registry_->LiveGroups(input.source_block, b);
+        deltas[k].reserve(slots.size());
+        for (int slot : slots) {
           ExecRow row;
-          row.values = registry_->OutputRow(input.source_block, group);
+          row.values = registry_->OutputRow(input.source_block, slot);
           deltas[k].push_back(std::move(row));
         }
       } else {
@@ -251,10 +256,9 @@ int QueryController::RollbackTo(int target, int current_batch, bool injected,
 
 int QueryController::ApplyDegradation(int attempts, int rollback,
                                       BatchMetrics* bm) {
-  const int cap = options_.max_recoveries_per_batch;
-  const int widen_at = std::max(1, cap / 4);
-  const int no_prune_at = std::max(widen_at + 1, cap / 2);
-  if (attempts > cap) {
+  const int widen_at = std::max(1, kMaxRecoveriesPerBatch / 4);
+  const int no_prune_at = std::max(widen_at + 1, kMaxRecoveriesPerBatch / 2);
+  if (attempts > kMaxRecoveriesPerBatch) {
     // Staircase level 3 (terminal): classification-free processing cannot
     // fail, so a full restart here is guaranteed to terminate the storm.
     degrade_level_ = 3;
@@ -422,15 +426,15 @@ void QueryController::BuildResult(int batch) {
       result.estimated_columns.push_back(
           static_cast<int>(top.group_by.size() + a));
     }
-    const auto& groups = registry_->LiveGroups(top.id, batch);
-    unsorted.Reserve(groups.size());
-    estimates.reserve(groups.size());
-    for (const AggregateRegistry::LiveGroup& group : groups) {
-      unsorted.AddRow(registry_->OutputRow(top.id, group));
+    const auto& slots = registry_->LiveGroups(top.id, batch);
+    unsorted.Reserve(slots.size());
+    estimates.reserve(slots.size());
+    for (int slot : slots) {
+      unsorted.AddRow(registry_->OutputRow(top.id, slot));
       std::vector<ErrorEstimate> row_estimates;
       row_estimates.reserve(top.aggs.size());
       for (int col : result.estimated_columns) {
-        row_estimates.push_back(registry_->Estimate(top.id, col, group));
+        row_estimates.push_back(registry_->Estimate(top.id, col, slot));
       }
       estimates.push_back(std::move(row_estimates));
     }

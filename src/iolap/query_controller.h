@@ -118,7 +118,7 @@ class QueryController {
 
   /// Recovery-storm breaker: staircased, one-way degradation keyed on the
   /// attempt count within one batch — widen envelope slack, then disable
-  /// pruning, then (past max_recoveries_per_batch) fall back to
+  /// pruning, then (past kMaxRecoveriesPerBatch, 32) fall back to
   /// classification-free processing, which cannot fail. Returns the
   /// (possibly overridden) rollback target.
   int ApplyDegradation(int attempts, int rollback, BatchMetrics* bm);

@@ -1,6 +1,6 @@
 // Unit tests for the AggregateRegistry: lazy re-scaling, lookups, trial
-// replicas, constraint routing, refresh, rollback, per-value degradation,
-// live groups and error estimates.
+// replicas, constraint routing, refresh, rollback and its slots, the lookup
+// hint, per-value degradation, live groups and error estimates.
 //
 // The mutation API requires the engine's serial-phase capability
 // (IOLAP_REQUIRES(engine_serial_phase)); tests that publish/refresh enter
@@ -19,6 +19,9 @@
 namespace iolap {
 namespace {
 
+// The registry's replica count: every published aggregate carries this many.
+constexpr int kTrials = 4;
+
 class RegistryTest : public ::testing::Test {
  protected:
   RegistryTest() : functions_(FunctionRegistry::Default()) {
@@ -36,16 +39,28 @@ class RegistryTest : public ::testing::Test {
     auto plan = pb.Build();
     EXPECT_TRUE(plan.ok()) << plan.status();
     plan_ = std::make_unique<QueryPlan>(std::move(*plan));
-    registry_ = std::make_unique<AggregateRegistry>(plan_.get(), 2.0);
+    registry_ = std::make_unique<AggregateRegistry>(plan_.get(), 2.0, kTrials);
   }
 
   Row Key(int64_t k) { return {Value::Int64(k)}; }
 
+  // Publishes group `k` of block 0 at `batch` with the unscaled main values
+  // {sum, avg} and their replicas, kTrials each: sum's, then avg's.
+  AggregateRegistry::PublishResult Publish(
+      int64_t k, int batch, std::vector<Value> main, std::vector<double> trials,
+      bool track = true, const double* analytic_sd = nullptr)
+      IOLAP_REQUIRES(engine_serial_phase) {
+    EXPECT_EQ(main.size(), 2u);
+    EXPECT_EQ(trials.size(), 2u * kTrials);
+    return registry_->Publish(0, Key(k), batch, main.data(), trials.data(),
+                              track, analytic_sd);
+  }
+
   // The group ids of LiveGroups(0, batch), in the order returned.
   std::vector<int64_t> Live(int batch) {
     std::vector<int64_t> ids;
-    for (const auto& group : registry_->LiveGroups(0, batch)) {
-      ids.push_back((*group.key)[0].int64());
+    for (int slot : registry_->LiveGroups(0, batch)) {
+      ids.push_back(registry_->OutputRow(0, slot)[0].int64());
     }
     return ids;
   }
@@ -70,8 +85,8 @@ TEST_F(RegistryTest, LinearAggregateRescalesLazily) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 4.0);
   // Unscaled sum 10, avg 5.
-  auto result = registry_->Publish(0, Key(1), 0, {Value::Double(10), Value::Double(5)},
-                                   {{9, 10, 11}, {4, 5, 6}}, true);
+  auto result = Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                        {9, 10, 11, 10, 4, 5, 6, 5});
   EXPECT_TRUE(result.ok);
   // col 1 = sum (linear): scaled x4; col 2 = avg (invariant).
   EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(1)).AsDouble(), 40.0);
@@ -88,17 +103,22 @@ TEST_F(RegistryTest, LinearAggregateRescalesLazily) {
 TEST_F(RegistryTest, TrialOutOfRangeFallsBackToMain) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0, {Value::Double(10), Value::Double(5)},
-                                 {{}, {}}, false)
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                      {9, 10, 11, 12, 4, 5, 6, 5}, false)
                   .ok);
-  EXPECT_DOUBLE_EQ(registry_->LookupTrial(0, 1, Key(1), 7).AsDouble(), 10.0);
+  EXPECT_DOUBLE_EQ(registry_->LookupTrial(0, 1, Key(1), kTrials).AsDouble(),
+                   10.0);
+  Value batched[kTrials + 1];
+  registry_->LookupTrials(0, 1, Key(1), kTrials + 1, batched);
+  EXPECT_DOUBLE_EQ(batched[kTrials - 1].AsDouble(), 12.0);
+  EXPECT_DOUBLE_EQ(batched[kTrials].AsDouble(), 10.0);
 }
 
 TEST_F(RegistryTest, RefreshChecksUnderNewScale) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 2.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0, {Value::Double(10), Value::Double(5)},
-                                 {{9, 10, 11}, {5, 5, 5}}, true)
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                      {9, 10, 11, 10, 5, 5, 5, 5})
                   .ok);
   // A pruning decision bounds the scaled sum from above at 50.
   registry_->RequireUpper(0, 1, Key(1), 50.0);
@@ -111,27 +131,20 @@ TEST_F(RegistryTest, RefreshChecksUnderNewScale) {
   EXPECT_FALSE(fail.ok);
 }
 
-TEST_F(RegistryTest, RefreshOnMissingGroupReportsMissing) {
-  ScopedThreadRole serial(engine_serial_phase);
-  const auto result = registry_->Refresh(0, Key(42), 0, true);
-  EXPECT_TRUE(result.missing);
-}
-
 TEST_F(RegistryTest, ConstraintsGateFailuresAndRangesNarrow) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0, {Value::Double(10), Value::Double(5)},
-                                 {{9, 10, 11}, {5, 5, 5}}, true)
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                      {9, 10, 11, 10, 5, 5, 5, 5})
                   .ok);
   // Without constraints, wild movement is re-based silently.
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 1, {Value::Double(100), Value::Double(5)},
-                                 {{90, 100, 110}, {5, 5, 5}}, true)
+  ASSERT_TRUE(Publish(1, 1, {Value::Double(100), Value::Double(5)},
+                      {90, 100, 110, 100, 5, 5, 5, 5})
                   .ok);
   // Constrain, then violate.
   registry_->RequireUpper(0, 1, Key(1), 120.0);
-  const auto fail = registry_->Publish(0, Key(1), 2,
-                                       {Value::Double(200), Value::Double(5)},
-                                       {{190, 200, 210}, {5, 5, 5}}, true);
+  const auto fail = Publish(1, 2, {Value::Double(200), Value::Double(5)},
+                            {190, 200, 210, 200, 5, 5, 5, 5});
   EXPECT_FALSE(fail.ok);
 }
 
@@ -139,38 +152,64 @@ TEST_F(RegistryTest, RepeatedFailuresDisableTheRange) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
-                                   {Value::Double(10), Value::Double(5)},
-                                   {{10}, {5}}, true)
+    ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                        {10, 10, 10, 10, 5, 5, 5, 5})
                     .ok);
     registry_->RequireUpper(0, 1, Key(1), 15.0);
-    const auto fail = registry_->Publish(
-        0, Key(1), 1, {Value::Double(30), Value::Double(5)}, {{30}, {5}}, true);
+    const auto fail = Publish(1, 1, {Value::Double(30), Value::Double(5)},
+                              {30, 30, 30, 30, 5, 5, 5, 5});
     EXPECT_FALSE(fail.ok) << "round " << round;
     registry_->RollbackTo(0, 1);
   }
   // Third strike: the range is permanently unbounded and can't fail.
   EXPECT_TRUE(registry_->LookupRange(0, 1, Key(1)).IsUnbounded());
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 1,
-                                 {Value::Double(1000), Value::Double(5)},
-                                 {{1000}, {5}}, true)
+  ASSERT_TRUE(Publish(1, 1, {Value::Double(1000), Value::Double(5)},
+                      {1000, 1000, 1000, 1000, 5, 5, 5, 5})
                   .ok);
 }
 
+// Slots are numbered in creation order, and a rollback pops exactly the
+// ones created after its batch: every survivor keeps its slot, its values
+// and its place in the order, and the next group created takes the first
+// free slot.
 TEST_F(RegistryTest, RollbackErasesYoungGroups) {
   ScopedThreadRole serial(engine_serial_phase);
-  registry_->SetBlockScale(0, 1.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0, {Value::Double(1), Value::Double(1)},
-                                 {{1}, {1}}, true)
-                  .ok);
-  ASSERT_TRUE(registry_->Publish(0, Key(2), 3, {Value::Double(2), Value::Double(2)},
-                                 {{2}, {2}}, true)
-                  .ok);
-  EXPECT_EQ(registry_->GroupCount(0), 2u);
+  registry_->SetBlockScale(0, 2.0);
+  const std::vector<std::pair<int64_t, int>> groups = {
+      {7, 0}, {3, 1}, {5, 2}, {9, 3}};  // (key, batch created)
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const auto [k, batch] = groups[i];
+    const double v = static_cast<double>(k);
+    const auto result = Publish(k, batch, {Value::Double(v), Value::Double(v)},
+                                {v, v, v, v, v, v, v, v});
+    ASSERT_TRUE(result.created);
+    EXPECT_EQ(result.slot, static_cast<int>(i));
+  }
+  const Row row7 = registry_->OutputRow(0, 0);
+  const Row row3 = registry_->OutputRow(0, 1);
+  EXPECT_EQ(row7, (Row{Value::Int64(7), Value::Double(14), Value::Double(7)}));
+
   registry_->RollbackTo(1, 0);
-  EXPECT_EQ(registry_->GroupCount(0), 1u);
-  EXPECT_TRUE(registry_->Lookup(0, 1, Key(2)).is_null());
-  EXPECT_FALSE(registry_->Lookup(0, 1, Key(1)).is_null());
+  EXPECT_EQ(registry_->GroupCount(0), 2u);
+  EXPECT_TRUE(registry_->Lookup(0, 1, Key(5)).is_null());
+  EXPECT_TRUE(registry_->Lookup(0, 1, Key(9)).is_null());
+  EXPECT_EQ(registry_->OutputRow(0, 0), row7);
+  EXPECT_EQ(registry_->OutputRow(0, 1), row3);
+  EXPECT_DOUBLE_EQ(registry_->LookupTrial(0, 1, Key(3), 2).AsDouble(), 6.0);
+
+  // The replay's walk reaches the survivors in creation order, and their
+  // republication finds their slots.
+  ASSERT_TRUE(registry_->Refresh(0, Key(7), 2, true).ok);
+  const auto again = Publish(3, 2, {Value::Double(4), Value::Double(4)},
+                             {4, 4, 4, 4, 4, 4, 4, 4});
+  EXPECT_FALSE(again.created);
+  EXPECT_EQ(again.slot, 1);
+  const auto fresh = Publish(11, 2, {Value::Double(1), Value::Double(1)},
+                             {1, 1, 1, 1, 1, 1, 1, 1});
+  EXPECT_TRUE(fresh.created);
+  EXPECT_EQ(fresh.slot, 2);
+  EXPECT_EQ(registry_->LiveGroups(0, 2), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(Live(2), (std::vector<int64_t>{7, 3, 11}));
 }
 
 // RelationBytes and TotalBytes are running totals; each write path must
@@ -181,8 +220,8 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
   EXPECT_EQ(registry_->RelationBytes(0), 0u);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0, {Value::Double(1), Value::Double(1)},
-                                 {{1, 1}, {1, 1}}, true)
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(1), Value::Double(1)},
+                      {1, 1, 1, 1, 1, 1, 1, 1})
                   .ok);
   EXPECT_GT(registry_->RelationBytes(0), 0u);
   EXPECT_GE(registry_->TotalBytes(), registry_->RelationBytes(0));
@@ -191,10 +230,10 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
   const size_t tracker = probe.ByteSize();
   ASSERT_TRUE(probe.Update(0.0, {}).ok);
   const size_t snapshot = probe.ByteSize() - tracker;
-  // Two aggregates per group, all values doubles.
-  auto group = [&](int64_t k, size_t replicas) {
-    return RowByteSize(Key(k)) + 2 * Value::Double(0).ByteSize() +
-           2 * replicas * sizeof(double);
+  // Two aggregates per group, each with kTrials replicas.
+  const size_t dbl = Value::Double(0).ByteSize();
+  auto group = [&](int64_t k, size_t main_bytes) {
+    return RowByteSize(Key(k)) + main_bytes + 2 * kTrials * sizeof(double);
   };
   auto trackers = [&](size_t snapshots) {
     return 2 * (tracker + snapshots * snapshot);
@@ -203,30 +242,36 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
     EXPECT_EQ(registry_->RelationBytes(0), relation) << step;
     EXPECT_EQ(registry_->TotalBytes(), total) << step;
   };
-  expect_bytes(group(1, 2), group(1, 2) + trackers(1), "first publish");
+  expect_bytes(group(1, 2 * dbl), group(1, 2 * dbl) + trackers(1),
+               "first publish");
 
-  ASSERT_TRUE(registry_->Publish(0, Key(2), 1, {Value::Double(2), Value::Double(2)},
-                                 {{2, 2, 2}, {2, 2, 2}}, true)
+  ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
+                      {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
-  // Overwrite with more replicas: the old values leave the total.
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 1, {Value::Double(3), Value::Double(3)},
-                                 {{3, 3, 3}, {3, 3, 3}}, true)
+  // Overwrite with a null sum: the old value leaves the total.
+  const size_t null_and_dbl = Value::Null().ByteSize() + dbl;
+  ASSERT_NE(null_and_dbl, 2 * dbl);
+  ASSERT_TRUE(Publish(1, 1, {Value::Null(), Value::Double(3)},
+                      {3, 3, 3, 3, 3, 3, 3, 3})
                   .ok);
-  expect_bytes(group(1, 3) + group(2, 3),
-               group(1, 3) + group(2, 3) + trackers(2) + trackers(1),
+  expect_bytes(group(1, null_and_dbl) + group(2, 2 * dbl),
+               group(1, null_and_dbl) + group(2, 2 * dbl) + trackers(2) +
+                   trackers(1),
                "publish overwrite");
 
   // Refreshes fold one more snapshot into each tracker of the group.
   ASSERT_TRUE(registry_->Refresh(0, Key(2), 2, true).ok);
   ASSERT_TRUE(registry_->Refresh(0, Key(2), 3, true).ok);
-  expect_bytes(group(1, 3) + group(2, 3),
-               group(1, 3) + group(2, 3) + trackers(2) + trackers(3),
+  expect_bytes(group(1, null_and_dbl) + group(2, 2 * dbl),
+               group(1, null_and_dbl) + group(2, 2 * dbl) + trackers(2) +
+                   trackers(3),
                "refresh");
 
-  // Rollback to batch 0 erases key 2 (first published at batch 1) and
+  // Rollback to batch 0 pops key 2 (first published at batch 1) and
   // truncates key 1's tracker history to its batch-0 snapshot.
   registry_->RollbackTo(0, 0);
-  expect_bytes(group(1, 3), group(1, 3) + trackers(1), "rollback");
+  expect_bytes(group(1, null_and_dbl), group(1, null_and_dbl) + trackers(1),
+               "rollback");
 
   registry_->RollbackTo(-1, 0);
   expect_bytes(0, 0, "full restart");
@@ -234,7 +279,7 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
 
 TEST_F(RegistryTest, ConstraintOnMissingOrKeyColumnIsIgnored) {
   ScopedThreadRole serial(engine_serial_phase);
-  // Neither call may crash or create entries.
+  // Neither call may crash or create groups.
   registry_->RequireUpper(0, 1, Key(77), 1.0);
   registry_->RequireLower(0, 0, Key(1), 1.0);
   registry_->RequireContainment(0, 1, Key(77));
@@ -243,22 +288,20 @@ TEST_F(RegistryTest, ConstraintOnMissingOrKeyColumnIsIgnored) {
 
 // A batch's live groups are the ones its walk published or refreshed, in
 // walk order; a group the walk did not reach (its contributions lapsed)
-// keeps its entry but is not live.
+// keeps its slot but is not live.
 TEST_F(RegistryTest, LiveKeysAreTheGroupsTheWalkReached) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
   for (int64_t k : {3, 1}) {
-    ASSERT_TRUE(registry_->Publish(0, Key(k), 0,
-                                   {Value::Double(1), Value::Double(1)},
-                                   {{1}, {1}}, true)
+    ASSERT_TRUE(Publish(k, 0, {Value::Double(1), Value::Double(1)},
+                        {1, 1, 1, 1, 1, 1, 1, 1})
                     .ok);
   }
   EXPECT_EQ(Live(0), (std::vector<int64_t>{3, 1}));
 
   ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
-  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
-                                 {Value::Double(2), Value::Double(2)},
-                                 {{2}, {2}}, true)
+  ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
+                      {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
   EXPECT_EQ(Live(1), (std::vector<int64_t>{1, 2}));
   // Key 3 lapsed: still resolvable, not live. The latest walk is batch 1.
@@ -274,14 +317,12 @@ TEST_F(RegistryTest, LiveKeysAreTheGroupsTheWalkReached) {
 TEST_F(RegistryTest, RollbackClearsLiveness) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
-                                 {Value::Double(1), Value::Double(1)},
-                                 {{1}, {1}}, true)
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(1), Value::Double(1)},
+                      {1, 1, 1, 1, 1, 1, 1, 1})
                   .ok);
   ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
-  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
-                                 {Value::Double(2), Value::Double(2)},
-                                 {{2}, {2}}, true)
+  ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
+                      {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
   ASSERT_EQ(Live(1), (std::vector<int64_t>{1, 2}));
 
@@ -290,9 +331,8 @@ TEST_F(RegistryTest, RollbackClearsLiveness) {
   EXPECT_TRUE(Live(0).empty());
   EXPECT_TRUE(Live(1).empty());
   // The replay of batch 1 reaches only key 2; kept key 1 stays not live.
-  ASSERT_TRUE(registry_->Publish(0, Key(2), 1,
-                                 {Value::Double(2), Value::Double(2)},
-                                 {{2}, {2}}, true)
+  ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
+                      {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
   EXPECT_EQ(Live(1), (std::vector<int64_t>{2}));
 }
@@ -301,19 +341,45 @@ TEST_F(RegistryTest, PublishReportsCreation) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 1.0);
   auto publish = [&](int batch) {
-    return registry_->Publish(0, Key(5), batch,
-                              {Value::Double(1), Value::Double(1)}, {{1}, {1}},
-                              true);
+    engine_serial_phase.AssertHeld();  // called only from this test's body
+    return Publish(5, batch, {Value::Double(1), Value::Double(1)},
+                   {1, 1, 1, 1, 1, 1, 1, 1});
   };
   EXPECT_TRUE(publish(1).created);
   EXPECT_FALSE(publish(2).created);
-  // Rolling back before its first publication erases the entry.
+  // Rolling back before its first publication forgets the group.
   registry_->RollbackTo(0, 0);
   EXPECT_EQ(registry_->GroupCount(0), 0u);
   EXPECT_TRUE(publish(1).created);
-  // A rollback that keeps the entry keeps it known.
+  // A rollback that keeps the group keeps it known.
   registry_->RollbackTo(1, 0);
   EXPECT_FALSE(publish(2).created);
+}
+
+// The thread_local lookup hint remembers a (relation, slot). After a
+// rollback pops a group and a new group takes its slot, the hint must
+// resolve neither the old key to the new group nor the new key to nothing.
+TEST_F(RegistryTest, LookupHintFollowsTheSlotsKey) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 1.0);
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(1)},
+                      {10, 10, 10, 10, 1, 1, 1, 1})
+                  .ok);
+  const auto a = Publish(2, 1, {Value::Double(20), Value::Double(2)},
+                         {20, 20, 20, 20, 2, 2, 2, 2});
+  ASSERT_TRUE(a.created);
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(2)).AsDouble(), 20.0);
+
+  registry_->RollbackTo(0, 0);
+  const auto b = Publish(3, 1, {Value::Double(30), Value::Double(3)},
+                         {30, 30, 30, 30, 3, 3, 3, 3});
+  ASSERT_TRUE(b.created);
+  ASSERT_EQ(b.slot, a.slot);
+  EXPECT_TRUE(registry_->Lookup(0, 1, Key(2)).is_null());
+  EXPECT_TRUE(registry_->LookupTrial(0, 1, Key(2), 0).is_null());
+  EXPECT_TRUE(registry_->LookupRange(0, 1, Key(2)).IsUnbounded());
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(3)).AsDouble(), 30.0);
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(1)).AsDouble(), 10.0);
 }
 
 void ExpectSameEstimate(const ErrorEstimate& actual,
@@ -331,14 +397,15 @@ void ExpectSameEstimate(const ErrorEstimate& actual,
 TEST_F(RegistryTest, EstimateScalesReplicasLikeTheValue) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 4.0);
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
-                                 {Value::Double(10), Value::Double(5)},
-                                 {{9, 10.5, 11, 8}, {4, 5, 6.25, 5}}, true)
-                  .ok);
+  const auto result = Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                              {9, 10.5, 11, 8, 4, 5, 6.25, 5});
+  ASSERT_TRUE(result.ok);
   ExpectSameEstimate(registry_->Estimate(0, 1, Key(1)),
                      EstimateError(40.0, {36, 42, 44, 32}), "sum");
   ExpectSameEstimate(registry_->Estimate(0, 2, Key(1)),
                      EstimateError(5.0, {4, 5, 6.25, 5}), "avg");
+  ExpectSameEstimate(registry_->Estimate(0, 1, result.slot),
+                     EstimateError(40.0, {36, 42, 44, 32}), "sum by slot");
   // A missing group estimates its null value as a zero-width band at 0.
   ExpectSameEstimate(registry_->Estimate(0, 1, Key(9)),
                      EstimateError(0.0, {}), "missing");
@@ -350,10 +417,9 @@ TEST_F(RegistryTest, EstimateScalesReplicasLikeTheValue) {
 TEST_F(RegistryTest, AnalyticEstimateAppliesTheFinitePopulationCorrection) {
   ScopedThreadRole serial(engine_serial_phase);
   registry_->SetBlockScale(0, 4.0);
-  const std::vector<double> sd = {2.0, -1.0};
-  ASSERT_TRUE(registry_->Publish(0, Key(1), 0,
-                                 {Value::Double(10), Value::Double(5)},
-                                 {{}, {}}, true, &sd)
+  const double sd[] = {2.0, -1.0};
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(5)},
+                      {0, 0, 0, 0, 0, 0, 0, 0}, true, sd)
                   .ok);
   ExpectSameEstimate(registry_->Estimate(0, 1, Key(1)),
                      EstimateFromStddev(40.0, 2.0 * 4.0 * std::sqrt(0.75)),
