@@ -49,20 +49,26 @@ class Tail {
   size_t size_ = 0;
 };
 
-// Percentile p of the replicas, interpolated between order statistics lo
-// and lo + 1: a selection puts the lo-th in place with everything larger
-// after it, so the next one is the minimum of that tail. For tails too
-// long for the buffers.
-double SelectPercentile(std::vector<double>& order, double p) {
-  const double pos = p * (order.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const double frac = pos - lo;
-  const auto at = order.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(order.begin(), at, order.end());
-  const double next =
-      lo + 1 < order.size() ? *std::min_element(at + 1, order.end()) : *at;
-  return *at * (1.0 - frac) + next * frac;
+// Numeric order with -0.0 before +0.0: a total order over non-NaN doubles
+// in which equivalent values have the same bits, so a rank taken with an
+// unstable selection names one bit pattern.
+bool RankBefore(double x, double y) {
+  return x < y || (x == y && std::signbit(x) && !std::signbit(y));
 }
+
+// Order statistics r and r + 1 of `order` under RankBefore: a selection
+// puts the r-th in place with everything after it ranked no lower, so the
+// next one is the least of that tail. For tails too long for the buffers.
+void SelectRanks(std::vector<double>& order, size_t r, double out[2]) {
+  const auto at = order.begin() + static_cast<std::ptrdiff_t>(r);
+  std::nth_element(order.begin(), at, order.end(), RankBefore);
+  out[0] = *at;
+  out[1] = *std::min_element(at + 1, order.end(), RankBefore);
+}
+
+// The CI band's rank positions p (n - 1), p = 0.025 and 0.975.
+double PosLo(size_t n) { return 0.025 * (n - 1); }
+double PosHi(size_t n) { return 0.975 * (n - 1); }
 
 }  // namespace
 
@@ -73,36 +79,61 @@ std::string ErrorEstimate::ToString() const {
   return buf;
 }
 
+ReplicaRanks RankReplicas(const double* trials, size_t n, double scale) {
+  // Each CI bound interpolates between the order statistics at
+  // floor(pos) and floor(pos) + 1 <= n - 1. The low tail keeps the lo + 2
+  // smallest replicas, the high tail the n - hi largest. Ties stay in
+  // replica order in both, and scaling by m >= 1 keeps every tie of
+  // signed zeros a tie of the same replicas.
+  const size_t lo = static_cast<size_t>(PosLo(n));
+  const size_t hi = static_cast<size_t>(PosHi(n));
+  ReplicaRanks ranks;
+  bool nan = false;
+  if (lo + 2 <= kTailCapacity && n - hi <= kTailCapacity) {
+    Tail<std::less<double>> low(lo + 2);
+    Tail<std::greater<double>> high(n - hi);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = trials[i] * scale;
+      nan = nan || std::isnan(x);
+      low.Insert(x);
+      high.Insert(x);
+    }
+    // Rank r from the top is rank n - 1 - r from the bottom.
+    ranks = {{low[lo], low[lo + 1]}, {high[n - 1 - hi], high[n - 2 - hi]}};
+  } else {
+    std::vector<double> order(n);
+    for (size_t i = 0; i < n; ++i) {
+      order[i] = trials[i] * scale;
+      nan = nan || std::isnan(order[i]);
+    }
+    if (!nan) {
+      SelectRanks(order, lo, ranks.lo);
+      SelectRanks(order, hi, ranks.hi);
+    }
+  }
+  if (nan) {
+    const double q = std::numeric_limits<double>::quiet_NaN();
+    ranks = {{q, q}, {q, q}};
+  }
+  return ranks;
+}
+
 ErrorEstimate EstimateError(double value, const double* trials, size_t n,
                             double scale) {
+  return EstimateError(value, trials, n, scale,
+                       n < 2 ? ReplicaRanks{} : RankReplicas(trials, n, scale));
+}
+
+ErrorEstimate EstimateError(double value, const double* trials, size_t n,
+                            double scale, const ReplicaRanks& ranks) {
   ErrorEstimate est;
   est.value = value;
   est.ci_lo = value;
   est.ci_hi = value;
   if (n < 2) return est;
 
-  // Each CI bound interpolates between the order statistics at
-  // floor(pos) and floor(pos) + 1 <= n - 1, pos = p (n - 1). The low tail
-  // keeps the lo + 2 smallest replicas, the high tail the n - hi largest.
-  const double pos_lo = 0.025 * (n - 1);
-  const double pos_hi = 0.975 * (n - 1);
-  const size_t lo = static_cast<size_t>(pos_lo);
-  const size_t hi = static_cast<size_t>(pos_hi);
-  const bool buffered = lo + 2 <= kTailCapacity && n - hi <= kTailCapacity;
-  Tail<std::less<double>> low(lo + 2);
-  Tail<std::greater<double>> high(n - hi);
-
   double sum = 0.0;
-  bool nan = false;
-  for (size_t i = 0; i < n; ++i) {
-    const double x = trials[i] * scale;
-    sum += x;
-    nan = nan || std::isnan(x);
-    if (buffered) {
-      low.Insert(x);
-      high.Insert(x);
-    }
-  }
+  for (size_t i = 0; i < n; ++i) sum += trials[i] * scale;
   const double mean = sum / n;
   double ss = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -114,23 +145,15 @@ ErrorEstimate EstimateError(double value, const double* trials, size_t n,
 
   // NaN replicas have no order; the stddev is NaN already, and so is the
   // band.
-  if (nan) {
+  if (std::isnan(ranks.lo[0])) {
     est.ci_lo = std::numeric_limits<double>::quiet_NaN();
     est.ci_hi = est.ci_lo;
     return est;
   }
-  if (!buffered) {
-    std::vector<double> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = trials[i] * scale;
-    est.ci_lo = SelectPercentile(order, 0.025);
-    est.ci_hi = SelectPercentile(order, 0.975);
-    return est;
-  }
-  // Rank r from the top is rank n - 1 - r from the bottom.
-  const double frac_lo = pos_lo - lo;
-  const double frac_hi = pos_hi - hi;
-  est.ci_lo = low[lo] * (1.0 - frac_lo) + low[lo + 1] * frac_lo;
-  est.ci_hi = high[n - 1 - hi] * (1.0 - frac_hi) + high[n - 2 - hi] * frac_hi;
+  const double frac_lo = PosLo(n) - static_cast<size_t>(PosLo(n));
+  const double frac_hi = PosHi(n) - static_cast<size_t>(PosHi(n));
+  est.ci_lo = ranks.lo[0] * (1.0 - frac_lo) + ranks.lo[1] * frac_lo;
+  est.ci_hi = ranks.hi[0] * (1.0 - frac_hi) + ranks.hi[1] * frac_hi;
   return est;
 }
 

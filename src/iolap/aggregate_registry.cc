@@ -24,17 +24,33 @@ size_t TrackerBytes(const std::vector<VariationRangeTracker>& ranges) {
   return total;
 }
 
+// FindSlot's lookup hints, one per block (blocks kHintBlocks apart share
+// one): the delta engine resolves the same group once per bootstrap trial
+// in tight loops, a row may read groups of two blocks in turn (Q11's HAVING
+// reads its own group and the scalar total), and a snapshot consumer
+// primes its block's hint with the slot its feed row came from.
+// thread_local (rather than a mutable member) so concurrent const lookups
+// from pool workers stay race-free. A hint counts only when its slot still
+// holds the probed key, which then is that key's slot whatever happened
+// since (the slot may have been popped and reused, or belong to another
+// registry), so nothing invalidates it.
+struct LookupHint {
+  int block = -1;
+  size_t slot = 0;
+};
+constexpr int kHintBlocks = 8;
+thread_local LookupHint lookup_hints[kHintBlocks];
+
 }  // namespace
 
 AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack,
                                      int num_trials)
-    : slack_(slack),
-      num_trials_(num_trials),
-      stride_(static_cast<size_t>(num_trials) + kTailSize) {
+    : slack_(slack), num_trials_(num_trials) {
   relations_.resize(plan->blocks.size());
   for (size_t b = 0; b < plan->blocks.size(); ++b) {
     const Block& block = plan->blocks[b];
     relations_[b].num_keys = static_cast<int>(block.group_by.size());
+    relations_[b].stride = static_cast<size_t>(num_trials) + kTailSize;
     relations_[b].linear.reserve(block.aggs.size());
     for (const AggSpec& agg : block.aggs) {
       relations_[b].linear.push_back(agg.fn->scales_linearly);
@@ -44,6 +60,14 @@ AggregateRegistry::AggregateRegistry(const QueryPlan* plan, double slack,
 
 void AggregateRegistry::SetBlockScale(int block, double scale) {
   relations_[block].scale = scale;
+}
+
+void AggregateRegistry::KeepRanks(int block) {
+  Relation& rel = relations_[block];
+  assert(rel.slots.empty());
+  if (num_trials_ < 2) return;  // no band to rank (analytic, baseline)
+  rel.ranked = true;
+  rel.stride = static_cast<size_t>(num_trials_) + kTailSize + kRankSize;
 }
 
 void AggregateRegistry::MarkLive(Relation& rel, int slot, int batch) {
@@ -122,7 +146,7 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
       group.range_disabled = true;
     }
     rel.mains.resize(rel.mains.size() + num_aggs);
-    rel.doubles.resize(rel.doubles.size() + num_aggs * stride_);
+    rel.doubles.resize(rel.doubles.size() + num_aggs * rel.stride);
     rel.bytes += RowByteSize(key) + num_aggs * num_trials_ * sizeof(double);
   }
   Slot& group = rel.slots[slot];
@@ -134,7 +158,7 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     rel.bytes += main[a].ByteSize();
     stored = main[a];
     // The replicas, and their unscaled envelope for later Refresh()es.
-    double* replicas = rel.doubles.data() + Cell(rel, slot, a) * stride_;
+    double* replicas = rel.doubles.data() + Cell(rel, slot, a) * rel.stride;
     double* tail = replicas + num_trials_;
     std::copy_n(trials + a * num_trials_, num_trials_, replicas);
     const double v = main[a].is_null() ? 0.0 : main[a].AsDouble();
@@ -168,15 +192,19 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
     tail[kEnvLo] = lo;
     tail[kEnvHi] = hi;
     tail[kEnvSd] = sd;
+    if (rel.ranked) {
+      const ReplicaRanks ranks = RankReplicas(replicas, num_trials_);
+      std::copy_n(ranks.lo, 2, tail + kTailSize);
+      std::copy_n(ranks.hi, 2, tail + kTailSize + 2);
+    }
   }
   PublishResult result;
   result.created = inserted;
   result.slot = slot;
-  // The trackers created above, plus the snapshot CheckRanges folds.
+  // The trackers created above, plus the snapshot CheckRanges folds. A
+  // disabled value still verifies the obligations it carries.
   const size_t trackers_before = inserted ? 0 : TrackerBytes(group.ranges);
-  if (track_ranges && !group.range_disabled) {
-    CheckRanges(rel, slot, batch, &result);
-  }
+  if (track_ranges) CheckRanges(rel, slot, batch, &result);
   rel.tracker_bytes += TrackerBytes(group.ranges) - trackers_before;
   // Fault injection: a spurious failed verdict for a group that actually
   // passed its checks. Marked `injected`: nothing is wrong with the
@@ -194,17 +222,16 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
 }
 
 AggregateRegistry::PublishResult AggregateRegistry::Refresh(
-    int block, const Row& key, int batch, bool track_ranges) {
+    int block, int slot, int batch, bool track_ranges) {
   Relation& rel = relations_[block];
-  const auto it = rel.index.find(key);
-  assert(it != rel.index.end());
-  Slot& group = rel.slots[it->second];
-  MarkLive(rel, it->second, batch);
+  assert(slot >= 0 && static_cast<size_t>(slot) < rel.slots.size());
+  MarkLive(rel, slot, batch);
   PublishResult result;
-  if (track_ranges && !group.range_disabled) {
-    const size_t trackers_before = TrackerBytes(group.ranges);
-    CheckRanges(rel, it->second, batch, &result);
-    rel.tracker_bytes += TrackerBytes(group.ranges) - trackers_before;
+  if (track_ranges) {
+    const std::vector<VariationRangeTracker>& ranges = rel.slots[slot].ranges;
+    const size_t trackers_before = TrackerBytes(ranges);
+    CheckRanges(rel, static_cast<size_t>(slot), batch, &result);
+    rel.tracker_bytes += TrackerBytes(ranges) - trackers_before;
   }
   return result;
 }
@@ -264,7 +291,7 @@ void AggregateRegistry::RollbackTo(int batch, int freeze_updates) {
       rel.slots.pop_back();
     }
     rel.mains.resize(rel.slots.size() * num_aggs);
-    rel.doubles.resize(rel.slots.size() * num_aggs * stride_);
+    rel.doubles.resize(rel.slots.size() * num_aggs * rel.stride);
     for (Slot& group : rel.slots) {
       rel.tracker_bytes -= TrackerBytes(group.ranges);
       for (VariationRangeTracker& tracker : group.ranges) {
@@ -320,20 +347,13 @@ size_t AggregateRegistry::TotalBytes() const {
   return total;
 }
 
+void AggregateRegistry::PrimeLookupHint(int block, int slot) {
+  lookup_hints[block % kHintBlocks] = {block, static_cast<size_t>(slot)};
+}
+
 int AggregateRegistry::FindSlot(int block, const Row& key) const {
-  // Lookup hint: the delta engine resolves the same group once per
-  // bootstrap trial in tight loops. thread_local (rather than a mutable
-  // member) so concurrent const lookups from pool workers stay race-free.
-  // The hint counts only when its slot still holds the probed key, which
-  // then is that key's slot whatever happened since (the slot may have
-  // been popped and reused, or belong to another registry), so nothing
-  // invalidates it.
-  struct Hint {
-    int block = -1;
-    size_t slot = 0;
-  };
-  thread_local Hint hint;
   const Relation& rel = relations_[block];
+  LookupHint& hint = lookup_hints[block % kHintBlocks];
   if (hint.block == block && hint.slot < rel.slots.size() &&
       RowEq()(*rel.slots[hint.slot].key, key)) {
     return static_cast<int>(hint.slot);
@@ -413,7 +433,14 @@ ErrorEstimate AggregateRegistry::Estimate(int block, int col, int slot) const {
         rel.scale > 1.0 ? std::sqrt(1.0 - 1.0 / rel.scale) : 0.0;
     return EstimateFromStddev(value, sd * s * fpc);
   }
-  return EstimateError(value, replicas, static_cast<size_t>(num_trials_), s);
+  const size_t n = static_cast<size_t>(num_trials_);
+  if (!rel.ranked) return EstimateError(value, replicas, n, s);
+  // The stored ranks of the unscaled replicas, scaled: m_i >= 1, so they
+  // are the ranks of the scaled replicas (see ReplicaRanks).
+  const double* stored = replicas + num_trials_ + kTailSize;
+  const ReplicaRanks ranks = {{stored[0] * s, stored[1] * s},
+                              {stored[2] * s, stored[3] * s}};
+  return EstimateError(value, replicas, n, s, ranks);
 }
 
 ErrorEstimate AggregateRegistry::Estimate(int block, int col,

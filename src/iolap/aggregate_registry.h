@@ -35,7 +35,9 @@ extern ThreadRole engine_serial_phase;
 /// first batch and — for blocks whose values feed classification — the
 /// variation-range trackers of §5.1; per (slot, aggregate), flat arrays
 /// hold the current value and the bootstrap trial replicas with the
-/// replicas' envelope. Groups are created in batch order, so RollbackTo
+/// replicas' envelope, and — for the blocks whose cells the result
+/// estimates (KeepRanks) — the replicas' CI ranks. Groups are created in
+/// batch order, so RollbackTo
 /// pops the newest slots and every surviving slot keeps its number. The
 /// user's result and snapshot consumers' input are read from it: the
 /// *live* slots of a batch (LiveGroups) are the groups its publication walk
@@ -47,8 +49,9 @@ extern ThreadRole engine_serial_phase;
 /// are linear in the scale, everything else invariant — see
 /// AggregateFunction::scales_linearly). This lets the delta engine publish
 /// only the groups an incoming batch actually touched: untouched groups are
-/// merely Refresh()ed, which re-runs the integrity check on the stored
-/// replica envelope under the new scale without re-materializing replicas.
+/// merely Refresh()ed by slot, which re-runs the integrity check on the
+/// stored replica envelope under the new scale without re-materializing
+/// replicas or probing the key index.
 ///
 /// In the paper this relation is broadcast to all workers each batch so the
 /// lazy-evaluation join is local; here a lookup is a hash probe and the
@@ -84,6 +87,14 @@ class AggregateRegistry final : public AggLookupResolver,
   void SetBlockScale(int block, double scale)
       IOLAP_REQUIRES(engine_serial_phase);
 
+  /// Block `block`'s cells are estimated (the result is built from them):
+  /// from now on Publish keeps each bootstrap cell's unscaled CI ranks
+  /// (RankReplicas) beside its envelope, and Estimate scales them instead
+  /// of ranking the replicas again. With fewer than two trials there is no
+  /// band to rank, and nothing is kept. Call before the block's first
+  /// Publish.
+  void KeepRanks(int block);
+
   /// Publishes (or overwrites) group `key` of block `block` at `batch`
   /// with *unscaled* results: `main` has one value per aggregate column,
   /// `trials[a * num_trials + t]` is replica t of aggregate a. Groups must
@@ -100,11 +111,11 @@ class AggregateRegistry final : public AggLookupResolver,
                         const double* analytic_sd = nullptr)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Integrity-checks an *untouched*, already published group under the
-  /// current scale using its stored replica envelope, and marks it live at
-  /// `batch`.
-  PublishResult Refresh(int block, const Row& key, int batch,
-                        bool track_ranges) IOLAP_REQUIRES(engine_serial_phase);
+  /// Integrity-checks an *untouched*, already published group, the one in
+  /// `slot` (its Publish's PublishResult::slot), under the current scale
+  /// using its stored replica envelope, and marks it live at `batch`.
+  PublishResult Refresh(int block, int slot, int batch, bool track_ranges)
+      IOLAP_REQUIRES(engine_serial_phase);
 
   /// Failure recovery: forgets groups first published after `batch` (the
   /// newest slots) and rolls the surviving groups' range constraints back
@@ -132,10 +143,17 @@ class AggregateRegistry final : public AggLookupResolver,
   /// scale m_i: the key, then Lookup of each aggregate column.
   Row OutputRow(int block, int slot) const;
 
+  /// The group key held by `slot`.
+  const Row& GroupKey(int block, int slot) const {
+    return *relations_[block].slots[slot].key;
+  }
+
   /// Error estimate of aggregate column `col` (output-schema index) of
   /// `slot` under the block's current scale m_i. The value is what Lookup
   /// returns (null counts as 0). Bootstrap: EstimateError over the
-  /// replicas, scaled like the value. Analytic: the closed-form stddev,
+  /// replicas, scaled like the value; a block that keeps ranks scales its
+  /// stored ranks and runs only the stddev passes, with the same bits.
+  /// Analytic: the closed-form stddev,
   /// scaled like the value and shrunk by the finite-population correction
   /// sqrt(1 - 1/m_i), so the band closes on the final batch; no closed
   /// form gives a zero-width band.
@@ -157,7 +175,9 @@ class AggregateRegistry final : public AggLookupResolver,
   // constraint sink) to the per-group variation-range trackers. A value
   // with no obligations can never fail the integrity check; values that
   // repeatedly betray their obligations are permanently demoted to
-  // Unbounded ranges (their consumers simply stay non-deterministic).
+  // Unbounded ranges (their consumers simply stay non-deterministic, and
+  // they take no new obligations), but keep verifying the obligations they
+  // already carry.
   void RequireUpper(int block, int col, const Row& key, double bound) override
       IOLAP_REQUIRES(engine_serial_phase);
   void RequireLower(int block, int col, const Row& key, double bound) override
@@ -174,7 +194,13 @@ class AggregateRegistry final : public AggLookupResolver,
   // phases' hot path and read the registry while it is frozen (no Publish /
   // Refresh / Require* runs concurrently — which is exactly what the
   // IOLAP_REQUIRES annotations above enforce). FindSlot's thread_local
-  // hint keeps the concurrent probes allocation- and contention-free.
+  // hints keep the concurrent probes allocation- and contention-free.
+
+  /// Primes the calling thread's lookup hint for `block` with `slot`: the
+  /// next lookups of the key that slot holds find it without hashing. The
+  /// hint counts only while its slot holds the probed key, so a wrong slot
+  /// costs a probe, never a value.
+  static void PrimeLookupHint(int block, int slot);
   Value Lookup(int block, int col, const Row& key) const override;
   Value LookupTrial(int block, int col, const Row& key,
                     int trial) const override;
@@ -186,8 +212,11 @@ class AggregateRegistry final : public AggLookupResolver,
   Interval LookupRange(int block, int col, const Row& key) const override;
 
  private:
-  // The doubles of one (slot, aggregate): num_trials_ replicas, then these.
+  // The doubles of one (slot, aggregate): num_trials_ replicas, then these,
+  // then in a relation that keeps ranks the ReplicaRanks lo[0], lo[1],
+  // hi[0], hi[1] of the unscaled replicas.
   enum Tail { kEnvLo, kEnvHi, kEnvSd, kAnalyticSd, kTailSize };
+  static constexpr size_t kRankSize = 4;
 
   struct Slot {
     /// The group's key: the key → slot index's copy.
@@ -195,8 +224,10 @@ class AggregateRegistry final : public AggLookupResolver,
     int first_batch = 0;
     /// Graceful per-value degradation: after repeated failures the range
     /// is reported as Unbounded forever — rows consulting it simply stay
-    /// in the non-deterministic set, and this value can never trigger a
-    /// rollback again. Pruning on well-behaved values continues.
+    /// in the non-deterministic set and register no new obligations on it.
+    /// The obligations it already carries are still verified: the rows
+    /// decided under them stay decided until a failure undoes them.
+    /// Pruning on well-behaved values continues.
     bool range_disabled = false;
     /// The last Publish supplied closed-form stddevs (analytic mode).
     bool analytic = false;
@@ -206,12 +237,14 @@ class AggregateRegistry final : public AggLookupResolver,
     int num_keys = 0;
     double scale = 1.0;
     std::vector<bool> linear;  // per aggregate column
+    bool ranked = false;       // KeepRanks
+    size_t stride = 0;         // doubles per (slot, aggregate)
     std::unordered_map<Row, int, RowHash, RowEq> index;  // key → slot
     std::vector<Slot> slots;                             // creation order
     /// Per [slot × aggregate]: the unscaled value, and num_trials_
     /// unscaled replicas followed by the Tail (unscaled envelope min / max
     /// / stddev, what Refresh() re-scales instead of walking the replicas;
-    /// the unclamped closed-form stddev in analytic mode).
+    /// the unclamped closed-form stddev in analytic mode) and the ranks.
     std::vector<Value> mains;
     std::vector<double> doubles;
     // The slots the latest publication walk reached, in walk order, and
@@ -243,13 +276,13 @@ class AggregateRegistry final : public AggLookupResolver,
   }
 
   /// The [slot × aggregate] index of aggregate `a` of `slot`: its position
-  /// in `mains`, and in `doubles` in units of stride_.
+  /// in `mains`, and in `doubles` in units of the relation's stride.
   static size_t Cell(const Relation& rel, size_t slot, size_t a) {
     return slot * rel.linear.size() + a;
   }
   /// The replicas of aggregate `a` of `slot`, followed by its Tail.
   const double* Replicas(const Relation& rel, size_t slot, size_t a) const {
-    return rel.doubles.data() + Cell(rel, slot, a) * stride_;
+    return rel.doubles.data() + Cell(rel, slot, a) * rel.stride;
   }
 
   /// Aggregate `a` of `slot` re-scaled to `rel`'s current m_i: what Lookup
@@ -269,7 +302,6 @@ class AggregateRegistry final : public AggLookupResolver,
 
   double slack_;
   int num_trials_;
-  size_t stride_;                    // num_trials_ + kTailSize
   std::vector<Relation> relations_;  // indexed by block id
 };
 

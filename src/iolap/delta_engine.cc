@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <chrono>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -429,6 +430,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
       ++open_.fresh_pending;
       pending_bytes_ += row.ByteSize();
     }
+    if (stateless_) pending_slots_.push_back(feed_slots_[eval_idx]);
     new_pending->push_back(std::move(row));
     return;
   }
@@ -437,6 +439,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
       AccumulateCertain(row, eval_idx, batch, &sketch_);
     } else {
       sink_bytes_ += row.ByteSize();
+      if (stateless_) sink_slots_.push_back(feed_slots_[eval_idx]);
       if (fresh) {
         sink_rows_.push_back(std::move(row));
         return;
@@ -452,16 +455,33 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
 
 int BlockExecutor::ProcessBatch(int batch, double scale,
                                 std::vector<RowBatch> input_deltas,
-                                BlockBatchStats* stats) {
+                                BlockBatchStats* stats,
+                                BlockPhaseTimes* phases) {
+  // One clock read per phase boundary; a lap adds the time since the last
+  // one to its phase.
+  using Clock = std::chrono::steady_clock;
+  BlockPhaseTimes unused;
+  BlockPhaseTimes& times = phases != nullptr ? *phases : unused;
+  Clock::time_point mark = Clock::now();
+  const auto lap = [&mark](double* phase) {
+    const Clock::time_point now = Clock::now();
+    *phase += std::chrono::duration<double>(now - mark).count();
+    mark = now;
+  };
   if (stateless_) {
     // Snapshot consumer: the controller passes the upstream's full output
     // relation; re-evaluate it from scratch (it is small — aggregate
-    // results) and keep no cross-batch state.
+    // results) and keep no cross-batch state. Its rows are the upstream's
+    // live groups in order, so their slots are the live list.
     sketch_.Clear();
     sink_rows_.clear();
+    sink_slots_.clear();
     sink_bytes_ = 0;
     pending_.clear();
+    pending_slots_.clear();
     pending_bytes_ = 0;
+    feed_slots_ = registry_->LiveGroups(block_->inputs[0].source_block, batch);
+    assert(feed_slots_.size() == input_deltas[0].size());
     stats->recomputed_rows += input_deltas[0].size();
   } else {
     for (const RowBatch& delta : input_deltas) {
@@ -483,6 +503,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   pending_passing_.clear();
   new_output_rows_.clear();
   std::vector<ExecRow> new_pending;
+  lap(&times.join_sec);
 
   // Re-evaluate the saved non-deterministic set (§5.1: delta update based
   // on U_{i-1} and ΔD_i).
@@ -512,6 +533,10 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
         row_program_ != nullptr ? &prog_states_[lane] : nullptr;
     for (size_t i = begin; i < end; ++i) {
       ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
+      if (stateless_) {
+        AggregateRegistry::PrimeLookupHint(block_->inputs[0].source_block,
+                                           feed_slots_[i]);
+      }
       EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
                   &row_scratch_[i], row_vals_.data() + i * eval_width_,
                   prog_state);
@@ -525,6 +550,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   } else {
     evaluate(0, total_rows, 0);
   }
+  lap(&times.evaluate_sec);
 
   // Apply phase, serial in the original row order: replay the buffered
   // range constraints, then route each row into the sketch / sink /
@@ -554,14 +580,17 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
     }
   }
   pending_ = std::move(new_pending);
+  lap(&times.apply_sec);
 
   // Drain the deferred trial-replica contributions (trial-partitioned)
   // before publication reads the accumulators.
   FlushDeferredTrials();
+  lap(&times.flush_sec);
 
   const int rollback = PublishOutput(batch, scale, temp, stats);
   row_scratch_.clear();
   row_vals_.clear();
+  lap(&times.publish_sec);
   return rollback;
 }
 
@@ -612,18 +641,11 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   // groups): integrity checks, registry publication (and with it the
   // batch's live groups) and the join feed all follow it. A dirty group is
   // materialized from its accumulator cells, merging the sketch and scratch
-  // cells when it has both, and published.
-  auto publish = [&](const Row& key, bool dirty,
+  // cells when it has both, and published; publish returns its slot.
+  auto publish = [&](const Row& key,
                      const GroupedAggregateState::GroupCells* sketch_cells,
                      const GroupedAggregateState::GroupCells* temp_cells) {
     engine_serial_phase.AssertHeld();  // called only from the walk below
-    if (!dirty) {
-      // Untouched group: integrity-refresh the stored envelope under the
-      // new scale. Nothing wrote its sketch cells since it was last
-      // published, so they hold exactly the published results.
-      note_result(registry_->Refresh(block_->id, key, batch, track));
-      return;
-    }
     for (size_t a = 0; a < num_aggs; ++a) {
       std::optional<TrialAccumulatorSet> merged;
       const TrialAccumulatorSet* acc = sketch_cells != nullptr
@@ -650,21 +672,33 @@ int BlockExecutor::PublishOutput(int batch, double scale,
       out.values = registry_->OutputRow(block_->id, result.slot);
       new_output_rows_.push_back(std::move(out));
     }
+    return result.slot;
   };
-  // A new position starts unstamped: -2 never equals batch - 1.
-  scratch_stamps_.resize(sketch_.num_groups(), -2);
+  published_.resize(sketch_.num_groups());
   for (size_t pos = 0; pos < sketch_.num_groups(); ++pos) {
     const GroupedAggregateState::Group& g = sketch_.groups()[pos];
     const GroupedAggregateState::GroupCells* temp_cells = temp.Find(g.ref());
+    PublishedGroup& pub = published_[pos];
     const bool dirty = force_full_publish_ || temp_cells != nullptr ||
                        g.cells->last_touched == batch ||
-                       scratch_stamps_[pos] == batch - 1;
-    if (temp_cells != nullptr) scratch_stamps_[pos] = batch;
-    publish(g.key, dirty, g.cells.get(), temp_cells);
+                       pub.scratch_stamp == batch - 1;
+    if (temp_cells != nullptr) pub.scratch_stamp = batch;
+    if (dirty) {
+      pub.slot = publish(g.key, g.cells.get(), temp_cells);
+    } else {
+      // Untouched group: integrity-refresh the stored envelope under the
+      // new scale. Nothing wrote its sketch cells since it was last
+      // published, so they hold exactly the published results, and that
+      // publication's slot still holds its key: every undo clears
+      // published_ and forces a full publication.
+      assert(pub.slot >= 0 &&
+             RowEq()(registry_->GroupKey(block_->id, pub.slot), g.key));
+      note_result(registry_->Refresh(block_->id, pub.slot, batch, track));
+    }
   }
   for (const GroupedAggregateState::Group& g : temp.groups()) {
     if (sketch_.Find(g.ref()) == nullptr) {
-      publish(g.key, /*dirty=*/true, nullptr, g.cells.get());
+      publish(g.key, nullptr, g.cells.get());
     }
   }
   force_full_publish_ = false;
@@ -707,7 +741,13 @@ Table BlockExecutor::CurrentSpjOutput(
   // every per-trial re-evaluation of the row. The program reads every
   // uncertain column through its lineage, so a row kept since an earlier
   // batch needs no refresh.
-  auto emit = [&](const ExecRow& row) {
+  // A snapshot consumer's row reads its own group through the slot it was
+  // fed from (`feed_slot`, -1 elsewhere).
+  auto emit = [&](const ExecRow& row, int feed_slot) {
+    if (feed_slot >= 0) {
+      AggregateRegistry::PrimeLookupHint(block_->inputs[0].source_block,
+                                         feed_slot);
+    }
     Row projected;
     projected.reserve(num_proj);
     if (proj_program_ != nullptr) {
@@ -745,8 +785,12 @@ Table BlockExecutor::CurrentSpjOutput(
     estimates->push_back(std::move(row_estimates));
     out.AddRow(std::move(projected));
   };
-  for (const ExecRow& row : sink_rows_) emit(row);
-  for (size_t i : pending_passing_) emit(pending_[i]);
+  for (size_t i = 0; i < sink_rows_.size(); ++i) {
+    emit(sink_rows_[i], stateless_ ? sink_slots_[i] : -1);
+  }
+  for (size_t i : pending_passing_) {
+    emit(pending_[i], stateless_ ? pending_slots_[i] : -1);
+  }
   return out;
 }
 
@@ -816,7 +860,9 @@ void BlockExecutor::Undo(UndoRecord record) {
     // A snapshot consumer rebuilds everything from its input next batch.
     sketch_.Clear();
     pending_.clear();
+    pending_slots_.clear();
     sink_rows_.clear();
+    sink_slots_.clear();
     pending_bytes_ = 0;
     sink_bytes_ = 0;
   } else {
@@ -841,7 +887,7 @@ void BlockExecutor::Undo(UndoRecord record) {
   }
   new_output_rows_.clear();
   pending_passing_.clear();
-  scratch_stamps_.clear();
+  published_.clear();
   // Registry values may be newer than the restored sketches.
   force_full_publish_ = true;
   OpenRecord();
@@ -852,13 +898,15 @@ void BlockExecutor::Reset() {
     step.TruncateTo(JoinStep::Watermark{0, 0});
   }
   pending_.clear();
+  pending_slots_.clear();
   pending_bytes_ = 0;
   sketch_.Clear();
   sink_rows_.clear();
+  sink_slots_.clear();
   sink_bytes_ = 0;
   new_output_rows_.clear();
   pending_passing_.clear();
-  scratch_stamps_.clear();
+  published_.clear();
   force_full_publish_ = true;
   OpenRecord();
 }

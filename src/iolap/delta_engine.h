@@ -17,6 +17,7 @@
 #include "exec/hash_aggregate.h"
 #include "exec/operators.h"
 #include "iolap/aggregate_registry.h"
+#include "iolap/metrics.h"
 #include "plan/uncertainty_analysis.h"
 
 namespace iolap {
@@ -124,10 +125,13 @@ class BlockExecutor {
 
   /// Runs one mini-batch. `input_deltas[k]` holds the new rows of input k
   /// this batch, which the block takes over; `scale` is m_i = |D| / |D_i|.
-  /// Returns kNoRollback on success, otherwise the batch to roll back to
-  /// (-1 = full restart) after a variation-range integrity failure.
+  /// A snapshot consumer's input rows are the upstream's LiveGroups of the
+  /// batch, in that order. Adds the wall time of each phase to `phases`
+  /// when it is not null. Returns kNoRollback on success, otherwise the
+  /// batch to roll back to (-1 = full restart) after a variation-range
+  /// integrity failure.
   int ProcessBatch(int batch, double scale, std::vector<RowBatch> input_deltas,
-                   BlockBatchStats* stats);
+                   BlockBatchStats* stats, BlockPhaseTimes* phases = nullptr);
 
   /// The join feed of an aggregate block: the groups whose registry slot
   /// this batch's publication created (keys + current scaled values), in
@@ -155,6 +159,13 @@ class BlockExecutor {
   /// EstimateError over a computed column's per-trial re-projections.
   Table CurrentSpjOutput(
       std::vector<std::vector<ErrorEstimate>>* estimates) const;
+
+  /// Per projection of a non-aggregate block: the lineage of the upstream
+  /// aggregate cell it passes through unchanged, else null. The result of
+  /// an SPJ top estimates these cells.
+  const std::vector<const AggLookupExpr*>& pass_through() const {
+    return pass_through_;
+  }
 
   /// Size of the non-deterministic set (Fig. 9(e)).
   size_t PendingCount() const { return pending_.size(); }
@@ -336,7 +347,8 @@ class BlockExecutor {
   /// Routes an evaluated row: sketch/sink for certain rows, the pending
   /// (non-deterministic) set otherwise. A row of the old U (its index there
   /// is `old_index`) that leaves U goes into the open record, and a fresh
-  /// row that enters U is counted there. Serial apply phase.
+  /// row that enters U is counted there. A snapshot consumer's row takes its
+  /// feed slot along. Serial apply phase.
   void RouteRow(ExecRow row, size_t eval_idx, size_t old_index, int batch,
                 GroupedAggregateState* temp, std::vector<ExecRow>* new_pending)
       IOLAP_REQUIRES(engine_serial_phase);
@@ -423,9 +435,7 @@ class BlockExecutor {
   std::vector<ExprProgramState> prog_states_;
   /// Scratch for proj_program_ (CurrentSpjOutput is const and serial).
   mutable ExprProgramState proj_state_;
-  /// Per projection of a non-aggregate block: the lineage of the upstream
-  /// aggregate cell it passes through unchanged, else null.
-  std::vector<const AggLookupExpr*> pass_through_;
+  std::vector<const AggLookupExpr*> pass_through_;  // see pass_through()
   /// Some uncertain projection is computed, not passed through: its
   /// estimate needs per-trial re-projection.
   bool per_trial_projections_ = false;
@@ -437,6 +447,15 @@ class BlockExecutor {
   GroupedAggregateState sketch_;
   std::vector<ExecRow> sink_rows_;  // non-aggregate top block only
   size_t sink_bytes_ = 0;           // BatchByteSize(sink_rows_)
+  /// A snapshot consumer's rows keep the upstream slot they were fed from,
+  /// beside the row: this batch's feed (the upstream's LiveGroups, one per
+  /// input row), and the slots of sink_rows_ and pending_ by index. Before
+  /// evaluating or projecting a row, the consumer primes the registry's
+  /// lookup hint with its slot, so the row's lookups of its own group do
+  /// not hash its key.
+  std::vector<int> feed_slots_;
+  std::vector<int> sink_slots_;
+  std::vector<int> pending_slots_;
   /// The changes of the batch in progress since the last SealRecord (its
   /// sketch part is kept by sketch_ until the seal).
   UndoRecord open_;
@@ -444,12 +463,17 @@ class BlockExecutor {
   RowBatch new_output_rows_;
   /// Non-aggregate block: indices into pending_ of the rows passing now.
   std::vector<size_t> pending_passing_;
-  /// Per sketch group, by position: the last batch whose publication walk
-  /// found scratch cells for it. A group stamped with the previous batch
-  /// must be republished even if untouched, because its revocable
-  /// (non-deterministic) contribution may have lapsed. Positions are stable
-  /// until an undo, which clears the stamps.
-  std::vector<int> scratch_stamps_;
+  /// Per sketch group, by position (stable until an undo, which clears
+  /// this): its registry slot, which its last publication returned and its
+  /// refreshes pass, and the last batch whose publication walk found
+  /// scratch cells for it. A group stamped with the previous batch must be
+  /// republished even if untouched, because its revocable
+  /// (non-deterministic) contribution may have lapsed.
+  struct PublishedGroup {
+    int slot = -1;
+    int scratch_stamp = -2;  // -2 never equals batch - 1
+  };
+  std::vector<PublishedGroup> published_;
   /// PublishOutput's materialization buffers, reused across groups and
   /// batches: a group's unscaled main values, replicas [a × trials + t] and
   /// closed-form stddevs (analytic mode).

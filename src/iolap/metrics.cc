@@ -114,6 +114,18 @@ double QueryMetrics::LatencyToFraction(double fraction) const {
   return total;
 }
 
+BlockPhaseTimes QueryMetrics::TotalBlockPhases() const {
+  BlockPhaseTimes total;
+  for (const BlockPhaseTimes& t : block_phases) {
+    total.join_sec += t.join_sec;
+    total.evaluate_sec += t.evaluate_sec;
+    total.apply_sec += t.apply_sec;
+    total.flush_sec += t.flush_sec;
+    total.publish_sec += t.publish_sec;
+  }
+  return total;
+}
+
 std::string QueryMetrics::Summary() const {
   char buf[384];
   std::snprintf(buf, sizeof(buf),
@@ -132,10 +144,14 @@ std::string QueryMetrics::Summary() const {
     result += b.result_sec;
     accounting += b.accounting_sec;
   }
+  const BlockPhaseTimes phases = TotalBlockPhases();
   std::snprintf(buf, sizeof(buf),
-                " recovery=%.3fs checkpoint=%.3fs result=%.3fs "
+                " join=%.3fs evaluate=%.3fs apply=%.3fs flush=%.3fs "
+                "publish=%.3fs recovery=%.3fs checkpoint=%.3fs result=%.3fs "
                 "accounting=%.3fs",
-                recovery, checkpoint, result, accounting);
+                phases.join_sec, phases.evaluate_sec, phases.apply_sec,
+                phases.flush_sec, phases.publish_sec, recovery, checkpoint,
+                result, accounting);
   out += buf;
   // Program-verification detail only when expressions were compiled at
   // all; a rejection is a compiler bug and must be visible in the line.

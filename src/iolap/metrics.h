@@ -7,6 +7,20 @@
 
 namespace iolap {
 
+/// Wall seconds of one block's phases in one batch (INTERNALS §2), one
+/// clock read per phase boundary: building the block's input (for a
+/// snapshot consumer, its feed from the registry) and joining the deltas;
+/// the evaluation phase (classification, row programs, per-trial
+/// re-evaluation); the serial apply (constraint replay and routing); the
+/// trial flush; and the publication walk.
+struct BlockPhaseTimes {
+  double join_sec = 0.0;
+  double evaluate_sec = 0.0;
+  double apply_sec = 0.0;
+  double flush_sec = 0.0;
+  double publish_sec = 0.0;
+};
+
 /// Per-mini-batch measurements: the raw series behind every plot in the
 /// paper's evaluation (latency per batch, tuples recomputed, operator state
 /// sizes, data shipped, failure recoveries).
@@ -31,7 +45,7 @@ struct BatchMetrics {
   /// that did not recover), sealing this
   /// batch's undo record (eviction included), building the delivered
   /// result, and state-byte accounting. The rest of latency_sec is the
-  /// blocks' batch processing.
+  /// blocks' batch processing (QueryMetrics::BlockPhases).
   double recovery_sec = 0.0;
   double checkpoint_sec = 0.0;
   double result_sec = 0.0;
@@ -84,6 +98,17 @@ struct BatchMetrics {
 /// Accumulated metrics of one incremental query execution.
 struct QueryMetrics {
   std::vector<BatchMetrics> batches;
+  /// Each block's phase times of each batch's own pass, parts of the rest
+  /// of that batch's latency_sec (replays count in recovery_sec only):
+  /// batch i's, by block id, at [i * num_blocks, (i + 1) * num_blocks).
+  /// One array per run, sized when it starts, so that a batch allocates
+  /// nothing to record them.
+  size_t num_blocks = 0;
+  std::vector<BlockPhaseTimes> block_phases;
+  /// Batch i's phase times, num_blocks of them.
+  const BlockPhaseTimes* BlockPhases(size_t i) const {
+    return block_phases.data() + i * num_blocks;
+  }
 
   /// Compile→verify counters of the expression-program seam
   /// (exec/program_verifier.h), summed over all blocks at query Init —
@@ -123,6 +148,8 @@ struct QueryMetrics {
   /// fraction_processed, not on batch index — with uneven mini-batch sizes
   /// the two differ.
   double LatencyToFraction(double fraction) const;
+  /// Each block phase summed over blocks and batches.
+  BlockPhaseTimes TotalBlockPhases() const;
 
   std::string Summary() const;
 };

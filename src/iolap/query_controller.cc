@@ -104,6 +104,15 @@ Status QueryController::Init() {
     // running it.
     IOLAP_RETURN_IF_ERROR(executors_.back()->compile_status());
   }
+  // The result estimates the top aggregate's cells, or the cells an SPJ
+  // top passes through: those blocks keep their cells' CI ranks.
+  if (plan_.top().has_aggregate()) {
+    registry_->KeepRanks(plan_.top().id);
+  } else {
+    for (const AggLookupExpr* cell : executors_.back()->pass_through()) {
+      if (cell != nullptr) registry_->KeepRanks(cell->block_id());
+    }
+  }
   FoldVerifierStats();
   initialized_ = true;
   return Status::OK();
@@ -141,7 +150,8 @@ double QueryController::ScaleAt(int b) const {
 }
 
 int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
-                                     bool* injected_only) {
+                                     bool* injected_only,
+                                     BlockPhaseTimes* phases) {
   const RowBatch stream_delta = StreamDelta(b);
   const double scale = ScaleAt(b);
   int rollback = BlockExecutor::kNoRollback;
@@ -149,6 +159,8 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
 
   for (size_t blk = 0; blk < plan_.blocks.size(); ++blk) {
     const Block& block = plan_.blocks[blk];
+    BlockPhaseTimes* times = phases != nullptr ? phases + blk : nullptr;
+    const auto inputs_start = std::chrono::steady_clock::now();
     std::vector<RowBatch> deltas(block.inputs.size());
     for (size_t k = 0; k < block.inputs.size(); ++k) {
       const BlockInput& input = block.inputs[k];
@@ -180,8 +192,15 @@ int QueryController::ProcessOneBatch(int b, BlockBatchStats* stats,
         deltas[k] = executors_[input.source_block]->new_output_rows();
       }
     }
-    const int request =
-        executors_[blk]->ProcessBatch(b, scale, std::move(deltas), stats);
+    // Building the block's input (a snapshot consumer's feed included) is
+    // part of its join phase.
+    if (times != nullptr) {
+      times->join_sec += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - inputs_start)
+                             .count();
+    }
+    const int request = executors_[blk]->ProcessBatch(
+        b, scale, std::move(deltas), stats, times);
     if (request != BlockExecutor::kNoRollback) {
       injected = injected && executors_[blk]->rollback_injected();
       if (rollback == BlockExecutor::kNoRollback || request < rollback) {
@@ -311,6 +330,8 @@ Status QueryController::Run(const ResultObserver& observer) {
   ScopedFailpoints scoped_failpoints(MergedFailpointSpec(options_.failpoints));
   IOLAP_RETURN_IF_ERROR(scoped_failpoints.status());
   metrics_ = QueryMetrics{};
+  metrics_.num_blocks = plan_.blocks.size();
+  metrics_.block_phases.reserve(layout_.batches.size() * metrics_.num_blocks);
   FoldVerifierStats();
   checkpoints_.clear();
   ring_bytes_ = 0;
@@ -330,7 +351,11 @@ Status QueryController::Run(const ResultObserver& observer) {
 
     BlockBatchStats stats;
     bool injected = false;
-    int rollback = ProcessOneBatch(b, &stats, &injected);
+    metrics_.block_phases.resize(metrics_.block_phases.size() +
+                                 metrics_.num_blocks);
+    int rollback =
+        ProcessOneBatch(b, &stats, &injected,
+                        &metrics_.block_phases[b * metrics_.num_blocks]);
 
     // Scheduler-level fault: a spurious recovery request against an
     // otherwise clean batch (lost heartbeat, flaky verdict transport).

@@ -95,9 +95,11 @@ class QueryController {
   /// Runs every block for batch `b`; returns a rollback target or
   /// BlockExecutor::kNoRollback. `injected_only` (optional) reports whether
   /// every executor that requested the rollback attributes it solely to
-  /// failpoint-injected verdicts.
+  /// failpoint-injected verdicts. `phases` (optional, one per block, by
+  /// block id) receives each block's phase times.
   int ProcessOneBatch(int b, BlockBatchStats* stats,
-                      bool* injected_only = nullptr);
+                      bool* injected_only = nullptr,
+                      BlockPhaseTimes* phases = nullptr);
 
   /// Sums the executors' compile→verify counters into metrics_. Called at
   /// Init and again after each Run resets the metrics (the counters are

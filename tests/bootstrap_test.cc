@@ -227,10 +227,13 @@ TEST(ErrorEstimateTest, RelStddevOfZeroValue) {
 // replicas, from a selection on a copy), not a sort, and must equal the
 // sorted-vector interpolation bit for bit, infinities included. The one
 // exception is a tie between -0.0 and +0.0, which either algorithm may
-// resolve to either sign (neither orders equal values), so zero results
-// compare with ==. The scaled form must equal the estimate over a scaled
-// copy in every field, and a NaN replica, which has no order, makes the
-// whole band NaN.
+// resolve to either sign, so zero results compare with ==. The scaled form
+// must equal the estimate over a scaled copy in every field, and so must
+// the form that takes the ranks of the unscaled replicas, each multiplied
+// by the scale (what the registry stores and rescales): for scales from 1
+// to 1e300, where products overflow to ±inf and distinct replicas tie, and
+// with ties between -0.0 and +0.0 in both the buffered and the selection
+// paths. A NaN replica, which has no order, makes the whole band NaN.
 TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
   auto reference = [](std::vector<double> v, double p) {
     std::sort(v.begin(), v.end());
@@ -250,20 +253,34 @@ TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
     }
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double tied[] = {-2.5, -0.0, 0.0, 1.0, 3.75};
+  const double tied[] = {-7e10, -2.5, -0.0, 0.0, 1.0, 3.75e10, 9e10};
+  // The estimate from the ranks of the unscaled replicas, scaled.
+  auto from_stored_ranks = [](double value, const std::vector<double>& trials,
+                              double scale) {
+    const ReplicaRanks stored = RankReplicas(trials.data(), trials.size());
+    const ReplicaRanks ranks = {{stored.lo[0] * scale, stored.lo[1] * scale},
+                                {stored.hi[0] * scale, stored.hi[1] * scale}};
+    return EstimateError(value, trials.data(), trials.size(), scale, ranks);
+  };
   Rng rng(17);
   for (size_t n : {2, 3, 20, 60, 100, 101, 1000}) {
     for (int round = 0; round < 200; ++round) {
-      // Rounds 1 mod 4 draw from five values, so most entries are tied;
-      // rounds 2 mod 4 put an infinity of either sign in about one entry in
-      // eight.
+      // Rounds 1 mod 4 draw from seven values, so most entries are tied,
+      // and rounds 5 mod 8 make 97% of them signed zeros, so that ties of
+      // -0.0 and +0.0 hold the CI ranks; rounds 2 mod 4 put an infinity of
+      // either sign in about one entry in eight; rounds 3 mod 4 draw
+      // magnitudes up to 1e12.
       std::vector<double> trials;
       for (size_t i = 0; i < n; ++i) {
-        double x = round % 4 == 1 ? tied[rng.NextBounded(5)]
+        double x = round % 4 == 1 ? tied[rng.NextBounded(7)]
                                   : rng.NextDouble() * 200.0 - 100.0;
+        if (round % 8 == 5 && rng.NextBounded(100) < 97) {
+          x = rng.NextBounded(2) == 0 ? -0.0 : 0.0;
+        }
         if (round % 4 == 2 && rng.NextBounded(8) == 0) {
           x = rng.NextBounded(2) == 0 ? kInf : -kInf;
         }
+        if (round % 4 == 3) x *= 1e10;
         trials.push_back(x);
       }
       const ErrorEstimate est = EstimateError(1.0, trials);
@@ -277,11 +294,21 @@ TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
       for (double& x : scaled) x *= scale;
       const ErrorEstimate in_pass = EstimateError(-3.5, trials, scale);
       const ErrorEstimate on_copy = EstimateError(-3.5, scaled);
+      const double huge = std::pow(10.0, 300.0 * rng.NextDouble());
+      std::vector<double> scaled_huge = trials;
+      for (double& x : scaled_huge) x *= huge;
+      const ErrorEstimate stored = from_stored_ranks(-3.5, trials, scale);
+      const ErrorEstimate stored_huge = from_stored_ranks(-3.5, trials, huge);
+      const ErrorEstimate on_copy_huge = EstimateError(-3.5, scaled_huge);
       for (auto field : {&ErrorEstimate::value, &ErrorEstimate::stddev,
                          &ErrorEstimate::rel_stddev, &ErrorEstimate::ci_lo,
                          &ErrorEstimate::ci_hi}) {
         EXPECT_EQ(bits(in_pass.*field), bits(on_copy.*field))
             << context << " scale=" << scale;
+        EXPECT_EQ(bits(stored.*field), bits(on_copy.*field))
+            << context << " stored ranks, scale=" << scale;
+        EXPECT_EQ(bits(stored_huge.*field), bits(on_copy_huge.*field))
+            << context << " stored ranks, scale=" << huge;
       }
 
       trials[rng.NextBounded(n)] = std::numeric_limits<double>::quiet_NaN();
@@ -289,6 +316,10 @@ TEST(ErrorEstimateTest, PercentilesMatchSortedReference) {
       EXPECT_TRUE(std::isnan(with_nan.stddev)) << context;
       EXPECT_TRUE(std::isnan(with_nan.ci_lo)) << context;
       EXPECT_TRUE(std::isnan(with_nan.ci_hi)) << context;
+      const ErrorEstimate nan_stored = from_stored_ranks(1.0, trials, huge);
+      EXPECT_TRUE(std::isnan(nan_stored.stddev)) << context;
+      EXPECT_EQ(bits(nan_stored.ci_lo), bits(with_nan.ci_lo)) << context;
+      EXPECT_EQ(bits(nan_stored.ci_hi), bits(with_nan.ci_hi)) << context;
     }
   }
 }

@@ -1110,6 +1110,71 @@ TEST(PublicationTest, LapsedGroupsLeaveTheResult) {
   }
 }
 
+// A value disabled after repeated integrity failures takes no new
+// obligations but keeps verifying the ones it carries: the rows decided
+// under them stay decided only while they hold. Forty rows at 99 come
+// first, so the global average fails its checks early and is disabled; the
+// forty rows around 50 that come last move it past bounds that decided rows
+// rely on. Every batch must equal the reference. A value that stopped
+// being checked once disabled broke seed 3; seeds 2, 4 and 8 need an
+// untouched group whose scratch contribution lapsed to be republished.
+TEST(PublicationTest, DisabledValueKeepsVerifyingItsObligations) {
+  Catalog catalog;
+  Table t(Schema({{"g", ValueType::kInt64}, {"v", ValueType::kDouble}}));
+  for (int k = 1; k <= 40; ++k) {
+    t.AddRow({Value::Int64(k), Value::Double(99.0)});
+  }
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    t.AddRow({Value::Int64(0), Value::Double(100.0 * rng.NextDouble())});
+  }
+  for (int k = 1; k <= 40; ++k) {
+    t.AddRow({Value::Int64(k), Value::Double(47.0 + 6.0 * (k - 1) / 39.0)});
+  }
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+  const Table& fact = *(*catalog.Find("t"))->table;
+
+  int recoveries = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (size_t num_threads : {size_t{0}, size_t{3}}) {
+      const std::string run = "seed " + std::to_string(seed) + " threads " +
+                              std::to_string(num_threads);
+      EngineOptions options;
+      options.num_batches = 40;
+      options.num_trials = 5;
+      options.seed = seed;
+      options.num_threads = num_threads;
+      options.partition.block_rows = 8;
+      Session session(&catalog, options);
+      auto query = session.Sql(
+          "SELECT g, count(*), sum(v) FROM t "
+          "WHERE v > (SELECT avg(v) FROM t) GROUP BY g");
+      ASSERT_TRUE(query.ok()) << query.status();
+      const QueryController& controller = (*query)->controller();
+      std::vector<Row> accumulated;
+      Status run_status = (*query)->Run([&](const PartialResult& partial) {
+        for (uint64_t id : controller.layout().batches[partial.batch]) {
+          accumulated.push_back(fact.row(id));
+        }
+        const double scale =
+            static_cast<double>(fact.num_rows()) / accumulated.size();
+        auto expected =
+            EvaluateReference(controller.plan(), catalog, accumulated, scale);
+        EXPECT_TRUE(expected.ok()) << expected.status();
+        if (expected.ok()) {
+          ExpectTablesEqual(partial.rows, *expected,
+                            run + " batch " + std::to_string(partial.batch));
+        }
+        return BatchAction::kContinue;
+      });
+      ASSERT_TRUE(run_status.ok()) << run_status;
+      recoveries += (*query)->metrics().TotalFailureRecoveries();
+    }
+  }
+  // The runs do go through the recoveries that disable the average.
+  EXPECT_GT(recoveries, 0);
+}
+
 // Failure-recovery seams under deterministic injection (failpoint.h).
 // An *injected* integrity verdict rolls back to the requested target,
 // replays with unfrozen ranges, and reproduces the fault-free bits; a

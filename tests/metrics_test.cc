@@ -130,6 +130,59 @@ TEST(MetricsTest, ControllerPhasesArePartsOfLatency) {
   }
 }
 
+// Each block's phase times of a batch's own pass (join, evaluate, apply,
+// flush, publish; a snapshot consumer's join includes building its feed)
+// are parts of the rest of latency_sec: each is >= 0, and per batch they
+// sum to at most latency_sec minus the four controller phases. Replays
+// count in recovery_sec only. Summary() prints their totals.
+TEST(MetricsTest, BlockPhasesArePartsOfLatency) {
+  Rng rng(9);
+  Catalog catalog;
+  Table t(Schema({{"v", ValueType::kDouble}, {"g", ValueType::kInt64}}));
+  for (int i = 0; i < 600; ++i) {
+    t.AddRow({Value::Double(rng.NextDouble() * 100),
+              Value::Int64(static_cast<int64_t>(rng.NextBounded(40)))});
+  }
+  ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+  EngineOptions options;
+  options.num_batches = 6;
+  options.num_trials = 10;
+  options.failpoints = "controller-batch-fault=at:3,times:1,arg:2";
+  Session session(&catalog, options);
+  // Block 0 aggregates per g; block 1 is the HAVING snapshot consumer.
+  auto query = session.Sql(
+      "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 900");
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE((*query)->Run().ok());
+  const QueryMetrics& metrics = (*query)->metrics();
+  ASSERT_EQ(metrics.batches.size(), 6u);
+  EXPECT_EQ(metrics.TotalFailureRecoveries(), 1);
+  ASSERT_EQ(metrics.num_blocks, 2u);
+  ASSERT_EQ(metrics.block_phases.size(), 6u * metrics.num_blocks);
+  for (const BatchMetrics& b : metrics.batches) {
+    SCOPED_TRACE("batch " + std::to_string(b.batch));
+    double blocks = 0.0;
+    for (size_t k = 0; k < metrics.num_blocks; ++k) {
+      const BlockPhaseTimes& t = metrics.BlockPhases(b.batch)[k];
+      for (double phase : {t.join_sec, t.evaluate_sec, t.apply_sec,
+                           t.flush_sec, t.publish_sec}) {
+        EXPECT_GE(phase, 0.0);
+        blocks += phase;
+      }
+    }
+    EXPECT_GT(blocks, 0.0);
+    EXPECT_LE(blocks, b.latency_sec - b.recovery_sec - b.checkpoint_sec -
+                          b.result_sec - b.accounting_sec);
+  }
+  const BlockPhaseTimes total = metrics.TotalBlockPhases();
+  EXPECT_GT(total.publish_sec, 0.0);
+  const std::string summary = metrics.Summary();
+  for (const char* phase :
+       {" join=", " evaluate=", " apply=", " flush=", " publish="}) {
+    EXPECT_NE(summary.find(phase), std::string::npos) << summary;
+  }
+}
+
 TEST(ExplainTest, RendersPlanAndAnnotations) {
   Rng rng(3);
   Catalog catalog;

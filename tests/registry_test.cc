@@ -11,8 +11,10 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "catalog/catalog.h"
+#include "common/random.h"
 #include "iolap/aggregate_registry.h"
 #include "plan/plan_builder.h"
 
@@ -54,6 +56,16 @@ class RegistryTest : public ::testing::Test {
     EXPECT_EQ(trials.size(), 2u * kTrials);
     return registry_->Publish(0, Key(k), batch, main.data(), trials.data(),
                               track, analytic_sd);
+  }
+
+  // The slot that holds group `k` of block 0, or -1.
+  int SlotOf(int64_t k) {
+    for (size_t slot = 0; slot < registry_->GroupCount(0); ++slot) {
+      if (registry_->GroupKey(0, static_cast<int>(slot)) == Key(k)) {
+        return static_cast<int>(slot);
+      }
+    }
+    return -1;
   }
 
   // The group ids of LiveGroups(0, batch), in the order returned.
@@ -124,10 +136,10 @@ TEST_F(RegistryTest, RefreshChecksUnderNewScale) {
   registry_->RequireUpper(0, 1, Key(1), 50.0);
   // Scale 4 pushes the scaled envelope to [36, 44]: still fine.
   registry_->SetBlockScale(0, 4.0);
-  EXPECT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
+  EXPECT_TRUE(registry_->Refresh(0, SlotOf(1), 1, true).ok);
   // Scale 6 -> scaled max 66 > 50: integrity failure.
   registry_->SetBlockScale(0, 6.0);
-  const auto fail = registry_->Refresh(0, Key(1), 2, true);
+  const auto fail = registry_->Refresh(0, SlotOf(1), 2, true);
   EXPECT_FALSE(fail.ok);
 }
 
@@ -161,11 +173,23 @@ TEST_F(RegistryTest, RepeatedFailuresDisableTheRange) {
     EXPECT_FALSE(fail.ok) << "round " << round;
     registry_->RollbackTo(0, 1);
   }
-  // Third strike: the range is permanently unbounded and can't fail.
+  // Third strike: the range is permanently unbounded, so nothing new is
+  // decided on it and a new obligation does not register...
   EXPECT_TRUE(registry_->LookupRange(0, 1, Key(1)).IsUnbounded());
-  ASSERT_TRUE(Publish(1, 1, {Value::Double(1000), Value::Double(5)},
-                      {1000, 1000, 1000, 1000, 5, 5, 5, 5})
+  registry_->RequireUpper(0, 1, Key(1), 5.0);
+  ASSERT_TRUE(Publish(1, 1, {Value::Double(12), Value::Double(5)},
+                      {12, 12, 12, 12, 5, 5, 5, 5})
                   .ok);
+  // ... but the obligation it already carries (at most 15) is still
+  // verified, by Publish and by Refresh: the rows decided under it stay
+  // decided only while it holds.
+  registry_->SetBlockScale(0, 2.0);
+  EXPECT_FALSE(registry_->Refresh(0, SlotOf(1), 2, true).ok);
+  registry_->RollbackTo(1, 1);
+  registry_->SetBlockScale(0, 1.0);
+  EXPECT_FALSE(Publish(1, 2, {Value::Double(1000), Value::Double(5)},
+                       {1000, 1000, 1000, 1000, 5, 5, 5, 5})
+                   .ok);
 }
 
 // Slots are numbered in creation order, and a rollback pops exactly the
@@ -199,7 +223,7 @@ TEST_F(RegistryTest, RollbackErasesYoungGroups) {
 
   // The replay's walk reaches the survivors in creation order, and their
   // republication finds their slots.
-  ASSERT_TRUE(registry_->Refresh(0, Key(7), 2, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, SlotOf(7), 2, true).ok);
   const auto again = Publish(3, 2, {Value::Double(4), Value::Double(4)},
                              {4, 4, 4, 4, 4, 4, 4, 4});
   EXPECT_FALSE(again.created);
@@ -260,8 +284,8 @@ TEST_F(RegistryTest, RelationBytesAndTotalBytes) {
                "publish overwrite");
 
   // Refreshes fold one more snapshot into each tracker of the group.
-  ASSERT_TRUE(registry_->Refresh(0, Key(2), 2, true).ok);
-  ASSERT_TRUE(registry_->Refresh(0, Key(2), 3, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, SlotOf(2), 2, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, SlotOf(2), 3, true).ok);
   expect_bytes(group(1, null_and_dbl) + group(2, 2 * dbl),
                group(1, null_and_dbl) + group(2, 2 * dbl) + trackers(2) +
                    trackers(3),
@@ -299,7 +323,7 @@ TEST_F(RegistryTest, LiveKeysAreTheGroupsTheWalkReached) {
   }
   EXPECT_EQ(Live(0), (std::vector<int64_t>{3, 1}));
 
-  ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, SlotOf(1), 1, true).ok);
   ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
                       {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
@@ -320,7 +344,7 @@ TEST_F(RegistryTest, RollbackClearsLiveness) {
   ASSERT_TRUE(Publish(1, 0, {Value::Double(1), Value::Double(1)},
                       {1, 1, 1, 1, 1, 1, 1, 1})
                   .ok);
-  ASSERT_TRUE(registry_->Refresh(0, Key(1), 1, true).ok);
+  ASSERT_TRUE(registry_->Refresh(0, SlotOf(1), 1, true).ok);
   ASSERT_TRUE(Publish(2, 1, {Value::Double(2), Value::Double(2)},
                       {2, 2, 2, 2, 2, 2, 2, 2})
                   .ok);
@@ -409,6 +433,144 @@ TEST_F(RegistryTest, EstimateScalesReplicasLikeTheValue) {
   // A missing group estimates its null value as a zero-width band at 0.
   ExpectSameEstimate(registry_->Estimate(0, 1, Key(9)),
                      EstimateError(0.0, {}), "missing");
+}
+
+// A block that keeps its cells' CI ranks estimates a cell from the stored
+// ranks and one stddev pass; one that does not ranks the replicas on every
+// call. Both must give EstimateError over the stored replicas scaled like
+// the value, bit for bit, at every m_i: ties, signed zeros, scales whose
+// products overflow, and a NaN replica included.
+TEST_F(RegistryTest, EstimateFromStoredRanksMatchesEstimateError) {
+  ScopedThreadRole serial(engine_serial_phase);
+  constexpr int kMany = 60;
+  constexpr int kGroups = 12;
+  const double tied[] = {-3.0, -0.0, 0.0, 2.5, 1e10};
+  for (bool keep_ranks : {false, true}) {
+    AggregateRegistry registry(plan_.get(), 2.0, kMany);
+    if (keep_ranks) registry.KeepRanks(0);
+    Rng rng(11);
+    std::vector<std::vector<double>> replicas;  // per group: sum's, avg's
+    registry.SetBlockScale(0, 1.0);
+    for (int64_t k = 0; k < kGroups; ++k) {
+      std::vector<double> trials(2 * kMany);
+      for (double& x : trials) {
+        x = k % 3 == 0 ? tied[rng.NextBounded(5)]
+                       : rng.NextDouble() * 200.0 - 100.0;
+      }
+      if (k == 7) trials[5] = std::numeric_limits<double>::quiet_NaN();
+      const Value main[] = {Value::Double(10.0 + k), Value::Double(-0.5 * k)};
+      ASSERT_EQ(registry.Publish(0, Key(k), 0, main, trials.data(), false).slot,
+                k);
+      replicas.push_back(std::move(trials));
+    }
+    for (double m : {1.0, 1.5, 4.0, 37.25, 1e300}) {
+      registry.SetBlockScale(0, m);
+      for (int slot = 0; slot < kGroups; ++slot) {
+        for (int col : {1, 2}) {
+          const size_t a = static_cast<size_t>(col - 1);
+          const double s = a == 0 ? m : 1.0;  // sum scales, avg does not
+          std::vector<double> scaled(
+              replicas[slot].begin() + static_cast<std::ptrdiff_t>(a * kMany),
+              replicas[slot].begin() +
+                  static_cast<std::ptrdiff_t>((a + 1) * kMany));
+          for (double& x : scaled) x *= s;
+          const double value = registry.Lookup(0, col, Key(slot)).AsDouble();
+          const std::string what = std::string(keep_ranks ? "ranks" : "none") +
+                                   " m=" + std::to_string(m) +
+                                   " slot=" + std::to_string(slot) +
+                                   " col=" + std::to_string(col);
+          ExpectSameEstimate(registry.Estimate(0, col, slot),
+                             EstimateError(value, scaled), what.c_str());
+        }
+      }
+    }
+  }
+}
+
+// Refresh by slot re-checks a group's stored envelope under the new scale
+// and marks it live, which is what republishing its unchanged values does
+// (and what Refresh by key did): the same verdicts, live list, ranges and
+// bytes, a failing obligation included.
+TEST_F(RegistryTest, RefreshBySlotMatchesRepublication) {
+  ScopedThreadRole serial(engine_serial_phase);
+  AggregateRegistry republished(plan_.get(), 2.0, kTrials);
+  const std::vector<double> trials = {9, 10, 11, 10, 5, 5, 5, 5};
+  const Value main[] = {Value::Double(10), Value::Double(5)};
+  for (AggregateRegistry* r : {registry_.get(), &republished}) {
+    r->SetBlockScale(0, 2.0);
+    for (int64_t k : {4, 8}) {
+      ASSERT_TRUE(r->Publish(0, Key(k), 0, main, trials.data(), true).ok);
+    }
+    r->RequireUpper(0, 1, Key(8), 50.0);
+  }
+  bool failed = false;
+  for (int batch = 1; batch <= 3; ++batch) {
+    // m_i 3.5, 5, 6.5: the scaled replica maximum, 11 m_i, passes 50 at
+    // batch 2.
+    const double m = 2.0 + 1.5 * batch;
+    registry_->SetBlockScale(0, m);
+    republished.SetBlockScale(0, m);
+    for (int64_t k : {8, 4}) {
+      const auto by_slot = registry_->Refresh(0, SlotOf(k), batch, true);
+      const auto again =
+          republished.Publish(0, Key(k), batch, main, trials.data(), true);
+      EXPECT_EQ(by_slot.ok, again.ok) << "batch " << batch << " key " << k;
+      EXPECT_EQ(by_slot.rollback_to, again.rollback_to);
+      failed = failed || !by_slot.ok;
+    }
+    EXPECT_EQ(registry_->LiveGroups(0, batch), republished.LiveGroups(0, batch));
+    EXPECT_EQ(Live(batch), (std::vector<int64_t>{8, 4}));
+    EXPECT_EQ(registry_->TotalBytes(), republished.TotalBytes());
+    for (int64_t k : {4, 8}) {
+      const Interval got = registry_->LookupRange(0, 1, Key(k));
+      const Interval want = republished.LookupRange(0, 1, Key(k));
+      EXPECT_EQ(got.lo, want.lo) << "batch " << batch << " key " << k;
+      EXPECT_EQ(got.hi, want.hi) << "batch " << batch << " key " << k;
+    }
+  }
+  EXPECT_TRUE(failed);
+}
+
+// A snapshot consumer primes the lookup hint with the slot its feed row
+// came from. The hint only saves the probe: a slot that holds another key,
+// one past the relation's end, or one a rollback handed to another group
+// falls back to the key, and a missing key stays missing.
+TEST_F(RegistryTest, PrimedHintOnAnotherKeyFallsBackToTheKey) {
+  ScopedThreadRole serial(engine_serial_phase);
+  registry_->SetBlockScale(0, 1.0);
+  ASSERT_TRUE(Publish(1, 0, {Value::Double(10), Value::Double(1)},
+                      {10, 11, 9, 10, 1, 1, 1, 1})
+                  .ok);
+  const auto two = Publish(2, 1, {Value::Double(20), Value::Double(2)},
+                           {20, 21, 19, 20, 2, 2, 2, 2});
+  ASSERT_EQ(two.slot, 1);
+
+  AggregateRegistry::PrimeLookupHint(0, 1);  // holds key 2
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(1)).AsDouble(), 10.0);
+  AggregateRegistry::PrimeLookupHint(0, 1);
+  EXPECT_DOUBLE_EQ(registry_->LookupTrial(0, 1, Key(1), 1).AsDouble(), 11.0);
+  AggregateRegistry::PrimeLookupHint(0, 1);
+  ExpectSameEstimate(registry_->Estimate(0, 1, Key(1)),
+                     registry_->Estimate(0, 1, 0), "estimate by key");
+  AggregateRegistry::PrimeLookupHint(0, 1);
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(2)).AsDouble(), 20.0);
+  AggregateRegistry::PrimeLookupHint(0, 7);  // past the end
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(2)).AsDouble(), 20.0);
+  AggregateRegistry::PrimeLookupHint(0, 0);
+  EXPECT_TRUE(registry_->Lookup(0, 1, Key(9)).is_null());
+  AggregateRegistry::PrimeLookupHint(0, 0);
+  EXPECT_TRUE(registry_->LookupRange(0, 1, Key(9)).IsUnbounded());
+
+  // A rollback pops key 2, and key 3 takes its slot.
+  registry_->RollbackTo(0, 0);
+  ASSERT_EQ(Publish(3, 1, {Value::Double(30), Value::Double(3)},
+                    {30, 30, 30, 30, 3, 3, 3, 3})
+                .slot,
+            1);
+  AggregateRegistry::PrimeLookupHint(0, 1);
+  EXPECT_TRUE(registry_->Lookup(0, 1, Key(2)).is_null());
+  AggregateRegistry::PrimeLookupHint(0, 1);
+  EXPECT_DOUBLE_EQ(registry_->Lookup(0, 1, Key(3)).AsDouble(), 30.0);
 }
 
 // Analytic: the published closed-form stddev, scaled like the value and
