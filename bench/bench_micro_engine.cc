@@ -104,14 +104,14 @@ void BM_ExprProgramCompiled(benchmark::State& state) {
   ExprProgramState prog_state;
   program->InitState(&prog_state);
   std::vector<double> weights(trials);
-  std::vector<Value> values(static_cast<size_t>(trials) * 2);
+  std::vector<TrialArg> args(static_cast<size_t>(trials) * 2);
   for (auto _ : state) {
     program->Bind(&prog_state, kHotLoopRow, &resolver, trials);
     for (int t = 0; t < trials; ++t) weights[t] = 1.0;
     program->EvalTrials(&prog_state, kHotLoopRow, trials, /*pred_root=*/0,
                         /*first_val_root=*/1, 2, weights.data(),
-                        values.data());
-    benchmark::DoNotOptimize(values.data());
+                        args.data());
+    benchmark::DoNotOptimize(args.data());
   }
   state.SetItemsProcessed(state.iterations() * trials);
 }
@@ -290,29 +290,21 @@ void BM_GroupedAggregate(benchmark::State& state) {
 BENCHMARK(BM_GroupedAggregate)->Arg(1)->Arg(7);
 
 // End-to-end per-batch engine cost under intra-batch parallelism: each
-// iteration runs a full incremental TPC-H query (a nested one, so the
-// per-trial re-evaluation of the non-deterministic set dominates) with
-// EngineOptions::num_threads = Arg. Results are bit-identical across
-// thread counts; only wall time changes. The per_batch_ms counter is the
-// engine's own per-batch wall clock and cpu_over_wall its measured
-// parallelism (≈1 inline, → num_threads when the batch scales).
-void BM_EngineBatch(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const std::vector<BenchQuery> queries = TpchQueries();
-  BenchQuery query = queries.front();
-  for (const BenchQuery& q : queries) {
-    if (q.nested) {
-      query = q;
-      break;
-    }
-  }
-  auto catalog = TpchCatalogStreaming(query.streamed_table);
+// iteration runs one full incremental query with EngineOptions::num_threads
+// = Arg (workers; the driving thread is one more lane). Results are
+// bit-identical across thread counts; only wall time changes. The
+// per_batch_ms counter is the engine's own per-batch wall clock and
+// cpu_over_wall its measured parallelism (≈1 inline, → num_threads + 1
+// when the batch scales).
+void RunEngineBatch(benchmark::State& state, const BenchQuery& query,
+                    bool conviva) {
+  auto catalog = CatalogFor(query, conviva);
   if (!catalog.ok()) {
     state.SkipWithError(catalog.status().ToString().c_str());
     return;
   }
   EngineOptions options = BenchOptions(ExecutionMode::kIolap);
-  options.num_threads = threads;
+  options.num_threads = static_cast<size_t>(state.range(0));
   double wall = 0.0;
   double cpu = 0.0;
   size_t batches = 0;
@@ -332,11 +324,44 @@ void BM_EngineBatch(benchmark::State& state) {
     state.counters["cpu_over_wall"] = wall > 0.0 ? cpu / wall : 0.0;
   }
 }
+
+// The first nested TPC-H query (q11): a batch's rows are few, so it shows
+// what a batch with little to split pays for the pool.
+void BM_EngineBatch(benchmark::State& state) {
+  const std::vector<BenchQuery> queries = TpchQueries();
+  BenchQuery query = queries.front();
+  for (const BenchQuery& q : queries) {
+    if (q.nested) {
+      query = q;
+      break;
+    }
+  }
+  RunEngineBatch(state, query, /*conviva=*/false);
+}
 BENCHMARK(BM_EngineBatch)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Conviva c10: its outer block's non-deterministic set outnumbers the fresh
+// rows of a batch, and each of those rows runs per trial, so a batch has
+// work to split. Arg 3 is perfbench's shape on 4 CPUs.
+void BM_EngineBatchC10(benchmark::State& state) {
+  for (const BenchQuery& q : ConvivaQueries()) {
+    if (q.id == "c10") {
+      RunEngineBatch(state, q, /*conviva=*/true);
+      return;
+    }
+  }
+  state.SkipWithError("no query c10");
+}
+BENCHMARK(BM_EngineBatchC10)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

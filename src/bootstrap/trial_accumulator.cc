@@ -28,11 +28,11 @@ void TrialAccumulatorSet::AddMainOnly(const Value& v, double weight) {
   AddMoments(v, weight);
 }
 
-void TrialAccumulatorSet::AddTrialOnly(int trial, const Value& v,
+void TrialAccumulatorSet::AddTrialOnly(int trial, TrialArg arg,
                                        double weight) {
-  if (weight == 0.0 || v.is_null()) return;
+  if (weight == 0.0 || arg.type == ValueType::kNull) return;
   state_->fold(trials_.data() + static_cast<size_t>(trial) * state_->width,
-               v.AsDouble(), v.type(), weight);
+               arg.x, arg.type, weight);
 }
 
 void TrialAccumulatorSet::Merge(const TrialAccumulatorSet& other) {

@@ -25,13 +25,13 @@ class TrialAccumulatorSet {
 
   /// The per-tuple fold, in two halves: the main accumulator takes the
   /// value with its plain multiplicity `weight`, and trial t takes its
-  /// trial-t value with the trial-t multiplicity (a zero weight and a NULL
-  /// value are skipped). The delta engine folds main values in the serial
-  /// apply phase and trial values in the deferred trial flush; a row whose
-  /// filter decision differs per bootstrap trial (§5) reaches only the
-  /// trials that keep it.
+  /// unboxed trial-t argument with the trial-t multiplicity (a zero weight
+  /// and a NULL argument are skipped). The delta engine folds main values
+  /// in the serial apply phase and trial arguments in the deferred trial
+  /// flush; a row whose filter decision differs per bootstrap trial (§5)
+  /// reaches only the trials that keep it.
   void AddMainOnly(const Value& v, double weight);
-  void AddTrialOnly(int trial, const Value& v, double weight);
+  void AddTrialOnly(int trial, TrialArg arg, double weight);
 
   /// Folds one non-NULL argument (`x` its AsDouble(), `type` its type) into
   /// every trial listed in `weights`, whose weights are nonzero: the

@@ -59,12 +59,11 @@ void ThreadPool::SubmitToGroup(TaskGroup* group, std::function<void()> task) {
   task_ready_.NotifyOne();
 }
 
-void ThreadPool::WaitGroup(TaskGroup* group) {
-  std::exception_ptr error;
+void ThreadPool::WaitGroup(TaskGroup* group, std::exception_ptr error) {
   {
     MutexLock lock(group->mu);
     while (group->remaining != 0) group->done.Wait(group->mu);
-    error = std::exchange(group->first_error, nullptr);
+    if (!error) error = std::exchange(group->first_error, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }
@@ -74,23 +73,25 @@ void ThreadPool::ParallelRanges(
     const std::function<void(size_t, size_t, size_t)>& fn,
     bool idempotent) {
   if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    RunTaskBody(idempotent, 0, [count, &fn] { fn(0, count, 0); });
-    return;
-  }
   const size_t lanes = std::min(count, num_lanes());
-  const size_t per_lane = (count + lanes - 1) / lanes;
   TaskGroup group;
-  for (size_t lane = 0; lane < lanes; ++lane) {
-    const size_t begin = lane * per_lane;
-    const size_t end = std::min(count, begin + per_lane);
-    if (begin >= end) break;
+  for (size_t lane = 1; lane < lanes; ++lane) {
+    const auto [begin, end] = Slice(count, lanes, lane);
     SubmitToGroup(&group, [begin, end, lane, &fn, idempotent] {
       RunTaskBody(idempotent, begin,
                   [begin, end, lane, &fn] { fn(begin, end, lane); });
     });
   }
-  WaitGroup(&group);
+  // Lane 0 runs here. `group` lives on this frame, so an exception from
+  // this lane waits for the worker lanes before it leaves.
+  std::exception_ptr error;
+  try {
+    const size_t end = Slice(count, lanes, 0).second;
+    RunTaskBody(idempotent, 0, [end, &fn] { fn(0, end, 0); });
+  } catch (...) {
+    error = std::current_exception();
+  }
+  WaitGroup(&group, error);
 }
 
 void ThreadPool::WorkerLoop() {

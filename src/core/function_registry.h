@@ -186,6 +186,15 @@ struct TrialWeight {
   double weight;
 };
 
+/// An aggregate argument unboxed for a trial fold: the Value's AsDouble()
+/// and its type (kNull for NULL), all a fold reads.
+struct TrialArg {
+  double x = 0.0;
+  ValueType type = ValueType::kNull;
+
+  static TrialArg Of(const Value& v) { return {v.AsDouble(), v.type()}; }
+};
+
 /// Adds `other` into `state` slot by slot: the merge of every aggregate
 /// whose state is a vector of sums.
 template <int kWidth>

@@ -567,10 +567,11 @@ void ExprProgram::EvalTrial(ExprProgramState* st, const Row& row,
   RunSegment(epilogue_, st, row, /*resolver=*/nullptr, 0, trial);
 }
 
-void ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
+bool ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
                              int num_trials, int pred_root, int first_val_root,
                              size_t num_val_roots, double* w,
-                             Value* out_vals) const {
+                             TrialArg* out_args) const {
+  bool any = false;
   for (int t = 0; t < num_trials; ++t) {
     if (w[t] == 0.0) continue;
     EvalTrial(st, row, t);
@@ -578,11 +579,13 @@ void ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
       w[t] = 0.0;
       continue;
     }
+    any = true;
     for (size_t a = 0; a < num_val_roots; ++a) {
-      out_vals[static_cast<size_t>(t) * num_val_roots + a] =
-          RootValue(*st, static_cast<size_t>(first_val_root) + a);
+      out_args[static_cast<size_t>(t) * num_val_roots + a] =
+          RootArg(*st, static_cast<size_t>(first_val_root) + a);
     }
   }
+  return any;
 }
 
 bool ExprProgram::RootTruthy(const ExprProgramState& st, size_t r) const {
@@ -596,6 +599,23 @@ Value ExprProgram::RootValue(const ExprProgramState& st, size_t r) const {
   const Root& root = roots_[r];
   return root.out.is_str ? BoxStr(st.str_[root.out.reg])
                          : st.num_[root.out.reg].ToValue();
+}
+
+TrialArg ExprProgram::RootArg(const ExprProgramState& st, size_t r) const {
+  const Root& root = roots_[r];
+  if (root.out.is_str) {
+    return {0.0, st.str_[root.out.reg].null ? ValueType::kNull
+                                             : ValueType::kString};
+  }
+  const NumericValue& n = st.num_[root.out.reg];
+  switch (n.tag) {
+    case ValueType::kInt64:
+      return {static_cast<double>(n.i64), ValueType::kInt64};
+    case ValueType::kDouble:
+      return {n.f64, ValueType::kDouble};
+    default:
+      return {};
+  }
 }
 
 bool ExprProgram::root_trial_invariant(size_t r) const {

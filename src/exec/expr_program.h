@@ -122,11 +122,12 @@ class ExprProgram {
   /// Batched per-trial evaluation of the engine's hot loop. For every trial
   /// t in [0, num_trials) with w[t] != 0: runs the epilogue, zeroes w[t] if
   /// root `pred_root` is not truthy (pass pred_root = -1 for no filter),
-  /// otherwise stores roots [first_val_root, first_val_root + num_val_roots)
-  /// into out_vals[t * num_val_roots + a].
-  void EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
+  /// otherwise stores roots [first_val_root, first_val_root + num_val_roots),
+  /// unboxed (RootArg), into out_args[t * num_val_roots + a]. Returns true
+  /// when some w[t] is nonzero afterwards.
+  bool EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
                   int pred_root, int first_val_root, size_t num_val_roots,
-                  double* w, Value* out_vals) const;
+                  double* w, TrialArg* out_args) const;
 
   /// Result of root `r` after Bind (invariant roots) / EvalTrial.
   bool RootTruthy(const ExprProgramState& state, size_t r) const;
@@ -166,6 +167,9 @@ class ExprProgram {
   int max_col() const { return max_col_; }
 
  private:
+  /// TrialArg::Of(RootValue(state, r)), without boxing.
+  TrialArg RootArg(const ExprProgramState& state, size_t r) const;
+
   friend class ExprProgramCompiler;
   /// The static bytecode verifier (exec/program_verifier.h) walks the raw
   /// instruction streams; tests corrupt them through the peer to prove the

@@ -85,6 +85,9 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   }
   if (block_->has_aggregate()) {
     eval_width_ = block_->group_by.size() + block_->aggs.size();
+    trial_rows_ = bootstrap_.num_trials() > 0 &&
+                  (any_agg_arg_uncertain_ ||
+                   (block_->filter != nullptr && ann_->filter_uncertain));
   }
   stateless_ = block_->inputs.size() == 1 &&
                block_->inputs[0].kind == BlockInput::Kind::kBlockOutput;
@@ -243,7 +246,8 @@ void BlockExecutor::AccumulateCertain(const ExecRow& row, size_t eval_idx,
 }
 
 void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
-                                RowEval* ev, Value* vals,
+                                RowEval* ev, Value* vals, double* trial_w,
+                                TrialArg* trial_args,
                                 ExprProgramState* ps) const {
   if (charge_regeneration && !lazy_enabled()) RegenerateRow(row);
 
@@ -334,17 +338,18 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
   // reads. This is what makes the error estimate honest for tuples whose
   // membership is itself uncertain. Candidate weights go in up front;
   // EvalTrials zeroes the trials whose filter decision fails under that
-  // resample and fills the argument values of the surviving ones.
-  ev->trial_w.assign(trials, 0.0);
-  ev->trial_vals.assign(static_cast<size_t>(trials) * num_aggs, Value());
+  // resample and fills the arguments of the surviving ones (the flush
+  // reads a trial's arguments only where its weight is nonzero).
+  if (trials == 0) return;
+  assert(trial_rows_ && trial_w != nullptr && trial_args != nullptr);
   for (int t = 0; t < trials; ++t) {
-    ev->trial_w[t] =
+    trial_w[t] =
         row->weight *
         (row->FromStream() ? bootstrap_.WeightAt(row->stream_uid, t) : 1);
   }
-  row_program_->EvalTrials(ps, row->values, trials, filter_root_,
-                           arg_root_base_, num_aggs, ev->trial_w.data(),
-                           ev->trial_vals.data());
+  ev->any_trial =
+      row_program_->EvalTrials(ps, row->values, trials, filter_root_,
+                               arg_root_base_, num_aggs, trial_w, trial_args);
 }
 
 void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
@@ -359,9 +364,7 @@ void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
       cells->aggs[a].AddMainOnly(main_vals[a], row.weight);
     }
   }
-  bool any_trial = false;
-  for (double w : ev.trial_w) any_trial = any_trial || w != 0.0;
-  if (!any_trial) return;
+  if (!ev.any_trial) return;
   if (cells == nullptr) {
     // Trial-only pass: contribute only when the group's existence is
     // already established by a main-evaluation contribution (sketch or
@@ -386,6 +389,7 @@ void BlockExecutor::FlushDeferredTrials() {
     return;
   }
   const size_t num_aggs = block_->aggs.size();
+  const size_t row_trials = static_cast<size_t>(trials);
   const auto flush_range = [&](size_t begin, size_t end, size_t /*lane*/) {
     // Certain rows, then pending rows, each in serial-apply order. The two
     // lists target disjoint accumulators (sketch vs. the batch scratch), so
@@ -394,12 +398,14 @@ void BlockExecutor::FlushDeferredTrials() {
     deferred_certain_.FoldTrials(bootstrap_, static_cast<int>(begin),
                                  static_cast<int>(end));
     for (const PendingTrialAdd& rec : deferred_pending_) {
-      const RowEval& ev = row_scratch_[rec.eval_idx];
+      assert((rec.eval_idx + 1) * row_trials <= trial_w_.size());
+      const double* w = trial_w_.data() + rec.eval_idx * row_trials;
+      const TrialArg* args =
+          trial_args_.data() + rec.eval_idx * row_trials * num_aggs;
       for (size_t a = 0; a < num_aggs; ++a) {
         for (size_t t = begin; t < end; ++t) {
           rec.accs[a].AddTrialOnly(static_cast<int>(t),
-                                   ev.trial_vals[t * num_aggs + a],
-                                   ev.trial_w[t]);
+                                   args[t * num_aggs + a], w[t]);
         }
       }
     }
@@ -525,30 +531,49 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   row_scratch_.clear();
   row_scratch_.resize(total_rows);
   row_vals_.assign(total_rows * eval_width_, Value());
+  const size_t trials = static_cast<size_t>(bootstrap_.num_trials());
+  const size_t row_args = trials * block_->aggs.size();
+  if (trial_rows_ && trial_w_.size() < total_rows * trials) {
+    trial_w_.resize(total_rows * trials);
+    trial_args_.resize(total_rows * row_args);
+  }
 
-  const auto evaluate = [&](size_t begin, size_t end, size_t lane) {
-    // Each ParallelRanges lane owns one program scratch state; inline
-    // execution is lane 0.
+  // Lane k evaluates its slice of the fresh rows and its slice of U
+  // (EvaluationSlices), so the rows that run per trial spread over every
+  // lane. ParallelRanges is handed the lane count, so each of its ranges
+  // is one lane.
+  const size_t lanes =
+      pool_ != nullptr ? std::min(total_rows, pool_->num_lanes()) : 1;
+  const auto evaluate = [&]([[maybe_unused]] size_t begin_lane,
+                            [[maybe_unused]] size_t end_lane, size_t lane) {
+    assert(begin_lane == lane && end_lane == lane + 1);
+    // Each lane owns one program scratch state; inline execution is lane 0.
     ExprProgramState* prog_state =
         row_program_ != nullptr ? &prog_states_[lane] : nullptr;
-    for (size_t i = begin; i < end; ++i) {
-      ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
-      if (stateless_) {
-        AggregateRegistry::PrimeLookupHint(block_->inputs[0].source_block,
-                                           feed_slots_[i]);
+    for (const auto& [begin, end] :
+         EvaluationSlices(num_fresh, pending_.size(), lanes, lane)) {
+      assert(begin <= end && end <= total_rows);
+      for (size_t i = begin; i < end; ++i) {
+        ExecRow& row = i < num_fresh ? fresh[i] : pending_[i - num_fresh];
+        if (stateless_) {
+          AggregateRegistry::PrimeLookupHint(block_->inputs[0].source_block,
+                                             feed_slots_[i]);
+        }
+        EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
+                    &row_scratch_[i], row_vals_.data() + i * eval_width_,
+                    trial_rows_ ? &trial_w_[i * trials] : nullptr,
+                    trial_rows_ ? &trial_args_[i * row_args] : nullptr,
+                    prog_state);
       }
-      EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
-                  &row_scratch_[i], row_vals_.data() + i * eval_width_,
-                  prog_state);
     }
   };
   if (pool_ != nullptr) {
-    // Pure evaluation into disjoint scratch slots: re-running a range after
+    // Pure evaluation into disjoint scratch slots: re-running a lane after
     // a simulated worker crash overwrites the same slots, so the phase is
     // idempotent and participates in pool-task fault injection.
-    pool_->ParallelRanges(total_rows, evaluate, /*idempotent=*/true);
+    pool_->ParallelRanges(lanes, evaluate, /*idempotent=*/true);
   } else {
-    evaluate(0, total_rows, 0);
+    evaluate(0, 1, 0);
   }
   lap(&times.evaluate_sec);
 
@@ -583,13 +608,15 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   lap(&times.apply_sec);
 
   // Drain the deferred trial-replica contributions (trial-partitioned)
-  // before publication reads the accumulators.
+  // before publication reads the accumulators. Nothing reads the rows'
+  // scratch after the apply phase; it is freed here so that the
+  // publication's time is its walk alone.
   FlushDeferredTrials();
+  row_scratch_.clear();
+  row_vals_.clear();
   lap(&times.flush_sec);
 
   const int rollback = PublishOutput(batch, scale, temp, stats);
-  row_scratch_.clear();
-  row_vals_.clear();
   lap(&times.publish_sec);
   return rollback;
 }

@@ -1,6 +1,7 @@
 #ifndef IOLAP_IOLAP_DELTA_ENGINE_H_
 #define IOLAP_IOLAP_DELTA_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -81,7 +82,9 @@ struct EngineOptions {
   bool apply_rewrite_rules = false;
   /// Worker threads for intra-batch parallelism (classification and
   /// per-trial re-evaluation of the non-deterministic set, bootstrap trial
-  /// accumulation). 0 = inline execution, no pool.
+  /// accumulation). 0 = inline execution, no pool. The driving thread runs
+  /// one lane of every parallel phase itself, so n workers make n + 1
+  /// lanes.
   /// Results are bit-identical for every value — parallel phases only
   /// *evaluate*; all state mutation happens in serial row/trial order (see
   /// docs/INTERNALS.md, "Parallelism model").
@@ -114,6 +117,21 @@ class BlockExecutor {
  public:
   /// Returned by ProcessBatch when no rollback is needed.
   static constexpr int kNoRollback = -2;
+
+  /// The rows lane `lane` of `lanes` evaluates in a batch evaluated in the
+  /// order [num_fresh fresh rows, num_pending rows of U]: the lane's
+  /// ThreadPool::Slice of the fresh rows, then of U, as [begin, end)
+  /// indices into that order. A row of U runs its epilogue once per
+  /// surviving trial, so every lane takes its share of U.
+  static std::array<std::pair<size_t, size_t>, 2> EvaluationSlices(
+      size_t num_fresh, size_t num_pending, size_t lanes, size_t lane) {
+    const auto [fresh_begin, fresh_end] =
+        ThreadPool::Slice(num_fresh, lanes, lane);
+    const auto [pending_begin, pending_end] =
+        ThreadPool::Slice(num_pending, lanes, lane);
+    return {{{fresh_begin, fresh_end},
+             {num_fresh + pending_begin, num_fresh + pending_end}}};
+  }
 
   /// `pool` (nullable, not owned) provides intra-batch parallelism; null
   /// runs every phase inline on the caller.
@@ -286,9 +304,9 @@ class BlockExecutor {
     double bound = 0.0;
   };
 
-  /// Per-row output of the parallel evaluation phase: with the row's slice
-  /// of row_vals_, everything the serial apply phase folds, so it evaluates
-  /// nothing itself.
+  /// Per-row output of the parallel evaluation phase: with the row's slices
+  /// of row_vals_, trial_w_ and trial_args_, everything the serial apply
+  /// phase folds, so it evaluates nothing itself.
   struct RowEval {
     IntervalTruth truth = IntervalTruth::kUndecided;
     /// Row routes to the non-deterministic path (undecided, or decided
@@ -296,21 +314,23 @@ class BlockExecutor {
     bool pending_route = false;
     /// Main (trial = -1) filter decision of a pending-routed row.
     bool main_pass = false;
+    /// Some trial of an aggregate block's pending row kept a nonzero
+    /// weight in trial_w_: the lane that wrote the weights decides it, so
+    /// the serial apply reads none of them.
+    bool any_trial = false;
     /// HashValues of the row's group key (aggregate blocks only), computed
     /// during the parallel evaluation phase so the serial apply phase
     /// probes the group maps without re-hashing.
     uint64_t key_hash = 0;
-    /// Per-trial surviving weight; 0 = multiplicity zero or filter failed
-    /// under that resample.
-    std::vector<double> trial_w;
-    /// Agg args per surviving trial, flattened [t * num_aggs + a].
-    std::vector<Value> trial_vals;
     std::vector<ConstraintOp> constraints;
   };
+  static_assert(sizeof(RowEval) ==
+                    2 * sizeof(uint64_t) + sizeof(std::vector<ConstraintOp>),
+                "RowEval's flags share the padding before key_hash");
 
   /// Deferred trial-replica contribution of a pending row to its group's
-  /// aggregates `accs[0..]`: values and weights differ per trial and live
-  /// in row_scratch_[eval_idx].
+  /// aggregates `accs[0..]`: arguments and weights differ per trial and
+  /// live in row `eval_idx`'s slices of trial_args_ and trial_w_.
   struct PendingTrialAdd {
     TrialAccumulatorSet* accs;
     uint32_t eval_idx;
@@ -335,11 +355,13 @@ class BlockExecutor {
   /// main pass (a deterministic filter's truth, the group key and the
   /// aggregate arguments, into `vals`, the row's slice of row_vals_) and —
   /// when the row routes to the non-deterministic path — its per-trial
-  /// filter/argument evaluations. Pure except for the OPT2-off
-  /// regeneration; safe to run concurrently per row. `prog_state` is the
-  /// caller's lane-private program scratch.
+  /// filter/argument evaluations, into `trial_w` and `trial_args`, its
+  /// slices of trial_w_ and trial_args_ (null unless trial_rows_). Pure
+  /// except for the OPT2-off regeneration; safe to run concurrently per
+  /// row. `prog_state` is the caller's lane-private program scratch.
   void EvaluateRow(ExecRow* row, bool charge_regeneration, RowEval* ev,
-                   Value* vals, ExprProgramState* prog_state) const;
+                   Value* vals, double* trial_w, TrialArg* trial_args,
+                   ExprProgramState* prog_state) const;
 
   /// `old_index` of a fresh row (one not in U before this batch).
   static constexpr size_t kFreshRow = SIZE_MAX;
@@ -410,6 +432,11 @@ class BlockExecutor {
   bool consumed_downstream_;
   bool feeds_join_;
   bool any_agg_arg_uncertain_ = false;
+  /// An aggregate block whose rows can take the pending route (its filter
+  /// is uncertain or an argument reads an uncertain value) and that has
+  /// bootstrap trials: its pending rows evaluate per trial into trial_w_
+  /// and trial_args_.
+  bool trial_rows_ = false;
   bool classification_disabled_ = false;
   bool pruning_disabled_ = false;
   bool rollback_injected_ = false;
@@ -430,8 +457,8 @@ class BlockExecutor {
   int arg_root_base_ = 0;  // root index of aggregate argument 0
   ProgramVerifierStats verifier_stats_;
   Status compile_status_;
-  /// Lane-private evaluation scratch, one per pool lane (index = the lane
-  /// argument ParallelRanges hands each range; inline mode uses lane 0).
+  /// Lane-private evaluation scratch, one per pool lane (the workers and
+  /// the driving thread; inline mode uses lane 0).
   std::vector<ExprProgramState> prog_states_;
   /// Scratch for proj_program_ (CurrentSpjOutput is const and serial).
   mutable ExprProgramState proj_state_;
@@ -481,12 +508,12 @@ class BlockExecutor {
   std::vector<double> publish_trials_;
   std::vector<double> publish_sd_;
 
-  // Per-batch scratch (cleared at the end of ProcessBatch; members only to
-  // reuse capacity across batches). Deferred records hold accumulator
-  // pointers, which are stable: GroupCells are heap nodes whose `aggs`
-  // vectors are sized once at creation, and GetOrCreate clones a node at
-  // most once per batch (its first write, which records the pre-image),
-  // before any deferred record points into it.
+  // Per-batch scratch (cleared after the trial flush, before the
+  // publication; members only to reuse capacity across batches). Deferred records hold
+  // accumulator pointers, which are stable: GroupCells are heap nodes whose
+  // `aggs` vectors are sized once at creation, and GetOrCreate clones a
+  // node at most once per batch (its first write, which records the
+  // pre-image), before any deferred record points into it.
   std::vector<RowEval> row_scratch_;
   /// Row i's group key, then its main aggregate arguments (a certain row's,
   /// or a main-passing pending row's), at [i * eval_width_, (i + 1) *
@@ -494,6 +521,14 @@ class BlockExecutor {
   /// its own.
   std::vector<Value> row_vals_;
   size_t eval_width_ = 0;  // group keys + aggregates (aggregate blocks)
+  /// A pending row i's surviving weight per trial, at [i * trials + t] (0:
+  /// multiplicity zero, or the filter failed under that resample), and its
+  /// unboxed arguments per trial, at [(i * trials + t) * aggs + a]. Flat
+  /// arrays by row like row_vals_, kept only when trial_rows_: the driving
+  /// thread grows them before the evaluation phase and keeps them across
+  /// batches, so no lane allocates per row and nothing is freed per row.
+  std::vector<double> trial_w_;
+  std::vector<TrialArg> trial_args_;
   DeferredTrialFolds deferred_certain_;
   std::vector<PendingTrialAdd> deferred_pending_;
 };

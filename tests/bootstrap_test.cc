@@ -72,7 +72,8 @@ void Fold(TrialAccumulatorSet* acc, const Value& v, double weight,
           const std::vector<int>& trial_weights) {
   acc->AddMainOnly(v, weight);
   for (size_t t = 0; t < trial_weights.size(); ++t) {
-    acc->AddTrialOnly(static_cast<int>(t), v, weight * trial_weights[t]);
+    acc->AddTrialOnly(static_cast<int>(t), TrialArg::Of(v),
+                      weight * trial_weights[t]);
   }
 }
 
@@ -99,9 +100,10 @@ TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
   TrialAccumulatorSet acc(Aggregate("avg"), 2);
   // main value 10; trial replicas 8 and 12.
   acc.AddMainOnly(Value::Double(10), 1.0);
-  acc.AddTrialOnly(0, Value::Double(8), 1.0);
-  acc.AddTrialOnly(1, Value::Double(12), 1.0);
-  acc.AddTrialOnly(1, Value::Double(99), 0.0);  // a zero weight is skipped
+  acc.AddTrialOnly(0, TrialArg::Of(Value::Double(8)), 1.0);
+  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(12)), 1.0);
+  // A zero weight is skipped.
+  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(99)), 0.0);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 8.0);
@@ -111,7 +113,7 @@ TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
 TEST(TrialAccumulatorTest, AddMainOnlyAndTrialOnly) {
   TrialAccumulatorSet acc(Aggregate("sum"), 2);
   acc.AddMainOnly(Value::Double(5), 1.0);
-  acc.AddTrialOnly(1, Value::Double(7), 1.0);
+  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(7)), 1.0);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 5.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 5.0);  // empty -> main fallback
@@ -163,7 +165,8 @@ TEST(TrialAccumulatorTest, ZeroWeightNeverFolds) {
       // Pending-row path: one value per trial with its own weight.
       TrialAccumulatorSet pending = absent.Clone();
       for (int t = 0; t < kTrials; ++t) {
-        pending.AddTrialOnly(t, Value::Double(special), trial_weights[t]);
+        pending.AddTrialOnly(t, TrialArg::Of(Value::Double(special)),
+                             trial_weights[t]);
       }
       // Certain-row path: the flush's record and Poisson weights.
       TrialAccumulatorSet certain = absent.Clone();

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -228,6 +230,90 @@ TEST(ThreadPoolTest, ParallelRangesInlineUsesLaneZero) {
     EXPECT_EQ(lane, 0u);
   });
   EXPECT_EQ(calls, 1u);
+}
+
+TEST(ThreadPoolTest, CallerRunsLaneZero) {
+  ThreadPool pool(3);
+  ASSERT_EQ(pool.num_lanes(), 4u);
+  const std::thread::id caller = std::this_thread::get_id();
+  // Below, at and above the lane count.
+  for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                       size_t{7}, size_t{1001}}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    std::vector<std::atomic<int>> hits(count);
+    std::vector<std::atomic<int>> lane_runs(pool.num_lanes());
+    std::atomic<bool> lane0_on_caller{false};
+    std::atomic<bool> worker_lane_on_caller{false};
+    pool.ParallelRanges(count, [&](size_t begin, size_t end, size_t lane) {
+      ASSERT_LT(lane, pool.num_lanes());
+      lane_runs[lane].fetch_add(1);
+      const bool on_caller = std::this_thread::get_id() == caller;
+      if (lane == 0) {
+        lane0_on_caller = on_caller;
+        EXPECT_EQ(begin, 0u);
+      } else if (on_caller) {
+        worker_lane_on_caller = true;
+      }
+      for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_TRUE(lane0_on_caller.load());
+    EXPECT_FALSE(worker_lane_on_caller.load());
+    // min(count, lanes) lanes, each run once.
+    for (size_t lane = 0; lane < pool.num_lanes(); ++lane) {
+      EXPECT_EQ(lane_runs[lane].load(), lane < count ? 1 : 0) << lane;
+    }
+  }
+  EXPECT_EQ(ThreadPool(0).num_lanes(), 1u);
+}
+
+TEST(ThreadPoolTest, SliceSharesEvenly) {
+  for (size_t lanes : {size_t{1}, size_t{3}, size_t{4}}) {
+    for (size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                         size_t{10}, size_t{1001}}) {
+      size_t next = 0;
+      for (size_t lane = 0; lane < lanes; ++lane) {
+        const auto [begin, end] = ThreadPool::Slice(count, lanes, lane);
+        EXPECT_EQ(begin, next);
+        EXPECT_GE(end - begin, count / lanes);
+        EXPECT_LE(end - begin, (count + lanes - 1) / lanes);
+        next = end;
+      }
+      EXPECT_EQ(next, count);
+    }
+  }
+}
+
+TEST(ThreadPoolTest, CallerLaneErrorWaitsForWorkerLanes) {
+  // The caller's own lane throws while the worker lanes still run: the call
+  // must not rethrow before every worker range has finished, because the
+  // ranges' completion latch lives on the caller's stack.
+  ThreadPool pool(3);
+  std::atomic<bool> thrown{false};
+  std::vector<std::atomic<int>> finished(pool.num_lanes());
+  EXPECT_THROW(
+      pool.ParallelRanges(pool.num_lanes(),
+                          [&](size_t, size_t, size_t lane) {
+                            if (lane == 0) {
+                              thrown = true;
+                              throw std::runtime_error("caller lane");
+                            }
+                            while (!thrown.load()) std::this_thread::yield();
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(20));
+                            finished[lane].fetch_add(1);
+                          }),
+      std::runtime_error);
+  for (size_t lane = 1; lane < pool.num_lanes(); ++lane) {
+    EXPECT_EQ(finished[lane].load(), 1) << lane;
+  }
+  // The pool still works, and the error does not leak into the next call.
+  std::atomic<size_t> covered{0};
+  EXPECT_NO_THROW(pool.ParallelRanges(
+      100, [&](size_t begin, size_t end, size_t) {
+        covered.fetch_add(end - begin);
+      }));
+  EXPECT_EQ(covered.load(), 100u);
 }
 
 TEST(ThreadPoolTest, ParallelRangesRethrowsFirstTaskException) {

@@ -11,10 +11,13 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/random.h"
 #include "exec/reference.h"
+#include "iolap/delta_engine.h"
 #include "iolap/query_controller.h"
 #include "iolap/session.h"
 #include "plan/plan_builder.h"
@@ -837,6 +840,41 @@ void ExpectBitIdentical(const RunFingerprint& a, const RunFingerprint& b,
   }
 }
 
+// The evaluation phase hands lane k the k-th slice of the fresh rows and
+// the k-th slice of U, so U's rows, which run per trial, spread over every
+// lane instead of landing on the last ones.
+TEST(EvaluationSplitTest, EveryRowOnceAndUSharedEvenly) {
+  for (size_t lanes : {size_t{1}, size_t{2}, size_t{4}}) {
+    for (const auto& [fresh, pending] :
+         std::vector<std::pair<size_t, size_t>>{
+             {0, 0}, {0, 5}, {3, 0}, {1, 1}, {3200, 7}, {2, 9000},
+             {3200, 41235}}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + " fresh " +
+                   std::to_string(fresh) + " pending " +
+                   std::to_string(pending));
+      std::vector<int> seen(fresh + pending, 0);
+      for (size_t lane = 0; lane < lanes; ++lane) {
+        const auto slices =
+            BlockExecutor::EvaluationSlices(fresh, pending, lanes, lane);
+        ASSERT_LE(slices[0].first, slices[0].second);
+        ASSERT_LE(slices[0].second, fresh);
+        ASSERT_LE(fresh, slices[1].first);
+        ASSERT_LE(slices[1].first, slices[1].second);
+        ASSERT_LE(slices[1].second, fresh + pending);
+        for (const auto& [begin, end] : slices) {
+          for (size_t i = begin; i < end; ++i) ++seen[i];
+        }
+        const size_t u_share = slices[1].second - slices[1].first;
+        EXPECT_GE(u_share, pending / lanes) << "lane " << lane;
+        EXPECT_LE(u_share, (pending + lanes - 1) / lanes) << "lane " << lane;
+      }
+      for (size_t i = 0; i < seen.size(); ++i) {
+        ASSERT_EQ(seen[i], 1) << "row " << i;
+      }
+    }
+  }
+}
+
 // The tentpole invariant: results are bit-identical regardless of thread
 // count. The parallel phases only evaluate; all accumulation and constraint
 // registration replays in serial row/trial order, and bootstrap weights are
@@ -877,12 +915,16 @@ TEST(ParallelDeterminismTest, ThreadCountDoesNotChangeResults) {
 
     const RunFingerprint inline_run = run(0);
     const RunFingerprint one_thread = run(1);
+    // perfbench's shape: 3 workers and the caller, 4 lanes.
+    const RunFingerprint three_threads = run(3);
     const RunFingerprint four_threads = run(4);
     ASSERT_EQ(inline_run.partial_rows.size(), 6u);
     const char* shape_name =
         shape == QueryShape::kSbi ? "sbi" : "grouped_spja";
     ExpectBitIdentical(inline_run, one_thread,
                        std::string(shape_name) + " threads 0 vs 1");
+    ExpectBitIdentical(inline_run, three_threads,
+                       std::string(shape_name) + " threads 0 vs 3");
     ExpectBitIdentical(inline_run, four_threads,
                        std::string(shape_name) + " threads 0 vs 4");
   }

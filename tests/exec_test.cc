@@ -271,7 +271,7 @@ TEST(GroupedAggregateTest, RunningByteSizeMatchesRecount) {
   state.GetOrCreate({Value::Int64(0)}, 1).aggs[0].AddMainOnly(
       Value::String("abcdef"), 1.0);
   state.GetOrCreate({Value::Int64(9)}, 1).aggs[0].AddTrialOnly(
-      1, Value::String("bb"), 1.0);
+      1, TrialArg::Of(Value::String("bb")), 1.0);
   const size_t before = state.ByteSize();
   state.Seal();
   EXPECT_EQ(state.ByteSize(), RecountBytes(state));
@@ -300,7 +300,7 @@ TEST(GroupedAggregateTest, UndoHoldsPreImagesOfWrittenGroupsOnly) {
   for (int g = 0; g < kGroups; ++g) {
     auto& cells = state.GetOrCreate({Value::Int64(g)}, 0);
     cells.aggs[0].AddMainOnly(Value::Double(g), 1.0);
-    cells.aggs[0].AddTrialOnly(g % 3, Value::Double(g), 2.0);
+    cells.aggs[0].AddTrialOnly(g % 3, TrialArg::Of(Value::Double(g)), 2.0);
   }
   EXPECT_TRUE(state.Seal().pre_images.empty());
   const auto before = Contents(state);

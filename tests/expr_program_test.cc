@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -86,6 +87,17 @@ bool BitEqual(const Value& a, const Value& b) {
       return a.str() == b.str();
   }
   return false;
+}
+
+// An unboxed trial argument equals TrialArg::Of(`want`): the same type and
+// the same AsDouble() bits, all a trial fold reads.
+bool BitEqual(const TrialArg& got, const Value& want) {
+  const TrialArg expect = TrialArg::Of(want);
+  uint64_t xb = 0;
+  uint64_t yb = 0;
+  std::memcpy(&xb, &got.x, sizeof(got.x));
+  std::memcpy(&yb, &expect.x, sizeof(expect.x));
+  return got.type == expect.type && xb == yb;
 }
 
 std::string Describe(const Value& v) {
@@ -736,10 +748,12 @@ TEST(ExprProgramTest, EvalTrialsMatchesPerTrialLoop) {
     std::vector<double> w(trials);
     for (int t = 0; t < trials; ++t) w[t] = t % 3 == 0 ? 0.0 : 1.0 + t;
     const std::vector<double> w_in = w;
-    std::vector<Value> vals(static_cast<size_t>(trials) * 2);
-    program->EvalTrials(&state, row, trials, /*pred_root=*/0,
-                                    /*first_val_root=*/1, 2, w.data(),
-                                    vals.data());
+    std::vector<TrialArg> vals(static_cast<size_t>(trials) * 2);
+    const bool any = program->EvalTrials(&state, row, trials, /*pred_root=*/0,
+                                         /*first_val_root=*/1, 2, w.data(),
+                                         vals.data());
+    EXPECT_EQ(any, std::any_of(w.begin(), w.end(),
+                               [](double x) { return x != 0.0; }));
     for (int t = 0; t < trials; ++t) {
       const EvalContext ctx = h.Ctx(t);
       if (w_in[t] == 0.0) {
@@ -1032,9 +1046,9 @@ TEST(ExprProgramFuzzTest, CompiledBitIdenticalToInterpreter) {
       // The engine's batched entry point, with the bool root as the filter.
       std::vector<double> w(trials, 1.0);
       const size_t num_vals = roots.size() - 1;
-      std::vector<Value> vals(static_cast<size_t>(trials) * num_vals);
-      program->EvalTrials(&state, row, trials, 0, 1, num_vals,
-                                      w.data(), vals.data());
+      std::vector<TrialArg> vals(static_cast<size_t>(trials) * num_vals);
+      program->EvalTrials(&state, row, trials, 0, 1, num_vals, w.data(),
+                          vals.data());
       for (int t = 0; t < trials; ++t) {
         const EvalContext ctx = h.Ctx(t);
         const bool pass = roots[0]->Eval(row, ctx).IsTruthy();
@@ -1167,6 +1181,8 @@ TEST(ExprProgramEngineTest, ThreadCountBitIdenticalOnWorkloads) {
     const RunFingerprint inline_run = run(0);
     ASSERT_EQ(inline_run.partial_rows.size(), 4u) << c.name;
     ExpectBitIdentical(inline_run, run(1), c.name + " t1");
+    // perfbench's shape: 3 workers and the caller, 4 lanes.
+    ExpectBitIdentical(inline_run, run(3), c.name + " t3");
     ExpectBitIdentical(inline_run, run(4), c.name + " t4");
   }
 }

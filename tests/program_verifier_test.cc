@@ -702,9 +702,9 @@ TEST(ProgramVerifierSweepTest, AcceptedFieldFlipsRunWithoutFault) {
             p->Bind(&st, row, &resolver, kTrials);
             double w[kTrials];
             std::fill(w, w + kTrials, 1.0);
-            Value vals[kTrials * 2];
+            TrialArg args[kTrials * 2];
             p->EvalTrials(&st, row, kTrials, /*pred_root=*/0,
-                          /*first_val_root=*/1, /*num_val_roots=*/2, w, vals);
+                          /*first_val_root=*/1, /*num_val_roots=*/2, w, args);
           }
         }
       }
