@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "bootstrap/error_estimate.h"
 #include "bootstrap/poisson_multiplicities.h"
@@ -175,10 +178,22 @@ std::vector<const AggregateFunction*> RowAggregates(
 
 constexpr int kRowsPerFlush = 256;
 
+// A batch of streamed rows' weights per trial, as the evaluate phase writes
+// them: row r's real Poisson weights at [r * trials, (r + 1) * trials).
+void StreamedWeights(const BootstrapWeights& bootstrap, uint64_t first_uid,
+                     double* w) {
+  const int trials = bootstrap.num_trials();
+  for (int r = 0; r < kRowsPerFlush; ++r) {
+    for (int t = 0; t < trials; ++t) {
+      w[r * trials + t] = 1.0 * bootstrap.WeightAt(first_uid + r, t);
+    }
+  }
+}
+
 // Folding tuples into a sketch across all bootstrap trials, as the engine
-// does: AddMainOnly per aggregate in the apply phase, then the deferred
-// trial flush (DeferredTrialFolds) with real Poisson weights over a batch of
-// rows. Args: trials, aggregates per row. Items are rows.
+// does: the rows' weights per trial and AddMainOnly per aggregate, then
+// the trial flush (FoldRowTrials, main arguments) over a batch of rows.
+// Args: trials, aggregates per row. Items are rows.
 void BM_TrialAccumulate(benchmark::State& state) {
   const int trials = static_cast<int>(state.range(0));
   const int num_aggs = static_cast<int>(state.range(1));
@@ -188,19 +203,22 @@ void BM_TrialAccumulate(benchmark::State& state) {
     accs.emplace_back(*fn, trials);
   }
   const BootstrapWeights bootstrap(42, trials);
-  DeferredTrialFolds folds;
-  const Value v = Value::Double(3.25);
+  std::vector<double> w(static_cast<size_t>(kRowsPerFlush) * trials);
+  std::vector<TrialWeight> scratch(static_cast<size_t>(trials));
+  const std::vector<Value> args(static_cast<size_t>(num_aggs),
+                                Value::Double(3.25));
   uint64_t uid = 0;
   for (auto _ : state) {
+    StreamedWeights(bootstrap, uid, w.data());
+    uid += kRowsPerFlush;
     for (int r = 0; r < kRowsPerFlush; ++r) {
-      folds.AddRow(accs.data(), uid++, 1.0, /*from_stream=*/true);
-      for (int a = 0; a < num_aggs; ++a) {
-        accs[a].AddMainOnly(v, 1.0);
-        folds.AddArg(static_cast<uint32_t>(a), v);
-      }
+      for (int a = 0; a < num_aggs; ++a) accs[a].AddMainOnly(args[a], 1.0);
     }
-    folds.FoldTrials(bootstrap, 0, trials);
-    folds.Clear();
+    for (int r = 0; r < kRowsPerFlush; ++r) {
+      FoldRowTrials(accs.data(), accs.size(), args.data(), nullptr,
+                    w.data() + static_cast<size_t>(r) * trials, 0, trials,
+                    scratch.data());
+    }
     benchmark::DoNotOptimize(accs.data());
     benchmark::ClobberMemory();
   }
@@ -235,9 +253,10 @@ BENCHMARK(BM_EstimateError)
     ->Args({100, 0})
     ->Args({100, 1});
 
-// Incremental hash-join probe (dimension-cache lookup).
+// Incremental hash-join probe (dimension-cache lookup) by a prefix row,
+// whose join column 0 is the key.
 void BM_JoinProbe(benchmark::State& state) {
-  JoinStep step({0}, {0}, /*input_grows=*/false, /*prefix_grows=*/true);
+  JoinStep step({0}, {0}, /*input_grows=*/false);
   RowBatch dim;
   for (int i = 0; i < 1000; ++i) {
     ExecRow row;
@@ -248,15 +267,16 @@ void BM_JoinProbe(benchmark::State& state) {
   step.ProcessBatch({}, dim, &out);
   int64_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(step.ProbeCount({Value::Int64(key % 1000)}));
+    benchmark::DoNotOptimize(step.ProbeCount(dim[key % 1000]));
     ++key;
   }
 }
 BENCHMARK(BM_JoinProbe);
 
-// Group lookup + accumulate in the grouped sketch over 64 groups: the main
-// values in the apply phase, then the deferred trial flush with real
-// Poisson weights over 20 trials. Arg: aggregates per row. Items are rows.
+// Group lookup + accumulate in the grouped sketch over 64 groups: the rows'
+// weights per trial, the main values in the apply phase, then the trial
+// flush (FoldRowTrials) with real Poisson weights over 20 trials. Arg:
+// aggregates per row. Items are rows.
 void BM_GroupedAggregate(benchmark::State& state) {
   constexpr int kTrials = 20;
   const int num_aggs = static_cast<int>(state.range(0));
@@ -267,21 +287,26 @@ void BM_GroupedAggregate(benchmark::State& state) {
   }
   GroupedAggregateState groups(&specs, kTrials);
   const BootstrapWeights bootstrap(42, kTrials);
-  DeferredTrialFolds folds;
-  const Value v = Value::Double(1.5);
+  std::vector<double> w(kRowsPerFlush * kTrials);
+  std::vector<TrialWeight> scratch(kTrials);
+  std::vector<TrialAccumulatorSet*> row_accs(kRowsPerFlush);
+  const std::vector<Value> args(static_cast<size_t>(num_aggs),
+                                Value::Double(1.5));
   uint64_t uid = 0;
   for (auto _ : state) {
+    StreamedWeights(bootstrap, uid, w.data());
     for (int r = 0; r < kRowsPerFlush; ++r) {
-      auto& cells =
-          groups.GetOrCreate({Value::Int64(static_cast<int64_t>(uid % 64))}, 0);
-      folds.AddRow(cells.aggs.data(), uid++, 1.0, /*from_stream=*/true);
+      const int64_t group = static_cast<int64_t>(uid++ % 64);
+      auto& cells = groups.GetOrCreate({Value::Int64(group)}, 0);
+      row_accs[r] = cells.aggs.data();
       for (int a = 0; a < num_aggs; ++a) {
-        cells.aggs[a].AddMainOnly(v, 1.0);
-        folds.AddArg(static_cast<uint32_t>(a), v);
+        cells.aggs[a].AddMainOnly(args[a], 1.0);
       }
     }
-    folds.FoldTrials(bootstrap, 0, kTrials);
-    folds.Clear();
+    for (int r = 0; r < kRowsPerFlush; ++r) {
+      FoldRowTrials(row_accs[r], args.size(), args.data(), nullptr,
+                    w.data() + r * kTrials, 0, kTrials, scratch.data());
+    }
     benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(groups.num_groups());
@@ -398,9 +423,20 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 }  // namespace iolap
 
 int main(int argc, char** argv) {
+  // --benchmark_context=key=value,... heads the console output and becomes
+  // BENCH_micro.json's "context" row, so a snapshot can record the build
+  // type, nproc and git sha it was taken with.
+  std::string context;
+  const std::string flag = "--benchmark_context=";
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]).starts_with(flag)) {
+      context = std::string(argv[i]).substr(flag.size());
+    }
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   iolap::bench::JsonWriter json("BENCH_micro.json");
+  if (!context.empty()) json.SetContext(context);
   iolap::JsonTeeReporter reporter(&json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -32,6 +32,8 @@
 //   "recoveries", "max_rollback_depth", "full_restarts",
 //   "corrupt_checkpoints", "injected_faults", "frozen_replay_batches",
 //   "recoveries_exhausted", "degraded"
+// A "context" row, when a bench sets one, records the run's key=value
+// context (build type, nproc, git sha) as string members.
 
 namespace iolap {
 namespace bench {
@@ -75,6 +77,25 @@ class JsonWriter {
     rows_.push_back(std::move(e));
   }
 
+  /// Sets the "context" row from comma-separated key=value pairs, the
+  /// syntax of google-benchmark's --benchmark_context.
+  void SetContext(const std::string& pairs) {
+    std::string members;
+    size_t begin = 0;
+    while (begin < pairs.size()) {
+      size_t end = pairs.find(',', begin);
+      if (end == std::string::npos) end = pairs.size();
+      const std::string pair = pairs.substr(begin, end - begin);
+      const size_t eq = pair.find('=');
+      if (eq != std::string::npos) {
+        members += ", \"" + Escaped(pair.substr(0, eq)) + "\": \"" +
+                   Escaped(pair.substr(eq + 1)) + "\"";
+      }
+      begin = end + 1;
+    }
+    context_ = "  {\"name\": \"context\"" + members + "}";
+  }
+
   /// Writes the file; returns false (and prints to stderr) on I/O failure.
   /// Rows already on disk whose name is not being re-emitted survive the
   /// rewrite verbatim, so bench binaries sharing one file never clobber
@@ -87,8 +108,12 @@ class JsonWriter {
       return false;
     }
     std::fprintf(f, "[\n");
-    const size_t total = kept.size() + rows_.size();
+    const size_t total = kept.size() + rows_.size() + !context_.empty();
     size_t written = 0;
+    if (!context_.empty()) {
+      ++written;
+      std::fprintf(f, "%s%s\n", context_.c_str(), written < total ? "," : "");
+    }
     for (const std::string& line : kept) {
       ++written;
       std::fprintf(f, "%s%s\n", line.c_str(), written < total ? "," : "");
@@ -172,7 +197,8 @@ class JsonWriter {
         }
       }
       if (!closed) continue;
-      bool replaced = false;
+      // A context row describes one run: the last writer's replaces it.
+      bool replaced = name == "context";
       for (const Entry& e : rows_) replaced = replaced || e.name == name;
       if (replaced) continue;
       if (!line.empty() && line.back() == ',') line.pop_back();
@@ -194,6 +220,7 @@ class JsonWriter {
 
   std::string path_;
   std::vector<Entry> rows_;
+  std::string context_;  // the "context" row's line, empty when unset
 };
 
 /// Input tuples folded in across all batches of a run (the denominator of

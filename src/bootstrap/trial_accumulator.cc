@@ -28,13 +28,6 @@ void TrialAccumulatorSet::AddMainOnly(const Value& v, double weight) {
   AddMoments(v, weight);
 }
 
-void TrialAccumulatorSet::AddTrialOnly(int trial, TrialArg arg,
-                                       double weight) {
-  if (weight == 0.0 || arg.type == ValueType::kNull) return;
-  state_->fold(trials_.data() + static_cast<size_t>(trial) * state_->width,
-               arg.x, arg.type, weight);
-}
-
 void TrialAccumulatorSet::Merge(const TrialAccumulatorSet& other) {
   main_->Merge(*other.main_);
   m_n_ += other.m_n_;
@@ -79,42 +72,30 @@ size_t TrialAccumulatorSet::ByteSize() const {
   return main_->ByteSize() + trials_.size() * sizeof(double);
 }
 
-void DeferredTrialFolds::AddRow(TrialAccumulatorSet* accs, uint64_t uid,
-                                double weight, bool from_stream) {
-  rows_.push_back({accs, uid, weight, from_stream,
-                   static_cast<uint32_t>(args_.size())});
-}
-
-void DeferredTrialFolds::AddArg(uint32_t agg, const Value& v) {
-  if (v.is_null()) return;
-  args_.push_back({v.AsDouble(), agg, v.type()});
-  rows_.back().args_end = static_cast<uint32_t>(args_.size());
-}
-
-void DeferredTrialFolds::Clear() {
-  rows_.clear();
-  args_.clear();
-}
-
-void DeferredTrialFolds::FoldTrials(const BootstrapWeights& bootstrap,
-                                    int begin, int end) const {
-  std::vector<TrialWeight> weights(static_cast<size_t>(end - begin));
-  uint32_t arg = 0;
-  for (const Row& row : rows_) {
-    // The row's nonzero weights over the range, compacted without a
-    // branch: every slot is written, and the count advances only past a
-    // nonzero one.
-    size_t n = 0;
-    for (int t = begin; t < end; ++t) {
-      const double w =
-          row.from_stream ? row.weight * bootstrap.WeightAt(row.uid, t)
-                          : row.weight;
-      weights[n] = {t, w};
-      n += w != 0.0;
+void FoldRowTrials(TrialAccumulatorSet* accs, size_t num_aggs,
+                   const Value* args, const TrialArg* trial_args,
+                   const double* w, int begin, int end,
+                   TrialWeight* scratch) {
+  // The nonzero weights, compacted without a branch: every slot is
+  // written, and the count advances only past a nonzero one.
+  size_t n = 0;
+  for (int t = begin; t < end; ++t) {
+    scratch[n] = {t, w[t]};
+    n += w[t] != 0.0;
+  }
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (trial_args == nullptr) {
+      if (!args[a].is_null()) {
+        accs[a].FoldTrials(scratch, n, args[a].AsDouble(), args[a].type());
+      }
+      continue;
     }
-    for (; arg < row.args_end; ++arg) {
-      const Arg& a = args_[arg];
-      row.accs[a.agg].FoldTrials(weights.data(), n, a.x, a.type);
+    for (size_t i = 0; i < n; ++i) {
+      const TrialArg& arg =
+          trial_args[static_cast<size_t>(scratch[i].trial) * num_aggs + a];
+      if (arg.type != ValueType::kNull) {
+        accs[a].FoldTrials(scratch + i, 1, arg.x, arg.type);
+      }
     }
   }
 }

@@ -1,11 +1,10 @@
 #ifndef IOLAP_BOOTSTRAP_TRIAL_ACCUMULATOR_H_
 #define IOLAP_BOOTSTRAP_TRIAL_ACCUMULATOR_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "bootstrap/poisson_multiplicities.h"
 #include "core/function_registry.h"
 #include "core/value.h"
 
@@ -23,15 +22,11 @@ class TrialAccumulatorSet {
   /// `fn` must outlive the set, as a registry's definitions do.
   TrialAccumulatorSet(const AggregateFunction& fn, int num_trials);
 
-  /// The per-tuple fold, in two halves: the main accumulator takes the
-  /// value with its plain multiplicity `weight`, and trial t takes its
-  /// unboxed trial-t argument with the trial-t multiplicity (a zero weight
-  /// and a NULL argument are skipped). The delta engine folds main values
-  /// in the serial apply phase and trial arguments in the deferred trial
-  /// flush; a row whose filter decision differs per bootstrap trial (§5)
-  /// reaches only the trials that keep it.
+  /// The main half of the per-tuple fold: the main accumulator takes the
+  /// value with its plain multiplicity `weight`. The delta engine folds
+  /// main values in the serial apply phase and the trials in the deferred
+  /// trial flush (FoldRowTrials).
   void AddMainOnly(const Value& v, double weight);
-  void AddTrialOnly(int trial, TrialArg arg, double weight);
 
   /// Folds one non-NULL argument (`x` its AsDouble(), `type` its type) into
   /// every trial listed in `weights`, whose weights are nonzero: the
@@ -74,50 +69,20 @@ class TrialAccumulatorSet {
   double m_sumsq_ = 0.0;
 };
 
-/// The deferred trial fold of certain rows: rows whose every trial takes
-/// the main argument values, weighted by the row's bootstrap multiplicity.
-/// A row is recorded once, with its unboxed non-NULL arguments; FoldTrials
-/// then folds the recorded rows into a range of trials.
-class DeferredTrialFolds {
- public:
-  /// Starts a row whose aggregates fold into `accs[0..]` (one set per
-  /// aggregate of its group), with plain multiplicity `weight`. A row of
-  /// the streamed relation (`from_stream`) is reweighted per trial by its
-  /// Poisson multiplicity; any other row weighs `weight` in every trial.
-  void AddRow(TrialAccumulatorSet* accs, uint64_t uid, double weight,
-              bool from_stream);
-  /// Records aggregate `agg`'s argument of the last row; NULL is dropped.
-  void AddArg(uint32_t agg, const Value& v);
-
-  bool empty() const { return rows_.empty(); }
-  void Clear();
-
-  /// Folds every recorded row, in record order, into trials [begin, end)
-  /// of its accumulators. Each row's weights over the range are computed
-  /// once and shared by its aggregates; zero weights never fold (0 × inf is
-  /// NaN). Calls over disjoint trial ranges touch disjoint state, so they
-  /// may run concurrently.
-  void FoldTrials(const BootstrapWeights& bootstrap, int begin,
-                  int end) const;
-
- private:
-  struct Row {
-    TrialAccumulatorSet* accs;
-    uint64_t uid;
-    double weight;
-    bool from_stream;
-    /// One past this row's last entry in args_.
-    uint32_t args_end;
-  };
-  struct Arg {
-    double x;
-    uint32_t agg;
-    ValueType type;
-  };
-
-  std::vector<Row> rows_;
-  std::vector<Arg> args_;
-};
+/// The per-tuple trial fold: folds one row into trials [begin, end) of its
+/// group's aggregates, `accs[0, num_aggs)`. `w[t]` is the row's
+/// multiplicity in trial t: its plain weight, times its Poisson weight if
+/// it is streamed, and 0 in a trial whose filter the row fails. The
+/// nonzero weights over the range are compacted into `scratch` (room for
+/// end - begin) once and shared by the aggregates, so a zero weight never
+/// folds (0 × inf is NaN). Aggregate a takes `args[a]` in every trial, or,
+/// when `trial_args` is not null, `trial_args[t * num_aggs + a]` in trial
+/// t (an argument that reads an uncertain value differs per trial). NULL
+/// arguments are skipped. Calls over disjoint trial ranges touch disjoint
+/// state, so they may run concurrently.
+void FoldRowTrials(TrialAccumulatorSet* accs, size_t num_aggs,
+                   const Value* args, const TrialArg* trial_args,
+                   const double* w, int begin, int end, TrialWeight* scratch);
 
 }  // namespace iolap
 

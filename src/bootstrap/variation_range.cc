@@ -5,37 +5,28 @@
 
 namespace iolap {
 
-namespace {
-
-// Envelope [min, max] and stddev of the replicas (the running value is
-// included so it can never silently escape).
-struct Envelope {
-  double lo;
-  double hi;
-  double stddev;
-};
-
-Envelope ComputeEnvelope(double value, const std::vector<double>& trials) {
+Envelope ReplicaEnvelope(double value, const double* trials, size_t n) {
   Envelope env{value, value, 0.0};
-  if (trials.empty()) return env;
   double sum = 0.0;
-  for (double t : trials) {
-    env.lo = std::min(env.lo, t);
-    env.hi = std::max(env.hi, t);
-    sum += t;
+  for (size_t t = 0; t < n; ++t) {
+    env.lo = std::min(env.lo, trials[t]);
+    env.hi = std::max(env.hi, trials[t]);
+    sum += trials[t];
   }
-  const double mean = sum / trials.size();
-  double ss = 0.0;
-  for (double t : trials) ss += (t - mean) * (t - mean);
-  env.stddev = trials.size() > 1 ? std::sqrt(ss / (trials.size() - 1)) : 0.0;
+  if (n > 1) {
+    const double mean = sum / static_cast<double>(n);
+    double ss = 0.0;
+    for (size_t t = 0; t < n; ++t) {
+      ss += (trials[t] - mean) * (trials[t] - mean);
+    }
+    env.stddev = std::sqrt(ss / static_cast<double>(n - 1));
+  }
   return env;
 }
 
-}  // namespace
-
 VariationRangeTracker::UpdateResult VariationRangeTracker::Update(
     double value, const std::vector<double>& trials) {
-  const Envelope env = ComputeEnvelope(value, trials);
+  const Envelope env = ReplicaEnvelope(value, trials.data(), trials.size());
   return UpdateEnvelope(value, env.lo, env.hi, env.stddev);
 }
 

@@ -1,12 +1,28 @@
 #ifndef IOLAP_BOOTSTRAP_VARIATION_RANGE_H_
 #define IOLAP_BOOTSTRAP_VARIATION_RANGE_H_
 
+#include <cstddef>
 #include <limits>
 #include <vector>
 
 #include "core/interval.h"
 
 namespace iolap {
+
+/// The envelope of one batch's bootstrap replicas: [lo, hi] spans the
+/// replicas and the running value (so the value can never silently escape
+/// it), and `stddev` is the replicas' sample standard deviation (0 with
+/// fewer than two).
+struct Envelope {
+  double lo;
+  double hi;
+  double stddev;
+};
+
+/// The envelope of `value` and its replicas `trials[0, n)`. The registry's
+/// publication stores it for every bootstrap value, so it is the one
+/// definition every later range and verdict reads.
+Envelope ReplicaEnvelope(double value, const double* trials, size_t n);
 
 /// Tracks the variation range R(u) of one uncertain aggregate value across
 /// mini-batches (§5.1), refined with *decision constraints*.
@@ -46,7 +62,8 @@ class VariationRangeTracker {
     int last_consistent_batch = -1;
   };
 
-  /// Folds the batch's replicas (`trials` + the running `value`).
+  /// Folds the batch's replicas (`trials` + the running `value`): their
+  /// ReplicaEnvelope through UpdateEnvelope.
   UpdateResult Update(double value, const std::vector<double>& trials);
 
   /// Same, from a precomputed envelope (min/max/stddev of the replicas) —

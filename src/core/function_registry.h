@@ -178,9 +178,9 @@ struct ScalarFunction {
 Value CallBoxed(const ScalarFunction& fn, const Value* args, size_t n,
                 ValueType type);
 
-/// One nonzero multiplicity of a row in one bootstrap trial: the deferred
-/// trial flush computes a row's weights once and folds each of its
-/// aggregates over them.
+/// One nonzero multiplicity of a row in one bootstrap trial: the trial
+/// flush compacts a row's weights once and folds each of its aggregates
+/// over them (FoldRowTrials).
 struct TrialWeight {
   int trial;
   double weight;

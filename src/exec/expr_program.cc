@@ -580,6 +580,7 @@ bool ExprProgram::EvalTrials(ExprProgramState* st, const Row& row,
       continue;
     }
     any = true;
+    if (out_args == nullptr) continue;
     for (size_t a = 0; a < num_val_roots; ++a) {
       out_args[static_cast<size_t>(t) * num_val_roots + a] =
           RootArg(*st, static_cast<size_t>(first_val_root) + a);

@@ -122,9 +122,12 @@ class ExprProgram {
   /// Batched per-trial evaluation of the engine's hot loop. For every trial
   /// t in [0, num_trials) with w[t] != 0: runs the epilogue, zeroes w[t] if
   /// root `pred_root` is not truthy (pass pred_root = -1 for no filter),
-  /// otherwise stores roots [first_val_root, first_val_root + num_val_roots),
-  /// unboxed (RootArg), into out_args[t * num_val_roots + a]. Returns true
-  /// when some w[t] is nonzero afterwards.
+  /// otherwise, when `out_args` is not null, stores roots [first_val_root,
+  /// first_val_root + num_val_roots), unboxed (RootArg), into
+  /// out_args[t * num_val_roots + a]. The delta engine passes `out_args`
+  /// only where an aggregate argument reads an uncertain value; elsewhere
+  /// every trial folds the main pass's arguments. Returns true when some
+  /// w[t] is nonzero afterwards.
   bool EvalTrials(ExprProgramState* state, const Row& row, int num_trials,
                   int pred_root, int first_val_root, size_t num_val_roots,
                   double* w, TrialArg* out_args) const;

@@ -36,19 +36,10 @@ Row InputCache::KeyOf(const ExecRow& row) const {
 }
 
 JoinStep::JoinStep(std::vector<int> prefix_key_cols,
-                   std::vector<int> input_key_cols, bool input_grows,
-                   bool /*prefix_grows*/)
-    : prefix_key_cols_(prefix_key_cols),
-      input_cache_(std::move(input_key_cols)),
+                   std::vector<int> input_key_cols, bool input_grows)
+    : input_cache_(std::move(input_key_cols)),
       prefix_cache_(std::move(prefix_key_cols)),
       keep_prefix_(input_grows) {}
-
-Row JoinStep::PrefixKey(const ExecRow& row) const {
-  Row key;
-  key.reserve(prefix_key_cols_.size());
-  for (int c : prefix_key_cols_) key.push_back(row.values[c]);
-  return key;
-}
 
 void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
                             const RowBatch& input_delta, RowBatch* out) {
@@ -69,7 +60,7 @@ void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
     input_cache_.Append(input_row);
   }
   for (const ExecRow& prefix_row : prefix_delta) {
-    const Row key = PrefixKey(prefix_row);
+    const Row key = prefix_cache_.KeyOf(prefix_row);
     for (uint32_t pos : input_cache_.Matches(key)) {
       out->push_back(ConcatRows(prefix_row, input_cache_.row(pos)));
     }
@@ -82,8 +73,8 @@ void JoinStep::ProcessBatch(const RowBatch& prefix_delta,
   }
 }
 
-size_t JoinStep::ProbeCount(const Row& prefix_key) const {
-  return input_cache_.Matches(prefix_key).size();
+size_t JoinStep::ProbeCount(const ExecRow& prefix_row) const {
+  return input_cache_.Matches(prefix_cache_.KeyOf(prefix_row)).size();
 }
 
 JoinStep::Watermark JoinStep::watermark() const {

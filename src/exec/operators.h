@@ -57,7 +57,7 @@ class InputCache {
 class JoinStep {
  public:
   JoinStep(std::vector<int> prefix_key_cols, std::vector<int> input_key_cols,
-           bool input_grows, bool prefix_grows);
+           bool input_grows);
 
   /// Processes one batch: `prefix_delta` are new prefix rows, `input_delta`
   /// new input-k rows. Appends the resulting new joined rows to `out`.
@@ -67,9 +67,7 @@ class JoinStep {
   /// Probes input k's cache with a prefix row's key; returns match count.
   /// Used by the OPT1-only path to charge the cost of re-deriving a tuple
   /// through the join pipeline.
-  size_t ProbeCount(const Row& prefix_key) const;
-
-  std::vector<int> prefix_key_cols() const { return prefix_key_cols_; }
+  size_t ProbeCount(const ExecRow& prefix_row) const;
 
   struct Watermark {
     size_t input = 0;
@@ -81,10 +79,9 @@ class JoinStep {
   size_t StateBytes() const;
 
  private:
-  Row PrefixKey(const ExecRow& row) const;
-
-  std::vector<int> prefix_key_cols_;
   InputCache input_cache_;
+  /// Keyed by the prefix's join columns: its KeyOf is a prefix row's key,
+  /// also when the cache is not kept.
   InputCache prefix_cache_;
   bool keep_prefix_;
 };

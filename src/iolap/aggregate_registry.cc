@@ -172,26 +172,11 @@ AggregateRegistry::PublishResult AggregateRegistry::Publish(
       tail[kAnalyticSd] = analytic_sd[a];
       continue;
     }
-    double lo = v;
-    double hi = v;
-    double sum = 0.0;
-    for (int t = 0; t < num_trials_; ++t) {
-      lo = std::min(lo, replicas[t]);
-      hi = std::max(hi, replicas[t]);
-      sum += replicas[t];
-    }
-    double sd = 0.0;
-    if (num_trials_ > 1) {
-      const double mean = sum / num_trials_;
-      double ss = 0.0;
-      for (int t = 0; t < num_trials_; ++t) {
-        ss += (replicas[t] - mean) * (replicas[t] - mean);
-      }
-      sd = std::sqrt(ss / (num_trials_ - 1));
-    }
-    tail[kEnvLo] = lo;
-    tail[kEnvHi] = hi;
-    tail[kEnvSd] = sd;
+    const Envelope env =
+        ReplicaEnvelope(v, replicas, static_cast<size_t>(num_trials_));
+    tail[kEnvLo] = env.lo;
+    tail[kEnvHi] = env.hi;
+    tail[kEnvSd] = env.stddev;
     if (rel.ranked) {
       const ReplicaRanks ranks = RankReplicas(replicas, num_trials_);
       std::copy_n(ranks.lo, 2, tail + kTailSize);

@@ -15,8 +15,7 @@ namespace iolap {
 namespace {
 
 // True if input `k` of `block` can deliver new rows after batch 0.
-bool InputGrows(const QueryPlan& /*plan*/,
-                const std::vector<BlockAnnotations>& annotations,
+bool InputGrows(const std::vector<BlockAnnotations>& annotations,
                 const Block& block, size_t k) {
   const BlockInput& input = block.inputs[k];
   if (input.kind == BlockInput::Kind::kBaseTable) return input.streamed;
@@ -85,21 +84,13 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
   }
   if (block_->has_aggregate()) {
     eval_width_ = block_->group_by.size() + block_->aggs.size();
-    trial_rows_ = bootstrap_.num_trials() > 0 &&
-                  (any_agg_arg_uncertain_ ||
-                   (block_->filter != nullptr && ann_->filter_uncertain));
   }
   stateless_ = block_->inputs.size() == 1 &&
                block_->inputs[0].kind == BlockInput::Kind::kBlockOutput;
   for (size_t k = 1; k < block_->inputs.size(); ++k) {
-    bool prefix_grows = false;
-    for (size_t j = 0; j < k; ++j) {
-      prefix_grows = prefix_grows || InputGrows(*plan, *annotations, *block_, j);
-    }
     join_steps_.emplace_back(block_->inputs[k].prefix_key_cols,
                              block_->inputs[k].input_key_cols,
-                             InputGrows(*plan, *annotations, *block_, k),
-                             prefix_grows);
+                             InputGrows(*annotations, *block_, k));
   }
 
   // Lower this block's expressions into compiled register programs
@@ -152,6 +143,13 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     for (ExprProgramState& state : prog_states_) {
       row_program_->InitState(&state);
     }
+    // Every trial of a pending row folds its main arguments unless some
+    // argument reads an uncertain value, so they must be trial-invariant.
+    for (size_t a = 0; a < block_->aggs.size(); ++a) {
+      assert(any_agg_arg_uncertain_ ||
+             row_program_->root_trial_invariant(
+                 static_cast<size_t>(arg_root_base_) + a));
+    }
   }
   if (proj_program_ != nullptr) proj_program_->InitState(&proj_state_);
   OpenRecord();
@@ -195,10 +193,7 @@ void BlockExecutor::RegenerateRow(ExecRow* row) const {
   // passed through and rebuilding the tuple (§4.3 "generating a new tuple
   // requires going through the entire plan").
   for (const JoinStep& step : join_steps_) {
-    Row key;
-    key.reserve(step.prefix_key_cols().size());
-    for (int c : step.prefix_key_cols()) key.push_back(row->values[c]);
-    volatile size_t probed = step.ProbeCount(key);
+    volatile size_t probed = step.ProbeCount(*row);
     (void)probed;
   }
   ExecRow rebuilt = *row;  // rematerialization
@@ -228,20 +223,18 @@ IntervalTruth BlockExecutor::ClassifyUncertainFilter(
   return ClassifyPredicate(*block_->filter, row.values, ctx);
 }
 
-void BlockExecutor::AccumulateCertain(const ExecRow& row, size_t eval_idx,
+void BlockExecutor::AccumulateCertain(double weight, size_t eval_idx,
                                       int batch,
                                       GroupedAggregateState* target) {
   GroupedAggregateState::GroupCells& cells =
       target->GetOrCreate(KeyOf(eval_idx), batch);
   const Value* main_vals = MainValsOf(eval_idx);
-  const bool defer = bootstrap_.num_trials() > 0;
-  if (defer) {
-    deferred_certain_.AddRow(cells.aggs.data(), row.stream_uid, row.weight,
-                             row.FromStream());
-  }
   for (size_t a = 0; a < block_->aggs.size(); ++a) {
-    cells.aggs[a].AddMainOnly(main_vals[a], row.weight);
-    if (defer) deferred_certain_.AddArg(static_cast<uint32_t>(a), main_vals[a]);
+    cells.aggs[a].AddMainOnly(main_vals[a], weight);
+  }
+  if (bootstrap_.num_trials() > 0) {
+    trial_folds_.push_back(
+        {cells.aggs.data(), static_cast<uint32_t>(eval_idx)});
   }
 }
 
@@ -325,28 +318,34 @@ void BlockExecutor::EvaluateRow(ExecRow* row, bool charge_regeneration,
         *ps, static_cast<size_t>(key_root_base_) + k);
   }
   ev->key_hash = HashValues(vals, num_keys);
+  // The main arguments, which a pending row's trials fold too, so they
+  // are written even when its main filter fails.
   const size_t num_aggs = block_->aggs.size();
-  if (ev->main_pass || !ev->pending_route) {
-    for (size_t a = 0; a < num_aggs; ++a) {
-      vals[num_keys + a] = row_program_->RootValue(
-          *ps, static_cast<size_t>(arg_root_base_) + a);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    vals[num_keys + a] = row_program_->RootValue(
+        *ps, static_cast<size_t>(arg_root_base_) + a);
+  }
+  if (trials == 0) return;
+  // The row's multiplicity per bootstrap trial (§7: one multiplicity
+  // column per trial): a streamed row's Poisson weight in that resample
+  // times its plain weight, any other row's plain weight.
+  assert(trial_w != nullptr);
+  if (row->FromStream()) {
+    for (int t = 0; t < trials; ++t) {
+      trial_w[t] = row->weight * bootstrap_.WeightAt(row->stream_uid, t);
     }
+  } else {
+    std::fill_n(trial_w, trials, row->weight);
   }
   if (!ev->pending_route) return;
   // Per-trial membership: the decision the filter takes under each
   // bootstrap resample, using the trial replicas of the aggregates it
   // reads. This is what makes the error estimate honest for tuples whose
-  // membership is itself uncertain. Candidate weights go in up front;
-  // EvalTrials zeroes the trials whose filter decision fails under that
-  // resample and fills the arguments of the surviving ones (the flush
-  // reads a trial's arguments only where its weight is nonzero).
-  if (trials == 0) return;
-  assert(trial_rows_ && trial_w != nullptr && trial_args != nullptr);
-  for (int t = 0; t < trials; ++t) {
-    trial_w[t] =
-        row->weight *
-        (row->FromStream() ? bootstrap_.WeightAt(row->stream_uid, t) : 1);
-  }
+  // membership is itself uncertain. EvalTrials zeroes the trials whose
+  // filter decision fails under that resample and, where the arguments
+  // read uncertain values, fills the surviving trials' arguments (the
+  // flush reads a trial's arguments only where its weight is nonzero).
+  assert(any_agg_arg_uncertain_ == (trial_args != nullptr));
   ev->any_trial =
       row_program_->EvalTrials(ps, row->values, trials, filter_root_,
                                arg_root_base_, num_aggs, trial_w, trial_args);
@@ -377,46 +376,36 @@ void BlockExecutor::ApplyPending(const ExecRow& row, size_t eval_idx,
     if (sketch_.Find(key) == nullptr && temp->Find(key) == nullptr) return;
     cells = &temp->GetOrCreate(key, batch);
   }
-  deferred_pending_.push_back(
+  trial_folds_.push_back(
       {cells->aggs.data(), static_cast<uint32_t>(eval_idx)});
 }
 
 void BlockExecutor::FlushDeferredTrials() {
-  const int trials = bootstrap_.num_trials();
-  if (trials == 0 || (deferred_certain_.empty() && deferred_pending_.empty())) {
-    deferred_certain_.Clear();
-    deferred_pending_.clear();
-    return;
-  }
+  if (trial_folds_.empty()) return;
+  const size_t trials = static_cast<size_t>(bootstrap_.num_trials());
   const size_t num_aggs = block_->aggs.size();
-  const size_t row_trials = static_cast<size_t>(trials);
   const auto flush_range = [&](size_t begin, size_t end, size_t /*lane*/) {
-    // Certain rows, then pending rows, each in serial-apply order. The two
-    // lists target disjoint accumulators (sketch vs. the batch scratch), so
-    // every (accumulator, trial) receives its adds in row order — the order
-    // the pre-parallel engine produced.
-    deferred_certain_.FoldTrials(bootstrap_, static_cast<int>(begin),
-                                 static_cast<int>(end));
-    for (const PendingTrialAdd& rec : deferred_pending_) {
-      assert((rec.eval_idx + 1) * row_trials <= trial_w_.size());
-      const double* w = trial_w_.data() + rec.eval_idx * row_trials;
-      const TrialArg* args =
-          trial_args_.data() + rec.eval_idx * row_trials * num_aggs;
-      for (size_t a = 0; a < num_aggs; ++a) {
-        for (size_t t = begin; t < end; ++t) {
-          rec.accs[a].AddTrialOnly(static_cast<int>(t),
-                                   args[t * num_aggs + a], w[t]);
-        }
-      }
+    // Certain rows fold into the sketch and pending rows into the batch
+    // scratch, one record per row in serial-apply order, so every
+    // (accumulator, trial) receives its adds in row order.
+    std::vector<TrialWeight> scratch(end - begin);
+    for (const TrialFold& fold : trial_folds_) {
+      const size_t i = fold.eval_idx;
+      assert((i + 1) * trials <= trial_w_.size());
+      FoldRowTrials(fold.accs, num_aggs, MainValsOf(i),
+                    any_agg_arg_uncertain_
+                        ? trial_args_.data() + i * trials * num_aggs
+                        : nullptr,
+                    trial_w_.data() + i * trials, static_cast<int>(begin),
+                    static_cast<int>(end), scratch.data());
     }
   };
   if (pool_ != nullptr) {
-    pool_->ParallelRanges(static_cast<size_t>(trials), flush_range);
+    pool_->ParallelRanges(trials, flush_range);
   } else {
-    flush_range(0, static_cast<size_t>(trials), 0);
+    flush_range(0, trials, 0);
   }
-  deferred_certain_.Clear();
-  deferred_pending_.clear();
+  trial_folds_.clear();
 }
 
 void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
@@ -442,7 +431,7 @@ void BlockExecutor::RouteRow(ExecRow row, size_t eval_idx, size_t old_index,
   }
   if (ev.truth != IntervalTruth::kAlwaysFalse) {
     if (block_->has_aggregate()) {
-      AccumulateCertain(row, eval_idx, batch, &sketch_);
+      AccumulateCertain(row.weight, eval_idx, batch, &sketch_);
     } else {
       sink_bytes_ += row.ByteSize();
       if (stateless_) sink_slots_.push_back(feed_slots_[eval_idx]);
@@ -520,8 +509,9 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   }
 
   // Evaluation phase over fresh ∪ pending rows: classify (with buffered
-  // constraints), every routed row's key and arguments, and the per-trial
-  // re-evaluations of rows bound for the non-deterministic path.
+  // constraints), every routed row's key, arguments and trial weights, and
+  // the per-trial re-evaluations of rows bound for the non-deterministic
+  // path.
   // Evaluations read only the row and the registry — which is frozen until
   // the apply phase replays constraints and PublishOutput republishes — so
   // rows are independent and the pass parallelizes without changing any
@@ -531,10 +521,17 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   row_scratch_.clear();
   row_scratch_.resize(total_rows);
   row_vals_.assign(total_rows * eval_width_, Value());
-  const size_t trials = static_cast<size_t>(bootstrap_.num_trials());
-  const size_t row_args = trials * block_->aggs.size();
-  if (trial_rows_ && trial_w_.size() < total_rows * trials) {
-    trial_w_.resize(total_rows * trials);
+  // An aggregate block's rows get their weights per trial; only a block
+  // whose arguments read uncertain values keeps arguments per trial.
+  const size_t row_trials = block_->has_aggregate()
+                                ? static_cast<size_t>(bootstrap_.num_trials())
+                                : 0;
+  const size_t row_args =
+      any_agg_arg_uncertain_ ? row_trials * block_->aggs.size() : 0;
+  if (trial_w_.size() < total_rows * row_trials) {
+    trial_w_.resize(total_rows * row_trials);
+  }
+  if (trial_args_.size() < total_rows * row_args) {
     trial_args_.resize(total_rows * row_args);
   }
 
@@ -561,8 +558,9 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
         }
         EvaluateRow(&row, /*charge_regeneration=*/i >= num_fresh,
                     &row_scratch_[i], row_vals_.data() + i * eval_width_,
-                    trial_rows_ ? &trial_w_[i * trials] : nullptr,
-                    trial_rows_ ? &trial_args_[i * row_args] : nullptr,
+                    trial_w_.data() + i * row_trials,
+                    row_args > 0 ? trial_args_.data() + i * row_args
+                                 : nullptr,
                     prog_state);
       }
     }
@@ -607,10 +605,10 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   pending_ = std::move(new_pending);
   lap(&times.apply_sec);
 
-  // Drain the deferred trial-replica contributions (trial-partitioned)
-  // before publication reads the accumulators. Nothing reads the rows'
-  // scratch after the apply phase; it is freed here so that the
-  // publication's time is its walk alone.
+  // Drain the deferred trial folds (trial-partitioned) before publication
+  // reads the accumulators. The flush is the rows' scratch's last reader
+  // (it folds the main arguments in row_vals_); the scratch is freed here
+  // so that the publication's time is its walk alone.
   FlushDeferredTrials();
   row_scratch_.clear();
   row_vals_.clear();

@@ -306,7 +306,7 @@ class BlockExecutor {
 
   /// Per-row output of the parallel evaluation phase: with the row's slices
   /// of row_vals_, trial_w_ and trial_args_, everything the serial apply
-  /// phase folds, so it evaluates nothing itself.
+  /// phase and the trial flush fold, so neither evaluates anything.
   struct RowEval {
     IntervalTruth truth = IntervalTruth::kUndecided;
     /// Row routes to the non-deterministic path (undecided, or decided
@@ -328,10 +328,11 @@ class BlockExecutor {
                     2 * sizeof(uint64_t) + sizeof(std::vector<ConstraintOp>),
                 "RowEval's flags share the padding before key_hash");
 
-  /// Deferred trial-replica contribution of a pending row to its group's
-  /// aggregates `accs[0..]`: arguments and weights differ per trial and
-  /// live in row `eval_idx`'s slices of trial_args_ and trial_w_.
-  struct PendingTrialAdd {
+  /// The deferred trial fold of one row, certain or pending, into its
+  /// group's aggregates `accs[0..]`: its weights and arguments are row
+  /// `eval_idx`'s slices of trial_w_ and row_vals_ (trial_args_ in a block
+  /// whose arguments read uncertain values).
+  struct TrialFold {
     TrialAccumulatorSet* accs;
     uint32_t eval_idx;
   };
@@ -353,12 +354,15 @@ class BlockExecutor {
 
   /// Evaluation phase for one row: classify, then run the row program's
   /// main pass (a deterministic filter's truth, the group key and the
-  /// aggregate arguments, into `vals`, the row's slice of row_vals_) and —
-  /// when the row routes to the non-deterministic path — its per-trial
-  /// filter/argument evaluations, into `trial_w` and `trial_args`, its
-  /// slices of trial_w_ and trial_args_ (null unless trial_rows_). Pure
-  /// except for the OPT2-off regeneration; safe to run concurrently per
-  /// row. `prog_state` is the caller's lane-private program scratch.
+  /// aggregate arguments, into `vals`, the row's slice of row_vals_). An
+  /// aggregate block's row that folds gets its weight per trial in
+  /// `trial_w`, its slice of trial_w_; a row bound for the
+  /// non-deterministic path then runs its per-trial filter, which zeroes
+  /// the trials it fails, and writes its per-trial arguments into
+  /// `trial_args`, its slice of trial_args_ (null unless the arguments
+  /// read uncertain values). Pure except for the OPT2-off regeneration;
+  /// safe to run concurrently per row. `prog_state` is the caller's
+  /// lane-private program scratch.
   void EvaluateRow(ExecRow* row, bool charge_regeneration, RowEval* ev,
                    Value* vals, double* trial_w, TrialArg* trial_args,
                    ExprProgramState* prog_state) const;
@@ -381,7 +385,7 @@ class BlockExecutor {
   /// Adds a certain row's aggregate contributions, evaluated into its
   /// RowEval and row_vals_ slice, to `target`: main accumulators
   /// immediately, trial replicas deferred to the flush.
-  void AccumulateCertain(const ExecRow& row, size_t eval_idx, int batch,
+  void AccumulateCertain(double weight, size_t eval_idx, int batch,
                          GroupedAggregateState* target)
       IOLAP_REQUIRES(engine_serial_phase);
 
@@ -402,11 +406,12 @@ class BlockExecutor {
                     GroupedAggregateState* temp)
       IOLAP_REQUIRES(engine_serial_phase);
 
-  /// Drains the deferred trial-replica adds, partitioned across the pool
-  /// by trial index: lanes own disjoint trial states, and each (accumulator,
-  /// trial) receives its adds in serial-apply (row) order, so the result is
-  /// bit-identical for every thread count. (Entered from the serial phase;
-  /// the internal fan-out mutates lane-disjoint trial states only.)
+  /// Drains the deferred trial folds, one per folded row in serial-apply
+  /// order, partitioned across the pool by trial index: lanes own disjoint
+  /// trial states, and each (accumulator, trial) receives its adds in row
+  /// order, so the result is bit-identical for every thread count.
+  /// (Entered from the serial phase; the internal fan-out mutates
+  /// lane-disjoint trial states only.)
   void FlushDeferredTrials() IOLAP_REQUIRES(engine_serial_phase);
 
   /// Publishes sketch ∪ temp to the registry; returns rollback target or
@@ -431,12 +436,9 @@ class BlockExecutor {
   BootstrapWeights bootstrap_;
   bool consumed_downstream_;
   bool feeds_join_;
+  /// Some aggregate argument reads an uncertain value: every row is
+  /// pending and folds its per-trial arguments (trial_args_).
   bool any_agg_arg_uncertain_ = false;
-  /// An aggregate block whose rows can take the pending route (its filter
-  /// is uncertain or an argument reads an uncertain value) and that has
-  /// bootstrap trials: its pending rows evaluate per trial into trial_w_
-  /// and trial_args_.
-  bool trial_rows_ = false;
   bool classification_disabled_ = false;
   bool pruning_disabled_ = false;
   bool rollback_injected_ = false;
@@ -509,28 +511,31 @@ class BlockExecutor {
   std::vector<double> publish_sd_;
 
   // Per-batch scratch (cleared after the trial flush, before the
-  // publication; members only to reuse capacity across batches). Deferred records hold
-  // accumulator pointers, which are stable: GroupCells are heap nodes whose
-  // `aggs` vectors are sized once at creation, and GetOrCreate clones a
-  // node at most once per batch (its first write, which records the
-  // pre-image), before any deferred record points into it.
+  // publication; members only to reuse capacity across batches). Trial
+  // fold records hold accumulator pointers, which are stable: GroupCells
+  // are heap nodes whose `aggs` vectors are sized once at creation, and
+  // GetOrCreate clones a node at most once per batch (its first write,
+  // which records the pre-image), before any record points into it.
   std::vector<RowEval> row_scratch_;
-  /// Row i's group key, then its main aggregate arguments (a certain row's,
-  /// or a main-passing pending row's), at [i * eval_width_, (i + 1) *
-  /// eval_width_): one flat array per batch, so a row needs no vectors of
-  /// its own.
+  /// Row i's group key, then its main aggregate arguments, at [i *
+  /// eval_width_, (i + 1) * eval_width_): one flat array per batch, so a
+  /// row needs no vectors of its own. A pending row's arguments are written
+  /// even when its main filter fails, as its trials fold them.
   std::vector<Value> row_vals_;
   size_t eval_width_ = 0;  // group keys + aggregates (aggregate blocks)
-  /// A pending row i's surviving weight per trial, at [i * trials + t] (0:
-  /// multiplicity zero, or the filter failed under that resample), and its
-  /// unboxed arguments per trial, at [(i * trials + t) * aggs + a]. Flat
-  /// arrays by row like row_vals_, kept only when trial_rows_: the driving
+  /// An aggregate block's row i's weight per trial, at [i * trials + t],
+  /// for every row that folds, certain or pending: its plain weight, times
+  /// its Poisson weight if it is streamed, and 0 where a pending row's
+  /// filter fails under that resample. Only where the aggregate arguments
+  /// read uncertain values, a pending row's unboxed arguments per trial, at
+  /// [(i * trials + t) * aggs + a]; elsewhere every trial folds the main
+  /// arguments in row_vals_. Flat arrays by row like row_vals_: the driving
   /// thread grows them before the evaluation phase and keeps them across
   /// batches, so no lane allocates per row and nothing is freed per row.
   std::vector<double> trial_w_;
   std::vector<TrialArg> trial_args_;
-  DeferredTrialFolds deferred_certain_;
-  std::vector<PendingTrialAdd> deferred_pending_;
+  /// One record per folded row, in serial-apply order.
+  std::vector<TrialFold> trial_folds_;
 };
 
 }  // namespace iolap

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -66,15 +67,25 @@ const AggregateFunction& Aggregate(const std::string& name) {
   return **functions->FindAggregate(name);
 }
 
+// Folds one row's trials [0, w.size()) through the engine's per-tuple
+// fold: aggregate a takes args[a] in every trial, or, with `trial_args`,
+// its argument of that trial.
+void FoldRow(TrialAccumulatorSet* accs, size_t num_aggs, const Value* args,
+             const std::vector<double>& w,
+             const TrialArg* trial_args = nullptr) {
+  std::vector<TrialWeight> scratch(w.size());
+  FoldRowTrials(accs, num_aggs, args, trial_args, w.data(), 0,
+                static_cast<int>(w.size()), scratch.data());
+}
+
 // Folds `v` as the engine does: the main value with `weight`, trial t with
 // weight × trial_weights[t].
 void Fold(TrialAccumulatorSet* acc, const Value& v, double weight,
           const std::vector<int>& trial_weights) {
   acc->AddMainOnly(v, weight);
-  for (size_t t = 0; t < trial_weights.size(); ++t) {
-    acc->AddTrialOnly(static_cast<int>(t), TrialArg::Of(v),
-                      weight * trial_weights[t]);
-  }
+  std::vector<double> w;
+  for (int tw : trial_weights) w.push_back(weight * tw);
+  FoldRow(acc, 1, &v, w);
 }
 
 TEST(TrialAccumulatorTest, MainAndTrialsIndependent) {
@@ -99,11 +110,15 @@ TEST(TrialAccumulatorTest, NullTrialWeightsMeanUniform) {
 TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
   TrialAccumulatorSet acc(Aggregate("avg"), 2);
   // main value 10; trial replicas 8 and 12.
-  acc.AddMainOnly(Value::Double(10), 1.0);
-  acc.AddTrialOnly(0, TrialArg::Of(Value::Double(8)), 1.0);
-  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(12)), 1.0);
+  const Value main_value = Value::Double(10);
+  acc.AddMainOnly(main_value, 1.0);
+  const TrialArg replicas[] = {TrialArg::Of(Value::Double(8)),
+                               TrialArg::Of(Value::Double(12))};
+  FoldRow(&acc, 1, &main_value, {1.0, 1.0}, replicas);
   // A zero weight is skipped.
-  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(99)), 0.0);
+  const TrialArg skipped[] = {TrialArg::Of(Value::Double(99)),
+                              TrialArg::Of(Value::Double(99))};
+  FoldRow(&acc, 1, &main_value, {0.0, 0.0}, skipped);
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 10.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 8.0);
@@ -113,7 +128,8 @@ TEST(TrialAccumulatorTest, AddPerTrialUsesTrialValues) {
 TEST(TrialAccumulatorTest, AddMainOnlyAndTrialOnly) {
   TrialAccumulatorSet acc(Aggregate("sum"), 2);
   acc.AddMainOnly(Value::Double(5), 1.0);
-  acc.AddTrialOnly(1, TrialArg::Of(Value::Double(7)), 1.0);
+  const Value trial_only = Value::Double(7);
+  FoldRow(&acc, 1, &trial_only, {0.0, 1.0});
   EXPECT_DOUBLE_EQ(acc.MainResult(1.0).AsDouble(), 5.0);
   const auto trials = acc.TrialResults(1.0);
   EXPECT_DOUBLE_EQ(trials[0], 5.0);  // empty -> main fallback
@@ -134,8 +150,9 @@ TEST(TrialAccumulatorTest, CloneAndMerge) {
 
 // A zero trial weight never folds: 0 × ±inf and 0 × NaN are NaN, so a
 // trial whose multiplicity is 0 must read exactly as if the value were
-// absent, whichever path folds it (a pending row's per-trial values, or a
-// certain row's Poisson weights).
+// absent, whichever argument source the fold reads (per-trial arguments,
+// where an argument reads an uncertain value, or the row's main argument
+// over its Poisson weights, folded in two lane ranges as the flush does).
 TEST(TrialAccumulatorTest, ZeroWeightNeverFolds) {
   const double kInf = std::numeric_limits<double>::infinity();
   constexpr int kTrials = 8;
@@ -151,7 +168,9 @@ TEST(TrialAccumulatorTest, ZeroWeightNeverFolds) {
     return zero && nonzero;
   };
   while (!mixed(uid)) ++uid;
-  const std::vector<int> trial_weights = {0, 1, 0, 1, 2, 0, 1, 0};
+  const std::vector<double> trial_weights = {0, 1, 0, 1, 2, 0, 1, 0};
+  std::vector<double> poisson(kTrials);
+  for (int t = 0; t < kTrials; ++t) poisson[t] = bootstrap.WeightAt(uid, t);
 
   for (const char* name :
        {"sum", "avg", "var", "geomean", "harmonic_mean", "rms"}) {
@@ -161,39 +180,98 @@ TEST(TrialAccumulatorTest, ZeroWeightNeverFolds) {
       TrialAccumulatorSet absent(fn, kTrials);
       Fold(&absent, Value::Double(2.0), 1.0, std::vector<int>(kTrials, 1));
       const std::vector<double> want = absent.TrialResults(1.0);
+      const Value v = Value::Double(special);
 
-      // Pending-row path: one value per trial with its own weight.
-      TrialAccumulatorSet pending = absent.Clone();
-      for (int t = 0; t < kTrials; ++t) {
-        pending.AddTrialOnly(t, TrialArg::Of(Value::Double(special)),
-                             trial_weights[t]);
-      }
-      // Certain-row path: the flush's record and Poisson weights.
-      TrialAccumulatorSet certain = absent.Clone();
-      DeferredTrialFolds folds;
-      folds.AddRow(&certain, uid, 1.0, /*from_stream=*/true);
-      folds.AddArg(0, Value::Double(special));
-      folds.FoldTrials(bootstrap, 0, kTrials);
+      // Per-trial arguments, each with its own weight.
+      TrialAccumulatorSet per_trial = absent.Clone();
+      const std::vector<TrialArg> args(kTrials, TrialArg::Of(v));
+      FoldRow(&per_trial, 1, nullptr, trial_weights, args.data());
+      // The main argument over the row's Poisson weights, in two ranges.
+      TrialAccumulatorSet by_main = absent.Clone();
+      std::vector<TrialWeight> scratch(kTrials);
+      FoldRowTrials(&by_main, 1, &v, nullptr, poisson.data(), 0, 3,
+                    scratch.data());
+      FoldRowTrials(&by_main, 1, &v, nullptr, poisson.data(), 3, kTrials,
+                    scratch.data());
 
-      const std::vector<double> got_pending = pending.TrialResults(1.0);
-      const std::vector<double> got_certain = certain.TrialResults(1.0);
+      const std::vector<double> got_per_trial = per_trial.TrialResults(1.0);
+      const std::vector<double> got_main = by_main.TrialResults(1.0);
       for (int t = 0; t < kTrials; ++t) {
         if (trial_weights[t] == 0) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(got_pending[t]),
+          EXPECT_EQ(std::bit_cast<uint64_t>(got_per_trial[t]),
                     std::bit_cast<uint64_t>(want[t]))
-              << "pending trial " << t;
+              << "per-trial argument, trial " << t;
         }
         if (bootstrap.WeightAt(uid, t) == 0) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(got_certain[t]),
+          EXPECT_EQ(std::bit_cast<uint64_t>(got_main[t]),
                     std::bit_cast<uint64_t>(want[t]))
-              << "certain trial " << t;
+              << "main argument, trial " << t;
         }
       }
       if (std::string(name) == "sum") {
         // The value does reach the trials that weigh it.
         EXPECT_EQ(want[0], 2.0);
-        EXPECT_TRUE(std::isnan(special) ? std::isnan(got_pending[1])
-                                        : got_pending[1] == special);
+        EXPECT_TRUE(std::isnan(special) ? std::isnan(got_per_trial[1])
+                                        : got_per_trial[1] == special);
+      }
+    }
+  }
+}
+
+// The two argument sources of the fold agree bit for bit: a row's main
+// argument folded over its surviving weights equals per-trial arguments
+// that all equal it, for every built-in aggregate and UDAF, on hostile
+// arguments, whether the trials fold in one range or in two lane ranges.
+TEST(TrialAccumulatorTest, MainArgumentFoldEqualsEqualPerTrialArguments) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  constexpr int kTrials = 24;
+  const char* const kNames[] = {"count", "sum",     "avg",
+                                "min",   "max",     "var",
+                                "stddev", "geomean", "harmonic_mean",
+                                "rms"};
+  constexpr size_t kAggs = std::size(kNames);
+  const BootstrapWeights bootstrap(/*seed=*/11, kTrials);
+  // A streamed row's weights (1.5 × Poisson), with the trials a per-trial
+  // filter fails zeroed, and a base row folded first in every trial.
+  std::vector<double> w(kTrials);
+  for (int t = 0; t < kTrials; ++t) {
+    w[t] = t % 5 == 3 ? 0.0 : 1.5 * bootstrap.WeightAt(41, t);
+  }
+  const std::vector<double> base_w(kTrials, 1.0);
+  const Value base = Value::Double(2.5);
+
+  std::vector<Value> specials = {Value::Double(0.0),  Value::Double(-0.0),
+                                 Value::Double(kInf), Value::Double(-kInf),
+                                 Value::Double(std::nan("")), Value::Null(),
+                                 Value::Double(-3.75), Value::Int64(7)};
+  for (const Value& v : specials) {
+    SCOPED_TRACE(v.ToString());
+    std::vector<TrialAccumulatorSet> by_main;
+    std::vector<TrialAccumulatorSet> by_trial;
+    for (const char* name : kNames) {
+      by_main.emplace_back(Aggregate(name), kTrials);
+      by_trial.emplace_back(Aggregate(name), kTrials);
+    }
+    const std::vector<Value> bases(kAggs, base);
+    FoldRow(by_main.data(), kAggs, bases.data(), base_w);
+    FoldRow(by_trial.data(), kAggs, bases.data(), base_w);
+
+    const std::vector<Value> main_args(kAggs, v);
+    FoldRow(by_main.data(), kAggs, main_args.data(), w);
+    const std::vector<TrialArg> trial_args(kTrials * kAggs, TrialArg::Of(v));
+    std::vector<TrialWeight> scratch(kTrials);
+    FoldRowTrials(by_trial.data(), kAggs, nullptr, trial_args.data(),
+                  w.data(), 0, 10, scratch.data());
+    FoldRowTrials(by_trial.data(), kAggs, nullptr, trial_args.data(),
+                  w.data(), 10, kTrials, scratch.data());
+
+    for (size_t a = 0; a < kAggs; ++a) {
+      const std::vector<double> got_main = by_main[a].TrialResults(1.0);
+      const std::vector<double> got_trial = by_trial[a].TrialResults(1.0);
+      for (int t = 0; t < kTrials; ++t) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got_main[t]),
+                  std::bit_cast<uint64_t>(got_trial[t]))
+            << kNames[a] << " trial " << t;
       }
     }
   }

@@ -1368,5 +1368,82 @@ TEST(BootstrapFoldTest, InfiniteRowSkipsItsZeroWeightTrials) {
   }
 }
 
+// The pending counterpart: a ±inf argument of a row whose filter reads a
+// subquery stays in U, and reaches exactly the trials where the row's
+// Poisson weight is nonzero and its per-trial filter passes. The row's main
+// filter fails on the last batch, so only its trials fold the argument.
+TEST(BootstrapFoldTest, PendingInfiniteRowReachesOnlyItsPassingTrials) {
+  constexpr uint64_t kInfRow = 17;
+  constexpr int kTrials = 32;
+  for (double inf : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(inf);
+    Catalog catalog;
+    Table t(Schema({{"t.x", ValueType::kDouble}, {"t.y", ValueType::kDouble}}));
+    // Every other row has y 0 or 10, half each, so avg(y) over all 201
+    // rows is exactly the infinite row's y, 5: its filter y > avg(y) is
+    // never decided, and on the full data its main pass fails.
+    int others = 0;
+    for (uint64_t i = 0; i < 201; ++i) {
+      if (i == kInfRow) {
+        t.AddRow({Value::Double(inf), Value::Double(5.0)});
+      } else {
+        t.AddRow({Value::Double(1.0 + i % 7),
+                  Value::Double(others++ % 2 == 0 ? 0.0 : 10.0)});
+      }
+    }
+    ASSERT_TRUE(catalog.RegisterTable("t", std::move(t), true).ok());
+    PlanBuilder pb(&catalog, FunctionRegistry::Default());
+    auto& inner = pb.NewBlock("avg_y");
+    inner.Scan("t").Agg("avg", inner.ColRef("y"), "a");
+    auto& outer = pb.NewBlock("total");
+    outer.Scan("t")
+        .Filter(Gt(outer.ColRef("y"), outer.SubqueryRef(inner.id(), "a")))
+        .Agg("sum", outer.ColRef("x"), "s");
+    auto plan = pb.Build();
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EngineOptions options;
+    options.num_trials = kTrials;
+    options.num_batches = 4;
+    options.seed = 9;
+    QueryController controller(&catalog, *plan, options);
+    ASSERT_TRUE(controller.Init().ok());
+    ASSERT_TRUE(controller.Run(nullptr).ok());
+
+    bool in_u = false;
+    for (const ExecRow& row : controller.executor(outer.id()).pending_rows()) {
+      in_u = in_u || row.stream_uid == kInfRow;
+    }
+    ASSERT_TRUE(in_u);
+    const AggregateRegistry& registry = *controller.registry();
+    ASSERT_EQ(registry.Lookup(inner.id(), 0, {}), Value::Double(5.0));
+    std::vector<Value> avg(kTrials);
+    std::vector<Value> sum(kTrials);
+    registry.LookupTrials(inner.id(), 0, {}, kTrials, avg.data());
+    registry.LookupTrials(outer.id(), 0, {}, kTrials, sum.data());
+
+    const BootstrapWeights bootstrap(options.seed, kTrials);
+    int zero_weight = 0;
+    int filtered = 0;
+    int reached = 0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      SCOPED_TRACE(trial);
+      const bool weighs = bootstrap.WeightAt(kInfRow, trial) != 0;
+      const bool passes = 5.0 > avg[trial].AsDouble();
+      zero_weight += !weighs;
+      filtered += weighs && !passes;
+      reached += weighs && passes;
+      if (weighs && passes) {
+        EXPECT_EQ(sum[trial].AsDouble(), inf);
+      } else {
+        EXPECT_TRUE(std::isfinite(sum[trial].AsDouble()));
+      }
+    }
+    EXPECT_GT(zero_weight, 0);
+    EXPECT_GT(filtered, 0);
+    EXPECT_GT(reached, 0);
+  }
+}
+
 }  // namespace
 }  // namespace iolap

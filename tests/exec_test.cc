@@ -71,7 +71,7 @@ TEST(InputCacheTest, TruncateRollsBackIndexAndBytes) {
 
 // Incremental Δ(P ⋈ I) over several batches must equal the full join.
 TEST(JoinStepTest, IncrementalEqualsFullJoin) {
-  JoinStep step({0}, {0}, /*input_grows=*/true, /*prefix_grows=*/true);
+  JoinStep step({0}, {0}, /*input_grows=*/true);
   std::vector<std::pair<int, int>> produced;  // (left payload, right payload)
 
   auto deliver = [&](std::vector<std::pair<int64_t, int64_t>> left,
@@ -106,7 +106,7 @@ TEST(JoinStepTest, IncrementalEqualsFullJoin) {
 }
 
 TEST(JoinStepTest, NoDuplicatesWithinBatch) {
-  JoinStep step({0}, {0}, true, true);
+  JoinStep step({0}, {0}, /*input_grows=*/true);
   RowBatch left = {MakeRow({1, 100})};
   RowBatch right = {MakeRow({1, 200})};
   RowBatch out;
@@ -116,7 +116,7 @@ TEST(JoinStepTest, NoDuplicatesWithinBatch) {
 
 TEST(JoinStepTest, StaticInputKeepsNoPrefixCache) {
   // input_grows=false: the prefix cache is not maintained.
-  JoinStep step({0}, {0}, /*input_grows=*/false, /*prefix_grows=*/true);
+  JoinStep step({0}, {0}, /*input_grows=*/false);
   RowBatch dim = {MakeRow({1, 7})};
   RowBatch out;
   step.ProcessBatch({}, dim, &out);
@@ -130,7 +130,7 @@ TEST(JoinStepTest, StaticInputKeepsNoPrefixCache) {
 }
 
 TEST(JoinStepTest, WatermarkRollback) {
-  JoinStep step({0}, {0}, true, true);
+  JoinStep step({0}, {0}, /*input_grows=*/true);
   RowBatch out;
   step.ProcessBatch({MakeRow({1, 1})}, {MakeRow({1, 10})}, &out);
   const auto mark = step.watermark();
@@ -143,20 +143,21 @@ TEST(JoinStepTest, WatermarkRollback) {
 }
 
 TEST(JoinStepTest, CrossJoinEmptyKeys) {
-  JoinStep step({}, {}, true, true);
+  JoinStep step({}, {}, /*input_grows=*/true);
   RowBatch out;
   step.ProcessBatch({MakeRow({1}), MakeRow({2})}, {MakeRow({10})}, &out);
   EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(JoinStepTest, ProbeCount) {
-  JoinStep step({0}, {0}, false, true);
+  JoinStep step({0}, {0}, /*input_grows=*/false);
   RowBatch dim;
   for (int i = 0; i < 5; ++i) dim.push_back(MakeRow({i % 2, i}));
   RowBatch out;
   step.ProcessBatch({}, dim, &out);
-  EXPECT_EQ(step.ProbeCount({Value::Int64(0)}), 3u);
-  EXPECT_EQ(step.ProbeCount({Value::Int64(1)}), 2u);
+  // A prefix row is probed by its join column.
+  EXPECT_EQ(step.ProbeCount(MakeRow({0, 99})), 3u);
+  EXPECT_EQ(step.ProbeCount(MakeRow({1, 99})), 2u);
 }
 
 // ----------------------------------------------- GroupedAggregateState
@@ -270,8 +271,10 @@ TEST(GroupedAggregateTest, RunningByteSizeMatchesRecount) {
 
   state.GetOrCreate({Value::Int64(0)}, 1).aggs[0].AddMainOnly(
       Value::String("abcdef"), 1.0);
-  state.GetOrCreate({Value::Int64(9)}, 1).aggs[0].AddTrialOnly(
-      1, TrialArg::Of(Value::String("bb")), 1.0);
+  // A group written in trial 1 only (a string folds as 0.0).
+  const TrialWeight trial_1{1, 1.0};
+  state.GetOrCreate({Value::Int64(9)}, 1).aggs[0].FoldTrials(
+      &trial_1, 1, 0.0, ValueType::kString);
   const size_t before = state.ByteSize();
   state.Seal();
   EXPECT_EQ(state.ByteSize(), RecountBytes(state));
@@ -300,7 +303,8 @@ TEST(GroupedAggregateTest, UndoHoldsPreImagesOfWrittenGroupsOnly) {
   for (int g = 0; g < kGroups; ++g) {
     auto& cells = state.GetOrCreate({Value::Int64(g)}, 0);
     cells.aggs[0].AddMainOnly(Value::Double(g), 1.0);
-    cells.aggs[0].AddTrialOnly(g % 3, TrialArg::Of(Value::Double(g)), 2.0);
+    const TrialWeight trial{g % 3, 2.0};
+    cells.aggs[0].FoldTrials(&trial, 1, g, ValueType::kDouble);
   }
   EXPECT_TRUE(state.Seal().pre_images.empty());
   const auto before = Contents(state);
